@@ -199,6 +199,7 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> dict:
     # smoothness needs more matched moments
     m0 = cfg.m0 if cfg.m0 is not None else (3 if cfg.sp.gamma1 > 0 else 1)
     brackets: dict[str, dict[int, tuple[float, float]]] = {}
+    meyer_osc: dict[tuple[int, int], float] = {}     # (J, sample) -> value
     families = ("meyer", cfg.family) if cfg.family != "meyer" else ("meyer",)
     for family in dict.fromkeys(families):
         per_J = {}
@@ -216,6 +217,8 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> dict:
                     f = generate_test_function(tfs, basis)
                     wav = tlm_wavelet_norm(basis.analyze(f), cfg.sp)
                     osc = oscillation_norm_report(f, cfg.sp, cutoff, m0, basis)
+                if family == "meyer":
+                    meyer_osc[(J, s)] = osc.value
                 if wav <= 0:
                     continue
                 ratio = osc.value / wav
@@ -238,7 +241,7 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> dict:
 
     # negative control: pairing the oscillation norm with a wavelet norm of
     # mismatched smoothness must break the bracket stability
-    control = _mismatched_smoothness_control(cfg, m0)
+    control = _mismatched_smoothness_control(cfg, m0, meyer_osc)
     passed = (lo_drift < GROWTH_LIMIT and hi_drift < GROWTH_LIMIT and overlap
               and control["detected"])
     report = {
@@ -257,10 +260,13 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> dict:
     return {"report": report, "rows": rows}
 
 
-def _mismatched_smoothness_control(cfg: ExperimentConfig, m0: int) -> dict:
+def _mismatched_smoothness_control(cfg: ExperimentConfig, m0: int,
+                                   meyer_osc: dict[tuple[int, int], float]) -> dict:
     """Oscillation at gamma1 against coefficients weighted at gamma1 + 3/4:
     the ratio drifts like 2^{0.75 per level} and must violate the drift
-    limit (three samples at the sweep endpoints suffice)."""
+    limit (three samples at the sweep endpoints suffice).  meyer_osc holds
+    the Meyer oscillation norms already computed for the same inputs, keyed
+    by (J, sample); only the missing ones are evaluated here."""
     sp_wrong = SpaceParams(cfg.sp.gamma1 + 0.75, cfg.sp.gamma2, cfg.sp.p,
                            cfg.sp.q)
     cutoff = CutoffFamily(n=cfg.n)
@@ -276,9 +282,13 @@ def _mismatched_smoothness_control(cfg: ExperimentConfig, m0: int) -> dict:
                 warnings.simplefilter("ignore")
                 f = generate_test_function(tfs, basis)
                 wav = tlm_wavelet_norm(basis.analyze(f), sp_wrong)
-                osc = oscillation_norm_report(f, cfg.sp, cutoff, m0, basis)
+                if (J, s) in meyer_osc:
+                    osc = meyer_osc[(J, s)]
+                else:
+                    osc = oscillation_norm_report(f, cfg.sp, cutoff, m0,
+                                                  basis).value
             if wav > 0:
-                ratios.append(osc.value / wav)
+                ratios.append(osc / wav)
         endpoints[J] = (min(ratios), max(ratios))
     J0, J1 = cfg.J_sweep[0], cfg.J_sweep[-1]
     lo = abs(endpoints[J1][0] / endpoints[J0][0] - 1.0)

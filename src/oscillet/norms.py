@@ -6,10 +6,19 @@ L^p(l^q) aggregate of detail coefficients,
     sup_Q |Q|^{gamma2/n - 1/p} || ( sum_{Q_{j,k} subset Q, eps}
         2^{q j (gamma1 + n/2)} |a^eps_{j,k}|^q chi(2^j x - k) )^{1/q} ||_{L^p},
 
-together with its slow oscillation-definition counterpart (cutoff, moment-
+together with its oscillation-definition counterpart (cutoff, moment-
 matched polynomial subtraction, plain Triebel-Lizorkin norm per cube).
 Scaling coefficients never enter these norms: the spaces are homogeneous and
 the scaling block only carries the sub-band remainder of the discretization.
+
+The oscillation norm is evaluated one cube level at a time.  The charts, bump
+weights and moment Gram systems of a run of cubes with the same
+(boundary-clipped) chart shape are built as arrays; the residuals
+phi_Q (f - P_{Q,f}) of consecutive cubes are scattered into one stack of at
+most CHUNK_BYTES, which one batched wavelet analysis and one batched TL norm
+consume.  Every per-cube sum still runs along one contiguous last axis and
+the final root stays a scalar pow, so each value is bit for bit the one a
+cube-by-cube evaluation gives.
 
 Cube sups are exact over the finite dyadic family; when gamma2 = n/p and the
 coarsest cube is the whole torus, the Morrey sup is attained there and the
@@ -33,6 +42,9 @@ from .grid import DyadicCube, GridFunction, GridSpec
 from .wavelet import CoeffField
 
 CONDITION_LIMIT = 1e10
+# Bytes of one residual stack in the level-batched oscillation norm: bounds
+# the memory of a batched analysis (16 rows of 2^10 complex samples).
+CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -45,6 +57,9 @@ class SpaceParams:
     q: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.gamma1) and np.isfinite(self.gamma2)):
+            raise ParameterError(
+                f"gamma1 and gamma2 must be finite, got {self.gamma1}, {self.gamma2}")
         if not (0 < self.p < np.inf):
             raise ParameterError(f"p must be finite positive, got {self.p}")
         if not (self.q > 0):
@@ -55,11 +70,13 @@ class SpaceParams:
         return self.gamma2 > n / self.p
 
 
-def _upsample(arr: np.ndarray, J: int) -> np.ndarray:
-    """Blow a (2^j,)^n array up to the (2^J,)^n grid by block repetition."""
-    factor = (1 << J) // arr.shape[0]
+def _upsample(arr: np.ndarray, J: int, n: int | None = None) -> np.ndarray:
+    """Blow a (2^j,)^n array up to the (2^J,)^n grid by block repetition;
+    with n given, only the last n axes are grid axes."""
+    n = arr.ndim if n is None else n
+    factor = (1 << J) // arr.shape[-1]
     out = arr
-    for axis in range(arr.ndim):
+    for axis in range(arr.ndim - n, arr.ndim):
         out = np.repeat(out, factor, axis=axis)
     return out
 
@@ -72,21 +89,20 @@ def _block_reduce_sum(arr: np.ndarray, j0: int, J: int) -> np.ndarray:
     return reshaped.sum(axis=tuple(range(1, 2 * n, 2)))
 
 
-def _level_aggregates(c: CoeffField, gamma1: float, q: float,
-                      extra_weight: float = 0.0) -> dict[int, np.ndarray]:
-    """Per level j, the full-grid field sum_eps 2^{qj(gamma1+n/2+extra)} |a|^q
-    (pointwise sup over eps of the weighted |a| when q = inf)."""
+def _level_aggregates(c: CoeffField, gamma1: float, q: float):
+    """Yield (j, field) finest level first: the full-grid field
+    sum_eps 2^{qj(gamma1+n/2)} |a|^q (pointwise sup over eps of the weighted
+    |a| when q = inf), with the leading batch axes of a stacked c."""
     n, J = c.spec.n, c.spec.J
-    out: dict[int, np.ndarray] = {}
-    for j in c.levels:
-        stack = [np.abs(c.detail[(eps, j)]) for eps in _types(c)]
-        w = 2.0 ** (j * (gamma1 + n / 2.0 + extra_weight))
+    types = _types(c)
+    for j in reversed(c.levels):
+        stack = [np.abs(c.detail[(eps, j)]) for eps in types]
+        w = 2.0 ** (j * (gamma1 + n / 2.0))
         if q == np.inf:
             lvl = w * np.maximum.reduce(stack)
         else:
             lvl = (w ** q) * sum(a ** q for a in stack)
-        out[j] = _upsample(lvl, J)
-    return out
+        yield j, _upsample(lvl, J, n)
 
 
 def _types(c: CoeffField):
@@ -94,17 +110,17 @@ def _types(c: CoeffField):
     return seen
 
 
-def _suffix_combine(levels: dict[int, np.ndarray], q: float) -> dict[int, np.ndarray]:
-    """V[j0] = aggregate over levels j >= j0 (sum for finite q, sup for q=inf)."""
-    out: dict[int, np.ndarray] = {}
+def _suffix_combine(levels, q: float):
+    """Yield (j0, V[j0]) finest level first, V[j0] aggregating the level
+    fields j >= j0 of `levels` (sum for finite q, sup for q=inf).  Lazy, so
+    a caller that keeps only the last holds three fields at a time."""
     acc = None
-    for j in sorted(levels, reverse=True):
+    for j, lvl in levels:
         if acc is None:
-            acc = levels[j].copy()
+            acc = lvl
         else:
-            acc = np.maximum(acc, levels[j]) if q == np.inf else acc + levels[j]
-        out[j] = acc.copy()
-    return out
+            acc = np.maximum(acc, lvl) if q == np.inf else acc + lvl
+        yield j, acc
 
 
 @dataclass
@@ -114,10 +130,23 @@ class TlmReport:
     per_level: dict[int, float] = field(default_factory=dict)
 
 
-def tl_norm(c: CoeffField, gamma1: float, p: float, q: float) -> float:
-    """Plain Triebel-Lizorkin norm of a coefficient field (no cube sup)."""
-    sp = SpaceParams(gamma1, c.spec.n / p, p, q)
-    return _tlm_core(c, sp, cube_levels=(c.spec.j_min,), whole_domain=True).value
+def tl_norm(c: CoeffField, gamma1: float, p: float, q: float):
+    """Plain Triebel-Lizorkin norm of a coefficient field (no cube sup): a
+    float, or for a stacked field an array with one norm per batch index."""
+    SpaceParams(gamma1, c.spec.n / p, p, q)          # parameter checks only
+    batch = c.batch_shape
+    V = None
+    for _, V in _suffix_combine(_level_aggregates(c, gamma1, q), q):
+        pass
+    if V is None:
+        return np.zeros(batch) if batch else 0.0
+    integrand = V if q == np.inf else V ** (1.0 / q)
+    sums = np.sum((integrand ** p).reshape(batch + (-1,)), axis=-1)
+    # the final root stays a numpy-scalar pow (libm) per value: an array
+    # power maps ** 0.5 to sqrt, which can differ in the last bit
+    cell = c.spec.cell_volume
+    vals = [float((cell * s) ** (1.0 / p)) for s in sums.reshape(-1)]
+    return np.array(vals).reshape(batch) if batch else vals[0]
 
 
 def tlm_wavelet_norm(c: CoeffField, sp: SpaceParams) -> float:
@@ -132,16 +161,15 @@ def tlm_wavelet_norm_report(c: CoeffField, sp: SpaceParams) -> TlmReport:
             DegenerateRegimeWarning,
             stacklevel=2,
         )
-    return _tlm_core(c, sp, cube_levels=None, whole_domain=False)
+    return _tlm_core(c, sp, cube_levels=None)
 
 
-def _tlm_core(c: CoeffField, sp: SpaceParams, cube_levels, whole_domain) -> TlmReport:
+def _tlm_core(c: CoeffField, sp: SpaceParams, cube_levels) -> TlmReport:
     n, J = c.spec.n, c.spec.J
     cell = c.spec.cell_volume
-    levels = _level_aggregates(c, sp.gamma1, sp.q)
-    if not levels:
+    V = dict(_suffix_combine(_level_aggregates(c, sp.gamma1, sp.q), sp.q))
+    if not V:
         return TlmReport(0.0, None)
-    V = _suffix_combine(levels, sp.q)
     if cube_levels is None:
         cube_levels = range(c.spec.j_min, J)
     best, best_cube = 0.0, None
@@ -154,12 +182,6 @@ def _tlm_core(c: CoeffField, sp: SpaceParams, cube_levels, whole_domain) -> TlmR
             continue
         Vj = V[min(avail)]
         integrand = Vj if sp.q == np.inf else Vj ** (1.0 / sp.q)
-        if whole_domain:
-            val = float((cell * np.sum(integrand ** sp.p)) ** (1.0 / sp.p))
-            per_level[j0] = val
-            if val > best:
-                best, best_cube = val, DyadicCube(j0, (0,) * n)
-            continue
         sums = _block_reduce_sum(integrand ** sp.p, j0, J)
         weight = 2.0 ** (-j0 * (sp.gamma2 - n / sp.p))
         vals = weight * (cell * sums) ** (1.0 / sp.p)
@@ -230,25 +252,43 @@ class CutoffFamily:
         return self.profile(u_radius)
 
 
-def _cube_chart(spec: GridSpec, cube: DyadicCube, cutoff: CutoffFamily):
-    """Sample box covering supp(phi_Q) in the fundamental domain [0,1)^n,
-    plus the scaled chart coordinates u = (x - x_Q)/r on that box.
+def _chart_bounds(spec: GridSpec, j: int, k: np.ndarray, cutoff: CutoffFamily):
+    """Per-axis sample ranges [lo, hi) covering supp(phi_Q) of the level-j
+    cubes at positions k (any integer array), clipped to [0, 1)^n.
 
     Charts never wrap: the oscillation definition treats [0,1)^n as a window
     of the plane, which keeps polynomial subtraction exact for global
     polynomials."""
     N = spec.samples_per_axis
-    r = cube.side
+    r = 2.0 ** -j
     R = cutoff.support_radius * r
-    slices, axes_u = [], []
-    for ci in cube.center:
-        lo = max(0, int(np.floor((ci - R) * N)))
-        hi = min(N, int(np.ceil((ci + R) * N)) + 1)
-        slices.append(slice(lo, hi))
-        axes_u.append((np.arange(lo, hi) / N - ci) / r)
-    grids = np.meshgrid(*axes_u, indexing="ij")
+    center = (k + 0.5) * r
+    lo = np.maximum(0, np.floor((center - R) * N).astype(int))
+    hi = np.minimum(N, np.ceil((center + R) * N).astype(int) + 1)
+    return lo, hi
+
+
+def _cube_charts(spec: GridSpec, j: int, ks: np.ndarray, cutoff: CutoffFamily):
+    """Charts of the level-j cubes at positions ks (B, n), which must share
+    their chart shape: flat sample indices (B, W), the scaled coordinates
+    u = (x - x_Q)/r as n arrays (B, W), and |u| (B, W).  W runs over the
+    chart box in C order."""
+    N, n = spec.samples_per_axis, spec.n
+    r = 2.0 ** -j
+    lo, hi = _chart_bounds(spec, j, ks, cutoff)
+    widths = tuple(int(w) for w in hi[0] - lo[0])
+    box = (len(ks),) + widths
+    grids, flat = [], 0
+    for axis in range(n):
+        expand = [slice(None)] + [None] * n
+        expand[1 + axis] = slice(None)
+        idx = lo[:, axis, None] + np.arange(widths[axis])
+        u = (idx / N - ((ks[:, axis] + 0.5) * r)[:, None]) / r
+        grids.append(np.broadcast_to(u[tuple(expand)], box).reshape(len(ks), -1))
+        flat = flat * N + idx[tuple(expand)]
+    flat = np.broadcast_to(flat, box).reshape(len(ks), -1)
     radius = np.sqrt(sum(g**2 for g in grids))
-    return tuple(slices), grids, radius
+    return flat, grids, radius
 
 
 def _monomial_exponents(n: int, m0: int) -> list[tuple[int, ...]]:
@@ -267,23 +307,18 @@ def _monomial_exponents(n: int, m0: int) -> list[tuple[int, ...]]:
 
 @dataclass
 class MomentSystem:
-    """Per-cube moment-matched polynomial P_{Q,f} of total degree <= m0."""
+    """Moment-matched polynomials P_{Q,f} of total degree <= m0, one per
+    cube of a batch: coefficients (B, d), condition numbers (B,)."""
 
     m0: int
     exponents: list[tuple[int, ...]]
     coefficients: np.ndarray
-    condition: float
-
-    def residual_moments(self, weight, grids, fvals) -> np.ndarray:
-        resid = fvals - self.evaluate(grids)
-        return np.array([
-            np.sum(weight * _mono(grids, a) * resid) for a in self.exponents
-        ])
+    condition: np.ndarray
 
     def evaluate(self, grids) -> np.ndarray:
         out = np.zeros_like(grids[0], dtype=complex)
-        for coeff, expo in zip(self.coefficients, self.exponents):
-            out += coeff * _mono(grids, expo)
+        for coeff, expo in zip(self.coefficients.T, self.exponents):
+            out += coeff[:, None] * _mono(grids, expo)
         return out
 
 
@@ -296,16 +331,23 @@ def _mono(grids, expo) -> np.ndarray:
 
 
 def solve_moment_system(weight: np.ndarray, grids, fvals: np.ndarray,
-                        m0: int, cube: DyadicCube) -> MomentSystem:
-    """Least squares on the Gram system <u^a, phi u^b> c = <u^a, phi f>."""
+                        m0: int, cubes: Sequence[DyadicCube]) -> MomentSystem:
+    """Least squares on the Gram systems <u^a, phi u^b> c = <u^a, phi f>, one
+    per cube: weight, grids and fvals are (B, W) with the chart on the last
+    axis.  Raises for the first cube whose system is ill-conditioned."""
     expos = _monomial_exponents(len(grids), m0)
     monos = [_mono(grids, e) for e in expos]
-    G = np.array([[np.sum(weight * ma * mb) for mb in monos] for ma in monos])
-    b = np.array([np.sum(weight * ma * fvals) for ma in monos])
-    cond = float(np.linalg.cond(G))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise MomentConditioningError(cube, cond)
-    coeffs, *_ = np.linalg.lstsq(G, b, rcond=None)
+    G = np.stack([np.stack([np.sum(weight * ma * mb, axis=-1) for mb in monos],
+                           axis=-1) for ma in monos], axis=-2)
+    b = np.stack([np.sum(weight * ma * fvals, axis=-1) for ma in monos], axis=-1)
+    cond = np.linalg.cond(G)
+    bad = ~np.isfinite(cond) | (cond > CONDITION_LIMIT)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise MomentConditioningError(cubes[first], float(cond[first]))
+    # lstsq per system: a batched np.linalg.solve is another algorithm
+    coeffs = np.stack([np.linalg.lstsq(Gi, bi, rcond=None)[0]
+                       for Gi, bi in zip(G, b)])
     return MomentSystem(m0, expos, coeffs, cond)
 
 
@@ -329,17 +371,16 @@ def oscillation_norm_report(f: GridFunction, sp: SpaceParams,
                             cube_levels: Sequence[int] | None = None,
                             refine: bool = False) -> OscillationReport:
     """Definition-side norm: sup over cubes of the weighted TL norm of
-    phi_Q (f - P_{Q,f}), the slow oracle against the wavelet norm."""
+    phi_Q (f - P_{Q,f}), evaluated one cube level at a time."""
     spec = f.spec
+    if not np.all(np.isfinite(f.data)):
+        raise ParameterError("f has non-finite samples")
     if cube_levels is None:
         cube_levels = range(spec.j_min, spec.J)
     best, best_cube = 0.0, None
     table: list[tuple[DyadicCube, float]] = []
     for j0 in cube_levels:
-        for flat in range((1 << j0) ** spec.n):
-            k = np.unravel_index(flat, (1 << j0,) * spec.n)
-            cube = DyadicCube(j0, tuple(int(v) for v in k))
-            val = _cube_oscillation(f, sp, cutoff, m0, basis, cube)
+        for cube, val in _level_oscillation(f, sp, cutoff, m0, basis, j0):
             table.append((cube, val))
             if val > best:
                 best, best_cube = val, cube
@@ -349,18 +390,47 @@ def oscillation_norm_report(f: GridFunction, sp: SpaceParams,
     return OscillationReport(best, best_cube, table, refined)
 
 
-def _cube_oscillation(f, sp, cutoff, m0, basis, cube) -> float:
+def _runs(keys: np.ndarray) -> list[tuple[int, int]]:
+    """[start, stop) of each run of equal consecutive rows of keys."""
+    change = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=-1)) + 1
+    edges = [0, *change.tolist(), len(keys)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _level_oscillation(f, sp, cutoff, m0, basis, j0):
+    """(cube, weighted TL norm of phi_Q (f - P_{Q,f})) for every level-j0
+    cube in order.  The residuals of a chunk of cubes are scattered into one
+    (chunk,) + grid stack of at most CHUNK_BYTES, analyzed together and
+    normed together; charts and moment systems are batched over runs of
+    cubes with the same (boundary-clipped) chart shape."""
     spec = f.spec
-    slices, grids, radius = _cube_chart(spec, cube, cutoff)
-    weight = cutoff.evaluate(radius)
-    fvals = f.data[slices]
-    system = solve_moment_system(weight, grids, fvals, m0, cube)
-    resid = weight * (fvals - system.evaluate(grids))
-    g = np.zeros(spec.shape, dtype=complex)
-    g[slices] = resid
-    c = basis.analyze(GridFunction(spec, g))
-    tl = tl_norm(c, sp.gamma1, sp.p, sp.q)
-    return 2.0 ** (-cube.j * (sp.gamma2 - spec.n / sp.p)) * tl
+    n = spec.n
+    ks = np.stack(np.unravel_index(np.arange((1 << j0) ** n), (1 << j0,) * n),
+                  axis=-1)
+    cubes = [DyadicCube(j0, tuple(int(v) for v in k)) for k in ks]
+    lo, hi = _chart_bounds(spec, j0, ks, cutoff)
+    shapes = hi - lo
+    samples = f.data.reshape(-1)
+    rows = max(1, CHUNK_BYTES // (16 * spec.size))
+    weight_j = 2.0 ** (-j0 * (sp.gamma2 - n / sp.p))
+    out = []
+    for start in range(0, len(ks), rows):
+        stop = min(start + rows, len(ks))
+        stack = np.zeros((stop - start, spec.size), dtype=complex)
+        for a, b in _runs(shapes[start:stop]):
+            idx, grids, radius = _cube_charts(spec, j0, ks[start + a:start + b],
+                                              cutoff)
+            weight = cutoff.evaluate(radius)
+            fvals = samples[idx]
+            system = solve_moment_system(weight, grids, fvals, m0,
+                                         cubes[start + a:start + b])
+            stack[np.arange(a, b)[:, None], idx] = \
+                weight * (fvals - system.evaluate(grids))
+        c = basis.analyze_stack(stack.reshape((stop - start,) + spec.shape))
+        tl = tl_norm(c, sp.gamma1, sp.p, sp.q)
+        out += [(cube, weight_j * float(v))
+                for cube, v in zip(cubes[start:stop], tl)]
+    return out
 
 
 def _refine_cube(f, sp, cutoff, m0, basis, cube, moment_value) -> float:
@@ -369,18 +439,19 @@ def _refine_cube(f, sp, cutoff, m0, basis, cube, moment_value) -> float:
     from scipy.optimize import minimize
 
     spec = f.spec
-    slices, grids, radius = _cube_chart(spec, cube, cutoff)
+    idx, grids, radius = _cube_charts(spec, cube.j, np.array([cube.k]), cutoff)
     weight = cutoff.evaluate(radius)
-    fvals = f.data[slices]
+    fvals = f.data.reshape(-1)[idx]
     expos = _monomial_exponents(spec.n, m0)
-    start = solve_moment_system(weight, grids, fvals, m0, cube).coefficients.real
+    start = solve_moment_system(weight, grids, fvals, m0,
+                                [cube]).coefficients[0].real
 
     def objective(coeffs):
         poly = np.zeros_like(grids[0])
         for coeff, expo in zip(coeffs, expos):
             poly += coeff * _mono(grids, expo)
-        g = np.zeros(spec.shape, dtype=complex)
-        g[slices] = weight * (fvals - poly)
+        g = np.zeros(spec.size, dtype=complex)
+        g[idx[0]] = (weight * (fvals - poly))[0]
         c = basis.analyze(GridFunction(spec, g))
         return tl_norm(c, sp.gamma1, sp.p, sp.q)
 

@@ -188,10 +188,6 @@ def _check_band(mat: AlmostDiagonalMatrix, c: CoeffField):
         raise GridMismatchError("coefficient field band incompatible with matrix")
 
 
-def _blocks_by_kind(mat):
-    return list(mat.coo.items()), list(mat.circulant.items())
-
-
 def _apply_circulant_block(kern: np.ndarray, j: int, j_p: int,
                            blockin: np.ndarray, n: int) -> np.ndarray:
     """Batched over a leading axis; position axes are the trailing n."""
@@ -339,7 +335,7 @@ def riesz_matrix(basis, l: int, N0: float = 2.0) -> AlmostDiagonalMatrix:
             if not np.any(G):
                 continue
             Lmax = 1 << max(j, j_p)
-            folded = _fold(G, Lmax)
+            folded = _fold(G, Lmax, n)
             if j_p == j + 1:
                 kern = (Lmax**n) * np.fft.ifftn(folded)
             else:

@@ -131,6 +131,11 @@ class CoeffField:
     def levels(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """Leading axes of a field from `analyze_stack`; () for one function."""
+        return self.scaling.shape[:self.scaling.ndim - self.spec.n]
+
     def copy(self) -> "CoeffField":
         out = CoeffField(self.spec, self.family, self.j_min, self.j_max)
         for key, arr in self.detail.items():
@@ -206,12 +211,19 @@ class CoeffField:
 
 # -- Meyer basis ---------------------------------------------------------------
 
-def _fold(arr: np.ndarray, L: int) -> np.ndarray:
-    """Fold an FFT-ordered array onto residues mod L along every axis."""
-    n = arr.ndim
-    N = arr.shape[0]
-    reshaped = arr.reshape(sum(((N // L, L),) * n, ()))
-    return reshaped.sum(axis=tuple(range(0, 2 * n, 2)))
+def _check_stack(spec: GridSpec, data: np.ndarray) -> None:
+    if data.shape[data.ndim - spec.n:] != spec.shape:
+        raise GridMismatchError(
+            f"stack of shape {data.shape} does not end in the grid shape {spec.shape}")
+
+
+def _fold(arr: np.ndarray, L: int, n: int) -> np.ndarray:
+    """Fold an FFT-ordered array onto residues mod L along its last n axes."""
+    lead = arr.shape[:arr.ndim - n]
+    N = arr.shape[-1]
+    reshaped = arr.reshape(lead + sum(((N // L, L),) * n, ()))
+    b = len(lead)
+    return reshaped.sum(axis=tuple(range(b, b + 2 * n, 2)))
 
 
 def _tile(arr: np.ndarray, N: int) -> np.ndarray:
@@ -269,9 +281,12 @@ class MeyerBasis:
         return GridFunction(self.spec, np.fft.ifftn(F) * self.spec.size)
 
     def _coeffs_from_fourier(self, F: np.ndarray, eps, j) -> np.ndarray:
+        """Level-j coefficients of type eps; F may carry leading batch axes."""
+        n = self.spec.n
         W = self._tensor_window(eps, j)
-        folded = _fold(F * np.conj(W), 1 << j)
-        return 2.0 ** (self.spec.n * j / 2.0) * np.fft.ifftn(folded)
+        folded = _fold(F * np.conj(W), 1 << j, n)
+        return 2.0 ** (n * j / 2.0) * np.fft.ifftn(folded,
+                                                   axes=range(-n, 0))
 
     def _fourier_from_coeffs(self, c: np.ndarray, eps, j) -> np.ndarray:
         W = self._tensor_window(eps, j)
@@ -279,12 +294,23 @@ class MeyerBasis:
         return 2.0 ** (-self.spec.n * j / 2.0) * W * _tile(C, self.spec.samples_per_axis)
 
     def analyze(self, f: GridFunction) -> CoeffField:
-        F = self.fourier(f)
+        if f.spec != self.spec:
+            raise GridMismatchError("grid function does not match basis grid")
+        return self.analyze_stack(f.data)
+
+    def analyze_stack(self, data: np.ndarray) -> CoeffField:
+        """Analyze every grid function in `data` (leading batch axes, possibly
+        none, then the grid shape) with one batched FFT and one fold and
+        inverse FFT per block; the blocks carry the same leading axes."""
+        n = self.spec.n
+        _check_stack(self.spec, data)
+        F = np.fft.fftn(data, axes=range(-n, 0))
+        F /= self.spec.size
         out = CoeffField(self.spec, self.family, self.j_min, self.j_max)
         for j in self.detail_levels:
             for eps in self.detail_type_list():
                 out.detail[(eps, j)] = self._coeffs_from_fourier(F, eps, j)
-        out.scaling = self._coeffs_from_fourier(F, (0,) * self.spec.n, self.j_min)
+        out.scaling = self._coeffs_from_fourier(F, (0,) * n, self.j_min)
         return out
 
     def synthesize(self, c: CoeffField) -> GridFunction:
@@ -421,6 +447,21 @@ class DaubechiesBasis:
 
     def detail_type_list(self) -> list[tuple[int, ...]]:
         return detail_types(self.spec.n)
+
+    def analyze_stack(self, data: np.ndarray) -> CoeffField:
+        """One cascade per grid function in `data` (leading batch axes, then
+        the grid shape), stacked into blocks with the same leading axes."""
+        _check_stack(self.spec, data)
+        lead = data.shape[:data.ndim - self.spec.n]
+        rows = [self.analyze(GridFunction(self.spec, row))
+                for row in data.reshape((-1,) + self.spec.shape)]
+        out = CoeffField(self.spec, self.family, self.j_min, self.j_max)
+        for key, arr in out.detail.items():
+            out.detail[key] = np.stack([c.detail[key] for c in rows]
+                                       ).reshape(lead + arr.shape)
+        out.scaling = np.stack([c.scaling for c in rows]
+                               ).reshape(lead + out.scaling.shape)
+        return out
 
     def analyze(self, f: GridFunction) -> CoeffField:
         if f.spec != self.spec:

@@ -77,6 +77,34 @@ class TestNormEquivalencePieces:
             assert tlm_wavelet_norm(c, cfg.sp) < 1e-10
 
 
+@pytest.mark.parametrize("family, samples", [("meyer", 3), ("meyer", 2),
+                                             ("daubechies", 2)])
+def test_norm_equivalence_computes_each_oscillation_norm_once(
+        monkeypatch, family, samples):
+    # the negative control reuses the Meyer loop's oscillation norms; it
+    # evaluates only samples the loop did not run (its third, when
+    # samples < 3)
+    from oscillet import harness
+
+    real = harness.oscillation_norm_report
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].spec.J)
+        return real(*args, **kwargs)
+
+    cfg = ExperimentConfig("norm-equivalence", J_sweep=(6, 7, 8),
+                           samples=samples, seed=5, family=family)
+    monkeypatch.setattr(harness, "oscillation_norm_report", counting)
+    out = harness.run_norm_equivalence(cfg)
+    families = 1 if family == "meyer" else 2
+    extra = 2 * (3 - samples)            # control samples at both endpoints
+    assert len(calls) == families * len(cfg.J_sweep) * samples + extra
+    fresh = harness._mismatched_smoothness_control(
+        cfg, out["report"]["moment_order"], {})
+    assert out["report"]["negative_control"] == fresh
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ParameterError):
         ExperimentConfig("not-a-kind")

@@ -3,7 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oscillet.errors import DegenerateRegimeWarning, ParameterError
+from oscillet import norms
+from oscillet.errors import (
+    DegenerateRegimeWarning,
+    MomentConditioningError,
+    ParameterError,
+)
 from oscillet.grid import (
     DyadicCube,
     GridFunction,
@@ -123,8 +128,8 @@ class TestTlmNorm:
         from oscillet.norms import _tlm_core
         c = meyer1d.analyze(band_limited(meyer1d, rng))
         sp = SpaceParams(0.0, 0.3, 2.0, 2.0)
-        small = _tlm_core(c, sp, cube_levels=range(0, 4), whole_domain=False)
-        full = _tlm_core(c, sp, cube_levels=range(0, 8), whole_domain=False)
+        small = _tlm_core(c, sp, cube_levels=range(0, 4))
+        full = _tlm_core(c, sp, cube_levels=range(0, 8))
         assert full.value >= small.value
 
     def test_quasinorm_axioms(self, meyer1d, rng):
@@ -188,6 +193,122 @@ class TestOscillationNorm:
                                       cube_levels=range(0, 3), refine=True)
         assert rep.refined_value is not None
         assert rep.refined_value <= rep.value + 1e-12
+
+
+def per_cube_oracle(f, sp, cutoff, m0, basis, cube):
+    """The oscillation of one cube from the definition: its own chart, an
+    lstsq moment fit, one full-grid analyze and tl_norm, the Morrey weight."""
+    spec = f.spec
+    N, r = spec.samples_per_axis, cube.side
+    R = cutoff.support_radius * r
+    slices, axes = [], []
+    for ci in cube.center:
+        lo = max(0, int(np.floor((ci - R) * N)))
+        hi = min(N, int(np.ceil((ci + R) * N)) + 1)
+        slices.append(slice(lo, hi))
+        axes.append((np.arange(lo, hi) / N - ci) / r)
+    grids = np.meshgrid(*axes, indexing="ij")
+    weight = cutoff.evaluate(np.sqrt(sum(g**2 for g in grids)))
+    fvals = f.data[tuple(slices)]
+    monos = []
+    for expo in norms._monomial_exponents(spec.n, m0):
+        mono = np.ones_like(grids[0])
+        for g, d in zip(grids, expo):
+            if d:
+                mono = mono * g**d
+        monos.append(mono)
+    G = np.array([[np.sum(weight * ma * mb) for mb in monos] for ma in monos])
+    b = np.array([np.sum(weight * ma * fvals) for ma in monos])
+    coeffs = np.linalg.lstsq(G, b, rcond=None)[0]
+    poly = np.zeros_like(grids[0], dtype=complex)
+    for coeff, mono in zip(coeffs, monos):
+        poly += coeff * mono
+    g = np.zeros(spec.shape, dtype=complex)
+    g[tuple(slices)] = weight * (fvals - poly)
+    tl = tl_norm(basis.analyze(GridFunction(spec, g)), sp.gamma1, sp.p, sp.q)
+    return 2.0 ** (-cube.j * (sp.gamma2 - spec.n / sp.p)) * tl
+
+
+def oracle_table(f, sp, cutoff, m0, basis):
+    return [(cube, per_cube_oracle(f, sp, cutoff, m0, basis, cube))
+            for cube in enumerate_cubes(f.spec, f.spec.j_min, f.spec.J - 1)]
+
+
+class TestLevelBatchedOscillation:
+    """The level-batched evaluation against the cube-by-cube definition."""
+
+    @pytest.mark.parametrize("J", [7, 9])
+    @pytest.mark.parametrize("m0", [1, 3])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_meyer_bitwise(self, J, m0, p):
+        # at J=9 a chunk holds 32 cubes: levels 0-4 fit in one chunk,
+        # levels 5-8 take several
+        spec = GridSpec(n=1, J=J, j_min=0)
+        basis = build_basis("meyer", spec)
+        sp = SpaceParams(0.1, 0.2, p, 2.0)
+        f = basis.synthesize(_random_detail_field(basis, sp, J + m0))
+        rep = oscillation_norm_report(f, sp, CutoffFamily(n=1), m0, basis)
+        assert rep.per_cube == oracle_table(f, sp, CutoffFamily(n=1), m0, basis)
+
+    def test_partial_last_chunk_bitwise(self, monkeypatch):
+        # three cubes per chunk: every level past the second ends in a
+        # partial chunk, and the cut-off below clips boundary charts to
+        # several different widths
+        spec = GridSpec(n=1, J=7, j_min=0)
+        basis = build_basis("meyer", spec)
+        monkeypatch.setattr(norms, "CHUNK_BYTES", 3 * 16 * spec.size)
+        sp = SpaceParams(0.0, 0.3, 2.0, 2.0)
+        cut = CutoffFamily(n=1, plateau_radius=1.2, support_radius=2.6)
+        f = basis.synthesize(_random_detail_field(basis, sp, 4))
+        rep = oscillation_norm_report(f, sp, cut, 2, basis)
+        assert rep.per_cube == oracle_table(f, sp, cut, 2, basis)
+
+    @pytest.mark.parametrize("family, n, J", [("daubechies", 1, 7),
+                                              ("meyer", 2, 5)])
+    def test_other_families_and_dimensions(self, family, n, J):
+        spec = GridSpec(n=n, J=J, j_min=0)
+        basis = build_basis(family, spec)
+        sp = SpaceParams(0.0, 0.3, 2.0, 2.0)
+        f = GridFunction(spec, np.random.default_rng(J).standard_normal(
+            spec.shape))
+        rep = oscillation_norm_report(f, sp, CutoffFamily(n=n), 1, basis)
+        want = oracle_table(f, sp, CutoffFamily(n=n), 1, basis)
+        assert [cube for cube, _ in rep.per_cube] == [cube for cube, _ in want]
+        assert [v for _, v in rep.per_cube] == pytest.approx(
+            [v for _, v in want], rel=1e-12)
+
+    def test_first_ill_conditioned_cube_is_named(self):
+        spec = GridSpec(n=1, J=8, j_min=0)
+        basis = build_basis("meyer", spec)
+        sp = SpaceParams(0.0, 0.3, 2.0, 2.0)
+        f = basis.synthesize(_random_detail_field(basis, sp, 2))
+        tiny = CutoffFamily(n=1, plateau_radius=1e-3, support_radius=2e-3)
+        with pytest.raises(MomentConditioningError) as err:
+            oscillation_norm_report(f, sp, tiny, 3, basis, cube_levels=[7])
+        assert err.value.cube == DyadicCube(j=7, k=(0,))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("gamma1, gamma2", [
+        (np.nan, 0.3), (0.0, np.nan), (np.inf, 0.3), (0.0, -np.inf)])
+    def test_space_params_reject_nonfinite_gammas(self, gamma1, gamma2):
+        with pytest.raises(ParameterError):
+            SpaceParams(gamma1, gamma2, 2.0, 2.0)
+
+    def test_nan_gamma1_is_not_a_zero_norm(self, meyer1d, rng):
+        c = meyer1d.analyze(band_limited(meyer1d, rng))
+        with pytest.raises(ParameterError):
+            tlm_wavelet_norm(c, SpaceParams(np.nan, 0.3, 2.0, 2.0))
+        with pytest.raises(ParameterError):
+            tl_norm(c, np.nan, 2.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_oscillation_rejects_nonfinite_sample(self, meyer1d, bad):
+        sp = SpaceParams(0.0, 0.3, 2.0, 2.0)
+        f = meyer1d.synthesize(_random_detail_field(meyer1d, sp, 3))
+        f.data[100] = bad
+        with pytest.raises(ParameterError):
+            oscillation_norm_report(f, sp, CutoffFamily(n=1), 1, meyer1d)
 
 
 class TestVectorMaximal:
