@@ -59,10 +59,6 @@ from .tent import (
     check_embeddings,
     scaling_time_field,
     t_linf_norm,
-    tent_norm_I,
-    tent_norm_II,
-    tent_norm_III,
-    tent_norm_IV,
     tent_norms,
 )
 from .wavelet import (

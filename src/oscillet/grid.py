@@ -68,6 +68,15 @@ class GridSpec:
         N = self.samples_per_axis
         return np.fft.fftfreq(N, d=1.0 / N)
 
+    def lattice_norm2(self) -> np.ndarray:
+        """|m|^2 of every integer frequency vector, in FFT order on the grid
+        shape; exact, since every entry is an integer below 2^53."""
+        m2 = self.frequencies() ** 2
+        total = m2
+        for _ in range(self.n - 1):
+            total = np.add.outer(total, m2)
+        return total
+
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         ax = self.axis_coordinates()
         return np.meshgrid(*([ax] * self.n), indexing="ij")

@@ -114,9 +114,7 @@ def generate_test_function(tfs: TestFunctionSpec, basis) -> GridFunction:
         center = tfs.params.get("center_freq", spec.samples_per_axis // 8)
         width = tfs.params.get("width", max(center / 2.0, 1.0))
         rng = np.random.default_rng(tfs.seed)
-        m = spec.frequencies()
-        grids = np.meshgrid(*([m] * spec.n), indexing="ij")
-        radius = np.sqrt(sum(g**2 for g in grids))
+        radius = np.sqrt(spec.lattice_norm2())
         envelope = np.exp(-((radius - center) ** 2) / (2 * width**2))
         envelope[radius == 0] = 0.0
         phase = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)

@@ -39,12 +39,9 @@ from .errors import (
     ParameterError,
 )
 from .grid import DyadicCube, GridFunction, GridSpec
-from .wavelet import CoeffField
+from .wavelet import CHUNK_BYTES, CoeffField
 
 CONDITION_LIMIT = 1e10
-# Bytes of one residual stack in the level-batched oscillation norm: bounds
-# the memory of a batched analysis (16 rows of 2^10 complex samples).
-CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -81,12 +78,17 @@ def _upsample(arr: np.ndarray, J: int, n: int | None = None) -> np.ndarray:
     return out
 
 
-def _block_reduce_sum(arr: np.ndarray, j0: int, J: int) -> np.ndarray:
-    """Sum the full-grid array over each level-j0 cube; result (2^{j0},)^n."""
+def _block_reduce_sum(arr: np.ndarray, j0: int, J: int,
+                      n: int | None = None) -> np.ndarray:
+    """Sum the full-grid array over each level-j0 cube; result (2^{j0},)^n.
+    With n given, only the last n axes are grid axes; the leading ones are
+    kept."""
+    n = arr.ndim if n is None else n
+    lead = arr.shape[:arr.ndim - n]
     L, w = 1 << j0, 1 << (J - j0)
-    n = arr.ndim
-    reshaped = arr.reshape(sum(((L, w),) * n, ()))
-    return reshaped.sum(axis=tuple(range(1, 2 * n, 2)))
+    reshaped = arr.reshape(lead + sum(((L, w),) * n, ()))
+    b = len(lead)
+    return reshaped.sum(axis=tuple(range(b + 1, b + 2 * n, 2)))
 
 
 def _level_aggregates(c: CoeffField, gamma1: float, q: float):
@@ -154,6 +156,8 @@ def tlm_wavelet_norm(c: CoeffField, sp: SpaceParams) -> float:
 
 
 def tlm_wavelet_norm_report(c: CoeffField, sp: SpaceParams) -> TlmReport:
+    if not all(np.all(np.isfinite(a)) for a in c.detail.values()):
+        raise ParameterError("coefficient field has non-finite detail coefficients")
     if sp.degenerate(c.spec.n):
         warnings.warn(
             f"gamma2={sp.gamma2} > n/p={c.spec.n / sp.p}: degenerate regime "

@@ -289,20 +289,18 @@ def riesz_apply(f: GridFunction, l: int) -> GridFunction:
     spec = f.spec
     if not (1 <= l <= spec.n):
         raise ParameterError(f"direction {l} outside 1..{spec.n}")
-    m = spec.frequencies()
-    comps = np.meshgrid(*([m] * spec.n), indexing="ij")
-    norm = np.sqrt(sum(g**2 for g in comps))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mult = np.where(norm > 0, -1j * comps[l - 1] / norm, 0.0)
+    mult = _riesz_symbol(spec, l)
     return GridFunction(spec, np.fft.ifftn(mult * np.fft.fftn(f.data)))
 
 
 def _riesz_symbol(spec: GridSpec, l: int) -> np.ndarray:
-    m = spec.frequencies()
-    comps = np.meshgrid(*([m] * spec.n), indexing="ij")
-    norm = np.sqrt(sum(g**2 for g in comps))
+    """-i m_l / |m| on the lattice in FFT order; 0 at the zero mode."""
+    axis = [1] * spec.n
+    axis[l - 1] = -1
+    m_l = spec.frequencies().reshape(axis)
+    norm = np.sqrt(spec.lattice_norm2())
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(norm > 0, -1j * comps[l - 1] / norm, 0.0)
+        return np.where(norm > 0, -1j * m_l / norm, 0.0)
 
 
 def riesz_matrix(basis, l: int, N0: float = 2.0) -> AlmostDiagonalMatrix:

@@ -10,6 +10,15 @@ window tile the ray exactly), while the companion constant of the damped
 integral is computed by quadrature and recorded.
 
 Time grids are logarithmic midpoint rules for the measure dt/t.
+
+The heat lift is evaluated on chunks of time nodes: `evolve_coefficients`
+builds the propagated spectra of a chunk as one (chunk,) + grid stack and
+transforms every level block of the chunk at once, and `frames_from_tcf`
+synthesizes one chunk of slices at a time.  A chunk holds at most
+CHUNK_BYTES of complex grid rows, the bound shared with the oscillation norm
+and the tent parts.  Every value is bit for bit the one a node-by-node
+evaluation gives; the reconstruction keeps its spatial round trip, since
+accumulating in Fourier space would change the bits.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from scipy.integrate import quad
 
 from .errors import GridMismatchError, ParameterError
 from .grid import GridFunction, GridSpec
-from .wavelet import CoeffField, MeyerWindow, TWO_PI, detail_types
+from .wavelet import CHUNK_BYTES, CoeffField, MeyerWindow, TWO_PI, detail_types
 
 
 @dataclass(frozen=True)
@@ -34,17 +43,12 @@ class SemigroupSpec:
     spec: GridSpec
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ParameterError(f"beta must be positive, got {self.beta}")
+        if not (np.isfinite(self.beta) and self.beta > 0):
+            raise ParameterError(f"beta must be finite and positive, got {self.beta}")
 
     def symbol(self) -> np.ndarray:
         """|2 pi m|^{2 beta} in FFT order."""
-        m = self.spec.frequencies()
-        m2 = m**2
-        total = m2
-        for _ in range(self.spec.n - 1):
-            total = np.add.outer(total, m2)
-        return (TWO_PI**2 * total) ** self.beta
+        return (TWO_PI**2 * self.spec.lattice_norm2()) ** self.beta
 
     def multiplier(self, t: float) -> np.ndarray:
         if t < 0:
@@ -127,6 +131,15 @@ class TimeCoeffField:
             out.scaling[ell] = c.scaling
         return out
 
+    def nodes_field(self, start: int, stop: int) -> CoeffField:
+        """Nodes start..stop-1 as one CoeffField whose blocks carry a leading
+        node axis; the blocks are views of this field's arrays."""
+        c = CoeffField(self.spec, self.family, self.j_min, self.j_max)
+        for key, arr in self.detail.items():
+            c.detail[key] = arr[start:stop]
+        c.scaling = self.scaling[start:stop]
+        return c
+
     def slice(self, ell: int) -> CoeffField:
         c = CoeffField(self.spec, self.family, self.j_min, self.j_max)
         for key, arr in self.detail.items():
@@ -153,10 +166,13 @@ class TimeCoeffField:
 def evolve_coefficients(sg: SemigroupSpec, basis, f: GridFunction,
                         tg: TimeGrid) -> TimeCoeffField:
     """Slice ell equals analyze(heat_apply(f, t_ell)); computed in frequency
-    space so each node costs one masked multiply and one small transform per
-    level block."""
+    space, one chunk of nodes at a time: a (chunk,) + grid stack of the
+    propagated spectra, then one masked multiply, fold and small transform
+    per level block for the whole chunk."""
     if basis.spec != sg.spec:
         raise GridMismatchError("basis and semigroup grids differ")
+    if not np.all(np.isfinite(f.data)):
+        raise ParameterError("f has non-finite samples")
     F = basis.fourier(f)
     symbol = sg.symbol()
     out = TimeCoeffField(sg.spec, basis.family, basis.j_min, basis.j_max, tg)
@@ -164,11 +180,15 @@ def evolve_coefficients(sg: SemigroupSpec, basis, f: GridFunction,
     blocks = [(eps, j) for j in basis.detail_levels
               for eps in basis.detail_type_list()]
     eps0 = (0,) * sg.spec.n
-    for ell, t in enumerate(tg.nodes()):
-        Ft = F * np.exp(-t * symbol)
+    nodes = tg.nodes()
+    rows = max(1, CHUNK_BYTES // (16 * sg.spec.size))
+    for start in range(0, tg.L, rows):
+        chunk = slice(start, start + rows)
+        ts = nodes[chunk].reshape((-1,) + (1,) * sg.spec.n)
+        Ft = F * np.exp(-ts * symbol)
         for eps, j in blocks:
-            out.detail[(eps, j)][ell] = basis._coeffs_from_fourier(Ft, eps, j)
-        out.scaling[ell] = basis._coeffs_from_fourier(Ft, eps0, basis.j_min)
+            out.detail[(eps, j)][chunk] = basis._coeffs_from_fourier(Ft, eps, j)
+        out.scaling[chunk] = basis._coeffs_from_fourier(Ft, eps0, basis.j_min)
     return out
 
 
@@ -185,21 +205,16 @@ class CalibratedFamily:
     def radial(self, r: np.ndarray) -> np.ndarray:
         return self.scale * self.window.omega(np.asarray(r, dtype=float))
 
-    def fourier_multiplier(self, spec: GridSpec, t: float) -> np.ndarray:
-        """phi-hat(t^{1/(2 beta)} xi) on the lattice xi = 2 pi m."""
-        m = spec.frequencies()
-        m2 = m**2
-        total = m2
-        for _ in range(spec.n - 1):
-            total = np.add.outer(total, m2)
-        r = TWO_PI * np.sqrt(total)
-        return self.radial(t ** (1.0 / (2.0 * self.beta)) * r)
+    def fourier_multiplier(self, radius: np.ndarray, t: float) -> np.ndarray:
+        """phi-hat(t^{1/(2 beta)} xi) at |xi| = radius; on the lattice
+        xi = 2 pi m the radius is 2 pi sqrt(spec.lattice_norm2())."""
+        return self.radial(t ** (1.0 / (2.0 * self.beta)) * radius)
 
 
 def calibrate_family(beta: float, profile: str = "polynomial",
                      n_check: int = 5) -> CalibratedFamily:
-    if beta <= 0:
-        raise ParameterError(f"beta must be positive, got {beta}")
+    if not (np.isfinite(beta) and beta > 0):
+        raise ParameterError(f"beta must be finite and positive, got {beta}")
     window = MeyerWindow(profile)
     scale = 1.0 / np.sqrt(2.0 * beta * np.log(2.0))
 
@@ -258,11 +273,12 @@ def pi_phi_report(family: CalibratedFamily, frames: Iterable[GridFunction],
     `frames` yields one GridFunction per node, in node order."""
     acc = np.zeros(spec.shape, dtype=complex)
     nodes, weights = tg.nodes(), tg.weights()
+    radius = TWO_PI * np.sqrt(spec.lattice_norm2())
     count = 0
     for ell, frame in enumerate(frames):
         if frame.spec != spec:
             raise GridMismatchError("frame grid does not match")
-        mult = family.fourier_multiplier(spec, nodes[ell])
+        mult = family.fourier_multiplier(radius, nodes[ell])
         if np.any(mult):
             acc += weights[ell] * mult * np.fft.fftn(frame.data)
         count += 1
@@ -289,8 +305,12 @@ def pi_phi_report(family: CalibratedFamily, frames: Iterable[GridFunction],
 
 
 def frames_from_tcf(basis, tcf: TimeCoeffField) -> Iterable[GridFunction]:
-    for ell in range(tcf.tg.L):
-        yield basis.synthesize(tcf.slice(ell))
+    """The synthesized slice of every node, in node order; one chunk of nodes
+    of at most CHUNK_BYTES is synthesized at a time."""
+    rows = max(1, CHUNK_BYTES // (16 * tcf.spec.size))
+    for start in range(0, tcf.tg.L, rows):
+        for data in basis.synthesize_stack(tcf.nodes_field(start, start + rows)):
+            yield GridFunction(tcf.spec, data)
 
 
 def heat_frames(sg: SemigroupSpec, f: GridFunction, tg: TimeGrid):

@@ -14,6 +14,17 @@ t^{q m} dt/t measure exactly over each log cell (the coefficient modulus is
 sampled at the cell midpoint), so constant-in-t profiles integrate to the
 closed form up to the window-edge cell resolution.
 
+Parts I/II are evaluated for many time nodes at once.  The admitted level
+sets depend on the node only through which levels lie at or above
+theta = -log2(t)/(2 beta), and theta is monotone in the node, so the nodes
+fall into runs that share every level set.  Within a run, the per-level
+fields of a chunk of nodes (at most CHUNK_BYTES of complex grid rows, the
+bound every batched evaluation shares) carry a leading node axis, and one
+cube-sup kernel call per cube level serves the whole chunk.  The kernel is
+the same for all four parts; parts III/IV call it as a batch of one.  Every
+sum runs in the order a node-by-node evaluation uses and the node updates
+stay in node order, so the values are bit for bit the same.
+
 The outer 1/q power on the level sums of parts III/IV follows the same
 L^p(l^q) shape as parts I/II; `literal_exponent=True` switches to the
 displayed form without that root.
@@ -29,9 +40,9 @@ import numpy as np
 
 from .errors import ParameterError
 from .grid import DyadicCube, GridSpec
-from .norms import SpaceParams, _block_reduce_sum, _upsample
+from .norms import SpaceParams, _block_reduce_sum, _runs, _upsample
 from .semigroup import TimeCoeffField, TimeGrid
-from .wavelet import detail_types
+from .wavelet import CHUNK_BYTES, detail_types
 
 
 @dataclass(frozen=True)
@@ -43,6 +54,10 @@ class TentParams:
     tau: float = 1.0
 
     def __post_init__(self):
+        for name in ("m", "m_prime", "beta", "tau"):
+            if not np.isfinite(getattr(self, name)):
+                raise ParameterError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.m_prime <= 0:
             raise ParameterError(f"m' must be positive, got {self.m_prime}")
         if self.beta <= 0:
@@ -89,44 +104,66 @@ class TentNormReport:
         return max(self.values)
 
 
-def _level_base_fields(tcf: TimeCoeffField, ell: int, q: float) -> dict[int, np.ndarray]:
-    """Per level j: the full-grid field sum_eps |a(t_ell)|^q (sup for q=inf)."""
+def _level_base_fields(tcf: TimeCoeffField, nodes: slice,
+                       q: float) -> dict[int, np.ndarray]:
+    """Per level j: the full-grid fields sum_eps |a(t)|^q (sup for q=inf) of
+    the nodes in `nodes`, stacked along a leading node axis."""
+    n = tcf.spec.n
     out = {}
     for j in tcf.levels:
-        stack = [np.abs(tcf.detail[(eps, j)][ell]) for eps in detail_types(tcf.spec.n)]
+        stack = [np.abs(tcf.detail[(eps, j)][nodes]) for eps in detail_types(n)]
         agg = np.maximum.reduce(stack) if q == np.inf else sum(a**q for a in stack)
-        out[j] = _upsample(agg, tcf.spec.J)
+        out[j] = _upsample(agg, tcf.spec.J, n)
     return out
 
 
-def _cube_sup(field_by_level: dict[int, np.ndarray], level_weights: dict[int, float],
-              admit, sp: SpaceParams, spec: GridSpec,
-              cube_levels: Sequence[int]) -> tuple[float, DyadicCube | None]:
-    """sup over cubes of |Q|^{gamma2/n - 1/p} || (sum_{j in admit(j0)} w_j F_j)
-    ^{1/q} ||_p with the sum restricted to the cube."""
-    n, J, cell = spec.n, spec.J, spec.cell_volume
-    q, p = sp.q, sp.p
-    best, best_cube = 0.0, None
-    for j0 in cube_levels:
-        levels = [j for j in field_by_level if admit(j0, j)]
+def _cube_sup(fields: dict[int, np.ndarray], level_weights: dict[int, float],
+              levels: Sequence[int], j0: int, root: float | None,
+              sp: SpaceParams, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the fields' leading batch axis: the max over level-j0 cubes
+    of |Q|^{gamma2/n - 1/p} || (sum_{j in levels} w_j F_j)^root ||_p with the
+    norm restricted to the cube, and the flat position of the first cube
+    attaining it.  root=None aggregates by the pointwise sup over the levels
+    instead (q = inf)."""
+    n = spec.n
+    if root is None:
+        integrand = np.maximum.reduce([level_weights[j] * fields[j] for j in levels])
+    else:
+        integrand = sum(level_weights[j] * fields[j] for j in levels) ** root
+    sums = _block_reduce_sum(integrand**sp.p, j0, spec.J, n)
+    weight = 2.0 ** (-j0 * (sp.gamma2 - n / sp.p))
+    vals = weight * (spec.cell_volume * sums) ** (1.0 / sp.p)
+    vals = vals.reshape(len(vals), -1)
+    flat = np.argmax(vals, axis=1)
+    return vals[np.arange(len(vals)), flat], flat
+
+
+def _sup_over_cubes(fields, rows: int, level_weights,
+                    admitted: dict[int, list[int]], root, sp, spec):
+    """Per row of the fields' leading axis (`rows` long): the sup over the
+    cubes of every cube level j0 of `admitted` (which maps j0 to its
+    admitted levels), scanning the cube levels in order with a strict > as
+    a cube-by-cube scan does.  Returns the values, the cube level and the
+    flat position of the winner (level -1 where no cube exceeds zero)."""
+    best = np.zeros(rows)
+    best_j0 = np.full(rows, -1)
+    best_flat = np.zeros(rows, dtype=int)
+    for j0, levels in admitted.items():
         if not levels:
             continue
-        if q == np.inf:
-            agg = np.maximum.reduce(
-                [level_weights[j] * field_by_level[j] for j in levels])
-            integrand = agg
-        else:
-            agg = sum(level_weights[j] * field_by_level[j] for j in levels)
-            integrand = agg ** (1.0 / q)
-        sums = _block_reduce_sum(integrand**p, j0, J)
-        weight = 2.0 ** (-j0 * (sp.gamma2 - n / p))
-        vals = weight * (cell * sums) ** (1.0 / p)
-        flat = int(np.argmax(vals))
-        v = float(vals.reshape(-1)[flat])
-        if v > best:
-            k = np.unravel_index(flat, vals.shape)
-            best, best_cube = v, DyadicCube(j0, tuple(int(x) for x in k))
-    return best, best_cube
+        vals, flat = _cube_sup(fields, level_weights, levels, j0, root, sp, spec)
+        better = vals > best
+        best[better] = vals[better]
+        best_j0[better] = j0
+        best_flat[better] = flat[better]
+    return best, best_j0, best_flat
+
+
+def _cube_at(j0: int, flat: int, n: int) -> DyadicCube | None:
+    if j0 < 0:
+        return None
+    k = np.unravel_index(int(flat), (1 << int(j0),) * n)
+    return DyadicCube(int(j0), tuple(int(x) for x in k))
 
 
 def _time_moment_antiderivative(logt: np.ndarray, qm: float) -> np.ndarray:
@@ -184,35 +221,54 @@ def tent_norms(tcf: TimeCoeffField, tp: TentParams,
     time-integrated parts III/IV are defined through integrals with
     exponent q and are reported as zero in that limit (their content is
     carried by the sup-in-t part)."""
+    if not all(np.all(np.isfinite(a)) for a in tcf.detail.values()):
+        raise ParameterError("time coefficient field has non-finite coefficients")
     spec, tg = tcf.spec, tcf.tg
     sp, beta, q = tp.sp, tp.beta, tp.sp.q
     n = spec.n
     nodes = tg.nodes()
+    levels = list(tcf.levels)
     cube_levels = list(range(spec.j_min, spec.J))
     ln2 = np.log(2.0)
+    root = None if q == np.inf else 1.0 / q
 
     part1 = PartResult(0.0)
     part2 = PartResult(0.0)
-    seam_levels = {}
     w_i = {j: 2.0 ** (q * j * (sp.gamma1 + n / 2.0 + 2 * tp.m * beta))
            if q != np.inf else 2.0 ** (j * (sp.gamma1 + n / 2.0 + 2 * tp.m * beta))
            for j in tcf.levels}
     w_ii = {j: 2.0 ** (q * j * (sp.gamma1 + n / 2.0))
             if q != np.inf else 2.0 ** (j * (sp.gamma1 + n / 2.0))
             for j in tcf.levels}
-    for ell, t in enumerate(nodes):
-        theta = -np.log2(t) / (2.0 * beta)
-        base = _level_base_fields(tcf, ell, q)
-        v1, cube1 = _cube_sup(
-            base, w_i, lambda j0, j: j >= max(j0, theta), sp, spec, cube_levels)
-        v1 *= t**tp.m
-        if v1 > part1.value:
-            part1 = PartResult(v1, cube1, ell)
-        v2, cube2 = _cube_sup(
-            base, w_ii, lambda j0, j: j0 < j < theta, sp, spec, cube_levels)
-        if v2 > part2.value:
-            part2 = PartResult(v2, cube2, ell)
-        seam_levels[ell] = theta
+    thetas = [-np.log2(t) / (2.0 * beta) for t in nodes]
+    seam_levels = dict(enumerate(thetas))
+    # part I admits j >= max(j0, theta) and part II j0 < j < theta, so which
+    # levels lie at or above theta fixes both sets for every cube level
+    above = np.array([[j >= theta for j in levels] for theta in thetas])
+    rows = max(1, CHUNK_BYTES // (16 * spec.size))
+    for a, b in _runs(above):
+        theta = thetas[a]
+        admit_i = {j0: [j for j in levels if j >= max(j0, theta)]
+                   for j0 in cube_levels}
+        admit_ii = {j0: [j for j in levels if j0 < j < theta]
+                    for j0 in cube_levels}
+        for start in range(a, b, rows):
+            stop = min(start + rows, b)
+            base = _level_base_fields(tcf, slice(start, stop), q)
+            sup1 = _sup_over_cubes(base, stop - start, w_i, admit_i, root, sp,
+                                   spec)
+            sup2 = _sup_over_cubes(base, stop - start, w_ii, admit_ii, root, sp,
+                                   spec)
+            for r, ell in enumerate(range(start, stop)):
+                # t^m stays a numpy-scalar pow per node (an array pow can
+                # take a SIMD path with other bits)
+                v1 = float(sup1[0][r])
+                v1 *= nodes[ell] ** tp.m
+                if v1 > part1.value:
+                    part1 = PartResult(v1, _cube_at(sup1[1][r], sup1[2][r], n), ell)
+                v2 = float(sup2[0][r])
+                if v2 > part2.value:
+                    part2 = PartResult(v2, _cube_at(sup2[1][r], sup2[2][r], n), ell)
 
     part3 = PartResult(0.0)
     part4 = PartResult(0.0)
@@ -225,62 +281,35 @@ def tent_norms(tcf: TimeCoeffField, tp: TentParams,
                 for j in tcf.levels}
         root = 1.0 if literal_exponent else 1.0 / q
 
-        # part IV is cube-geometry independent in time: one field
-        field_iv = {}
-        for j in tcf.levels:
+        def one_row(win, j, log_lo, log_hi):
+            """Full-grid field of sum_eps window integrals, batch of one."""
             total = None
             for eps in detail_types(n):
-                I = win_mp.window((eps, j), -np.inf, -2.0 * j * beta * ln2)
+                I = win.window((eps, j), log_lo, log_hi)
                 total = I if total is None else total + I
-            field_iv[j] = _upsample(total.reshape((1 << j,) * n), spec.J)
-        v4, cube4 = _cube_sup_timeint(field_iv, w_iv, lambda j0, j: True,
-                                      sp, spec, cube_levels, root)
-        part4 = PartResult(v4, cube4)
+            return _upsample(total.reshape((1,) + (1 << j,) * n), spec.J, n)
+
+        # part IV is cube-geometry independent in time: one field
+        field_iv = {j: one_row(win_mp, j, -np.inf, -2.0 * j * beta * ln2)
+                    for j in tcf.levels}
+        v4, j4, flat4 = _sup_over_cubes(field_iv, 1, w_iv,
+                                        {j0: levels for j0 in cube_levels},
+                                        root, sp, spec)
+        part4 = PartResult(float(v4[0]), _cube_at(j4[0], flat4[0], n))
 
         # part III windows depend on the cube level through r^{2 beta}
-        best3, cube3 = 0.0, None
         for j0 in cube_levels:
             log_hi = -2.0 * j0 * beta * ln2
-            field = {}
-            for j in tcf.levels:
-                if j <= j0:
-                    continue
-                total = None
-                for eps in detail_types(n):
-                    I = win_m.window((eps, j), -2.0 * j * beta * ln2, log_hi)
-                    total = I if total is None else total + I
-                field[j] = _upsample(total.reshape((1 << j,) * n), spec.J)
-            if not field:
+            field3 = {j: one_row(win_m, j, -2.0 * j * beta * ln2, log_hi)
+                      for j in tcf.levels if j > j0}
+            if not field3:
                 continue
-            v3, c3 = _cube_sup_timeint(field, w_iii, lambda jj0, j: j > jj0,
-                                       sp, spec, [j0], root)
-            if v3 > best3:
-                best3, cube3 = v3, c3
-        part3 = PartResult(best3, cube3)
+            v3, flat3 = _cube_sup(field3, w_iii, list(field3), j0, root, sp, spec)
+            if v3[0] > part3.value:
+                part3 = PartResult(float(v3[0]), _cube_at(j0, flat3[0], n))
 
     quad_est = _quadrature_refinement_estimate(tcf, tp)
     return TentNormReport(part1, part2, part3, part4, seam_levels, quad_est)
-
-
-def _cube_sup_timeint(field_by_level, level_weights, admit, sp, spec,
-                      cube_levels, root) -> tuple[float, DyadicCube | None]:
-    n, J, cell = spec.n, spec.J, spec.cell_volume
-    best, best_cube = 0.0, None
-    for j0 in cube_levels:
-        levels = [j for j in field_by_level if admit(j0, j)]
-        if not levels:
-            continue
-        agg = sum(level_weights[j] * field_by_level[j] for j in levels)
-        integrand = agg**root
-        sums = _block_reduce_sum(integrand**sp.p, j0, J)
-        weight = 2.0 ** (-j0 * (sp.gamma2 - n / sp.p))
-        vals = weight * (cell * sums) ** (1.0 / sp.p)
-        flat = int(np.argmax(vals))
-        v = float(vals.reshape(-1)[flat])
-        if v > best:
-            k = np.unravel_index(flat, vals.shape)
-            best, best_cube = v, DyadicCube(j0, tuple(int(x) for x in k))
-    return best, best_cube
 
 
 def _quadrature_refinement_estimate(tcf: TimeCoeffField, tp: TentParams) -> float:
@@ -300,22 +329,6 @@ def _quadrature_refinement_estimate(tcf: TimeCoeffField, tp: TentParams) -> floa
     full = float(np.sum(mass))
     halved = float(np.sum(mass[::2]) * 2.0)
     return abs(halved - full) / full if full > 0 else 0.0
-
-
-def tent_norm_I(tcf, tp) -> float:
-    return tent_norms(tcf, tp).part_i.value
-
-
-def tent_norm_II(tcf, tp) -> float:
-    return tent_norms(tcf, tp).part_ii.value
-
-
-def tent_norm_III(tcf, tp, literal_exponent: bool = False) -> float:
-    return tent_norms(tcf, tp, literal_exponent).part_iii.value
-
-
-def tent_norm_IV(tcf, tp, literal_exponent: bool = False) -> float:
-    return tent_norms(tcf, tp, literal_exponent).part_iv.value
 
 
 # -- sup-type side norms ---------------------------------------------------------

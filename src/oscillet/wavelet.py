@@ -40,6 +40,10 @@ from .errors import (
 from .grid import GridFunction, GridSpec
 
 TWO_PI = 2.0 * np.pi
+# Bytes of one stack of grid functions in every batched evaluation (the
+# level-batched oscillation norm, heat evolution, frame synthesis, tent
+# parts I/II): 16 rows of 2^10 complex samples, one row of a 2-d J=7 grid.
+CHUNK_BYTES = 1 << 18
 
 
 # -- transition profiles -------------------------------------------------------
@@ -226,10 +230,11 @@ def _fold(arr: np.ndarray, L: int, n: int) -> np.ndarray:
     return reshaped.sum(axis=tuple(range(b, b + 2 * n, 2)))
 
 
-def _tile(arr: np.ndarray, N: int) -> np.ndarray:
-    """Inverse of the fold indexing: value at FFT index i is arr[i mod L]."""
-    L = arr.shape[0]
-    return np.tile(arr, (N // L,) * arr.ndim)
+def _tile(arr: np.ndarray, N: int, n: int) -> np.ndarray:
+    """Inverse of the fold indexing along the last n axes: value at FFT
+    index i is arr[i mod L]."""
+    L = arr.shape[-1]
+    return np.tile(arr, (1,) * (arr.ndim - n) + (N // L,) * n)
 
 
 class MeyerBasis:
@@ -289,9 +294,12 @@ class MeyerBasis:
                                                    axes=range(-n, 0))
 
     def _fourier_from_coeffs(self, c: np.ndarray, eps, j) -> np.ndarray:
+        """Fourier side of a level-j block of type eps; c may carry leading
+        batch axes."""
+        n = self.spec.n
         W = self._tensor_window(eps, j)
-        C = np.fft.fftn(c)
-        return 2.0 ** (-self.spec.n * j / 2.0) * W * _tile(C, self.spec.samples_per_axis)
+        C = np.fft.fftn(c, axes=range(-n, 0))
+        return 2.0 ** (-n * j / 2.0) * W * _tile(C, self.spec.samples_per_axis, n)
 
     def analyze(self, f: GridFunction) -> CoeffField:
         if f.spec != self.spec:
@@ -314,15 +322,23 @@ class MeyerBasis:
         return out
 
     def synthesize(self, c: CoeffField) -> GridFunction:
+        return GridFunction(self.spec, self.synthesize_stack(c))
+
+    def synthesize_stack(self, c: CoeffField) -> np.ndarray:
+        """Samples of every field of a stacked c (leading batch axes, possibly
+        none, then the grid shape), one batched transform per block.  An
+        all-zero block is skipped; one that is zero in some rows only adds
+        exact zeros there, which leaves those rows' bits unchanged."""
         if c.spec != self.spec or c.j_min != self.j_min or c.j_max != self.j_max:
             raise IndexOutOfBandError("coefficient field does not match basis band")
-        F = np.zeros(self.spec.shape, dtype=complex)
+        n = self.spec.n
+        F = np.zeros(c.batch_shape + self.spec.shape, dtype=complex)
         for (eps, j), arr in c.detail.items():
             if np.any(arr):
                 F += self._fourier_from_coeffs(arr, eps, j)
         if np.any(c.scaling):
-            F += self._fourier_from_coeffs(c.scaling, (0,) * self.spec.n, self.j_min)
-        return self.from_fourier(F)
+            F += self._fourier_from_coeffs(c.scaling, (0,) * n, self.j_min)
+        return np.fft.ifftn(F, axes=range(-n, 0)) * self.spec.size
 
     def scaling_coefficients(self, f: GridFunction, j: int) -> np.ndarray:
         """<f, Phi^0_{j,k}> for all k at one level (levels up to j_max + 1)."""

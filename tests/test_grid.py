@@ -118,3 +118,14 @@ def test_read_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ParameterError):
         read_grid_function(str(path))
+
+
+@pytest.mark.parametrize("n, J", [(1, 6), (2, 4), (3, 3)])
+def test_lattice_norm2_matches_meshgrid(n, J):
+    spec = GridSpec(n, J, 0)
+    m = spec.frequencies()
+    grids = np.meshgrid(*([m] * n), indexing="ij")
+    want = sum(g**2 for g in grids)
+    got = spec.lattice_norm2()
+    assert got.shape == spec.shape
+    assert got.tobytes() == want.tobytes()

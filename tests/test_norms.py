@@ -303,6 +303,15 @@ class TestNonFiniteInput:
             tl_norm(c, np.nan, 2.0, 2.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_tlm_rejects_nonfinite_coefficient(self, meyer1d, rng, bad):
+        # the cube-sup > comparisons would pass over a NaN and return the
+        # clean value
+        c = meyer1d.analyze(band_limited(meyer1d, rng))
+        c.detail[((1,), 5)][3] = bad
+        with pytest.raises(ParameterError):
+            tlm_wavelet_norm(c, SpaceParams(0.0, 0.3, 2.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_oscillation_rejects_nonfinite_sample(self, meyer1d, bad):
         sp = SpaceParams(0.0, 0.3, 2.0, 2.0)
         f = meyer1d.synthesize(_random_detail_field(meyer1d, sp, 3))

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oscillet import semigroup
 from oscillet.errors import ParameterError
 from oscillet.grid import GridFunction, GridSpec, lp_norm, rel_l2_error
+from oscillet.norms import SpaceParams
+from oscillet.operators import _random_detail_field
 from oscillet.semigroup import (
     SemigroupSpec,
+    TimeCoeffField,
     TimeGrid,
     calibrate_family,
     check_decay_bounds,
@@ -20,7 +24,7 @@ from oscillet.semigroup import (
     read_time_coeff_field,
     write_time_coeff_field,
 )
-from oscillet.wavelet import WaveletIndex, build_basis
+from oscillet.wavelet import WaveletIndex, build_basis, detail_types
 from conftest import band_limited
 
 
@@ -103,6 +107,81 @@ class TestEvolveCoefficients:
         tg = TimeGrid(1e-4, 1.0, 3)
         tcf = evolve_coefficients(sg, meyer1d, GridFunction.zeros(meyer1d.spec), tg)
         assert all(np.max(np.abs(a)) == 0 for a in tcf.detail.values())
+
+
+def evolve_oracle(sg, basis, f, tg):
+    """The node-by-node evolution: one propagated spectrum per node."""
+    F = basis.fourier(f)
+    symbol = sg.symbol()
+    out = TimeCoeffField(sg.spec, basis.family, basis.j_min, basis.j_max, tg)
+    eps0 = (0,) * sg.spec.n
+    for ell, t in enumerate(tg.nodes()):
+        Ft = F * np.exp(-t * symbol)
+        for eps, j in out.detail:
+            out.detail[(eps, j)][ell] = basis._coeffs_from_fourier(Ft, eps, j)
+        out.scaling[ell] = basis._coeffs_from_fourier(Ft, eps0, basis.j_min)
+    return out
+
+
+def heat_case(n, J, L):
+    spec = GridSpec(n, J, 0)
+    basis = build_basis("meyer", spec)
+    f = basis.synthesize(_random_detail_field(
+        basis, SpaceParams(-0.2, 0.1, 2.0, 2.0), 10 * n + J))
+    return basis, SemigroupSpec(1.0, spec), f, default_time_grid(spec, 1.0, L=L)
+
+
+class TestNodeBatchedHeat:
+    """Chunks of nodes against the node-by-node evaluation, bit for bit; with
+    `rows` set, a chunk holds that many nodes and the last one is partial."""
+
+    @pytest.mark.parametrize("n, J, L", [(1, 8, 40), (2, 5, 11)])
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_evolve_bitwise(self, monkeypatch, n, J, L, rows):
+        basis, sg, f, tg = heat_case(n, J, L)
+        if rows:
+            monkeypatch.setattr(semigroup, "CHUNK_BYTES", rows * 16 * sg.spec.size)
+        got = evolve_coefficients(sg, basis, f, tg)
+        want = evolve_oracle(sg, basis, f, tg)
+        assert got.detail.keys() == want.detail.keys()
+        for key in want.detail:
+            assert got.detail[key].tobytes() == want.detail[key].tobytes()
+        assert got.scaling.tobytes() == want.scaling.tobytes()
+
+    @pytest.mark.parametrize("n, J, L", [(1, 8, 40), (2, 5, 11)])
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_frames_bitwise(self, monkeypatch, n, J, L, rows):
+        basis, sg, f, tg = heat_case(n, J, L)
+        if rows:
+            monkeypatch.setattr(semigroup, "CHUNK_BYTES", rows * 16 * sg.spec.size)
+        tcf = evolve_coefficients(sg, basis, f, tg)
+        # a block that is zero at some nodes of a chunk only, and one that
+        # is zero over whole chunks
+        finest = (detail_types(n)[0], basis.j_max)
+        tcf.detail[finest][1] = 0.0
+        tcf.detail[(detail_types(n)[-1], basis.j_min)][:6] = 0.0
+        frames = list(frames_from_tcf(basis, tcf))
+        assert len(frames) == L
+        for ell, frame in enumerate(frames):
+            want = basis.synthesize(tcf.slice(ell))
+            assert frame.data.tobytes() == want.data.tobytes()
+
+
+class TestNonFiniteHeatInput:
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_semigroup_rejects_nonfinite_beta(self, spec1d, beta):
+        with pytest.raises(ParameterError):
+            SemigroupSpec(beta, spec1d)
+        with pytest.raises(ParameterError):
+            calibrate_family(beta)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_evolve_rejects_nonfinite_sample(self, meyer1d, rng, bad):
+        f = band_limited(meyer1d, rng)
+        f.data[17] = bad
+        with pytest.raises(ParameterError):
+            evolve_coefficients(SemigroupSpec(1.0, meyer1d.spec), meyer1d, f,
+                                TimeGrid(1e-4, 1.0, 8))
 
 
 class TestCalibratedFamily:

@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from oscillet import tent
+from oscillet.errors import ParameterError
 from oscillet.grid import DyadicCube, GridFunction, GridSpec, cube_contains
-from oscillet.norms import SpaceParams
+from oscillet.norms import SpaceParams, _runs
 from oscillet.operators import _random_detail_field
 from oscillet.semigroup import (
     SemigroupSpec,
@@ -71,6 +73,94 @@ def brute_force_parts_I_II(tcf, tp):
                 v2 = w * (spec.cell_volume * np.sum(int2 ** (p / q))) ** (1 / p)
                 best1, best2 = max(best1, v1), max(best2, v2)
     return best1, best2
+
+
+def parts_i_ii_oracle(tcf, tp):
+    """Parts I/II node by node: per node and cube level, one batch-of-one
+    `_cube_sup` call; returns (value, argmax cube, argmax node) per part."""
+    spec, sp, q = tcf.spec, tp.sp, tp.sp.q
+    e, root = (1.0, None) if q == np.inf else (q, 1.0 / q)
+    s = sp.gamma1 + spec.n / 2.0
+    w_i = {j: 2.0 ** (e * j * (s + 2 * tp.m * tp.beta)) for j in tcf.levels}
+    w_ii = {j: 2.0 ** (e * j * s) for j in tcf.levels}
+    best = [(0.0, None, None), (0.0, None, None)]
+    for ell, t in enumerate(tcf.tg.nodes()):
+        theta = -np.log2(t) / (2.0 * tp.beta)
+        base = tent._level_base_fields(tcf, slice(ell, ell + 1), q)
+        parts = [(w_i, lambda j0, j: j >= max(j0, theta), t**tp.m),
+                 (w_ii, lambda j0, j: j0 < j < theta, 1.0)]
+        for part, (w, admit, scale) in enumerate(parts):
+            v, cube = 0.0, None
+            for j0 in range(spec.j_min, spec.J):
+                levels = [j for j in tcf.levels if admit(j0, j)]
+                if levels:
+                    vals, flat = tent._cube_sup(base, w, levels, j0, root, sp, spec)
+                    if vals[0] > v:
+                        k = np.unravel_index(int(flat[0]), (1 << j0,) * spec.n)
+                        v, cube = float(vals[0]), DyadicCube(j0, tuple(map(int, k)))
+            v *= scale
+            if v > best[part][0]:
+                best[part] = (v, cube, ell)
+    return best
+
+
+class TestNodeBatchedParts:
+    @pytest.mark.parametrize("n, J, L, rows", [(1, 8, 64, 4), (2, 5, 24, 2)])
+    @pytest.mark.parametrize("p, q", [(2.0, 2.0), (3.0, np.inf)])
+    def test_parts_i_ii_match_node_loop(self, monkeypatch, n, J, L, rows, p, q):
+        spec = GridSpec(n, J, 0)
+        basis = build_basis("meyer", spec)
+        tp = make_tp(p=p, q=q)
+        tg = default_time_grid(spec, tp.beta, L=L)
+        tcf = empty_tcf(basis, tg)
+        rng = np.random.default_rng(J + n)
+        for arr in tcf.detail.values():
+            arr[:] = rng.standard_normal(arr.shape)
+        monkeypatch.setattr(tent, "CHUNK_BYTES", rows * 16 * spec.size)
+        # some run of nodes with equal level sets spans several chunks and
+        # ends in a partial one
+        above = np.array([[j >= -np.log2(t) / (2 * tp.beta) for j in tcf.levels]
+                          for t in tg.nodes()])
+        assert any(b - a > rows and (b - a) % rows for a, b in _runs(above))
+        # a node boosted past the t^m weight carries the sup of part I or
+        # (where part I admits no level) part II, so every chunk edge of
+        # those runs is evaluated on its own
+        edges = sorted({ell for a, b in _runs(above) if b - a > rows
+                        for ell in (a, a + rows - 1, a + rows, b - 1)})
+        for ell in [None] + edges:
+            boost = np.ones(L)
+            if ell is not None:
+                boost[ell] = 1e3 / tg.nodes()[ell] ** tp.m
+            field = tcf.map_detail(
+                lambda eps, j, arr: arr * boost.reshape((L,) + (1,) * n))
+            rep = tent_norms(field, tp)
+            want = parts_i_ii_oracle(field, tp)
+            for got, (value, cube, node) in zip((rep.part_i, rep.part_ii), want):
+                assert (got.value, got.argmax_cube, got.argmax_node) \
+                    == (value, cube, node)
+            assert ell in (None, rep.part_i.argmax_node, rep.part_ii.argmax_node)
+
+
+class TestNonFiniteTentInput:
+    @pytest.mark.parametrize("name", ["m", "m_prime", "beta", "tau"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_params_reject_nonfinite(self, name, bad):
+        kw = dict(sp=SpaceParams(-0.2, 0.1, 2.0, 2.0), m=3.0, m_prime=1.0,
+                  beta=1.0, tau=1.0)
+        kw[name] = bad
+        with pytest.raises(ParameterError):
+            TentParams(**kw)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_tent_rejects_nonfinite_coefficient(self, meyer1d, bad):
+        tg = TimeGrid(1e-4, 2.0, 12)
+        tcf = empty_tcf(meyer1d, tg)
+        rng = np.random.default_rng(7)
+        for arr in tcf.detail.values():
+            arr[:] = rng.standard_normal(arr.shape)
+        tcf.detail[((1,), 4)][5, 3] = bad
+        with pytest.raises(ParameterError):
+            tent_norms(tcf, make_tp())
 
 
 class TestTentParts:
