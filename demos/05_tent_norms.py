@@ -58,7 +58,6 @@ print(f"  flagged: {emb.flagged}")
 
 print("\nnegative control: a profile growing in t above the seam is flagged:")
 bad = tcf.scaled(0.0)
-bad.beta = 1.0
 tau = tg.nodes() * 2.0 ** (2 * 4)
 bad.detail[((1,), 4)][:, 3] = np.where(tau >= 1, tau, 1.0)
 emb_bad = check_embeddings(bad, tp)

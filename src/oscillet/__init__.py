@@ -5,6 +5,7 @@ from .grid import (
     DyadicCube,
     GridFunction,
     GridSpec,
+    TimeGrid,
     cube_contains,
     enumerate_cubes,
     l2_inner,
@@ -38,8 +39,6 @@ from .operators import (
 from .semigroup import (
     CalibratedFamily,
     SemigroupSpec,
-    TimeCoeffField,
-    TimeGrid,
     calibrate_family,
     check_decay_bounds,
     check_dual_bound,
@@ -65,12 +64,11 @@ from .wavelet import (
     CoeffField,
     MeyerWindow,
     WaveletIndex,
-    analyze,
     build_basis,
     detail_types,
     paraproduct,
-    project,
-    synthesize,
+    read_coeff_field,
+    write_coeff_field,
 )
 from .harness import (
     ExperimentConfig,

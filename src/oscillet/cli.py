@@ -38,8 +38,6 @@ from .semigroup import (
     evolve_coefficients,
     frames_from_tcf,
     pi_phi_report,
-    read_time_coeff_field,
-    write_time_coeff_field,
 )
 from .tent import TentParams, tent_norms
 from .wavelet import (
@@ -140,29 +138,26 @@ def cmd_semigroup(args) -> int:
     t_min = args.tmin or 2.0 ** (-2 * args.beta * (f.spec.J + 1))
     tg = TimeGrid(t_min, args.tmax, args.L)
     tcf = evolve_coefficients(sg, basis, f, tg)
-    write_time_coeff_field(tcf, args.outfile)
+    write_coeff_field(tcf, args.outfile)
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    tcf = read_time_coeff_field(args.infile)
-    beta = getattr(tcf, "beta", None)
-    if beta is None:
-        raise SystemExit("time-coefficient file carries no beta tag")
+    tcf = read_coeff_field(args.infile)
+    if tcf.tg is None or tcf.beta is None:
+        raise SystemExit("not a time-coefficient file with a beta tag")
     basis = build_basis("meyer", tcf.spec, profile=args.profile)
-    fam = calibrate_family(beta, profile=args.profile)
+    fam = calibrate_family(tcf.beta, profile=args.profile)
     rec, rep = pi_phi_report(fam, frames_from_tcf(basis, tcf), tcf.tg, tcf.spec)
     write_grid_function(rec, args.outfile)
-    _emit({"kind": "reconstruct", "beta": beta, "C_beta": fam.C_beta,
+    _emit({"kind": "reconstruct", "beta": tcf.beta, "C_beta": fam.C_beta,
            "coverage_low": rep.coverage_low, "coverage_high": rep.coverage_high,
            "warning": rep.warning}, args.report)
     return 0
 
 
 def cmd_tent(args) -> int:
-    tcf = read_time_coeff_field(args.infile)
-    if not hasattr(tcf, "beta"):
-        tcf.beta = args.beta
+    tcf = read_coeff_field(args.infile)
     tp = TentParams(SpaceParams(args.gamma1, args.gamma2, args.p, args.q),
                     m=args.m, m_prime=args.mprime, beta=args.beta)
     rep = tent_norms(tcf, tp)

@@ -15,7 +15,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import csv
-import io
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterator
@@ -132,9 +132,6 @@ class GridFunction:
         if other.spec != self.spec:
             raise GridMismatchError(f"grid mismatch: {self.spec} vs {other.spec}")
 
-    def is_real(self, tol: float = 1e-10) -> bool:
-        return float(np.max(np.abs(self.data.imag))) < tol
-
 
 @dataclass(frozen=True, order=True)
 class DyadicCube:
@@ -198,6 +195,46 @@ def cube_sample_slices(spec: GridSpec, cube: DyadicCube) -> tuple[slice, ...]:
     return tuple(slice(ki * w, (ki + 1) * w) for ki in cube.k)
 
 
+@dataclass(frozen=True)
+class TimeGrid:
+    """Logarithmic midpoint rule for int ... dt/t on [t_min, t_max]."""
+
+    t_min: float
+    t_max: float
+    L: int
+
+    def __post_init__(self):
+        if not (0 < self.t_min < self.t_max < np.inf):
+            raise ParameterError("need 0 < t_min < t_max < inf")
+        if self.L < 1:
+            raise ParameterError("need at least one node")
+
+    @property
+    def step(self) -> float:
+        return np.log(self.t_max / self.t_min) / self.L
+
+    def nodes(self) -> np.ndarray:
+        h = self.step
+        return self.t_min * np.exp((np.arange(self.L) + 0.5) * h)
+
+    def weights(self) -> np.ndarray:
+        return np.full(self.L, self.step)
+
+    def log_edges(self) -> np.ndarray:
+        return np.log(self.t_min) + np.arange(self.L + 1) * self.step
+
+
+def flat_positions(j: int, n: int) -> np.ndarray:
+    """(2^{nj}, n) array of the level-j position multi-indices in C order."""
+    grids = np.meshgrid(*([np.arange(1 << j)] * n), indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=-1)
+
+
+def min_image(diff: np.ndarray, period: float) -> np.ndarray:
+    """Periodic minimal-image representative of diff modulo period."""
+    return diff - np.round(diff / period) * period
+
+
 def lp_norm(f: GridFunction, p: float) -> float:
     """(2^{-nJ} sum |f|^p)^{1/p}; max|f| for p = inf."""
     if p == np.inf:
@@ -223,34 +260,66 @@ def rel_l2_error(f: GridFunction, g: GridFunction) -> float:
 
 
 # -- serialization ------------------------------------------------------------
+# A binary file is magic 'OSLT', version u32, n u32, J u32, a flag byte (0/1
+# a real/complex grid function, 2/3 see wavelet.write_coeff_field), then
+# little-endian float64 (re, im) pairs in row-major order.  Readers check
+# each size the header implies against the file before reading it.
+
+def _write_header(fh, n: int, J: int, flag: int) -> None:
+    fh.write(_MAGIC + struct.pack("<IIIB", _VERSION, n, J, flag))
+
+
+def _remaining(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
+def _read_exact(fh, size: int) -> bytes:
+    if size > _remaining(fh):
+        raise ParameterError("file is shorter than its header says")
+    return fh.read(size)
+
+
+def _unpack(fh, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
+
+
+def _read_header(fh, flags: tuple[int, ...]) -> tuple[int, int, int]:
+    """(n, J, flag); at most 2^62 samples, so derived sizes stay small."""
+    if fh.read(4) != _MAGIC:
+        raise ParameterError(f"bad magic, expected {_MAGIC!r}")
+    version, n, J, flag = _unpack(fh, "<IIIB")
+    if version != _VERSION or flag not in flags or n * J > 62:
+        raise ParameterError(f"unsupported header: version {version}, flag "
+                             f"{flag} (expected {flags}), n={n}, J={J}")
+    return n, J, flag
+
+
+def _write_pairs(fh, arr: np.ndarray) -> None:
+    flat = arr.reshape(-1)
+    pairs = np.empty((flat.size, 2), dtype="<f8")
+    pairs[:, 0] = flat.real
+    pairs[:, 1] = flat.imag
+    fh.write(pairs.tobytes())
+
+
+def _read_pairs(fh, shape: tuple[int, ...]) -> np.ndarray:
+    raw = np.frombuffer(_read_exact(fh, 16 * int(np.prod(shape))), dtype="<f8")
+    return (raw[0::2] + 1j * raw[1::2]).reshape(shape)
+
 
 def write_grid_function(f: GridFunction, path: str) -> None:
-    """Binary format: magic 'OSLT', version u32, n u32, J u32, complex flag u8,
-    then little-endian float64 (re, im) pairs in row-major order."""
-    flat = f.values
-    is_complex = bool(np.any(flat.imag != 0.0))
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIIB", _VERSION, f.spec.n, f.spec.J, int(is_complex)))
-        pairs = np.empty((flat.size, 2), dtype="<f8")
-        pairs[:, 0] = flat.real
-        pairs[:, 1] = flat.imag
-        fh.write(pairs.tobytes())
+        _write_header(fh, f.spec.n, f.spec.J, int(np.any(f.values.imag != 0.0)))
+        _write_pairs(fh, f.values)
 
 
 def read_grid_function(path: str, j_min: int = 0) -> GridFunction:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ParameterError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        version, n, J, _flag = struct.unpack("<IIIB", fh.read(13))
-        if version != _VERSION:
-            raise ParameterError(f"unsupported version {version}")
+        n, J, _ = _read_header(fh, (0, 1))
         spec = GridSpec(n=n, J=J, j_min=j_min)
-        raw = np.frombuffer(fh.read(), dtype="<f8").reshape(-1, 2)
-        if raw.shape[0] != spec.size:
+        if _remaining(fh) != 16 * spec.size:
             raise ParameterError("payload size does not match header")
-        return GridFunction(spec, raw[:, 0] + 1j * raw[:, 1])
+        return GridFunction(spec, _read_pairs(fh, spec.shape))
 
 
 def write_grid_function_csv(f: GridFunction, path: str) -> None:
@@ -264,13 +333,30 @@ def write_grid_function_csv(f: GridFunction, path: str) -> None:
 
 
 def read_grid_function_csv(path: str, spec: GridSpec) -> GridFunction:
+    """Inverse of write_grid_function_csv: every sample exactly once, each
+    index inside the grid, in any row order."""
+    n = spec.n
     data = np.zeros(spec.shape, dtype=complex)
+    seen = np.zeros(spec.shape, dtype=bool)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) != spec.n + 2:
+        header = next(reader, [])
+        if len(header) != n + 2:
             raise ParameterError("CSV column count does not match grid dimension")
-        for row in reader:
-            idx = tuple(int(v) for v in row[: spec.n])
-            data[idx] = float(row[spec.n]) + 1j * float(row[spec.n + 1])
+        for line, row in enumerate(reader, start=2):
+            try:
+                if len(row) != n + 2:
+                    raise ValueError(f"{len(row)} columns")
+                idx = tuple(int(v) for v in row[:n])
+                value = float(row[n]) + 1j * float(row[n + 1])
+            except ValueError as exc:
+                raise ParameterError(f"CSV line {line}: {exc}") from None
+            if not all(0 <= i < spec.samples_per_axis for i in idx):
+                raise ParameterError(f"CSV line {line}: index {idx} outside the grid")
+            if seen[idx]:
+                raise ParameterError(f"CSV line {line}: duplicate index {idx}")
+            seen[idx] = True
+            data[idx] = value
+    if not seen.all():
+        raise ParameterError(f"CSV misses {int(np.sum(~seen))} of {spec.size} samples")
     return GridFunction(spec, data)

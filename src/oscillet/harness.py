@@ -35,6 +35,7 @@ from .operators import (
     CzoGeneratorParams,
     _random_detail_field,
     czo_boundedness_experiment,
+    ratio_growth,
 )
 from .semigroup import (
     SemigroupSpec,
@@ -158,16 +159,6 @@ def generate_test_function(tfs: TestFunctionSpec, basis) -> GridFunction:
 
 def _wrap(x: np.ndarray) -> np.ndarray:
     return (x + 0.5) % 1.0 - 0.5
-
-
-def _growth(by_J: dict) -> float:
-    Js = sorted(by_J)
-    worst = 0.0
-    for a, b in zip(Js[:-1], Js[1:]):
-        if by_J[a] <= 0:
-            return np.inf if by_J[b] > 0 else 0.0
-        worst = max(worst, (by_J[b] / by_J[a]) ** (1.0 / (b - a)) - 1.0)
-    return worst
 
 
 def _band_stability(values_by_J: dict) -> float:
@@ -346,8 +337,8 @@ def run_semigroup_characterization(cfg: ExperimentConfig) -> dict:
         reverse_max[J] = rev_peak
         residual_max[J] = res_peak
         surjectivity[J] = _surjectivity_probe(basis, sg, fam, tg, tp, cfg)
-    growths = {name: _growth(vals) for name, vals in part_max.items()}
-    rev_growth = _growth(reverse_max)
+    growths = {name: ratio_growth(vals) for name, vals in part_max.items()}
+    rev_growth = ratio_growth(reverse_max)
     control = _miscalibrated_reconstruction_control(cfg, fam, tg)
     passed = (all(g < GROWTH_LIMIT for g in growths.values())
               and rev_growth < GROWTH_LIMIT
@@ -397,12 +388,10 @@ def _miscalibrated_reconstruction_control(cfg, fam, tg) -> dict:
 def _surjectivity_probe(basis, sg, fam, tg, tp, cfg) -> dict:
     """Feed a synthetic admissible tent field (not a heat lift) through the
     reconstruction and bound its Morrey norm by the tent norm."""
-    from .semigroup import TimeCoeffField
-
     spec = basis.spec
     c = _random_detail_field(basis, cfg.sp, cfg.seed + 31)
-    tcf = TimeCoeffField(spec, basis.family, basis.j_min, basis.j_max, tg)
-    tcf.beta = sg.beta
+    tcf = CoeffField(spec, basis.family, basis.j_min, basis.j_max, tg=tg,
+                     beta=sg.beta)
     nodes = tg.nodes()
     for (eps, j), arr in tcf.detail.items():
         tau = nodes * 2.0 ** (2 * sg.beta * j)
@@ -484,7 +473,7 @@ def run_riesz_tent(cfg: ExperimentConfig) -> dict:
             rows.append(row)
         for name in part_ratio_max:
             part_ratio_max[name][J] = peaks[name]
-    growths = {name: _growth(vals) for name, vals in part_ratio_max.items()}
+    growths = {name: ratio_growth(vals) for name, vals in part_ratio_max.items()}
     control = _level_boost_control(cfg, tp, tg)
     passed = (all(g < GROWTH_LIMIT for g in growths.values())
               and control["detected"])
@@ -517,12 +506,11 @@ def _level_boost_control(cfg, tp, tg) -> dict:
             tcf = evolve_coefficients(sg, basis, f, tg)
             boosted = tcf.map_detail(
                 lambda eps, j, block: block * 2.0 ** (j / 2.0))
-            boosted.beta = cfg.beta
             rep_in = tent_norms(tcf, tp)
             rep_out = tent_norms(boosted, tp)
         ratio_by_J[J] = (rep_out.combined / rep_in.combined
                          if rep_in.combined > 0 else 0.0)
-    growth = _growth(ratio_by_J)
+    growth = ratio_growth(ratio_by_J)
     return {"kind": "level-boost", "ratio_by_J": {str(J): v for J, v in
                                                   ratio_by_J.items()},
             "growth": growth, "detected": bool(growth > GROWTH_LIMIT)}
@@ -629,8 +617,6 @@ def _misattributed_decay_control(cfg, j_star) -> dict:
 def run_embeddings(cfg: ExperimentConfig) -> dict:
     """Coefficient bounds behind the tent embeddings for heat data, plus the
     adversarial growing profile that must be flagged."""
-    from .semigroup import TimeCoeffField
-
     tp = cfg.tent_params()
     rows = []
     high_by_J, low_by_J = {}, {}
@@ -654,8 +640,8 @@ def run_embeddings(cfg: ExperimentConfig) -> dict:
                      "ratio_high": emb.ratio_high, "ratio_low": emb.ratio_low,
                      "slope": emb.slope_high, "flagged": emb.flagged})
         if J == cfg.J_sweep[-1]:
-            bad = TimeCoeffField(spec, basis.family, basis.j_min, basis.j_max, tg)
-            bad.beta = cfg.beta
+            bad = CoeffField(spec, basis.family, basis.j_min, basis.j_max,
+                             tg=tg, beta=cfg.beta)
             nodes = tg.nodes()
             j_mid = (basis.j_min + basis.j_max) // 2
             tau = nodes * 2.0 ** (2 * cfg.beta * j_mid)

@@ -38,8 +38,8 @@ from .errors import (
     MomentConditioningError,
     ParameterError,
 )
-from .grid import DyadicCube, GridFunction, GridSpec
-from .wavelet import CHUNK_BYTES, CoeffField
+from .grid import DyadicCube, GridFunction, GridSpec, cube_sample_slices, min_image
+from .wavelet import CHUNK_BYTES, CoeffField, detail_types
 
 CONDITION_LIMIT = 1e10
 
@@ -91,25 +91,36 @@ def _block_reduce_sum(arr: np.ndarray, j0: int, J: int,
     return reshaped.sum(axis=tuple(range(b + 1, b + 2 * n, 2)))
 
 
+def _level_power_sum(c: CoeffField, j: int, q: float, rows=Ellipsis) -> np.ndarray:
+    """sum_eps |a^eps_{j,k}|^q at level resolution (the pointwise sup over
+    eps of |a| when q = inf), for the rows `rows` of c's leading axes."""
+    stack = [np.abs(c.detail[(eps, j)][rows]) for eps in detail_types(c.spec.n)]
+    return np.maximum.reduce(stack) if q == np.inf else sum(a ** q for a in stack)
+
+
 def _level_aggregates(c: CoeffField, gamma1: float, q: float):
     """Yield (j, field) finest level first: the full-grid field
     sum_eps 2^{qj(gamma1+n/2)} |a|^q (pointwise sup over eps of the weighted
     |a| when q = inf), with the leading batch axes of a stacked c."""
     n, J = c.spec.n, c.spec.J
-    types = _types(c)
     for j in reversed(c.levels):
-        stack = [np.abs(c.detail[(eps, j)]) for eps in types]
         w = 2.0 ** (j * (gamma1 + n / 2.0))
-        if q == np.inf:
-            lvl = w * np.maximum.reduce(stack)
-        else:
-            lvl = (w ** q) * sum(a ** q for a in stack)
-        yield j, _upsample(lvl, J, n)
+        lvl = _level_power_sum(c, j, q)
+        yield j, _upsample(w * lvl if q == np.inf else (w ** q) * lvl, J, n)
 
 
-def _types(c: CoeffField):
-    seen = sorted({eps for eps, _ in c.detail})
-    return seen
+def _morrey_cube_max(integrand: np.ndarray, j0: int, sp: SpaceParams,
+                     spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the integrand's leading batch axis: the max over level-j0
+    cubes Q of |Q|^{gamma2/n - 1/p} ||integrand||_{L^p(Q)}, and the flat
+    position of the first cube attaining it."""
+    n = spec.n
+    sums = _block_reduce_sum(integrand ** sp.p, j0, spec.J, n)
+    weight = 2.0 ** (-j0 * (sp.gamma2 - n / sp.p))
+    vals = weight * (spec.cell_volume * sums) ** (1.0 / sp.p)
+    vals = vals.reshape(len(vals), -1)
+    flat = np.argmax(vals, axis=1)
+    return vals[np.arange(len(vals)), flat], flat
 
 
 def _suffix_combine(levels, q: float):
@@ -156,6 +167,8 @@ def tlm_wavelet_norm(c: CoeffField, sp: SpaceParams) -> float:
 
 
 def tlm_wavelet_norm_report(c: CoeffField, sp: SpaceParams) -> TlmReport:
+    if c.batch_shape:
+        raise ParameterError("the TLM norm takes a single field, not a stack")
     if not all(np.all(np.isfinite(a)) for a in c.detail.values()):
         raise ParameterError("coefficient field has non-finite detail coefficients")
     if sp.degenerate(c.spec.n):
@@ -170,7 +183,6 @@ def tlm_wavelet_norm_report(c: CoeffField, sp: SpaceParams) -> TlmReport:
 
 def _tlm_core(c: CoeffField, sp: SpaceParams, cube_levels) -> TlmReport:
     n, J = c.spec.n, c.spec.J
-    cell = c.spec.cell_volume
     V = dict(_suffix_combine(_level_aggregates(c, sp.gamma1, sp.q), sp.q))
     if not V:
         return TlmReport(0.0, None)
@@ -186,28 +198,19 @@ def _tlm_core(c: CoeffField, sp: SpaceParams, cube_levels) -> TlmReport:
             continue
         Vj = V[min(avail)]
         integrand = Vj if sp.q == np.inf else Vj ** (1.0 / sp.q)
-        sums = _block_reduce_sum(integrand ** sp.p, j0, J)
-        weight = 2.0 ** (-j0 * (sp.gamma2 - n / sp.p))
-        vals = weight * (cell * sums) ** (1.0 / sp.p)
-        flat = int(np.argmax(vals))
-        per_level[j0] = float(vals.reshape(-1)[flat])
+        vals, flat = _morrey_cube_max(integrand[None], j0, sp, c.spec)
+        per_level[j0] = float(vals[0])
         if per_level[j0] > best:
             best = per_level[j0]
-            k = np.unravel_index(flat, vals.shape)
+            k = np.unravel_index(int(flat[0]), (1 << j0,) * n)
             best_cube = DyadicCube(j0, tuple(int(v) for v in k))
     return TlmReport(best, best_cube, per_level)
 
 
 # -- cutoff family and moment system -------------------------------------------
 
-def _default_bump_profile(n: int) -> tuple[float, float, Callable]:
-    """Radial profile: 1 on [0, r_in], C-infty decay on (r_in, r_out), 0 beyond.
-
-    r_in = sqrt(n), r_out = n as in the defining condition; dimension one is
-    degenerate there (sqrt(1) = 1) so the support is widened to 2."""
-    r_in = float(np.sqrt(n))
-    r_out = float(n) if n > np.sqrt(n) else 2.0 * r_in
-
+def _bump(r_in: float, r_out: float) -> Callable:
+    """Radial profile: 1 on [0, r_in], C-infty decay on (r_in, r_out), 0 beyond."""
     def psi(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
@@ -217,12 +220,16 @@ def _default_bump_profile(n: int) -> tuple[float, float, Callable]:
         out[trans] = np.exp(1.0 - 1.0 / (1.0 - s**2))
         return out
 
-    return r_in, r_out, psi
+    return psi
 
 
 @dataclass
 class CutoffFamily:
-    """phi_Q(x) = phi((x - x_Q)/r): radial bump, 1 on the cube, compact support."""
+    """phi_Q(x) = phi((x - x_Q)/r): radial bump, 1 on the cube, compact support.
+
+    The default radii are r_in = sqrt(n), r_out = n as in the defining
+    condition; dimension one is degenerate there (sqrt(1) = 1) so the
+    support is widened to 2."""
 
     n: int
     plateau_radius: float = 0.0
@@ -230,27 +237,13 @@ class CutoffFamily:
     profile: Callable | None = None
 
     def __post_init__(self):
-        r_in, r_out, psi = _default_bump_profile(self.n)
+        r_in = float(np.sqrt(self.n))
         if self.plateau_radius == 0.0:
             self.plateau_radius = r_in
         if self.support_radius == 0.0:
-            self.support_radius = r_out
+            self.support_radius = float(self.n) if self.n > r_in else 2.0 * r_in
         if self.profile is None:
-            if (self.plateau_radius, self.support_radius) != (r_in, r_out):
-                a, b = self.plateau_radius, self.support_radius
-
-                def scaled(r):
-                    r = np.asarray(r, dtype=float)
-                    out = np.zeros_like(r)
-                    out[r <= a] = 1.0
-                    trans = (r > a) & (r < b)
-                    s = (r[trans] - a) / (b - a)
-                    out[trans] = np.exp(1.0 - 1.0 / (1.0 - s**2))
-                    return out
-
-                self.profile = scaled
-            else:
-                self.profile = psi
+            self.profile = _bump(self.plateau_radius, self.support_radius)
 
     def evaluate(self, u_radius: np.ndarray) -> np.ndarray:
         return self.profile(u_radius)
@@ -500,9 +493,7 @@ def vector_maximal(fs: Sequence[GridFunction], A: float,
 
 def level_indicator_field(c: CoeffField, j: int, s: float) -> GridFunction:
     """f_j = sum_{eps,k} 2^{j(s+n/2)} |a^eps_{j,k}| chi(2^j x - k)."""
-    n = c.spec.n
-    total = sum(np.abs(c.detail[(eps, j)]) for eps in _types(c))
-    lvl = 2.0 ** (j * (s + n / 2.0)) * total
+    lvl = 2.0 ** (j * (s + c.spec.n / 2.0)) * _level_power_sum(c, j, 1.0)
     return GridFunction(c.spec, _upsample(lvl, c.spec.J))
 
 
@@ -517,16 +508,14 @@ def kernel_sum(c: CoeffField, j_prime: int, j: int, k: tuple[int, ...],
     kp = np.stack(np.meshgrid(*([np.arange(L)] * n), indexing="ij"), axis=-1)
     if j >= j_prime:
         target = np.asarray(k, dtype=float) * 2.0 ** (j_prime - j)
-        diff = kp - target
-        diff = diff - np.round(diff / L) * L            # periodic min-image
+        diff = min_image(kp - target, L)
     else:
         scaled = kp * 2.0 ** (j - j_prime)
-        diff = scaled - np.asarray(k, dtype=float)
-        diff = diff - np.round(diff / (1 << j)) * (1 << j)
+        diff = min_image(scaled - np.asarray(k, dtype=float), 1 << j)
     dist = np.sqrt(np.sum(diff**2, axis=-1))
     kern = (1.0 + dist) ** (-(n + gamma))
     total = 0.0
-    for eps in _types(c):
+    for eps in detail_types(n):
         total += float(np.sum(np.abs(c.detail[(eps, j_prime)]) * kern))
     return 2.0 ** (j_prime * (s + n / 2.0)) * total
 
@@ -553,8 +542,6 @@ def kernel_bound_report(c: CoeffField, j_prime: int, j: int, k: tuple[int, ...],
     g_val = kernel_sum(c, j_prime, j, k, gamma, s)
     fj = level_indicator_field(c, j_prime, s)
     MA = vector_maximal([fj], A)
-    from .grid import cube_sample_slices
-
     cube = DyadicCube(j, tuple(k))
     box = MA.data[cube_sample_slices(c.spec, cube)]
     m_min = float(np.min(box.real))

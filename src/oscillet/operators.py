@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, flat_positions, min_image
 from .norms import SpaceParams, tlm_wavelet_norm
 from .wavelet import CoeffField, detail_types
 
@@ -43,17 +43,6 @@ def envelope(j: int, j_prime: int, dist: np.ndarray, N0: float, n: int) -> np.nd
         2.0 ** (-abs(j - j_prime) * (n / 2.0 + N0))
         * (s / (s + np.asarray(dist, dtype=float))) ** (n + N0)
     )
-
-
-def _min_image(diff: np.ndarray, period: float) -> np.ndarray:
-    return diff - np.round(diff / period) * period
-
-
-def _flat_positions(j: int, n: int) -> np.ndarray:
-    """(2^{nj}, n) array of position multi-indices in C order."""
-    L = 1 << j
-    grids = np.meshgrid(*([np.arange(L)] * n), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
 class AlmostDiagonalMatrix:
@@ -80,14 +69,14 @@ class AlmostDiagonalMatrix:
         implied (each offset realizes 2^{n min(j,j')} identical entries)."""
         n = self.spec.n
         for (eps, j, eps_p, j_p), (rows, cols, vals) in self.coo.items():
-            pk = _flat_positions(j, n)[rows] * 2.0**-j
-            pk_p = _flat_positions(j_p, n)[cols] * 2.0**-j_p
-            diff = _min_image(pk - pk_p, 1.0)
+            pk = flat_positions(j, n)[rows] * 2.0**-j
+            pk_p = flat_positions(j_p, n)[cols] * 2.0**-j_p
+            diff = min_image(pk - pk_p, 1.0)
             yield j, j_p, np.sqrt(np.sum(diff**2, axis=-1)), vals
         for (eps, j, eps_p, j_p), kern in self.circulant.items():
             L = kern.shape[0]
-            delta = _flat_positions(int(np.log2(L)), n)
-            diff = _min_image(delta.astype(float), float(L)) * 2.0 ** -max(j, j_p)
+            delta = flat_positions(int(np.log2(L)), n)
+            diff = min_image(delta.astype(float), float(L)) * 2.0 ** -max(j, j_p)
             yield j, j_p, np.sqrt(np.sum(diff**2, axis=-1)), kern.reshape(-1)
 
 
@@ -158,9 +147,9 @@ def generate_random_czo(spec: GridSpec, j_min: int, j_max: int,
         for j_p in range(j_min, j_max + 1):
             if abs(j - j_p) > params.band:
                 continue
-            pk = _flat_positions(j, n) * 2.0**-j
-            pk_p = _flat_positions(j_p, n) * 2.0**-j_p
-            diff = _min_image(pk[:, None, :] - pk_p[None, :, :], 1.0)
+            pk = flat_positions(j, n) * 2.0**-j
+            pk_p = flat_positions(j_p, n) * 2.0**-j_p
+            diff = min_image(pk[:, None, :] - pk_p[None, :, :], 1.0)
             dist = np.sqrt(np.sum(diff**2, axis=-1))
             window = params.window_cells * 2.0 ** -min(j, j_p)
             rows, cols = np.nonzero(dist <= window)
@@ -218,68 +207,35 @@ def _apply_circulant_block(kern: np.ndarray, j: int, j_p: int,
 
 def apply_matrix(mat: AlmostDiagonalMatrix, c: CoeffField) -> CoeffField:
     """Exact sparse/circulant matrix-vector product; linear in c."""
+    return _apply(mat, c)
+
+
+def apply_matrix_time(mat: AlmostDiagonalMatrix, tcf: CoeffField) -> CoeffField:
+    """Row-wise application to a field on a time grid."""
+    return _apply(mat, tcf)
+
+
+def _apply(mat: AlmostDiagonalMatrix, c: CoeffField) -> CoeffField:
+    """The product applied to every row of c's leading batch axes (c itself
+    when it has none); the result keeps c's time grid and beta."""
     _check_band(mat, c)
     out = c.zeros_like()
     n = c.spec.n
+
+    def block(field, eps, j):
+        return field.scaling if not any(eps) else field.detail[(eps, j)]
+
     for (eps, j, eps_p, j_p), (rows, cols, vals) in mat.coo.items():
-        src = _block_vector(c, eps_p, j_p)
-        acc = np.zeros((1 << j) ** n, dtype=complex)
-        np.add.at(acc, rows, vals * src[cols])
-        _block_accumulate(out, eps, j, acc)
+        src = block(c, eps_p, j_p).reshape(-1, (1 << j_p) ** n)
+        acc = np.zeros((len(src), (1 << j) ** n), dtype=complex)
+        np.add.at(acc.T, rows, vals[:, None] * src.T[cols])
+        dst = block(out, eps, j)
+        dst += acc.reshape(dst.shape)
     for (eps, j, eps_p, j_p), kern in mat.circulant.items():
-        src = _block_array(c, eps_p, j_p)
-        res = _apply_circulant_block(kern, j, j_p, src, n)
-        _block_accumulate(out, eps, j, res.reshape(-1))
+        res = _apply_circulant_block(kern, j, j_p, block(c, eps_p, j_p), n)
+        dst = block(out, eps, j)
+        dst += res.reshape(dst.shape)
     return out
-
-
-def apply_matrix_time(mat: AlmostDiagonalMatrix, tcf) -> "TimeCoeffField":
-    """Slice-wise application, batched over the time axis."""
-    from .semigroup import TimeCoeffField
-
-    out = TimeCoeffField(tcf.spec, tcf.family, tcf.j_min, tcf.j_max, tcf.tg)
-    if hasattr(tcf, "beta"):
-        out.beta = tcf.beta
-    n = tcf.spec.n
-    L = tcf.tg.L
-    for (eps, j, eps_p, j_p), (rows, cols, vals) in mat.coo.items():
-        if not any(eps_p):
-            src = tcf.scaling.reshape(L, -1)
-        else:
-            src = tcf.detail[(eps_p, j_p)].reshape(L, -1)
-        acc = np.zeros((L, (1 << j) ** n), dtype=complex)
-        np.add.at(acc.T, rows, (vals[:, None] * src.T[cols]))
-        _time_accumulate(out, eps, j, acc)
-    for (eps, j, eps_p, j_p), kern in mat.circulant.items():
-        if not any(eps_p):
-            src = tcf.scaling
-        else:
-            src = tcf.detail[(eps_p, j_p)]
-        res = _apply_circulant_block(kern, j, j_p, src, n)
-        _time_accumulate(out, eps, j, res.reshape(L, -1))
-    return out
-
-
-def _block_vector(c: CoeffField, eps, j) -> np.ndarray:
-    return (c.scaling if not any(eps) else c.detail[(eps, j)]).reshape(-1)
-
-
-def _block_array(c: CoeffField, eps, j) -> np.ndarray:
-    return c.scaling if not any(eps) else c.detail[(eps, j)]
-
-
-def _block_accumulate(out: CoeffField, eps, j, flat: np.ndarray):
-    if not any(eps):
-        out.scaling += flat.reshape(out.scaling.shape)
-    else:
-        out.detail[(eps, j)] += flat.reshape(out.detail[(eps, j)].shape)
-
-
-def _time_accumulate(out, eps, j, flat: np.ndarray):
-    if not any(eps):
-        out.scaling += flat.reshape(out.scaling.shape)
-    else:
-        out.detail[(eps, j)] += flat.reshape(out.detail[(eps, j)].shape)
 
 
 # -- Riesz transforms --------------------------------------------------------------
@@ -431,20 +387,25 @@ def czo_boundedness_experiment(params: CzoGeneratorParams, sp: SpaceParams,
             ratios.append(ratio)
             per_sample.append((J, s, in_norm, out_norm, ratio))
         max_by_J[J] = max(ratios)
-    growth = _ratio_growth(max_by_J)
+    growth = ratio_growth(max_by_J)
     passed = certified and growth < growth_limit
     return BoundednessReport("random-czo", "tlm", per_sample, max_by_J,
                              growth, certified, passed, notes)
 
 
-def _ratio_growth(max_by_J: dict) -> float:
-    Js = sorted(max_by_J)
+def ratio_growth(by_J: dict) -> float:
+    """Worst growth per unit J of a quantity measured across a J sweep: the
+    max over consecutive sweep points a < b of (v_b / v_a)^{1/(b-a)} - 1.
+    A zero followed by a zero adds no growth (a zero operator does not
+    grow); a zero followed by a positive value is infinite growth."""
+    Js = sorted(by_J)
     worst = 0.0
     for a, b in zip(Js[:-1], Js[1:]):
-        if max_by_J[a] <= 0:
-            return np.inf
-        worst = max(worst,
-                    (max_by_J[b] / max_by_J[a]) ** (1.0 / (b - a)) - 1.0)
+        if by_J[a] <= 0:
+            if by_J[b] > 0:
+                return np.inf
+            continue
+        worst = max(worst, (by_J[b] / by_J[a]) ** (1.0 / (b - a)) - 1.0)
     return worst
 
 
@@ -485,10 +446,10 @@ def write_matrix_jsonl(mat: AlmostDiagonalMatrix, path: str) -> None:
                   "band": (None if mat.band == np.inf else mat.band)}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for (eps, j, eps_p, j_p), (rows, cols, vals) in sorted(mat.coo.items()):
-            pk = _flat_positions(j, n)
-            pk_p = _flat_positions(j_p, n)
+            pk = flat_positions(j, n)
+            pk_p = flat_positions(j_p, n)
             for r, cidx, v in zip(rows, cols, vals):
-                d = _min_image(pk[r] * 2.0**-j - pk_p[cidx] * 2.0**-j_p, 1.0)
+                d = min_image(pk[r] * 2.0**-j - pk_p[cidx] * 2.0**-j_p, 1.0)
                 dist = float(np.sqrt(np.sum(d**2)))
                 env = float(envelope(j, j_p, dist, mat.N0, n)) * mat.C
                 rec = {"eps": list(eps), "j": j, "k": [int(x) for x in pk[r]],

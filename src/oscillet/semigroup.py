@@ -9,7 +9,9 @@ equal to one for every nonzero lattice frequency (the dyadic shells of the
 window tile the ray exactly), while the companion constant of the damped
 integral is computed by quadrature and recorded.
 
-Time grids are logarithmic midpoint rules for the measure dt/t.
+Time grids (`grid.TimeGrid`, re-exported here) are logarithmic midpoint
+rules for the measure dt/t.  A heat lift is a `CoeffField` on a time grid,
+tagged with the beta of its semigroup.
 
 The heat lift is evaluated on chunks of time nodes: `evolve_coefficients`
 builds the propagated spectra of a chunk as one (chunk,) + grid stack and
@@ -31,8 +33,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import GridMismatchError, ParameterError
-from .grid import GridFunction, GridSpec
-from .wavelet import CHUNK_BYTES, CoeffField, MeyerWindow, TWO_PI, detail_types
+from .grid import GridFunction, GridSpec, TimeGrid, flat_positions, min_image
+from .norms import _level_power_sum
+from .wavelet import CHUNK_BYTES, CoeffField, MeyerWindow, TWO_PI
 
 
 @dataclass(frozen=True)
@@ -64,108 +67,16 @@ def heat_apply(sg: SemigroupSpec, f: GridFunction, t: float) -> GridFunction:
     return GridFunction(sg.spec, np.fft.ifftn(F * sg.multiplier(t)))
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Logarithmic midpoint rule for int ... dt/t on [t_min, t_max]."""
-
-    t_min: float
-    t_max: float
-    L: int
-
-    def __post_init__(self):
-        if not (0 < self.t_min < self.t_max):
-            raise ParameterError("need 0 < t_min < t_max")
-        if self.L < 1:
-            raise ParameterError("need at least one node")
-
-    @property
-    def step(self) -> float:
-        return np.log(self.t_max / self.t_min) / self.L
-
-    def nodes(self) -> np.ndarray:
-        h = self.step
-        return self.t_min * np.exp((np.arange(self.L) + 0.5) * h)
-
-    def weights(self) -> np.ndarray:
-        return np.full(self.L, self.step)
-
-    def log_edges(self) -> np.ndarray:
-        return np.log(self.t_min) + np.arange(self.L + 1) * self.step
-
-
 def default_time_grid(spec: GridSpec, beta: float, L: int = 256,
                       t_max: float = 4.0) -> TimeGrid:
     """Covers every level's transition scale t ~ 2^{-2 j beta} within band."""
     return TimeGrid(2.0 ** (-2 * beta * (spec.J + 1)), t_max, L)
 
 
-class TimeCoeffField:
-    """Wavelet coefficients sampled on a time grid: one (L, 2^j, ...) block
-    per detail type and level, plus the scaling block at j_min."""
-
-    def __init__(self, spec: GridSpec, family: str, j_min: int, j_max: int,
-                 tg: TimeGrid):
-        self.spec = spec
-        self.family = family
-        self.j_min = j_min
-        self.j_max = j_max
-        self.tg = tg
-        self.detail: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
-        for j in range(j_min, j_max + 1):
-            shape = (tg.L,) + (1 << j,) * spec.n
-            for eps in detail_types(spec.n):
-                self.detail[(eps, j)] = np.zeros(shape, dtype=complex)
-        self.scaling = np.zeros((tg.L,) + ((1 << j_min,) * spec.n), dtype=complex)
-
-    @property
-    def levels(self) -> range:
-        return range(self.j_min, self.j_max + 1)
-
-    @classmethod
-    def from_slices(cls, slices: Sequence[CoeffField], tg: TimeGrid) -> "TimeCoeffField":
-        first = slices[0]
-        out = cls(first.spec, first.family, first.j_min, first.j_max, tg)
-        for ell, c in enumerate(slices):
-            for key, arr in c.detail.items():
-                out.detail[key][ell] = arr
-            out.scaling[ell] = c.scaling
-        return out
-
-    def nodes_field(self, start: int, stop: int) -> CoeffField:
-        """Nodes start..stop-1 as one CoeffField whose blocks carry a leading
-        node axis; the blocks are views of this field's arrays."""
-        c = CoeffField(self.spec, self.family, self.j_min, self.j_max)
-        for key, arr in self.detail.items():
-            c.detail[key] = arr[start:stop]
-        c.scaling = self.scaling[start:stop]
-        return c
-
-    def slice(self, ell: int) -> CoeffField:
-        c = CoeffField(self.spec, self.family, self.j_min, self.j_max)
-        for key, arr in self.detail.items():
-            c.detail[key] = arr[ell].copy()
-        c.scaling = self.scaling[ell].copy()
-        return c
-
-    def scaled(self, factor: complex) -> "TimeCoeffField":
-        out = TimeCoeffField(self.spec, self.family, self.j_min, self.j_max, self.tg)
-        for key, arr in self.detail.items():
-            out.detail[key] = arr * factor
-        out.scaling = self.scaling * factor
-        return out
-
-    def map_detail(self, fn) -> "TimeCoeffField":
-        """fn(eps, j, block) -> new block; scaling copied through."""
-        out = TimeCoeffField(self.spec, self.family, self.j_min, self.j_max, self.tg)
-        for (eps, j), arr in self.detail.items():
-            out.detail[(eps, j)] = fn(eps, j, arr)
-        out.scaling = self.scaling.copy()
-        return out
-
-
 def evolve_coefficients(sg: SemigroupSpec, basis, f: GridFunction,
-                        tg: TimeGrid) -> TimeCoeffField:
-    """Slice ell equals analyze(heat_apply(f, t_ell)); computed in frequency
+                        tg: TimeGrid) -> CoeffField:
+    """The field on the time grid tg (tagged with sg.beta) whose row ell
+    equals analyze(heat_apply(f, t_ell)); computed in frequency
     space, one chunk of nodes at a time: a (chunk,) + grid stack of the
     propagated spectra, then one masked multiply, fold and small transform
     per level block for the whole chunk."""
@@ -175,8 +86,8 @@ def evolve_coefficients(sg: SemigroupSpec, basis, f: GridFunction,
         raise ParameterError("f has non-finite samples")
     F = basis.fourier(f)
     symbol = sg.symbol()
-    out = TimeCoeffField(sg.spec, basis.family, basis.j_min, basis.j_max, tg)
-    out.beta = sg.beta
+    out = CoeffField(sg.spec, basis.family, basis.j_min, basis.j_max, tg=tg,
+                     beta=sg.beta)
     blocks = [(eps, j) for j in basis.detail_levels
               for eps in basis.detail_type_list()]
     eps0 = (0,) * sg.spec.n
@@ -304,12 +215,12 @@ def pi_phi_report(family: CalibratedFamily, frames: Iterable[GridFunction],
     return out, report
 
 
-def frames_from_tcf(basis, tcf: TimeCoeffField) -> Iterable[GridFunction]:
+def frames_from_tcf(basis, tcf: CoeffField) -> Iterable[GridFunction]:
     """The synthesized slice of every node, in node order; one chunk of nodes
     of at most CHUNK_BYTES is synthesized at a time."""
     rows = max(1, CHUNK_BYTES // (16 * tcf.spec.size))
     for start in range(0, tcf.tg.L, rows):
-        for data in basis.synthesize_stack(tcf.nodes_field(start, start + rows)):
+        for data in basis.synthesize_stack(tcf[start:start + rows]):
             yield GridFunction(tcf.spec, data)
 
 
@@ -322,42 +233,31 @@ def heat_frames(sg: SemigroupSpec, f: GridFunction, tg: TimeGrid):
 
 # -- decay-bound reports ---------------------------------------------------------
 
-def _min_image(diff: np.ndarray, period: float) -> np.ndarray:
-    return diff - np.round(diff / period) * period
+def _heat_beta(tcf: CoeffField) -> float:
+    """The beta of a field on a time grid; ParameterError if either is
+    missing."""
+    if tcf.tg is None or tcf.beta is None:
+        raise ParameterError("need a coefficient field with a time grid and beta")
+    return tcf.beta
 
 
 def cross_level_kernel_matrix(spec: GridSpec, j: int, j_prime: int,
                               N: float) -> np.ndarray:
     """(1 + |2^{j-j'} k' - k|)^{-N} for k at level j (rows), k' at level j'
     (cols), with periodic minimal-image distance at the level-j chart."""
-    n = spec.n
-    Lj, Lp = 1 << j, 1 << j_prime
-    kj = np.stack(np.meshgrid(*([np.arange(Lj)] * n), indexing="ij"),
-                  axis=-1).reshape(-1, n).astype(float)
-    kp = np.stack(np.meshgrid(*([np.arange(Lp)] * n), indexing="ij"),
-                  axis=-1).reshape(-1, n).astype(float)
+    kj = flat_positions(j, spec.n).astype(float)
+    kp = flat_positions(j_prime, spec.n).astype(float)
     diff = 2.0 ** (j - j_prime) * kp[None, :, :] - kj[:, None, :]
-    diff = _min_image(diff, float(Lj))
+    diff = min_image(diff, float(1 << j))
     dist = np.sqrt(np.sum(diff**2, axis=-1))
     return (1.0 + dist) ** (-N)
-
-
-def _abs_level_sums(c: CoeffField) -> dict[int, np.ndarray]:
-    """Per level, sum over detail types of |a| as a flat position vector."""
-    out = {}
-    for j in c.levels:
-        total = None
-        for eps in detail_types(c.spec.n):
-            a = np.abs(c.detail[(eps, j)]).reshape(-1)
-            total = a if total is None else total + a
-        out[j] = total
-    return out
 
 
 def coupling_denominators(c0: CoeffField, N: float,
                           band: int = 3) -> dict[int, np.ndarray]:
     """D[j][k] = sum_{|j-j'|<=band} sum_{eps',k'} |a0| (1+|2^{j-j'}k'-k|)^{-N}."""
-    sums = _abs_level_sums(c0)
+    # per level, the sum over detail types of |a| as a flat position vector
+    sums = {j: _level_power_sum(c0, j, 1.0).reshape(-1) for j in c0.levels}
     out = {}
     for j in c0.levels:
         acc = np.zeros((1 << j) ** c0.spec.n)
@@ -381,11 +281,12 @@ class DecayReport:
     n_pairs: int
 
 
-def check_decay_bounds(tcf: TimeCoeffField, c0: CoeffField, N: float,
+def check_decay_bounds(tcf: CoeffField, c0: CoeffField, N: float,
                        ctilde_grid: Sequence[float] | None = None,
                        band: int = 3) -> DecayReport:
     """Measured constants in the two-regime coefficient decay bound for
     heat-evolved data against the initial coefficients."""
+    beta = _heat_beta(tcf)
     if ctilde_grid is None:
         ctilde_grid = np.arange(0.05, 2.0001, 0.05)
     ctilde_grid = np.asarray(ctilde_grid, dtype=float)
@@ -401,7 +302,7 @@ def check_decay_bounds(tcf: TimeCoeffField, c0: CoeffField, N: float,
     seam_gap = 0.0
     for (eps, j), block in tcf.detail.items():
         D = denoms[j]
-        tau = nodes * tcf_tau_scale(tcf, j)
+        tau = nodes * 2.0 ** (2.0 * beta * j)
         absb = np.abs(block.reshape(tcf.tg.L, -1))
         ok = D > atol
         if np.any(~ok):
@@ -444,14 +345,6 @@ def check_decay_bounds(tcf: TimeCoeffField, c0: CoeffField, N: float,
                        violations, n_pairs)
 
 
-def tcf_tau_scale(tcf: TimeCoeffField, j: int) -> float:
-    """2^{2 beta j} with beta recovered from the field's semigroup tag."""
-    beta = getattr(tcf, "beta", None)
-    if beta is None:
-        raise ParameterError("TimeCoeffField has no beta tag; set tcf.beta")
-    return 2.0 ** (2.0 * beta * j)
-
-
 def fit_ctilde(reports: Sequence[tuple[int, DecayReport]],
                growth_tol: float = 0.05) -> tuple[float, float]:
     """Largest ctilde whose max ratio grows less than growth_tol per unit J.
@@ -485,13 +378,11 @@ class DualBoundReport:
     concentration: float   # integrand mass fraction within [tstar/4, 4 tstar]
 
 
-def check_dual_bound(c_rec: CoeffField, tcf: TimeCoeffField, N: float,
+def check_dual_bound(c_rec: CoeffField, tcf: CoeffField, N: float,
                      band: int = 3) -> DualBoundReport:
     """Reconstructed coefficients against the time-integrated envelope of the
     evolved field."""
-    beta = getattr(tcf, "beta", None)
-    if beta is None:
-        raise ParameterError("TimeCoeffField has no beta tag; set tcf.beta")
+    beta = _heat_beta(tcf)
     nodes, weights = tcf.tg.nodes(), tcf.tg.weights()
     spec = tcf.spec
 
@@ -501,10 +392,7 @@ def check_dual_bound(c_rec: CoeffField, tcf: TimeCoeffField, N: float,
     for j in tcf.levels:
         tau = nodes * 2.0 ** (2 * beta * j)
         damp = np.maximum(tau, 1.0 / tau) ** (-N)
-        total = None
-        for eps in detail_types(spec.n):
-            a = np.abs(tcf.detail[(eps, j)].reshape(tcf.tg.L, -1))
-            total = a if total is None else total + a
+        total = _level_power_sum(tcf, j, 1.0).reshape(tcf.tg.L, -1)
         integrand = damp[:, None] * total * weights[:, None]
         T[j] = integrand.sum(axis=0)
         flat = int(np.argmax(T[j])) if T[j].size else 0
@@ -530,61 +418,3 @@ def check_dual_bound(c_rec: CoeffField, tcf: TimeCoeffField, N: float,
         if np.any(ok):
             max_ratio = max(max_ratio, float(np.max(lhs[ok] / rhs[ok])))
     return DualBoundReport(max_ratio, violations, concentration)
-
-
-# -- serialization ----------------------------------------------------------------
-
-def write_time_coeff_field(tcf: TimeCoeffField, path: str) -> None:
-    import struct
-
-    with open(path, "wb") as fh:
-        fh.write(b"OSLT")
-        fh.write(struct.pack("<IIIB", 1, tcf.spec.n, tcf.spec.J, 3))
-        fh.write(struct.pack("<II", tcf.j_min, tcf.j_max))
-        fh.write(struct.pack("<ddI", tcf.tg.t_min, tcf.tg.t_max, tcf.tg.L))
-        beta = getattr(tcf, "beta", 0.0)
-        fam = tcf.family.encode()
-        fh.write(struct.pack("<dI", beta, len(fam)))
-        fh.write(fam)
-        blocks = [((0,) * tcf.spec.n, tcf.j_min, tcf.scaling)]
-        blocks += [(eps, j, arr) for (eps, j), arr in sorted(tcf.detail.items())]
-        fh.write(struct.pack("<I", len(blocks)))
-        for eps, j, arr in blocks:
-            fh.write(struct.pack("<I", j))
-            fh.write(bytes(eps))
-            flat = arr.reshape(-1)
-            pairs = np.empty((flat.size, 2), dtype="<f8")
-            pairs[:, 0] = flat.real
-            pairs[:, 1] = flat.imag
-            fh.write(pairs.tobytes())
-
-
-def read_time_coeff_field(path: str) -> TimeCoeffField:
-    import struct
-
-    with open(path, "rb") as fh:
-        if fh.read(4) != b"OSLT":
-            raise ParameterError("bad magic")
-        _, n, J, flag = struct.unpack("<IIIB", fh.read(13))
-        if flag != 3:
-            raise ParameterError("not a time-coefficient-field file")
-        j_min, j_max = struct.unpack("<II", fh.read(8))
-        t_min, t_max, L = struct.unpack("<ddI", fh.read(20))
-        beta, flen = struct.unpack("<dI", fh.read(12))
-        family = fh.read(flen).decode()
-        spec = GridSpec(n=n, J=J, j_min=j_min)
-        tcf = TimeCoeffField(spec, family, j_min, j_max, TimeGrid(t_min, t_max, L))
-        if beta:
-            tcf.beta = beta
-        (nblocks,) = struct.unpack("<I", fh.read(4))
-        for _ in range(nblocks):
-            (j,) = struct.unpack("<I", fh.read(4))
-            eps = tuple(fh.read(n))
-            count = L * (1 << j) ** n
-            raw = np.frombuffer(fh.read(16 * count), dtype="<f8").reshape(-1, 2)
-            arr = (raw[:, 0] + 1j * raw[:, 1]).reshape((L,) + ((1 << j,) * n))
-            if any(eps):
-                tcf.detail[(eps, j)] = arr
-            else:
-                tcf.scaling = arr
-        return tcf

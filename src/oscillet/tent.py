@@ -39,10 +39,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .grid import DyadicCube, GridSpec
-from .norms import SpaceParams, _block_reduce_sum, _runs, _upsample
-from .semigroup import TimeCoeffField, TimeGrid
-from .wavelet import CHUNK_BYTES, detail_types
+from .grid import DyadicCube, GridSpec, TimeGrid
+from .norms import (
+    SpaceParams,
+    _level_power_sum,
+    _morrey_cube_max,
+    _runs,
+    _upsample,
+)
+from .wavelet import CHUNK_BYTES, CoeffField, detail_types
 
 
 @dataclass(frozen=True)
@@ -104,17 +109,12 @@ class TentNormReport:
         return max(self.values)
 
 
-def _level_base_fields(tcf: TimeCoeffField, nodes: slice,
+def _level_base_fields(tcf: CoeffField, nodes: slice,
                        q: float) -> dict[int, np.ndarray]:
     """Per level j: the full-grid fields sum_eps |a(t)|^q (sup for q=inf) of
     the nodes in `nodes`, stacked along a leading node axis."""
-    n = tcf.spec.n
-    out = {}
-    for j in tcf.levels:
-        stack = [np.abs(tcf.detail[(eps, j)][nodes]) for eps in detail_types(n)]
-        agg = np.maximum.reduce(stack) if q == np.inf else sum(a**q for a in stack)
-        out[j] = _upsample(agg, tcf.spec.J, n)
-    return out
+    return {j: _upsample(_level_power_sum(tcf, j, q, nodes), tcf.spec.J, tcf.spec.n)
+            for j in tcf.levels}
 
 
 def _cube_sup(fields: dict[int, np.ndarray], level_weights: dict[int, float],
@@ -125,17 +125,11 @@ def _cube_sup(fields: dict[int, np.ndarray], level_weights: dict[int, float],
     norm restricted to the cube, and the flat position of the first cube
     attaining it.  root=None aggregates by the pointwise sup over the levels
     instead (q = inf)."""
-    n = spec.n
     if root is None:
         integrand = np.maximum.reduce([level_weights[j] * fields[j] for j in levels])
     else:
         integrand = sum(level_weights[j] * fields[j] for j in levels) ** root
-    sums = _block_reduce_sum(integrand**sp.p, j0, spec.J, n)
-    weight = 2.0 ** (-j0 * (sp.gamma2 - n / sp.p))
-    vals = weight * (spec.cell_volume * sums) ** (1.0 / sp.p)
-    vals = vals.reshape(len(vals), -1)
-    flat = np.argmax(vals, axis=1)
-    return vals[np.arange(len(vals)), flat], flat
+    return _morrey_cube_max(integrand, j0, sp, spec)
 
 
 def _sup_over_cubes(fields, rows: int, level_weights,
@@ -177,7 +171,7 @@ class _WindowIntegrals:
     """Per-coefficient integrals int_window |a(t)|^q t^{qm} dt/t with the
     measure integrated exactly on each log cell and |a| held at the node."""
 
-    def __init__(self, tcf: TimeCoeffField, q: float, qm: float):
+    def __init__(self, tcf: CoeffField, q: float, qm: float):
         if q == np.inf:
             raise ParameterError("time-integrated parts need finite q")
         self.tcf = tcf
@@ -213,7 +207,7 @@ class _WindowIntegrals:
         return np.maximum(self._eval(key, log_hi) - self._eval(key, log_lo), 0.0)
 
 
-def tent_norms(tcf: TimeCoeffField, tp: TentParams,
+def tent_norms(tcf: CoeffField, tp: TentParams,
                literal_exponent: bool = False) -> TentNormReport:
     """All four tent parts in one pass; the combined norm is their max.
 
@@ -221,6 +215,8 @@ def tent_norms(tcf: TimeCoeffField, tp: TentParams,
     time-integrated parts III/IV are defined through integrals with
     exponent q and are reported as zero in that limit (their content is
     carried by the sup-in-t part)."""
+    if tcf.tg is None:
+        raise ParameterError("tent norms need a coefficient field on a time grid")
     if not all(np.all(np.isfinite(a)) for a in tcf.detail.values()):
         raise ParameterError("time coefficient field has non-finite coefficients")
     spec, tg = tcf.spec, tcf.tg
@@ -234,12 +230,11 @@ def tent_norms(tcf: TimeCoeffField, tp: TentParams,
 
     part1 = PartResult(0.0)
     part2 = PartResult(0.0)
-    w_i = {j: 2.0 ** (q * j * (sp.gamma1 + n / 2.0 + 2 * tp.m * beta))
-           if q != np.inf else 2.0 ** (j * (sp.gamma1 + n / 2.0 + 2 * tp.m * beta))
-           for j in tcf.levels}
-    w_ii = {j: 2.0 ** (q * j * (sp.gamma1 + n / 2.0))
-            if q != np.inf else 2.0 ** (j * (sp.gamma1 + n / 2.0))
-            for j in tcf.levels}
+    # level weights 2^{qj(gamma1 + n/2 + 2 m beta)} (part I, also III),
+    # 2^{qj(gamma1 + n/2)} (part II), q read as 1 for the sup aggregate
+    e, s = (1.0 if q == np.inf else q), sp.gamma1 + n / 2.0
+    w_i = {j: 2.0 ** (e * j * (s + 2 * tp.m * beta)) for j in levels}
+    w_ii = {j: 2.0 ** (e * j * s) for j in levels}
     thetas = [-np.log2(t) / (2.0 * beta) for t in nodes]
     seam_levels = dict(enumerate(thetas))
     # part I admits j >= max(j0, theta) and part II j0 < j < theta, so which
@@ -275,10 +270,7 @@ def tent_norms(tcf: TimeCoeffField, tp: TentParams,
     if q != np.inf:
         win_m = _WindowIntegrals(tcf, q, q * tp.m)
         win_mp = _WindowIntegrals(tcf, q, q * tp.m_prime)
-        w_iii = {j: 2.0 ** (q * j * (sp.gamma1 + n / 2.0 + 2 * tp.m * beta))
-                 for j in tcf.levels}
-        w_iv = {j: 2.0 ** (q * j * (sp.gamma1 + n / 2.0 + 2 * tp.m_prime * beta))
-                for j in tcf.levels}
+        w_iv = {j: 2.0 ** (q * j * (s + 2 * tp.m_prime * beta)) for j in levels}
         root = 1.0 if literal_exponent else 1.0 / q
 
         def one_row(win, j, log_lo, log_hi):
@@ -304,7 +296,7 @@ def tent_norms(tcf: TimeCoeffField, tp: TentParams,
                       for j in tcf.levels if j > j0}
             if not field3:
                 continue
-            v3, flat3 = _cube_sup(field3, w_iii, list(field3), j0, root, sp, spec)
+            v3, flat3 = _cube_sup(field3, w_i, list(field3), j0, root, sp, spec)
             if v3[0] > part3.value:
                 part3 = PartResult(float(v3[0]), _cube_at(j0, flat3[0], n))
 
@@ -312,7 +304,7 @@ def tent_norms(tcf: TimeCoeffField, tp: TentParams,
     return TentNormReport(part1, part2, part3, part4, seam_levels, quad_est)
 
 
-def _quadrature_refinement_estimate(tcf: TimeCoeffField, tp: TentParams) -> float:
+def _quadrature_refinement_estimate(tcf: CoeffField, tp: TentParams) -> float:
     """Relative change of a representative time integral when every other
     node is dropped; a proxy for the parts III/IV quadrature error."""
     q = tp.sp.q
@@ -333,7 +325,7 @@ def _quadrature_refinement_estimate(tcf: TimeCoeffField, tp: TentParams) -> floa
 
 # -- sup-type side norms ---------------------------------------------------------
 
-def bloch_norm(tcf: TimeCoeffField, gamma1: float, tau: float, beta: float) -> float:
+def bloch_norm(tcf: CoeffField, gamma1: float, tau: float, beta: float) -> float:
     """sup over indices of [ sup_{tau_t >= 1} (t 2^{2j b})^tau weight |a(t)|
     + sup_{tau_t <= 1} weight |a(t)| ] with weight 2^{j(n/2 + gamma1)}."""
     if tau <= 0:
@@ -404,7 +396,7 @@ class EmbeddingReport:
     combined_norm: float
 
 
-def check_embeddings(tcf: TimeCoeffField, tp: TentParams,
+def check_embeddings(tcf: CoeffField, tp: TentParams,
                      report: TentNormReport | None = None,
                      slope_tolerance: float = 0.1) -> EmbeddingReport:
     """Coefficient bounds behind the tent-to-Bloch embedding, normalized by

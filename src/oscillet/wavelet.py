@@ -37,7 +37,18 @@ from .errors import (
     IndexOutOfBandError,
     ParameterError,
 )
-from .grid import GridFunction, GridSpec
+from .grid import (
+    GridFunction,
+    GridSpec,
+    TimeGrid,
+    _read_exact,
+    _read_header,
+    _read_pairs,
+    _remaining,
+    _unpack,
+    _write_header,
+    _write_pairs,
+)
 
 TWO_PI = 2.0 * np.pi
 # Bytes of one stack of grid functions in every batched evaluation (the
@@ -117,19 +128,30 @@ def detail_types(n: int) -> list[tuple[int, ...]]:
 
 
 class CoeffField:
-    """Dense-per-level wavelet coefficients: detail blocks plus one scaling block."""
+    """Dense-per-level wavelet coefficients: detail blocks plus one scaling block.
 
-    def __init__(self, spec: GridSpec, family: str, j_min: int, j_max: int):
+    The blocks may carry leading batch axes (a stack from `analyze_stack`).
+    A field on a time grid `tg` (the heat lift a^eps_{j,k}(t) of one
+    function) has exactly one, of length tg.L, and `beta` names the
+    semigroup exponent that produced it (None when unknown).  `c[ell]` and
+    `c[start:stop]` are views of rows of the leading axis, without the time
+    grid."""
+
+    def __init__(self, spec: GridSpec, family: str, j_min: int, j_max: int,
+                 tg: TimeGrid | None = None, beta: float | None = None):
         self.spec = spec
         self.family = family
         self.j_min = j_min
         self.j_max = j_max
+        self.tg = tg
+        self.beta = beta
+        lead = () if tg is None else (tg.L,)
         self.detail: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
         for j in range(j_min, j_max + 1):
-            shape = (1 << j,) * spec.n
+            shape = lead + (1 << j,) * spec.n
             for eps in detail_types(spec.n):
                 self.detail[(eps, j)] = np.zeros(shape, dtype=complex)
-        self.scaling = np.zeros((1 << j_min,) * spec.n, dtype=complex)
+        self.scaling = np.zeros(lead + (1 << j_min,) * spec.n, dtype=complex)
 
     @property
     def levels(self) -> range:
@@ -137,25 +159,42 @@ class CoeffField:
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
-        """Leading axes of a field from `analyze_stack`; () for one function."""
+        """Leading axes of a stacked or time field; () for one function."""
         return self.scaling.shape[:self.scaling.ndim - self.spec.n]
 
-    def copy(self) -> "CoeffField":
-        out = CoeffField(self.spec, self.family, self.j_min, self.j_max)
-        for key, arr in self.detail.items():
-            out.detail[key] = arr.copy()
-        out.scaling = self.scaling.copy()
+    def _derive(self, fn, scaling: np.ndarray, tg: TimeGrid | None) -> "CoeffField":
+        """A field with this one's band and beta, the detail blocks
+        fn(eps, j, block) and the given scaling block and time grid."""
+        out = CoeffField.__new__(CoeffField)
+        out.spec, out.family, out.j_min, out.j_max = (
+            self.spec, self.family, self.j_min, self.j_max)
+        out.tg, out.beta = tg, self.beta
+        out.detail = {(eps, j): fn(eps, j, arr)
+                      for (eps, j), arr in self.detail.items()}
+        out.scaling = scaling
         return out
+
+    def __getitem__(self, rows) -> "CoeffField":
+        """Row ell (an int) or rows start:stop (a slice) of the leading axis,
+        as views."""
+        if not self.batch_shape:
+            raise ParameterError("a field without a leading axis has no rows")
+        return self._derive(lambda eps, j, arr: arr[rows], self.scaling[rows], None)
+
+    def map_detail(self, fn) -> "CoeffField":
+        """fn(eps, j, block) -> new block; scaling copied through."""
+        return self._derive(fn, self.scaling.copy(), self.tg)
+
+    def copy(self) -> "CoeffField":
+        return self.map_detail(lambda eps, j, arr: arr.copy())
 
     def zeros_like(self) -> "CoeffField":
-        return CoeffField(self.spec, self.family, self.j_min, self.j_max)
+        return self._derive(lambda eps, j, arr: np.zeros_like(arr),
+                            np.zeros_like(self.scaling), self.tg)
 
     def scaled(self, factor: complex) -> "CoeffField":
-        out = self.copy()
-        for key in out.detail:
-            out.detail[key] *= factor
-        out.scaling *= factor
-        return out
+        return self._derive(lambda eps, j, arr: arr * factor,
+                            self.scaling * factor, self.tg)
 
     def __add__(self, other: "CoeffField") -> "CoeffField":
         self._check(other)
@@ -169,26 +208,22 @@ class CoeffField:
         if (other.spec, other.j_min, other.j_max) != (self.spec, self.j_min, self.j_max):
             raise GridMismatchError("coefficient fields on different bands")
 
+    def _block(self, idx: WaveletIndex) -> np.ndarray:
+        """The block holding idx; IndexOutOfBandError unless eps, j and k
+        name an index of the band."""
+        n = self.spec.n
+        block = self.scaling if (idx.eps, idx.j) == ((0,) * n, self.j_min) \
+            else self.detail.get((idx.eps, idx.j))
+        if block is None or len(idx.k) != n or not all(
+                isinstance(v, (int, np.integer)) and 0 <= v < 1 << idx.j for v in idx.k):
+            raise IndexOutOfBandError(idx)
+        return block
+
     def get(self, idx: WaveletIndex) -> complex:
-        if not any(idx.eps):
-            if idx.j != self.j_min:
-                raise IndexOutOfBandError(idx)
-            return complex(self.scaling[idx.k])
-        try:
-            return complex(self.detail[(idx.eps, idx.j)][idx.k])
-        except KeyError:
-            raise IndexOutOfBandError(idx) from None
+        return complex(self._block(idx)[idx.k])
 
     def set(self, idx: WaveletIndex, value: complex) -> None:
-        if not any(idx.eps):
-            if idx.j != self.j_min:
-                raise IndexOutOfBandError(idx)
-            self.scaling[idx.k] = value
-        else:
-            try:
-                self.detail[(idx.eps, idx.j)][idx.k] = value
-            except KeyError:
-                raise IndexOutOfBandError(idx) from None
+        self._block(idx)[idx.k] = value
 
     def indices(self, include_scaling: bool = True) -> Iterator[WaveletIndex]:
         if include_scaling:
@@ -556,20 +591,6 @@ def build_basis(family: str, spec: GridSpec, profile: str = "polynomial",
     raise ParameterError(f"unknown wavelet family {family!r}")
 
 
-# -- projections as free functions (spec operation names) ----------------------
-
-def analyze(basis, f: GridFunction) -> CoeffField:
-    return basis.analyze(f)
-
-
-def synthesize(basis, c: CoeffField) -> GridFunction:
-    return basis.synthesize(c)
-
-
-def project(basis, f: GridFunction, j: int, kind: str) -> GridFunction:
-    return basis.project(f, j, kind)
-
-
 # -- paraproduct ---------------------------------------------------------------
 
 @dataclass
@@ -659,56 +680,89 @@ def coeff_field_to_json(c: CoeffField) -> str:
 
 
 def coeff_field_from_json(text: str) -> CoeffField:
-    doc = json.loads(text)
-    spec = GridSpec(n=doc["n"], J=doc["J"], j_min=doc["j_min"])
-    c = CoeffField(spec, doc["family"], doc["j_min"], doc["j_max"])
-    for rec in doc["coefficients"]:
-        idx = WaveletIndex(tuple(rec["eps"]), rec["j"], tuple(rec["k"]))
-        c.set(idx, rec["re"] + 1j * rec["im"])
+    """Inverse of coeff_field_to_json; each record must index the band."""
+    try:
+        doc = json.loads(text)
+        spec = GridSpec(n=doc["n"], J=doc["J"], j_min=doc["j_min"])
+        if not doc["j_min"] <= doc["j_max"] < spec.J:
+            raise ParameterError(f"band [{doc['j_min']}, {doc['j_max']}] outside J={spec.J}")
+        c = CoeffField(spec, doc["family"], doc["j_min"], doc["j_max"])
+        for rec in doc["coefficients"]:
+            idx = WaveletIndex(tuple(rec["eps"]), rec["j"], tuple(rec["k"]))
+            c.set(idx, rec["re"] + 1j * rec["im"])
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        raise ParameterError(f"malformed coefficient JSON: {exc!r}") from None
     return c
 
 
+def _file_blocks(c: CoeffField) -> list:
+    """(eps, j, block) in file order: scaling, then detail by sorted (eps, j)."""
+    return [((0,) * c.spec.n, c.j_min, c.scaling)] + [
+        (eps, j, c.detail[(eps, j)]) for eps, j in sorted(c.detail)]
+
+
 def write_coeff_field(c: CoeffField, path: str) -> None:
-    """Binary layout: grid header (flag byte 2) + band + per-block payloads."""
+    """Binary layout: the grid header with flag 2, or 3 for a field on a
+    time grid; j_min, j_max (u32); with flag 3 t_min, t_max (f8), L (u32)
+    and beta (f8, 0.0 for None); the family name (u32 length, bytes); the
+    block count (u32), then per block in `_file_blocks` order j (u32), eps
+    (n bytes) and its (re, im) pairs."""
+    tg = c.tg
+    if c.batch_shape != (() if tg is None else (tg.L,)):
+        raise ParameterError("only a single field or a time field can be written")
+    fam = c.family.encode()
     with open(path, "wb") as fh:
-        fh.write(b"OSLT")
-        fh.write(struct.pack("<IIIB", 1, c.spec.n, c.spec.J, 2))
-        fam = c.family.encode()
+        _write_header(fh, c.spec.n, c.spec.J, 2 if tg is None else 3)
         fh.write(struct.pack("<II", c.j_min, c.j_max))
-        fh.write(struct.pack("<I", len(fam)))
-        fh.write(fam)
-        blocks = [(((0,) * c.spec.n), c.j_min, c.scaling)]
-        blocks += [(eps, j, arr) for (eps, j), arr in sorted(c.detail.items())]
+        if tg is None:
+            fh.write(struct.pack("<I", len(fam)) + fam)
+        else:
+            beta = 0.0 if c.beta is None else c.beta
+            fh.write(struct.pack("<ddIdI", tg.t_min, tg.t_max, tg.L, beta, len(fam)) + fam)
+        blocks = _file_blocks(c)
         fh.write(struct.pack("<I", len(blocks)))
         for eps, j, arr in blocks:
-            fh.write(struct.pack("<I", j))
-            fh.write(bytes(eps))
-            flat = arr.reshape(-1)
-            pairs = np.empty((flat.size, 2), dtype="<f8")
-            pairs[:, 0] = flat.real
-            pairs[:, 1] = flat.imag
-            fh.write(pairs.tobytes())
+            fh.write(struct.pack("<I", j) + bytes(eps))
+            _write_pairs(fh, arr)
 
 
 def read_coeff_field(path: str) -> CoeffField:
+    """Inverse of write_coeff_field.  The sizes the header implies are
+    checked against the file before any block is allocated; a bad band,
+    time grid or beta, a block out of order and a short or long file raise
+    ParameterError.  A beta of 0.0 reads as None."""
     with open(path, "rb") as fh:
-        if fh.read(4) != b"OSLT":
-            raise ParameterError("bad magic")
-        _, n, J, flag = struct.unpack("<IIIB", fh.read(13))
-        if flag != 2:
-            raise ParameterError("not a coefficient-field file")
-        j_min, j_max = struct.unpack("<II", fh.read(8))
-        (flen,) = struct.unpack("<I", fh.read(4))
-        family = fh.read(flen).decode()
+        n, J, flag = _read_header(fh, (2, 3))
+        j_min, j_max = _unpack(fh, "<II")
         spec = GridSpec(n=n, J=J, j_min=j_min)
-        c = CoeffField(spec, family, j_min, j_max)
-        (nblocks,) = struct.unpack("<I", fh.read(4))
-        for _ in range(nblocks):
-            (j,) = struct.unpack("<I", fh.read(4))
-            eps = tuple(fh.read(n))
-            count = (1 << j) ** n
-            raw = np.frombuffer(fh.read(16 * count), dtype="<f8").reshape(-1, 2)
-            arr = (raw[:, 0] + 1j * raw[:, 1]).reshape((1 << j,) * n)
+        if not j_min <= j_max < J:
+            raise ParameterError(f"band [{j_min}, {j_max}] outside J={J}")
+        tg, beta = None, 0.0
+        if flag == 2:
+            (flen,) = _unpack(fh, "<I")
+        else:
+            t_min, t_max, L, beta, flen = _unpack(fh, "<ddIdI")
+            tg = TimeGrid(t_min, t_max, L)
+            if not (beta == 0.0 or 0 < beta < np.inf):
+                raise ParameterError(f"beta must be finite and positive, got {beta}")
+        try:
+            family = _read_exact(fh, flen).decode()
+        except UnicodeDecodeError:
+            raise ParameterError("family name is not UTF-8") from None
+        lead = () if tg is None else (tg.L,)
+        rows = 1 if tg is None else tg.L
+        # the block count, then per block its j, eps and pairs
+        sizes = [4 + n + 16 * rows * (1 << (n * j)) for j in range(j_min, j_max + 1)]
+        if _remaining(fh) != 4 + sizes[0] + ((1 << n) - 1) * sum(sizes):
+            raise ParameterError("file size does not match its header")
+        c = CoeffField(spec, family, j_min, j_max, tg=tg, beta=beta or None)
+        blocks = _file_blocks(c)
+        if _unpack(fh, "<I") != (len(blocks),):
+            raise ParameterError(f"expected {len(blocks)} blocks")
+        for eps, j, _ in blocks:
+            if _unpack(fh, "<I") != (j,) or tuple(_read_exact(fh, n)) != eps:
+                raise ParameterError(f"expected block eps={eps}, j={j} next")
+            arr = _read_pairs(fh, lead + (1 << j,) * n)
             if any(eps):
                 c.detail[(eps, j)] = arr
             else:

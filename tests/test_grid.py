@@ -129,3 +129,22 @@ def test_lattice_norm2_matches_meshgrid(n, J):
     got = spec.lattice_norm2()
     assert got.shape == spec.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("defect", ["missing", "duplicate", "negative", "too-large"])
+def test_csv_rejects_bad_rows(tmp_path, rng, defect):
+    spec = GridSpec(n=1, J=6, j_min=0)
+    path = tmp_path / "f.csv"
+    write_grid_function_csv(GridFunction(spec, rng.standard_normal(spec.shape)),
+                            str(path))
+    header, *rows = path.read_text().splitlines()
+    if defect == "missing":
+        rows = rows[:10]
+    elif defect == "duplicate":
+        rows.append(rows[3])
+    else:
+        index = "-1" if defect == "negative" else "64"
+        rows[5] = ",".join([index] + rows[5].split(",")[1:])
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ParameterError):
+        read_grid_function_csv(str(path), spec)

@@ -16,13 +16,14 @@ from oscillet.operators import (
     read_matrix_jsonl,
     riesz_apply,
     riesz_matrix,
+    ratio_growth,
     riesz_tent_experiment,
     validate_decay,
     write_matrix_jsonl,
 )
 from oscillet.semigroup import SemigroupSpec, TimeGrid, evolve_coefficients
 from oscillet.tent import TentParams
-from oscillet.wavelet import WaveletIndex, build_basis
+from oscillet.wavelet import CoeffField, WaveletIndex, build_basis
 from conftest import band_limited
 
 
@@ -277,10 +278,8 @@ class TestBoundednessExperiments:
 
 class TestRieszTent:
     def test_zero_field_vacuous(self, meyer2d):
-        from oscillet.semigroup import TimeCoeffField
         tg = TimeGrid(1e-4, 2.0, 8)
-        tcf = TimeCoeffField(meyer2d.spec, "meyer", 0, meyer2d.j_max, tg)
-        tcf.beta = 1.0
+        tcf = CoeffField(meyer2d.spec, "meyer", 0, meyer2d.j_max, tg=tg, beta=1.0)
         tp = TentParams(SpaceParams(-0.2, 0.1, 2.0, 2.0), 3.0, 1.0, 1.0)
         result = riesz_tent_experiment(tcf, tp, 1, meyer2d)
         assert all(v is None for v in result["ratios"].values())
@@ -320,18 +319,30 @@ def test_matrix_jsonl_roundtrip(tmp_path, spec1d):
 
 
 def test_apply_matrix_time_matches_slicewise(meyer1d, rng):
-    # batched time application of a scattered matrix equals the per-slice product
+    # batched time application of a scattered and of a circulant (Riesz)
+    # matrix equals the per-slice product bit for bit: one kernel serves both
     from oscillet.semigroup import SemigroupSpec, TimeGrid, evolve_coefficients
 
-    mat = generate_random_czo(meyer1d.spec, 0, meyer1d.j_max,
+    czo = generate_random_czo(meyer1d.spec, 0, meyer1d.j_max,
                               CzoGeneratorParams(N0=4.0, C=1.0), seed=6)
     sg = SemigroupSpec(1.0, meyer1d.spec)
     tg = TimeGrid(1e-5, 1.0, 5)
     f = band_limited(meyer1d, rng)
     tcf = evolve_coefficients(sg, meyer1d, f, tg)
-    fast = apply_matrix_time(mat, tcf)
-    for ell in range(tg.L):
-        slow = apply_matrix(mat, tcf.slice(ell))
-        for key in slow.detail:
-            np.testing.assert_allclose(fast.detail[key][ell], slow.detail[key],
-                                       atol=1e-12)
+    for mat in (czo, riesz_matrix(meyer1d, 1)):
+        fast = apply_matrix_time(mat, tcf)
+        assert (fast.tg, fast.beta) == (tg, 1.0)
+        for ell in range(tg.L):
+            slow = apply_matrix(mat, tcf[ell])
+            for key in slow.detail:
+                np.testing.assert_array_equal(fast.detail[key][ell], slow.detail[key])
+            np.testing.assert_array_equal(fast.scaling[ell], slow.scaling)
+
+
+def test_ratio_growth_at_zero():
+    # a zero operator does not grow; growing from zero is infinite growth
+    assert ratio_growth({8: 0.0, 9: 0.0, 10: 0.0}) == 0.0
+    assert ratio_growth({8: 0.0, 9: 0.0, 10: 2.0}) == np.inf
+    assert ratio_growth({8: 0.0, 9: 1.0}) == np.inf
+    assert ratio_growth({8: 1.0, 9: 0.0}) == 0.0
+    assert ratio_growth({8: 1.0, 10: 4.0, 11: 2.0}) == pytest.approx(1.0)

@@ -9,7 +9,6 @@ from oscillet.norms import SpaceParams
 from oscillet.operators import _random_detail_field
 from oscillet.semigroup import (
     SemigroupSpec,
-    TimeCoeffField,
     TimeGrid,
     calibrate_family,
     check_decay_bounds,
@@ -21,10 +20,15 @@ from oscillet.semigroup import (
     heat_apply,
     heat_frames,
     pi_phi_report,
-    read_time_coeff_field,
-    write_time_coeff_field,
 )
-from oscillet.wavelet import WaveletIndex, build_basis, detail_types
+from oscillet.wavelet import (
+    CoeffField,
+    WaveletIndex,
+    build_basis,
+    detail_types,
+    read_coeff_field,
+    write_coeff_field,
+)
 from conftest import band_limited
 
 
@@ -83,7 +87,7 @@ class TestEvolveCoefficients:
         tcf = evolve_coefficients(sg, meyer1d, f, tg)
         for ell, t in enumerate(tg.nodes()):
             direct = meyer1d.analyze(heat_apply(sg, f, t))
-            sl = tcf.slice(ell)
+            sl = tcf[ell]
             for key in direct.detail:
                 np.testing.assert_allclose(sl.detail[key], direct.detail[key],
                                            atol=1e-12)
@@ -98,7 +102,7 @@ class TestEvolveCoefficients:
             if abs(j - idx.j) > 3:
                 assert np.max(np.abs(arr)) < 1e-10
         # the original index dominates at the earliest node
-        sl = tcf.slice(0)
+        sl = tcf[0]
         assert abs(sl.get(idx)) > 0.9
         assert abs(sl.get(idx)) == pytest.approx(sl.max_abs(), rel=1e-12)
 
@@ -113,7 +117,7 @@ def evolve_oracle(sg, basis, f, tg):
     """The node-by-node evolution: one propagated spectrum per node."""
     F = basis.fourier(f)
     symbol = sg.symbol()
-    out = TimeCoeffField(sg.spec, basis.family, basis.j_min, basis.j_max, tg)
+    out = CoeffField(sg.spec, basis.family, basis.j_min, basis.j_max, tg=tg)
     eps0 = (0,) * sg.spec.n
     for ell, t in enumerate(tg.nodes()):
         Ft = F * np.exp(-t * symbol)
@@ -163,7 +167,7 @@ class TestNodeBatchedHeat:
         frames = list(frames_from_tcf(basis, tcf))
         assert len(frames) == L
         for ell, frame in enumerate(frames):
-            want = basis.synthesize(tcf.slice(ell))
+            want = basis.synthesize(tcf[ell])
             assert frame.data.tobytes() == want.data.tobytes()
 
 
@@ -307,9 +311,41 @@ def test_time_field_serialization(tmp_path, meyer1d, rng):
     f = band_limited(meyer1d, rng)
     tcf = evolve_coefficients(sg, meyer1d, f, tg)
     path = tmp_path / "t.oslt"
-    write_time_coeff_field(tcf, str(path))
-    back = read_time_coeff_field(str(path))
+    write_coeff_field(tcf, str(path))
+    back = read_coeff_field(str(path))
     assert back.beta == 0.75
     assert back.tg == tg
     for key in tcf.detail:
         np.testing.assert_array_equal(back.detail[key], tcf.detail[key])
+
+
+class TestTimeField:
+    def test_rows_are_views_and_derived_fields_keep_tg_and_beta(self, meyer1d, rng):
+        sg = SemigroupSpec(0.75, meyer1d.spec)
+        tg = TimeGrid(1e-4, 1.0, 4)
+        tcf = evolve_coefficients(sg, meyer1d, band_limited(meyer1d, rng), tg)
+        assert (tcf.tg, tcf.beta, tcf.batch_shape) == (tg, 0.75, (4,))
+        row, rows = tcf[2], tcf[1:3]
+        assert (row.tg, row.batch_shape, rows.batch_shape) == (None, (), (2,))
+        assert np.shares_memory(row.scaling, tcf.scaling)
+        assert all(np.shares_memory(rows.detail[key], arr)
+                   for key, arr in tcf.detail.items())
+        for derived in (tcf.copy(), tcf.scaled(2.0), tcf.zeros_like(),
+                        tcf.map_detail(lambda eps, j, arr: -arr), tcf + tcf):
+            assert (derived.tg, derived.beta, derived.batch_shape) == (tg, 0.75, (4,))
+        with pytest.raises(ParameterError):
+            row[0]
+
+    def test_missing_beta_or_time_grid_raises(self, meyer1d, rng):
+        c0 = meyer1d.analyze(band_limited(meyer1d, rng))
+        no_beta = CoeffField(meyer1d.spec, "meyer", 0, meyer1d.j_max,
+                             tg=TimeGrid(1e-4, 1.0, 4))
+        for tcf in (no_beta, c0):
+            with pytest.raises(ParameterError):
+                check_decay_bounds(tcf, c0, N=4.0)
+            with pytest.raises(ParameterError):
+                check_dual_bound(c0, tcf, N=4.0)
+        from oscillet.tent import TentParams, tent_norms
+        tp = TentParams(SpaceParams(-0.2, 0.1, 2.0, 2.0), 3.0, 1.0, 1.0)
+        with pytest.raises(ParameterError):
+            tent_norms(c0, tp)

@@ -10,7 +10,6 @@ from oscillet.norms import SpaceParams, _runs
 from oscillet.operators import _random_detail_field
 from oscillet.semigroup import (
     SemigroupSpec,
-    TimeCoeffField,
     TimeGrid,
     default_time_grid,
     evolve_coefficients,
@@ -23,7 +22,7 @@ from oscillet.tent import (
     t_linf_norm,
     tent_norms,
 )
-from oscillet.wavelet import build_basis
+from oscillet.wavelet import CoeffField, build_basis
 
 
 def make_tp(g1=-0.2, g2=0.1, p=2.0, q=2.0, m=3.0, mp=1.0, beta=1.0):
@@ -31,9 +30,8 @@ def make_tp(g1=-0.2, g2=0.1, p=2.0, q=2.0, m=3.0, mp=1.0, beta=1.0):
 
 
 def empty_tcf(basis, tg, beta=1.0):
-    tcf = TimeCoeffField(basis.spec, basis.family, basis.j_min, basis.j_max, tg)
-    tcf.beta = beta
-    return tcf
+    return CoeffField(basis.spec, basis.family, basis.j_min, basis.j_max, tg=tg,
+                      beta=beta)
 
 
 def brute_force_parts_I_II(tcf, tp):

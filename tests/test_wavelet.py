@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oscillet.errors import BasisConstructionError, ParameterError
+from oscillet.errors import BasisConstructionError, IndexOutOfBandError, ParameterError
 from oscillet.grid import GridFunction, GridSpec, l2_inner, lp_norm, rel_l2_error
 from oscillet.wavelet import (
     MeyerWindow,
@@ -255,3 +255,17 @@ def test_smooth_profile_roundtrip(rng):
     c = basis.analyze(f)
     assert rel_l2_error(basis.synthesize(c), f) < 1e-8
     assert abs(c.energy() - lp_norm(f, 2) ** 2) < 1e-8
+
+
+@pytest.mark.parametrize("idx", [
+    WaveletIndex((1,), 3, (-1,)), WaveletIndex((1,), 3, (8,)),
+    WaveletIndex((1,), 3, (1, 2)), WaveletIndex((1,), 7, (0,)),
+    WaveletIndex((0,), 1, (0,)), WaveletIndex((2,), 3, (0,)),
+])
+def test_get_and_set_reject_indices_outside_the_band(meyer1d, idx):
+    c = meyer1d.analyze(GridFunction.zeros(meyer1d.spec))
+    with pytest.raises(IndexOutOfBandError):
+        c.set(idx, 1.0)
+    with pytest.raises(IndexOutOfBandError):
+        c.get(idx)
+    assert c.max_abs() == 0.0
