@@ -158,8 +158,11 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_tent(args) -> int:
     tcf = read_coeff_field(args.infile)
+    if None not in (args.beta, tcf.beta) and args.beta != tcf.beta:
+        raise SystemExit(f"--beta {args.beta} differs from the file's beta {tcf.beta}")
+    beta = (tcf.beta or 1.0) if args.beta is None else args.beta
     tp = TentParams(SpaceParams(args.gamma1, args.gamma2, args.p, args.q),
-                    m=args.m, m_prime=args.mprime, beta=args.beta)
+                    m=args.m, m_prime=args.mprime, beta=beta)
     rep = tent_norms(tcf, tp)
     report = {
         "kind": "tent",
@@ -317,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tent", help="tent norms of a time coefficient field")
     for name in ("gamma1", "gamma2", "p", "q", "m", "mprime", "beta"):
-        p.add_argument(f"--{name}", type=float, required=(name != "beta"),
-                       default=1.0 if name == "beta" else None)
+        # beta defaults to the file's, or 1.0 for a file without one
+        p.add_argument(f"--{name}", type=float, required=(name != "beta"))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_tent)

@@ -272,7 +272,23 @@ def _tile(arr: np.ndarray, N: int, n: int) -> np.ndarray:
     return np.tile(arr, (1,) * (arr.ndim - n) + (N // L,) * n)
 
 
-class MeyerBasis:
+class _Basis:
+    """What both families share: the detail band and single basis functions."""
+
+    @property
+    def detail_levels(self) -> range:
+        return range(self.j_min, self.j_max + 1)
+
+    def detail_type_list(self) -> list[tuple[int, ...]]:
+        return detail_types(self.spec.n)
+
+    def basis_function(self, idx: WaveletIndex) -> GridFunction:
+        c = CoeffField(self.spec, self.family, self.j_min, self.j_max)
+        c.set(idx, 1.0)
+        return self.synthesize(c)
+
+
+class MeyerBasis(_Basis):
     """Periodized tensor Meyer basis, realized as per-level frequency multipliers."""
 
     family = "meyer"
@@ -297,13 +313,6 @@ class MeyerBasis:
             j: self.window.axis_window(1, TWO_PI * m / (1 << j))
             for j in range(self.j_min, self.j_max + 1)
         }
-
-    @property
-    def detail_levels(self) -> range:
-        return range(self.j_min, self.j_max + 1)
-
-    def detail_type_list(self) -> list[tuple[int, ...]]:
-        return detail_types(self.spec.n)
 
     def _tensor_window(self, eps: tuple[int, ...], j: int) -> np.ndarray:
         axes = [self._w1[j] if bit else self._w0[j] for bit in eps]
@@ -402,11 +411,6 @@ class MeyerBasis:
             return self.from_fourier(G)
         raise ParameterError(f"kind must be 'P' or 'Q', got {kind!r}")
 
-    def basis_function(self, idx: WaveletIndex) -> GridFunction:
-        c = CoeffField(self.spec, self.family, self.j_min, self.j_max)
-        c.set(idx, 1.0)
-        return self.synthesize(c)
-
     def band_cap(self) -> int:
         """Largest |m| per axis on which the truncated ladder resolves exactly."""
         return (1 << (self.j_max + 1)) // 3
@@ -446,18 +450,25 @@ DAUBECHIES_FILTERS = {
 }
 
 
-def _dwt_axis(a: np.ndarray, filt: np.ndarray, axis: int) -> np.ndarray:
-    """Periodic convolution-decimation along one axis: out[l] = sum_m filt[m] a[2l+m]."""
-    a = np.moveaxis(a, axis, 0)
-    M = a.shape[0]
-    idx = (2 * np.arange(M // 2)[:, None] + np.arange(len(filt))[None, :]) % M
-    out = np.tensordot(filt, a[idx], axes=(0, 1))
-    return np.moveaxis(out, 0, axis)
+def _dwt_stack(a: np.ndarray, filt: np.ndarray, axis: int) -> np.ndarray:
+    """Periodic convolution-decimation along grid axis `axis` of a (rows,) +
+    grid stack: out[..., l, ...] = sum_m filt[m] a[..., 2l+m, ...]."""
+    w = np.moveaxis(a, axis + 1, 1)
+    (B, M), L = w.shape[:2], len(filt)
+    idx = (2 * np.arange(M // 2)[:, None] + np.arange(L)[None, :]) % M
+    # Each row keeps the layout np.tensordot(filt, row[idx], axes=(0, 1)) gives
+    # it, so np.matmul makes the row's own BLAS call: bit for bit the same.
+    if w.size == B * M:     # nothing trails the axis: column-major (L, K)
+        bt = np.ascontiguousarray(w.reshape(B, M)[:, idx]).transpose(0, 2, 1)
+    else:                   # row-major (L, K * trailing)
+        bt = np.ascontiguousarray(w[:, idx.T]).reshape(B, L, -1)
+    out = np.matmul(filt.reshape(1, L), bt).reshape((B, M // 2) + w.shape[2:])
+    return np.ascontiguousarray(np.moveaxis(out, 1, axis + 1))
 
 
 def _idwt_axis(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray,
                axis: int) -> np.ndarray:
-    """Adjoint of _dwt_axis: zero-stuff and filter, periodic."""
+    """Adjoint of the convolution-decimation: zero-stuff and filter, periodic."""
     lo = np.moveaxis(lo, axis, 0)
     hi = np.moveaxis(hi, axis, 0)
     M = 2 * lo.shape[0]
@@ -471,7 +482,7 @@ def _idwt_axis(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray,
     return np.moveaxis(out, 0, axis)
 
 
-class DaubechiesBasis:
+class DaubechiesBasis(_Basis):
     """Periodic orthonormal Daubechies cascade; m0 vanishing moments."""
 
     family = "daubechies"
@@ -492,50 +503,38 @@ class DaubechiesBasis:
         # support exponent M: filter length 2 m0 fits in [-2^M, 2^M]
         self.support_exponent = int(np.ceil(np.log2(2 * m0)))
 
-    @property
-    def detail_levels(self) -> range:
-        return range(self.j_min, self.j_max + 1)
-
-    def detail_type_list(self) -> list[tuple[int, ...]]:
-        return detail_types(self.spec.n)
-
-    def analyze_stack(self, data: np.ndarray) -> CoeffField:
-        """One cascade per grid function in `data` (leading batch axes, then
-        the grid shape), stacked into blocks with the same leading axes."""
-        _check_stack(self.spec, data)
-        lead = data.shape[:data.ndim - self.spec.n]
-        rows = [self.analyze(GridFunction(self.spec, row))
-                for row in data.reshape((-1,) + self.spec.shape)]
-        out = CoeffField(self.spec, self.family, self.j_min, self.j_max)
-        for key, arr in out.detail.items():
-            out.detail[key] = np.stack([c.detail[key] for c in rows]
-                                       ).reshape(lead + arr.shape)
-        out.scaling = np.stack([c.scaling for c in rows]
-                               ).reshape(lead + out.scaling.shape)
-        return out
-
     def analyze(self, f: GridFunction) -> CoeffField:
         if f.spec != self.spec:
             raise GridMismatchError("grid function does not match basis grid")
+        return self.analyze_stack(f.data)
+
+    def analyze_stack(self, data: np.ndarray) -> CoeffField:
+        """The cascade on every grid function in `data` (leading batch axes,
+        possibly none, then the grid shape) at once, one matmul per filter,
+        axis and level; the blocks carry the same leading axes."""
+        n = self.spec.n
+        _check_stack(self.spec, data)
+        lead = data.shape[:data.ndim - n]
+        approx = np.asarray(data, dtype=complex).reshape((-1,) + self.spec.shape) \
+            * 2.0 ** (-n * self.spec.J / 2.0)
         out = CoeffField(self.spec, self.family, self.j_min, self.j_max)
-        approx = f.data * 2.0 ** (-self.spec.n * self.spec.J / 2.0)
         for j in range(self.j_max, self.j_min - 1, -1):
             blocks = {(): approx}
-            for axis in range(self.spec.n):
-                nxt = {}
-                for eps_prefix, arr in blocks.items():
-                    nxt[eps_prefix + (0,)] = _dwt_axis(arr, self.h, axis)
-                    nxt[eps_prefix + (1,)] = _dwt_axis(arr, self.g, axis)
-                blocks = nxt
-            approx = blocks[(0,) * self.spec.n]
-            for eps in self.detail_type_list():
-                out.detail[(eps, j)] = blocks[eps]
-        out.scaling = approx
+            for axis in range(n):
+                blocks = {pre + (bit,): _dwt_stack(arr, filt, axis)
+                          for pre, arr in blocks.items()
+                          for bit, filt in ((0, self.h), (1, self.g))}
+            approx = blocks.pop((0,) * n)
+            for eps, arr in blocks.items():
+                out.detail[(eps, j)] = arr.reshape(lead + arr.shape[1:])
+        out.scaling = approx.reshape(lead + approx.shape[1:])
         return out
 
     def synthesize(self, c: CoeffField) -> GridFunction:
         if c.spec != self.spec or c.j_min != self.j_min or c.j_max != self.j_max:
             raise IndexOutOfBandError("coefficient field does not match basis band")
+        if c.batch_shape:
+            raise GridMismatchError(f"synthesize takes one field, not a {c.batch_shape} stack")
         approx = c.scaling.astype(complex)
         for j in range(self.j_min, self.j_max + 1):
             blocks = {(0,) * self.spec.n: approx}
@@ -551,11 +550,6 @@ class DaubechiesBasis:
             approx = blocks[()]
         data = approx * 2.0 ** (self.spec.n * self.spec.J / 2.0)
         return GridFunction(self.spec, data)
-
-    def basis_function(self, idx: WaveletIndex) -> GridFunction:
-        c = CoeffField(self.spec, self.family, self.j_min, self.j_max)
-        c.set(idx, 1.0)
-        return self.synthesize(c)
 
     def project(self, f: GridFunction, j: int, kind: str) -> GridFunction:
         c = self.analyze(f)

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from oscillet.grid import GridFunction, GridSpec
 from oscillet.wavelet import build_basis
+
+# Property tests draw the same examples on every run, keep no example
+# database and have no per-example deadline; each test sets max_examples.
+settings.register_profile("oscillet", derandomize=True, database=None, deadline=None)
+settings.load_profile("oscillet")
 
 
 @pytest.fixture(scope="session")

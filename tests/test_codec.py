@@ -41,7 +41,7 @@ def round_trip(c, path):
     return read_coeff_field(path)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(family=st.sampled_from(["meyer", "daubechies"]), n=st.sampled_from([1, 2]),
        J=st.integers(2, 4), kind=st.sampled_from(["plain", "stacked", "time"]),
        seed=st.integers(0, 2**16))

@@ -225,6 +225,36 @@ def test_cli_semigroup_reconstruct_tent(tmp_path, rng):
     assert rep["combined"] > 0
 
 
+def test_cli_tent_takes_beta_from_the_file(tmp_path, rng):
+    from oscillet.grid import write_grid_function
+    from oscillet.wavelet import build_basis, read_coeff_field, write_coeff_field
+    spec = GridSpec(1, 6, 0)
+    basis = build_basis("meyer", spec)
+    fpath, tpath = tmp_path / "f.bin", tmp_path / "tcf.bin"
+    write_grid_function(basis.band_limit(
+        GridFunction(spec, rng.standard_normal(spec.shape))), str(fpath))
+    assert cli_main(["semigroup", "--beta", "0.75", "--L", "32",
+                     "--in", str(fpath), "--out", str(tpath)]) == 0
+
+    def parts(path, *beta):
+        out = tmp_path / "tent.json"
+        assert cli_main(["tent", "--gamma1", "-0.2", "--gamma2", "0.1",
+                         "--p", "2", "--q", "2", "--m", "3", "--mprime", "1",
+                         *beta, "--in", str(path), "--report", str(out)]) == 0
+        with open(out) as fh:
+            return json.load(fh)["values"]
+
+    assert parts(tpath) == parts(tpath, "--beta", "0.75")
+    with pytest.raises(SystemExit, match="beta"):
+        parts(tpath, "--beta", "1.0")
+    # a file without beta falls back to 1.0, which gives other parts
+    untagged = read_coeff_field(str(tpath))
+    untagged.beta = None
+    upath = tmp_path / "untagged.bin"
+    write_coeff_field(untagged, str(upath))
+    assert parts(upath) == parts(upath, "--beta", "1.0") != parts(tpath)
+
+
 def test_default_suite_covers_all_kinds():
     from oscillet.harness import EXPERIMENT_KINDS
     kinds = [cfg.kind for cfg in default_suite()]

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oscillet.errors import BasisConstructionError, IndexOutOfBandError, ParameterError
+from oscillet.errors import (
+    BasisConstructionError,
+    GridMismatchError,
+    IndexOutOfBandError,
+    ParameterError,
+)
 from oscillet.grid import GridFunction, GridSpec, l2_inner, lp_norm, rel_l2_error
 from oscillet.wavelet import (
+    CHUNK_BYTES,
+    DAUBECHIES_FILTERS,
     MeyerWindow,
     WaveletIndex,
     build_basis,
@@ -269,3 +277,116 @@ def test_get_and_set_reject_indices_outside_the_band(meyer1d, idx):
     with pytest.raises(IndexOutOfBandError):
         c.get(idx)
     assert c.max_abs() == 0.0
+
+
+# -- the batched Daubechies cascade against the row-by-row one -----------------
+
+def _dwt_axis(a, filt, axis):
+    """Periodic convolution-decimation of one grid function along one axis:
+    out[l] = sum_m filt[m] a[2l+m], one np.tensordot per call."""
+    a = np.moveaxis(a, axis, 0)
+    M = a.shape[0]
+    idx = (2 * np.arange(M // 2)[:, None] + np.arange(len(filt))[None, :]) % M
+    return np.moveaxis(np.tensordot(filt, a[idx], axes=(0, 1)), 0, axis)
+
+
+def cascade_by_rows(basis, data):
+    """(detail dict, scaling) of the cascade run on one row of `data` at a
+    time, stacked back onto its leading axes: the oracle of analyze_stack."""
+    spec = basis.spec
+    n = spec.n
+    lead = data.shape[:data.ndim - n]
+    rows = []
+    for row in np.asarray(data, dtype=complex).reshape((-1,) + spec.shape):
+        approx = row * 2.0 ** (-n * spec.J / 2.0)
+        detail = {}
+        for j in range(basis.j_max, basis.j_min - 1, -1):
+            blocks = {(): approx}
+            for axis in range(n):
+                blocks = {pre + (bit,): _dwt_axis(arr, filt, axis)
+                          for pre, arr in blocks.items()
+                          for bit, filt in ((0, basis.h), (1, basis.g))}
+            approx = blocks.pop((0,) * n)
+            detail.update({(eps, j): arr for eps, arr in blocks.items()})
+        rows.append((detail, approx))
+
+    def stacked(blocks):
+        return np.stack(blocks).reshape(lead + blocks[0].shape)
+
+    return ({key: stacked([d[key] for d, _ in rows]) for key in rows[0][0]},
+            stacked([a for _, a in rows]))
+
+
+def assert_matches_rows(basis, data):
+    detail, scaling = cascade_by_rows(basis, data)
+    c = basis.analyze_stack(data)
+    assert c.batch_shape == data.shape[:data.ndim - basis.spec.n]
+    assert set(c.detail) == set(detail)
+    for key, arr in detail.items():
+        np.testing.assert_array_equal(c.detail[key], arr)
+    np.testing.assert_array_equal(c.scaling, scaling)
+
+
+def random_stack(rng, shape, complex_input):
+    data = rng.standard_normal(shape)
+    return data + 1j * rng.standard_normal(shape) if complex_input else data
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+@pytest.mark.parametrize("m0", sorted(DAUBECHIES_FILTERS))
+@pytest.mark.parametrize("n,J,j_min", [(1, 3, 0), (1, 6, 2), (2, 3, 0), (2, 4, 2)])
+def test_batched_cascade_is_bitwise_the_row_by_row_one(n, J, j_min, m0,
+                                                       complex_input, rng):
+    basis = build_basis("daubechies", GridSpec(n, J, j_min), m0=m0)
+    for lead in [(), (1,), (3,), (2, 3)]:
+        assert_matches_rows(basis, random_stack(rng, lead + basis.spec.shape,
+                                                complex_input))
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+@pytest.mark.parametrize("n,J", [(1, 5), (2, 3)])
+def test_batched_cascade_on_a_full_chunk(n, J, complex_input, rng):
+    basis = build_basis("daubechies", GridSpec(n, J, 0))
+    rows = CHUNK_BYTES // (16 * basis.spec.size)
+    assert_matches_rows(basis, random_stack(rng, (rows,) + basis.spec.shape,
+                                            complex_input))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_daubechies_analyze_is_the_batch_of_one(n, rng):
+    basis = build_basis("daubechies", GridSpec(n, 4, 0), m0=3)
+    f = GridFunction(basis.spec, random_stack(rng, basis.spec.shape, True))
+    c, s = basis.analyze(f), basis.analyze_stack(f.data)
+    assert c.batch_shape == s.batch_shape == ()
+    for key in c.detail:
+        np.testing.assert_array_equal(c.detail[key], s.detail[key])
+    np.testing.assert_array_equal(c.scaling, s.scaling)
+
+
+def test_daubechies_synthesize_rejects_a_stack(rng):
+    basis = build_basis("daubechies", GridSpec(1, 3, 0), m0=2)
+    data = rng.standard_normal((3,) + basis.spec.shape)
+    c = basis.analyze_stack(data)
+    with pytest.raises(GridMismatchError):
+        basis.synthesize(c)
+    assert rel_l2_error(basis.synthesize(c[1]), GridFunction(basis.spec, data[1])) < 1e-12
+
+
+@settings(max_examples=40)
+@given(family=st.sampled_from(["meyer", "daubechies"]), n=st.sampled_from([1, 2]),
+       J=st.integers(2, 6), rows=st.integers(1, 5), complex_input=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_stack_round_trip_and_parseval(family, n, J, rows, complex_input, seed):
+    """Each row of analyze_stack synthesizes back to its input and keeps its
+    l2 energy (the Meyer rows band-limited, which the basis reproduces)."""
+    basis = build_basis(family, GridSpec(n, J if n == 1 else min(J, 4), 0))
+    spec = basis.spec
+    data = random_stack(np.random.default_rng(seed), (rows,) + spec.shape,
+                        complex_input)
+    fs = [basis.band_limit(GridFunction(spec, row)) for row in data]
+    c = basis.analyze_stack(np.stack([f.data for f in fs]))
+    assert c.batch_shape == (rows,)
+    for i, f in enumerate(fs):
+        assert rel_l2_error(basis.synthesize(c[i]), f) < 1e-12
+        energy = lp_norm(f, 2) ** 2
+        assert abs(c[i].energy() - energy) <= 1e-12 * energy
