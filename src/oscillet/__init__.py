@@ -48,7 +48,6 @@ from .semigroup import (
     frames_from_tcf,
     heat_apply,
     heat_frames,
-    pi_phi,
     pi_phi_report,
 )
 from .tent import (

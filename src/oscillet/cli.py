@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from .errors import ParameterError
 from .grid import GridSpec, read_grid_function, write_grid_function
 from .harness import ExperimentConfig, default_suite, run_all, write_report
 from .norms import (
@@ -49,7 +50,8 @@ from .wavelet import (
 )
 
 CONFIG_TEMPLATE = """\
-# oscillet experiment configuration (key = value per line, '#' comments)
+# oscillet experiment configuration (key = value per line, '#' comments);
+# unknown keys are rejected, and gamma1, gamma2, p and q are set together
 # kind: norm-equivalence | semigroup-characterization | czo-boundedness |
 #       riesz-tent | decay-bounds | embeddings
 kind = norm-equivalence
@@ -64,10 +66,13 @@ m = 3.0
 m_prime = 1.0
 beta = 1.0
 samples = 20
+# verify --seed overrides the seed
 seed = 42
 family = meyer
 profile = polynomial
 time_nodes = 256
+# moment order of the oscillation norm; auto is 1 for gamma1 <= 0, else 3
+m0 = auto
 """
 
 
@@ -216,31 +221,50 @@ def cmd_riesz(args) -> int:
     return 0
 
 
+# config file key -> parser of its value
+_CONFIG_KEYS = {
+    "kind": str, "n": int, "J_sweep": lambda v: tuple(int(J) for J in v.split(",")),
+    "j_min": int, "gamma1": float, "gamma2": float, "p": float, "q": float,
+    "m": float, "m_prime": float, "beta": float, "samples": int, "seed": int,
+    "family": str, "profile": str, "time_nodes": int,
+    "m0": lambda v: None if v == "auto" else int(v),
+}
+_SP_KEYS = ("gamma1", "gamma2", "p", "q")
+
+
 def _parse_config_file(path: str) -> dict:
     values: dict = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, _, raw = line.partition("=")
+            key, sep, raw = line.partition("=")
+            if not sep:
+                raise ParameterError(f"line {lineno}: expected 'key = value', got {line!r}")
             values[key.strip()] = raw.strip()
     return values
 
 
 def _config_from_values(values: dict) -> ExperimentConfig:
-    kw: dict = {"kind": values["kind"]}
-    if "J_sweep" in values:
-        kw["J_sweep"] = tuple(int(v) for v in values["J_sweep"].split(","))
-    for key, cast in (("n", int), ("j_min", int), ("m", float),
-                      ("m_prime", float), ("beta", float), ("samples", int),
-                      ("seed", int), ("family", str), ("profile", str),
-                      ("time_nodes", int), ("m0", int)):
-        if key in values:
-            kw[key] = cast(values[key])
-    sp_keys = ("gamma1", "gamma2", "p", "q")
-    if all(k in values for k in sp_keys):
-        kw["sp"] = SpaceParams(*(float(values[k]) for k in sp_keys))
+    kw: dict = {}
+    for key, raw in values.items():
+        if key not in _CONFIG_KEYS:
+            raise ParameterError(f"unknown config key {key!r}; expected one of "
+                                 f"{', '.join(_CONFIG_KEYS)}")
+        try:
+            kw[key] = _CONFIG_KEYS[key](raw)
+        except ValueError:
+            raise ParameterError(f"config key {key!r}: cannot parse {raw!r}") from None
+    if "kind" not in kw:
+        raise ParameterError("config key 'kind' is missing")
+    sp = [kw.pop(k) for k in _SP_KEYS if k in kw]
+    if sp:
+        missing = [k for k in _SP_KEYS if k not in values]
+        if missing:
+            raise ParameterError(f"config keys {', '.join(missing)} missing: "
+                                 "gamma1, gamma2, p and q are set together")
+        kw["sp"] = SpaceParams(*sp)
     return ExperimentConfig(**kw)
 
 
@@ -251,13 +275,17 @@ def cmd_verify(args) -> int:
         print(f"wrote template to {args.write_config_template}")
         return 0
     if args.config:
-        configs = [_config_from_values(_parse_config_file(args.config))]
+        try:
+            configs = [_config_from_values(_parse_config_file(args.config))]
+        except ParameterError as exc:
+            raise SystemExit(f"{args.config}: {exc}") from None
     elif args.suite == "default":
-        configs = default_suite(seed=args.seed)
+        configs = default_suite()
     else:
         raise SystemExit(f"unknown suite {args.suite!r}")
-    for cfg in configs:
-        cfg.seed = args.seed
+    if args.seed is not None:
+        for cfg in configs:
+            cfg.seed = args.seed
     summary = run_all(configs, args.out)
     for kind, rep in sorted(summary["experiments"].items()):
         print(f"{'PASS' if rep.get('passed') else 'FAIL'}  {kind}")
@@ -356,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the experiment suite")
     p.add_argument("--suite", default="default")
-    p.add_argument("--seed", type=int, default=42)
+    # default: the config file's seed, or 42 for the default suite
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="reports")
     p.add_argument("--config", default=None)
     p.add_argument("--write-config-template", default=None)

@@ -10,6 +10,11 @@ than a fixed rate per unit J, identities must hold to fixed tolerances.
 Reports are plain dictionaries serialized with sorted keys; nothing
 time-dependent enters them; the only timestamp lives in the digest's
 metadata block.
+
+Every runner and negative control takes its bases, inputs and time grid
+from the same helpers (`_sweep`, `_sample`, `_time_grid`).  Warnings are
+muted in one place, `run_experiment`; the runners and the library
+functions they call leave the caller's warning filters alone.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -36,6 +41,7 @@ from .operators import (
     _random_detail_field,
     czo_boundedness_experiment,
     ratio_growth,
+    riesz_tent_experiment,
 )
 from .semigroup import (
     SemigroupSpec,
@@ -53,15 +59,7 @@ from .wavelet import CoeffField, WaveletIndex, build_basis
 GROWTH_LIMIT = 0.10          # boundedness claims: < 10% ratio growth per unit J
 IDENTITY_TOL = 1e-3          # reconstruction-type identities
 DECAY_STABILITY = 0.20       # measured decay constants: +-20% band across the sweep
-
-EXPERIMENT_KINDS = (
-    "norm-equivalence",
-    "semigroup-characterization",
-    "czo-boundedness",
-    "riesz-tent",
-    "decay-bounds",
-    "embeddings",
-)
+PARTS = ("I", "II", "III", "IV")   # the four tent parts
 
 
 @dataclass
@@ -80,7 +78,6 @@ class ExperimentConfig:
     profile: str = "polynomial"
     time_nodes: int = 256
     m0: int | None = None      # moment order; None picks 1 for gamma1 <= 0 else 3
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -172,16 +169,50 @@ def _band_stability(values_by_J: dict) -> float:
     return float(np.max(np.abs(vals - mean)) / mean)
 
 
+# -- the shared sweep pieces -----------------------------------------------------
+
+def _basis(cfg: ExperimentConfig, J: int, family: str = "meyer"):
+    return build_basis(family, GridSpec(n=cfg.n, J=J, j_min=cfg.j_min),
+                       profile=cfg.profile)
+
+
+def _sweep(cfg: ExperimentConfig, family: str = "meyer", endpoints: bool = False):
+    """(J, basis) for each J of the sweep, or for its first and last J."""
+    Js = (cfg.J_sweep[0], cfg.J_sweep[-1]) if endpoints else cfg.J_sweep
+    return ((J, _basis(cfg, J, family)) for J in Js)
+
+
+def _sample(cfg: ExperimentConfig, basis, s: int = 0) -> GridFunction:
+    """Input sample s of the sweep; the negative controls use sample 0."""
+    return generate_test_function(TestFunctionSpec(
+        "random-coeff-in-ball", {"sp": cfg.sp}, seed=cfg.seed + 104729 * s),
+        basis)
+
+
+def _time_grid(cfg: ExperimentConfig, beta: float | None = None):
+    """The sweep's one time grid (at cfg.beta unless `beta` is given): node
+    positions shared across J, so seam quantities compare without jitter."""
+    return default_time_grid(GridSpec(cfg.n, max(cfg.J_sweep), cfg.j_min),
+                             cfg.beta if beta is None else beta,
+                             L=cfg.time_nodes)
+
+
+def _lift(basis, f: GridFunction, tg, beta: float) -> CoeffField:
+    return evolve_coefficients(SemigroupSpec(beta, basis.spec), basis, f, tg)
+
+
+def _one_coefficient(basis, j: int, k: tuple[int, ...]) -> CoeffField:
+    """The field with a single unit coefficient of type (1, 0, ...) at (j, k)."""
+    c = CoeffField(basis.spec, basis.family, basis.j_min, basis.j_max)
+    c.set(WaveletIndex((1,) + (0,) * (basis.spec.n - 1), j, k), 1.0)
+    return c
+
+
 # -- experiments -----------------------------------------------------------------
 
 def run_norm_equivalence(cfg: ExperimentConfig) -> dict:
     """Oscillation norm against the wavelet norm: per-sample ratios, per-J
     brackets, endpoint drift and cross-basis overlap."""
-    if cfg.sp.degenerate(cfg.n):
-        note = ("gamma2 > n/p: degenerate regime; the equivalence experiment "
-                "still runs at finite scale")
-    else:
-        note = None
     rows = []
     # the moment order follows the smoothness index: low orders avoid
     # absorbing coarse periodic content into the per-cube polynomial, high
@@ -189,49 +220,34 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> dict:
     m0 = cfg.m0 if cfg.m0 is not None else (3 if cfg.sp.gamma1 > 0 else 1)
     brackets: dict[str, dict[int, tuple[float, float]]] = {}
     meyer_osc: dict[tuple[int, int], float] = {}     # (J, sample) -> value
-    families = ("meyer", cfg.family) if cfg.family != "meyer" else ("meyer",)
-    for family in dict.fromkeys(families):
+    cutoff = CutoffFamily(n=cfg.n)
+    for family in dict.fromkeys(("meyer", cfg.family)):
         per_J = {}
-        for J in cfg.J_sweep:
-            spec = GridSpec(n=cfg.n, J=J, j_min=cfg.j_min)
-            basis = build_basis(family, spec, profile=cfg.profile)
-            cutoff = CutoffFamily(n=cfg.n)
+        for J, basis in _sweep(cfg, family=family):
             ratios = []
             for s in range(cfg.samples):
-                tfs = TestFunctionSpec(
-                    "random-coeff-in-ball", {"sp": cfg.sp},
-                    seed=cfg.seed + 104729 * s)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    f = generate_test_function(tfs, basis)
-                    wav = tlm_wavelet_norm(basis.analyze(f), cfg.sp)
-                    osc = oscillation_norm_report(f, cfg.sp, cutoff, m0, basis)
+                f = _sample(cfg, basis, s)
+                wav = tlm_wavelet_norm(basis.analyze(f), cfg.sp)
+                osc = oscillation_norm_report(f, cfg.sp, cutoff, m0, basis).value
                 if family == "meyer":
-                    meyer_osc[(J, s)] = osc.value
+                    meyer_osc[(J, s)] = osc
                 if wav <= 0:
                     continue
-                ratio = osc.value / wav
+                ratio = osc / wav
                 ratios.append(ratio)
                 rows.append({"experiment": "norm-equivalence", "family": family,
-                             "J": J, "sample": s, "oscillation": osc.value,
+                             "J": J, "sample": s, "oscillation": osc,
                              "wavelet": wav, "ratio": ratio})
             per_J[J] = (min(ratios), max(ratios))
         brackets[family] = per_J
-    # endpoint change over the whole sweep (first J to last J)
-    J0, J1 = cfg.J_sweep[0], cfg.J_sweep[-1]
-    lo_drift = abs(brackets["meyer"][J1][0] / brackets["meyer"][J0][0] - 1.0) \
-        if brackets["meyer"][J0][0] > 0 else np.inf
-    hi_drift = abs(brackets["meyer"][J1][1] / brackets["meyer"][J0][1] - 1.0) \
-        if brackets["meyer"][J0][1] > 0 else np.inf
-    vals = [brackets[f][J] for f in brackets for J in cfg.J_sweep]
-    lo_max = max(v[0] for v in vals)
-    hi_min = min(v[1] for v in vals)
-    overlap = lo_max <= hi_min
+    drift = _bracket_drift(cfg, brackets["meyer"])
+    vals = [b for per in brackets.values() for b in per.values()]
+    overlap = max(v[0] for v in vals) <= min(v[1] for v in vals)
 
     # negative control: pairing the oscillation norm with a wavelet norm of
     # mismatched smoothness must break the bracket stability
     control = _mismatched_smoothness_control(cfg, m0, meyer_osc)
-    passed = (lo_drift < GROWTH_LIMIT and hi_drift < GROWTH_LIMIT and overlap
+    passed = (all(d < GROWTH_LIMIT for d in drift.values()) and overlap
               and control["detected"])
     report = {
         "kind": "norm-equivalence",
@@ -239,13 +255,14 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> dict:
         "moment_order": m0,
         "brackets": {f: {str(J): list(b) for J, b in per.items()}
                      for f, per in brackets.items()},
-        "bracket_drift": {"low": lo_drift, "high": hi_drift},
+        "bracket_drift": drift,
         "brackets_overlap": overlap,
         "negative_control": control,
         "passed": bool(passed),
     }
-    if note:
-        report["note"] = note
+    if cfg.sp.degenerate(cfg.n):
+        report["note"] = ("gamma2 > n/p: degenerate regime; the equivalence "
+                          "experiment still runs at finite scale")
     return {"report": report, "rows": rows}
 
 
@@ -260,31 +277,30 @@ def _mismatched_smoothness_control(cfg: ExperimentConfig, m0: int,
                            cfg.sp.q)
     cutoff = CutoffFamily(n=cfg.n)
     endpoints = {}
-    for J in (cfg.J_sweep[0], cfg.J_sweep[-1]):
-        spec = GridSpec(n=cfg.n, J=J, j_min=cfg.j_min)
-        basis = build_basis("meyer", spec, profile=cfg.profile)
+    for J, basis in _sweep(cfg, endpoints=True):
         ratios = []
         for s in range(3):
-            tfs = TestFunctionSpec("random-coeff-in-ball", {"sp": cfg.sp},
-                                   seed=cfg.seed + 104729 * s)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                f = generate_test_function(tfs, basis)
-                wav = tlm_wavelet_norm(basis.analyze(f), sp_wrong)
-                if (J, s) in meyer_osc:
-                    osc = meyer_osc[(J, s)]
-                else:
-                    osc = oscillation_norm_report(f, cfg.sp, cutoff, m0,
-                                                  basis).value
+            f = _sample(cfg, basis, s)
+            wav = tlm_wavelet_norm(basis.analyze(f), sp_wrong)
+            if (J, s) in meyer_osc:
+                osc = meyer_osc[(J, s)]
+            else:
+                osc = oscillation_norm_report(f, cfg.sp, cutoff, m0, basis).value
             if wav > 0:
                 ratios.append(osc / wav)
         endpoints[J] = (min(ratios), max(ratios))
-    J0, J1 = cfg.J_sweep[0], cfg.J_sweep[-1]
-    lo = abs(endpoints[J1][0] / endpoints[J0][0] - 1.0)
-    hi = abs(endpoints[J1][1] / endpoints[J0][1] - 1.0)
-    detected = max(lo, hi) > GROWTH_LIMIT
+    drift = _bracket_drift(cfg, endpoints)
     return {"kind": "mismatched-smoothness", "gamma1_wrong": sp_wrong.gamma1,
-            "drift": {"low": lo, "high": hi}, "detected": bool(detected)}
+            "drift": drift, "detected": bool(max(drift.values()) > GROWTH_LIMIT)}
+
+
+def _bracket_drift(cfg: ExperimentConfig, brackets_by_J: dict) -> dict:
+    """Relative change of each bracket end from the first J of the sweep to
+    the last."""
+    J0, J1 = cfg.J_sweep[0], cfg.J_sweep[-1]
+    return {end: abs(brackets_by_J[J1][i] / brackets_by_J[J0][i] - 1.0)
+            if brackets_by_J[J0][i] > 0 else np.inf
+            for i, end in enumerate(("low", "high"))}
 
 
 def run_semigroup_characterization(cfg: ExperimentConfig) -> dict:
@@ -295,48 +311,35 @@ def run_semigroup_characterization(cfg: ExperimentConfig) -> dict:
     if bad:
         raise ParameterError("characterization preconditions violated: " + "; ".join(bad))
     rows = []
-    part_max = {name: {} for name in ("I", "II", "III", "IV")}
-    reverse_max = {}
-    residual_max = {}
-    surjectivity = {}
-    # one time grid for the whole sweep: node positions shared across J, so
-    # seam-localized quantities compare without grid jitter
-    tg = default_time_grid(GridSpec(cfg.n, max(cfg.J_sweep), cfg.j_min),
-                           cfg.beta, L=cfg.time_nodes)
+    part_max = {name: {} for name in PARTS}
+    reverse_max, residual_max, surjectivity = {}, {}, {}
+    tg = _time_grid(cfg)
     fam = calibrate_family(cfg.beta, profile=cfg.profile)
-    for J in cfg.J_sweep:
-        spec = GridSpec(n=cfg.n, J=J, j_min=cfg.j_min)
-        basis = build_basis("meyer", spec, profile=cfg.profile)
-        sg = SemigroupSpec(cfg.beta, spec)
+    for J, basis in _sweep(cfg):
         peaks = {name: 0.0 for name in part_max}
         rev_peak, res_peak = 0.0, 0.0
         for s in range(cfg.samples):
-            tfs = TestFunctionSpec("random-coeff-in-ball", {"sp": cfg.sp},
-                                   seed=cfg.seed + 104729 * s)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                f = generate_test_function(tfs, basis)
-                tcf = evolve_coefficients(sg, basis, f, tg)
-                rep = tent_norms(tcf, tp)
-                rec, _ = pi_phi_report(fam, frames_from_tcf(basis, tcf), tg, spec)
-                rec_norm = tlm_wavelet_norm(basis.analyze(rec), cfg.sp)
+            f = _sample(cfg, basis, s)
+            tcf = _lift(basis, f, tg, cfg.beta)
+            rep = tent_norms(tcf, tp)
+            rec, _ = pi_phi_report(fam, frames_from_tcf(basis, tcf), tg, basis.spec)
+            rec_norm = tlm_wavelet_norm(basis.analyze(rec), cfg.sp)
             residual = rel_l2_error(rec, f)
             combined = rep.combined
             reverse = rec_norm / combined if combined > 0 else 0.0
-            for name, val in zip(("I", "II", "III", "IV"), rep.values):
+            for name, val in zip(PARTS, rep.values):
                 peaks[name] = max(peaks[name], val)
             rev_peak = max(rev_peak, reverse)
             res_peak = max(res_peak, residual)
             rows.append({"experiment": "semigroup-characterization", "J": J,
-                         "sample": s, "part_I": rep.values[0],
-                         "part_II": rep.values[1], "part_III": rep.values[2],
-                         "part_IV": rep.values[3], "combined": combined,
+                         "sample": s, "combined": combined,
+                         **{f"part_{name}": v for name, v in zip(PARTS, rep.values)},
                          "reverse_ratio": reverse, "residual": residual})
         for name in part_max:
             part_max[name][J] = peaks[name]
         reverse_max[J] = rev_peak
         residual_max[J] = res_peak
-        surjectivity[J] = _surjectivity_probe(basis, sg, fam, tg, tp, cfg)
+        surjectivity[J] = _surjectivity_probe(basis, fam, tg, tp, cfg)
     growths = {name: ratio_growth(vals) for name, vals in part_max.items()}
     rev_growth = ratio_growth(reverse_max)
     control = _miscalibrated_reconstruction_control(cfg, fam, tg)
@@ -366,42 +369,31 @@ def run_semigroup_characterization(cfg: ExperimentConfig) -> dict:
 def _miscalibrated_reconstruction_control(cfg, fam, tg) -> dict:
     """Inflating the calibration constant by half must push the
     reconstruction residual far beyond the identity tolerance."""
-    import copy
-
-    spec = GridSpec(n=cfg.n, J=cfg.J_sweep[0], j_min=cfg.j_min)
-    basis = build_basis("meyer", spec, profile=cfg.profile)
-    sg = SemigroupSpec(cfg.beta, spec)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        f = generate_test_function(
-            TestFunctionSpec("random-coeff-in-ball", {"sp": cfg.sp},
-                             seed=cfg.seed), basis)
-        bad_fam = copy.copy(fam)
-        bad_fam.C_beta = 1.5 * fam.C_beta
-        tcf = evolve_coefficients(sg, basis, f, tg)
-        rec, _ = pi_phi_report(bad_fam, frames_from_tcf(basis, tcf), tg, spec)
+    basis = _basis(cfg, cfg.J_sweep[0])
+    f = _sample(cfg, basis)
+    bad_fam = replace(fam, C_beta=1.5 * fam.C_beta)
+    tcf = _lift(basis, f, tg, cfg.beta)
+    rec, _ = pi_phi_report(bad_fam, frames_from_tcf(basis, tcf), tg, basis.spec)
     residual = rel_l2_error(rec, f)
     return {"kind": "miscalibrated-reconstruction", "residual": residual,
             "detected": bool(residual > IDENTITY_TOL)}
 
 
-def _surjectivity_probe(basis, sg, fam, tg, tp, cfg) -> dict:
+def _surjectivity_probe(basis, fam, tg, tp, cfg) -> dict:
     """Feed a synthetic admissible tent field (not a heat lift) through the
     reconstruction and bound its Morrey norm by the tent norm."""
     spec = basis.spec
     c = _random_detail_field(basis, cfg.sp, cfg.seed + 31)
     tcf = CoeffField(spec, basis.family, basis.j_min, basis.j_max, tg=tg,
-                     beta=sg.beta)
+                     beta=cfg.beta)
     nodes = tg.nodes()
     for (eps, j), arr in tcf.detail.items():
-        tau = nodes * 2.0 ** (2 * sg.beta * j)
+        tau = nodes * 2.0 ** (2 * cfg.beta * j)
         profile = np.where(tau <= 1.0, tau**tp.m_prime, tau ** (-(tp.m + 1.0)))
         arr[:] = profile.reshape((-1,) + (1,) * spec.n) * c.detail[(eps, j)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = tent_norms(tcf, tp)
-        rec, _ = pi_phi_report(fam, frames_from_tcf(basis, tcf), tg, spec)
-        image_norm = tlm_wavelet_norm(basis.analyze(rec), cfg.sp)
+    rep = tent_norms(tcf, tp)
+    rec, _ = pi_phi_report(fam, frames_from_tcf(basis, tcf), tg, spec)
+    image_norm = tlm_wavelet_norm(basis.analyze(rec), cfg.sp)
     combined = rep.combined
     return {"tent_norm": combined, "image_norm": image_norm,
             "ratio": image_norm / combined if combined > 0 else 0.0}
@@ -443,28 +435,17 @@ def run_czo_boundedness(cfg: ExperimentConfig) -> dict:
 
 def run_riesz_tent(cfg: ExperimentConfig) -> dict:
     """Tent-part ratios of the Riesz transform on heat-lifted data."""
-    from .operators import riesz_tent_experiment
-
     tp = cfg.tent_params()
     rows = []
-    part_ratio_max = {name: {} for name in ("I", "II", "III", "IV")}
-    tg = default_time_grid(GridSpec(cfg.n, max(cfg.J_sweep), cfg.j_min),
-                           cfg.beta, L=cfg.time_nodes)
-    for J in cfg.J_sweep:
-        spec = GridSpec(n=cfg.n, J=J, j_min=cfg.j_min)
-        basis = build_basis("meyer", spec, profile=cfg.profile)
-        sg = SemigroupSpec(cfg.beta, spec)
+    part_ratio_max = {name: {} for name in PARTS}
+    tg = _time_grid(cfg)
+    for J, basis in _sweep(cfg):
         peaks = {name: 0.0 for name in part_ratio_max}
         for s in range(cfg.samples):
-            tfs = TestFunctionSpec("random-coeff-in-ball", {"sp": cfg.sp},
-                                   seed=cfg.seed + 104729 * s)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                f = generate_test_function(tfs, basis)
-                tcf = evolve_coefficients(sg, basis, f, tg)
-                result = riesz_tent_experiment(tcf, tp, 1, basis)
+            tcf = _lift(basis, _sample(cfg, basis, s), tg, cfg.beta)
+            result = riesz_tent_experiment(tcf, tp, 1, basis)
             row = {"experiment": "riesz-tent", "J": J, "sample": s}
-            for name in ("I", "II", "III", "IV"):
+            for name in PARTS:
                 r = result["ratios"][name]
                 row[f"ratio_{name}"] = r
                 if r is not None and np.isfinite(r):
@@ -494,20 +475,11 @@ def _level_boost_control(cfg, tp, tg) -> dict:
     """An unbounded diagonal operator (coefficients boosted by 2^{j/2}) must
     make the tent-part ratios grow across the sweep."""
     ratio_by_J = {}
-    for J in (cfg.J_sweep[0], cfg.J_sweep[-1]):
-        spec = GridSpec(n=cfg.n, J=J, j_min=cfg.j_min)
-        basis = build_basis("meyer", spec, profile=cfg.profile)
-        sg = SemigroupSpec(cfg.beta, spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            f = generate_test_function(
-                TestFunctionSpec("random-coeff-in-ball", {"sp": cfg.sp},
-                                 seed=cfg.seed), basis)
-            tcf = evolve_coefficients(sg, basis, f, tg)
-            boosted = tcf.map_detail(
-                lambda eps, j, block: block * 2.0 ** (j / 2.0))
-            rep_in = tent_norms(tcf, tp)
-            rep_out = tent_norms(boosted, tp)
+    for J, basis in _sweep(cfg, endpoints=True):
+        tcf = _lift(basis, _sample(cfg, basis), tg, cfg.beta)
+        boosted = tcf.map_detail(lambda eps, j, block: block * 2.0 ** (j / 2.0))
+        rep_in = tent_norms(tcf, tp)
+        rep_out = tent_norms(boosted, tp)
         ratio_by_J[J] = (rep_out.combined / rep_in.combined
                          if rep_in.combined > 0 else 0.0)
     growth = ratio_growth(ratio_by_J)
@@ -525,8 +497,7 @@ def run_decay_bounds(cfg: ExperimentConfig) -> dict:
     by_beta = {}
     j_star = max(cfg.j_min, (cfg.j_min + min(cfg.J_sweep) - 2) // 2)
     for beta in betas:
-        tg = default_time_grid(GridSpec(cfg.n, max(cfg.J_sweep), cfg.j_min),
-                               beta, L=cfg.time_nodes)
+        tg = _time_grid(cfg, beta)
         by_variant = {}
         # single-coefficient data at two separated levels gate the pass: the
         # measured constant must hold at every resolution and comparably
@@ -536,18 +507,13 @@ def run_decay_bounds(cfg: ExperimentConfig) -> dict:
         gate_values = []
         for variant, j_coeff in variants:
             reports = []
-            for J in cfg.J_sweep:
-                spec = GridSpec(n=cfg.n, J=J, j_min=cfg.j_min)
-                basis = build_basis("meyer", spec, profile=cfg.profile)
-                sg = SemigroupSpec(beta, spec)
+            for J, basis in _sweep(cfg):
                 if j_coeff is not None:
-                    c0 = CoeffField(spec, basis.family, basis.j_min, basis.j_max)
-                    c0.set(WaveletIndex((1,) + (0,) * (cfg.n - 1), j_coeff,
-                                        (3 % (1 << j_coeff),) * cfg.n), 1.0)
+                    c0 = _one_coefficient(basis, j_coeff,
+                                          (3 % (1 << j_coeff),) * cfg.n)
                 else:
                     c0 = _random_detail_field(basis, cfg.sp, cfg.seed + 17)
-                f = basis.synthesize(c0)
-                tcf = evolve_coefficients(sg, basis, f, tg)
+                tcf = _lift(basis, basis.synthesize(c0), tg, beta)
                 rep = check_decay_bounds(tcf, c0, N=4.0)
                 reports.append((J, rep))
                 rows.append({"experiment": "decay-bounds", "beta": beta,
@@ -592,22 +558,14 @@ def run_decay_bounds(cfg: ExperimentConfig) -> dict:
 def _misattributed_decay_control(cfg, j_star) -> dict:
     """Checking the lift of one wavelet against initial data positioned on
     the opposite side of the torus must blow the measured constant up."""
-    J = cfg.J_sweep[0]
-    spec = GridSpec(n=cfg.n, J=J, j_min=cfg.j_min)
-    basis = build_basis("meyer", spec, profile=cfg.profile)
-    sg = SemigroupSpec(cfg.beta, spec)
-    tg = default_time_grid(GridSpec(cfg.n, max(cfg.J_sweep), cfg.j_min),
-                           cfg.beta, L=cfg.time_nodes)
-    eps = (1,) + (0,) * (cfg.n - 1)
+    basis = _basis(cfg, cfg.J_sweep[0])
     k_true = (3 % (1 << j_star),) * cfg.n
-    c_true = CoeffField(spec, basis.family, basis.j_min, basis.j_max)
-    c_true.set(WaveletIndex(eps, j_star, k_true), 1.0)
     k_wrong = tuple((k + (1 << j_star) // 2) % (1 << j_star) for k in k_true)
-    c_wrong = CoeffField(spec, basis.family, basis.j_min, basis.j_max)
-    c_wrong.set(WaveletIndex(eps, j_star, k_wrong), 1.0)
-    tcf = evolve_coefficients(sg, basis, basis.synthesize(c_true), tg)
+    c_true = _one_coefficient(basis, j_star, k_true)
+    tcf = _lift(basis, basis.synthesize(c_true), _time_grid(cfg), cfg.beta)
     rep_true = check_decay_bounds(tcf, c_true, N=4.0)
-    rep_wrong = check_decay_bounds(tcf, c_wrong, N=4.0)
+    rep_wrong = check_decay_bounds(tcf, _one_coefficient(basis, j_star, k_wrong),
+                                   N=4.0)
     blowup = (rep_wrong.max_r2 / rep_true.max_r2
               if rep_true.max_r2 > 0 else np.inf)
     return {"kind": "misattributed-initial-data", "blowup": blowup,
@@ -621,37 +579,23 @@ def run_embeddings(cfg: ExperimentConfig) -> dict:
     rows = []
     high_by_J, low_by_J = {}, {}
     flagged_control = False
-    tg = default_time_grid(GridSpec(cfg.n, max(cfg.J_sweep), cfg.j_min),
-                           cfg.beta, L=cfg.time_nodes)
-    for J in cfg.J_sweep:
-        spec = GridSpec(n=cfg.n, J=J, j_min=cfg.j_min)
-        basis = build_basis("meyer", spec, profile=cfg.profile)
-        sg = SemigroupSpec(cfg.beta, spec)
-        tfs = TestFunctionSpec("random-coeff-in-ball", {"sp": cfg.sp},
-                               seed=cfg.seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            f = generate_test_function(tfs, basis)
-            tcf = evolve_coefficients(sg, basis, f, tg)
-            emb = check_embeddings(tcf, tp)
+    tg = _time_grid(cfg)
+    for J, basis in _sweep(cfg):
+        emb = check_embeddings(_lift(basis, _sample(cfg, basis), tg, cfg.beta), tp)
         high_by_J[J] = emb.ratio_high
         low_by_J[J] = emb.ratio_low
         rows.append({"experiment": "embeddings", "J": J,
                      "ratio_high": emb.ratio_high, "ratio_low": emb.ratio_low,
                      "slope": emb.slope_high, "flagged": emb.flagged})
         if J == cfg.J_sweep[-1]:
-            bad = CoeffField(spec, basis.family, basis.j_min, basis.j_max,
+            bad = CoeffField(basis.spec, basis.family, basis.j_min, basis.j_max,
                              tg=tg, beta=cfg.beta)
-            nodes = tg.nodes()
             j_mid = (basis.j_min + basis.j_max) // 2
-            tau = nodes * 2.0 ** (2 * cfg.beta * j_mid)
+            tau = tg.nodes() * 2.0 ** (2 * cfg.beta * j_mid)
             key = ((1,) + (0,) * (cfg.n - 1), j_mid)
             sel = (slice(None),) + (0,) * cfg.n
             bad.detail[key][sel] = np.where(tau >= 1, tau, 1.0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                emb_bad = check_embeddings(bad, tp)
-            flagged_control = emb_bad.flagged
+            flagged_control = check_embeddings(bad, tp).flagged
     passed = (_band_stability(high_by_J) < DECAY_STABILITY
               and _band_stability(low_by_J) < DECAY_STABILITY
               and flagged_control)
@@ -675,10 +619,15 @@ _RUNNERS = {
     "decay-bounds": run_decay_bounds,
     "embeddings": run_embeddings,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    return _RUNNERS[cfg.kind](cfg)
+    # the one place that mutes warnings: the library warns per call, a run
+    # of the suite reports its verdicts instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return _RUNNERS[cfg.kind](cfg)
 
 
 def default_suite(seed: int = 42) -> list[ExperimentConfig]:

@@ -172,11 +172,6 @@ class ReconstructionReport:
     warning: str | None = None
 
 
-def pi_phi(family: CalibratedFamily, frames: Iterable[GridFunction],
-           tg: TimeGrid, spec: GridSpec) -> GridFunction:
-    return pi_phi_report(family, frames, tg, spec)[0]
-
-
 def pi_phi_report(family: CalibratedFamily, frames: Iterable[GridFunction],
                   tg: TimeGrid, spec: GridSpec):
     """C_beta int (F(t, .) * phi^beta_t)(x) dt/t on the time grid.

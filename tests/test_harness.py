@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -13,9 +14,11 @@ from oscillet.harness import (
     default_suite,
     generate_test_function,
     run_all,
+    run_embeddings,
+    run_experiment,
 )
 from oscillet.norms import SpaceParams, tl_norm, tlm_wavelet_norm
-from oscillet.cli import main as cli_main
+from oscillet.cli import _config_from_values, _parse_config_file, main as cli_main
 
 
 class TestGenerators:
@@ -167,6 +170,70 @@ def test_cli_config_template(tmp_path):
     assert rc == 0
     text = path.read_text()
     assert "kind" in text and "seed" in text
+    # every key the parser takes is in the template, at its default
+    assert _config_from_values(_parse_config_file(str(path))) == \
+        ExperimentConfig("norm-equivalence")
+
+
+def test_cli_verify_seed_comes_from_the_file_unless_given(tmp_path):
+    def samples_csv(seed_line, *seed_arg):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("kind = czo-boundedness\nJ_sweep = 6,7\n"
+                            f"samples = 2\n{seed_line}")
+        out = tmp_path / "out"
+        cli_main(["verify", "--config", str(cfg_path), *seed_arg,
+                  "--out", str(out)])
+        return (out / "samples.csv").read_bytes()
+
+    at_7 = samples_csv("seed = 7\n")
+    assert at_7 != samples_csv("seed = 42\n")
+    assert samples_csv("seed = 42\n", "--seed", "7") == at_7
+    assert samples_csv("") == samples_csv("seed = 42\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("kind = czo-boundedness\nsampels = 2\n", "unknown config key 'sampels'"),
+    ("kind = czo-boundedness\ngamma1 = 0.5\n", "gamma2, p, q missing"),
+    ("samples = 2\n", "'kind' is missing"),
+    ("kind = czo-boundedness\nsamples = two\n", "'samples': cannot parse 'two'"),
+    ("kind = czo-boundedness\nm0 = 2.5\n", "'m0': cannot parse"),
+    ("kind = czo-boundedness\nsamples 2\n", "line 2: expected 'key = value'"),
+], ids=["unknown-key", "partial-space-params", "no-kind", "samples-not-int",
+        "m0-not-int", "no-equals-sign"])
+def test_bad_config_files_are_rejected(tmp_path, text, message):
+    path = tmp_path / "cfg.txt"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        _config_from_values(_parse_config_file(str(path)))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        cli_main(["verify", "--config", str(path), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["norm-equivalence", "czo-boundedness"])
+def test_experiments_without_a_heat_lift_ignore_beta(kind):
+    # neither builds a semigroup or a time grid, so beta and time_nodes are
+    # never read, let alone validated
+    cfg = ExperimentConfig(kind, J_sweep=(5, 6), samples=1, beta=-1.0,
+                           time_nodes=0)
+    assert run_experiment(cfg)["report"]["kind"] == kind
+
+
+def test_run_experiment_is_the_one_place_that_mutes_warnings():
+    # the embeddings control's growing profile warns (tent-to-Bloch bound
+    # violated); run_experiment mutes it and restores the caller's filters
+    cfg = ExperimentConfig("embeddings", sp=SpaceParams(-0.2, 0.1, 2.0, 2.0),
+                           J_sweep=(5, 6), time_nodes=32)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_embeddings(cfg)
+        assert caught
+        del caught[:]
+        filters = list(warnings.filters)
+        run_experiment(cfg)
+        assert list(warnings.filters) == filters
+    assert caught == []
 
 
 def test_cli_transform_norm_pipeline(tmp_path, rng):

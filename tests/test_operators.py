@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oscillet.errors import ParameterError
+from oscillet.errors import DegenerateRegimeWarning, ParameterError
 from oscillet.grid import GridFunction, GridSpec, lp_norm
 from oscillet.norms import SpaceParams
 from oscillet.operators import (
@@ -274,6 +274,15 @@ class TestBoundednessExperiments:
                                          J_sweep=(7, 8), declared_N0=6.0)
         assert not rep.certified
         assert rep.growth_per_J > 0.50
+
+    def test_degenerate_regime_warns(self):
+        # the experiment leaves its caller's warning filters alone, so the
+        # TLM norm's gamma2 > n/p warning reaches the caller, as in
+        # `oscillet norm`
+        sp = SpaceParams(0.0, 0.8, 2.0, 2.0)
+        with pytest.warns(DegenerateRegimeWarning):
+            czo_boundedness_experiment(CzoGeneratorParams(N0=6.0, C=1.0), sp,
+                                       samples=1, seed=0, J_sweep=(6,))
 
 
 class TestRieszTent:
