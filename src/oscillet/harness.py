@@ -84,6 +84,8 @@ class ExperimentConfig:
             raise ParameterError(
                 f"unknown experiment kind {self.kind!r}; "
                 f"expected one of {EXPERIMENT_KINDS}")
+        if self.samples < 1:
+            raise ParameterError(f"samples must be at least 1, got {self.samples}")
 
     def tent_params(self) -> TentParams:
         return TentParams(self.sp, self.m, self.m_prime, self.beta)
@@ -405,7 +407,7 @@ def run_czo_boundedness(cfg: ExperimentConfig) -> dict:
     admissible = czo_boundedness_experiment(
         CzoGeneratorParams(N0=6.0, C=1.0), cfg.sp, cfg.samples, cfg.seed,
         J_sweep=cfg.J_sweep, n=cfg.n, j_min=cfg.j_min,
-        growth_limit=GROWTH_LIMIT)
+        growth_limit=GROWTH_LIMIT, profile=cfg.profile)
     sp_control = SpaceParams(1.5, 0.3, 2.0, 2.0)
     control_params = CzoGeneratorParams(
         N0=0.2, C=1.0, band=np.inf, window_cells=np.inf,
@@ -413,7 +415,7 @@ def run_czo_boundedness(cfg: ExperimentConfig) -> dict:
     control = czo_boundedness_experiment(
         control_params, sp_control, cfg.samples, cfg.seed,
         J_sweep=cfg.J_sweep, n=cfg.n, j_min=cfg.j_min,
-        growth_limit=GROWTH_LIMIT, declared_N0=6.0)
+        growth_limit=GROWTH_LIMIT, declared_N0=6.0, profile=cfg.profile)
     control_flagged = (not control.certified) and control.growth_per_J > 0.50
     rows = []
     for tag, rep in (("admissible", admissible), ("control", control)):

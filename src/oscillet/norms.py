@@ -11,13 +11,17 @@ matched polynomial subtraction, plain Triebel-Lizorkin norm per cube).
 Scaling coefficients never enter these norms: the spaces are homogeneous and
 the scaling block only carries the sub-band remainder of the discretization.
 
-The oscillation norm is evaluated one cube level at a time.  The charts, bump
-weights and moment Gram systems of a run of cubes with the same
-(boundary-clipped) chart shape are built as arrays; the residuals
+The oscillation norm is evaluated one cube level at a time.  The chart
+coordinates u = (x - x_Q)/r are dyadic rationals that depend on the cube
+only through the offset lo - k 2^{J-j0} of its (boundary-clipped) sample
+box, so the interior cubes of a level share one chart bit for bit.  Each
+distinct chart gets one bump weight, one Gram matrix, one condition number
+and one least-squares solve with a right-hand side per cube; the residuals
 phi_Q (f - P_{Q,f}) of consecutive cubes are scattered into one stack of at
 most CHUNK_BYTES, which one batched wavelet analysis and one batched TL norm
-consume.  Every per-cube sum still runs along one contiguous last axis and
-the final root stays a scalar pow, so each value is bit for bit the one a
+consume.  Every per-cube sum still runs along one contiguous last axis, each
+column of a multi-RHS lstsq has the bits of its own solve, and the final
+root stays a scalar pow, so each value is bit for bit the one a
 cube-by-cube evaluation gives.
 
 Cube sups are exact over the finite dyadic family; when gamma2 = n/p and the
@@ -265,25 +269,18 @@ def _chart_bounds(spec: GridSpec, j: int, k: np.ndarray, cutoff: CutoffFamily):
     return lo, hi
 
 
-def _cube_charts(spec: GridSpec, j: int, ks: np.ndarray, cutoff: CutoffFamily):
-    """Charts of the level-j cubes at positions ks (B, n), which must share
-    their chart shape: flat sample indices (B, W), the scaled coordinates
-    u = (x - x_Q)/r as n arrays (B, W), and |u| (B, W).  W runs over the
-    chart box in C order."""
-    N, n = spec.samples_per_axis, spec.n
+def _cube_chart(spec: GridSpec, j: int, k, cutoff: CutoffFamily):
+    """Chart of the level-j cube at position k: flat sample indices (W,), the
+    scaled coordinates u = (x - x_Q)/r as n arrays (W,), and |u| (W,).  W
+    runs over the chart box in C order."""
+    N = spec.samples_per_axis
     r = 2.0 ** -j
-    lo, hi = _chart_bounds(spec, j, ks, cutoff)
-    widths = tuple(int(w) for w in hi[0] - lo[0])
-    box = (len(ks),) + widths
-    grids, flat = [], 0
-    for axis in range(n):
-        expand = [slice(None)] + [None] * n
-        expand[1 + axis] = slice(None)
-        idx = lo[:, axis, None] + np.arange(widths[axis])
-        u = (idx / N - ((ks[:, axis] + 0.5) * r)[:, None]) / r
-        grids.append(np.broadcast_to(u[tuple(expand)], box).reshape(len(ks), -1))
-        flat = flat * N + idx[tuple(expand)]
-    flat = np.broadcast_to(flat, box).reshape(len(ks), -1)
+    lo, hi = (b[0] for b in _chart_bounds(spec, j, np.array([k]), cutoff))
+    axes = [np.arange(a, b) for a, b in zip(lo, hi)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grids = [((idx / N - (ki + 0.5) * r) / r).reshape(-1)
+             for idx, ki in zip(mesh, k)]
+    flat = np.ravel_multi_index(tuple(mesh), spec.shape).reshape(-1)
     radius = np.sqrt(sum(g**2 for g in grids))
     return flat, grids, radius
 
@@ -304,17 +301,20 @@ def _monomial_exponents(n: int, m0: int) -> list[tuple[int, ...]]:
 
 @dataclass
 class MomentSystem:
-    """Moment-matched polynomials P_{Q,f} of total degree <= m0, one per
-    cube of a batch: coefficients (B, d), condition numbers (B,)."""
+    """Moment-matched polynomials P_{Q,f} of total degree <= m0 for the B
+    cubes of one chart: coefficients (B, d), and the condition number of
+    the Gram matrix they share."""
 
     m0: int
     exponents: list[tuple[int, ...]]
     coefficients: np.ndarray
-    condition: np.ndarray
+    condition: float
 
-    def evaluate(self, grids) -> np.ndarray:
-        out = np.zeros_like(grids[0], dtype=complex)
-        for coeff, expo in zip(self.coefficients.T, self.exponents):
+    def evaluate(self, grids, rows=slice(None)) -> np.ndarray:
+        """P_{Q,f} on the chart, one row (W,) per cube of `rows`."""
+        coeffs = self.coefficients[rows]
+        out = np.zeros((len(coeffs), len(grids[0])), dtype=complex)
+        for coeff, expo in zip(coeffs.T, self.exponents):
             out += coeff[:, None] * _mono(grids, expo)
         return out
 
@@ -327,24 +327,29 @@ def _mono(grids, expo) -> np.ndarray:
     return out
 
 
-def solve_moment_system(weight: np.ndarray, grids, fvals: np.ndarray,
+def _moment_rhs(weight: np.ndarray, grids, fvals: np.ndarray,
+                m0: int) -> np.ndarray:
+    """<u^a, phi f> on one chart for each row of fvals (B, W): (d, B)."""
+    monos = [_mono(grids, e) for e in _monomial_exponents(len(grids), m0)]
+    return np.stack([np.sum(weight * ma * fvals, axis=-1) for ma in monos])
+
+
+def solve_moment_system(weight: np.ndarray, grids, rhs: np.ndarray,
                         m0: int, cubes: Sequence[DyadicCube]) -> MomentSystem:
-    """Least squares on the Gram systems <u^a, phi u^b> c = <u^a, phi f>, one
-    per cube: weight, grids and fvals are (B, W) with the chart on the last
-    axis.  Raises for the first cube whose system is ill-conditioned."""
+    """Least squares on the Gram system <u^a, phi u^b> c = <u^a, phi f> of
+    one chart, shared by the cubes `cubes`: weight and grids are (W,) on
+    the chart, rhs (d, B) is `_moment_rhs` of each cube.  One Gram matrix,
+    one condition number and one lstsq with a right-hand side per cube;
+    raises for the first cube if the system is ill-conditioned."""
     expos = _monomial_exponents(len(grids), m0)
     monos = [_mono(grids, e) for e in expos]
-    G = np.stack([np.stack([np.sum(weight * ma * mb, axis=-1) for mb in monos],
-                           axis=-1) for ma in monos], axis=-2)
-    b = np.stack([np.sum(weight * ma * fvals, axis=-1) for ma in monos], axis=-1)
-    cond = np.linalg.cond(G)
-    bad = ~np.isfinite(cond) | (cond > CONDITION_LIMIT)
-    if bad.any():
-        first = int(np.argmax(bad))
-        raise MomentConditioningError(cubes[first], float(cond[first]))
-    # lstsq per system: a batched np.linalg.solve is another algorithm
-    coeffs = np.stack([np.linalg.lstsq(Gi, bi, rcond=None)[0]
-                       for Gi, bi in zip(G, b)])
+    G = np.array([[np.sum(weight * ma * mb) for mb in monos] for ma in monos])
+    cond = float(np.linalg.cond(G))
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise MomentConditioningError(cubes[0], cond)
+    # lstsq, not np.linalg.solve: solve is another algorithm.  Each column
+    # of a multi-RHS lstsq has the bits of its own single solve.
+    coeffs = np.linalg.lstsq(G, rhs, rcond=None)[0].T
     return MomentSystem(m0, expos, coeffs, cond)
 
 
@@ -394,19 +399,71 @@ def _runs(keys: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
+@dataclass
+class _ChartSystem:
+    """The cubes of one level that share a chart, and their moment system:
+    member positions in cube order, the flat sample indices of the first
+    member's chart (W,) and each member's offset from them (B, 1), the bump
+    weight and coordinates on the chart (W,)."""
+
+    members: np.ndarray
+    flat: np.ndarray
+    shift: np.ndarray
+    weight: np.ndarray
+    grids: list
+    system: MomentSystem
+
+    def residuals(self, samples: np.ndarray, a: int, b: int):
+        """Flat sample indices and phi_Q (f - P_{Q,f}) of members a..b-1,
+        each (b - a, W)."""
+        idx = self.flat + self.shift[a:b]
+        poly = self.system.evaluate(self.grids, slice(a, b))
+        return idx, self.weight * (samples[idx] - poly)
+
+
+def _level_charts(f, cutoff, m0, j0, ks, cubes) -> list[_ChartSystem]:
+    """One moment system per distinct chart of the level-j0 cubes at
+    positions ks, in the order of the chart's first cube, so an
+    ill-conditioned chart raises for the first such cube.  The right-hand
+    sides are summed over blocks of at most CHUNK_BYTES of samples.
+
+    u = (x - x_Q)/r is a dyadic rational that depends on k only through the
+    offset lo - k 2^{J-j0}, so cubes with equal offsets and chart shapes
+    have bitwise-equal charts; only boundary-clipped cubes differ."""
+    spec = f.spec
+    strides = spec.samples_per_axis ** np.arange(spec.n - 1, -1, -1)
+    samples = f.data.reshape(-1)
+    lo, hi = _chart_bounds(spec, j0, ks, cutoff)
+    keys = np.concatenate([lo - ks * (1 << (spec.J - j0)), hi - lo], axis=1)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    out = []
+    for c in np.argsort(first):
+        members = np.flatnonzero(inverse.reshape(-1) == c)
+        flat, grids, radius = _cube_chart(spec, j0, ks[members[0]], cutoff)
+        weight = cutoff.evaluate(radius)
+        shift = ((lo[members] - lo[members[0]]) @ strides)[:, None]
+        block = max(1, CHUNK_BYTES // (16 * len(flat)))
+        rhs = np.concatenate(
+            [_moment_rhs(weight, grids, samples[flat + shift[a:a + block]], m0)
+             for a in range(0, len(members), block)], axis=1)
+        system = solve_moment_system(weight, grids, rhs, m0,
+                                     [cubes[i] for i in members])
+        out.append(_ChartSystem(members, flat, shift, weight, grids, system))
+    return out
+
+
 def _level_oscillation(f, sp, cutoff, m0, basis, j0):
     """(cube, weighted TL norm of phi_Q (f - P_{Q,f})) for every level-j0
     cube in order.  The residuals of a chunk of cubes are scattered into one
     (chunk,) + grid stack of at most CHUNK_BYTES, analyzed together and
-    normed together; charts and moment systems are batched over runs of
-    cubes with the same (boundary-clipped) chart shape."""
+    normed together."""
     spec = f.spec
     n = spec.n
     ks = np.stack(np.unravel_index(np.arange((1 << j0) ** n), (1 << j0,) * n),
                   axis=-1)
-    cubes = [DyadicCube(j0, tuple(int(v) for v in k)) for k in ks]
-    lo, hi = _chart_bounds(spec, j0, ks, cutoff)
-    shapes = hi - lo
+    cubes = [DyadicCube(j0, tuple(k)) for k in ks.tolist()]
+    charts = _level_charts(f, cutoff, m0, j0, ks, cubes)
     samples = f.data.reshape(-1)
     rows = max(1, CHUNK_BYTES // (16 * spec.size))
     weight_j = 2.0 ** (-j0 * (sp.gamma2 - n / sp.p))
@@ -414,15 +471,11 @@ def _level_oscillation(f, sp, cutoff, m0, basis, j0):
     for start in range(0, len(ks), rows):
         stop = min(start + rows, len(ks))
         stack = np.zeros((stop - start, spec.size), dtype=complex)
-        for a, b in _runs(shapes[start:stop]):
-            idx, grids, radius = _cube_charts(spec, j0, ks[start + a:start + b],
-                                              cutoff)
-            weight = cutoff.evaluate(radius)
-            fvals = samples[idx]
-            system = solve_moment_system(weight, grids, fvals, m0,
-                                         cubes[start + a:start + b])
-            stack[np.arange(a, b)[:, None], idx] = \
-                weight * (fvals - system.evaluate(grids))
+        for chart in charts:
+            a, b = np.searchsorted(chart.members, (start, stop))
+            if a < b:
+                idx, residual = chart.residuals(samples, a, b)
+                stack[chart.members[a:b, None] - start, idx] = residual
         c = basis.analyze_stack(stack.reshape((stop - start,) + spec.shape))
         tl = tl_norm(c, sp.gamma1, sp.p, sp.q)
         out += [(cube, weight_j * float(v))
@@ -436,11 +489,12 @@ def _refine_cube(f, sp, cutoff, m0, basis, cube, moment_value) -> float:
     from scipy.optimize import minimize
 
     spec = f.spec
-    idx, grids, radius = _cube_charts(spec, cube.j, np.array([cube.k]), cutoff)
+    idx, grids, radius = _cube_chart(spec, cube.j, cube.k, cutoff)
     weight = cutoff.evaluate(radius)
     fvals = f.data.reshape(-1)[idx]
     expos = _monomial_exponents(spec.n, m0)
-    start = solve_moment_system(weight, grids, fvals, m0,
+    rhs = _moment_rhs(weight, grids, fvals[None], m0)
+    start = solve_moment_system(weight, grids, rhs, m0,
                                 [cube]).coefficients[0].real
 
     def objective(coeffs):
@@ -448,7 +502,7 @@ def _refine_cube(f, sp, cutoff, m0, basis, cube, moment_value) -> float:
         for coeff, expo in zip(coeffs, expos):
             poly += coeff * _mono(grids, expo)
         g = np.zeros(spec.size, dtype=complex)
-        g[idx[0]] = (weight * (fvals - poly))[0]
+        g[idx] = weight * (fvals - poly)
         c = basis.analyze(GridFunction(spec, g))
         return tl_norm(c, sp.gamma1, sp.p, sp.q)
 

@@ -346,8 +346,10 @@ def czo_boundedness_experiment(params: CzoGeneratorParams, sp: SpaceParams,
                                J_sweep: Sequence[int] = (8, 9, 10),
                                n: int = 1, j_min: int = 0,
                                growth_limit: float = 0.10,
-                               declared_N0: float | None = None) -> BoundednessReport:
-    """Morrey-norm ratios of random admissible matrices across the J sweep.
+                               declared_N0: float | None = None,
+                               profile: str = "polynomial") -> BoundednessReport:
+    """Morrey-norm ratios of random admissible matrices across the J sweep,
+    on the Meyer basis with transition profile `profile`.
 
     A matrix violating the declared envelope still runs but the report is
     tagged uncertified (negative control)."""
@@ -363,7 +365,7 @@ def czo_boundedness_experiment(params: CzoGeneratorParams, sp: SpaceParams,
         notes.append("quasi-Banach exponents (p or q <= 1): exploratory run")
     for J in J_sweep:
         spec = GridSpec(n=n, J=J, j_min=j_min)
-        basis = build_basis("meyer", spec)
+        basis = build_basis("meyer", spec, profile=profile)
         mat = generate_random_czo(spec, basis.j_min, basis.j_max, params,
                                   seed=seed)
         check_N0 = params.N0 if declared_N0 is None else declared_N0

@@ -116,11 +116,6 @@ class CalibratedFamily:
     def radial(self, r: np.ndarray) -> np.ndarray:
         return self.scale * self.window.omega(np.asarray(r, dtype=float))
 
-    def fourier_multiplier(self, radius: np.ndarray, t: float) -> np.ndarray:
-        """phi-hat(t^{1/(2 beta)} xi) at |xi| = radius; on the lattice
-        xi = 2 pi m the radius is 2 pi sqrt(spec.lattice_norm2())."""
-        return self.radial(t ** (1.0 / (2.0 * self.beta)) * radius)
-
 
 def calibrate_family(beta: float, profile: str = "polynomial",
                      n_check: int = 5) -> CalibratedFamily:
@@ -179,12 +174,18 @@ def pi_phi_report(family: CalibratedFamily, frames: Iterable[GridFunction],
     `frames` yields one GridFunction per node, in node order."""
     acc = np.zeros(spec.shape, dtype=complex)
     nodes, weights = tg.nodes(), tg.weights()
-    radius = TWO_PI * np.sqrt(spec.lattice_norm2())
+    # phi-hat(t^{1/(2 beta)} xi) at the lattice radii |xi| = 2 pi |m|: one
+    # table over nodes x distinct radii, gathered onto the grid per node
+    radii, where = np.unique(TWO_PI * np.sqrt(spec.lattice_norm2()),
+                             return_inverse=True)
+    scales = np.array([t ** (1.0 / (2.0 * family.beta)) for t in nodes])
+    table = family.radial(scales[:, None] * radii)
+    where = where.reshape(spec.shape)
     count = 0
     for ell, frame in enumerate(frames):
         if frame.spec != spec:
             raise GridMismatchError("frame grid does not match")
-        mult = family.fourier_multiplier(radius, nodes[ell])
+        mult = table[ell][where]
         if np.any(mult):
             acc += weights[ell] * mult * np.fft.fftn(frame.data)
         count += 1

@@ -272,6 +272,63 @@ def _tile(arr: np.ndarray, N: int, n: int) -> np.ndarray:
     return np.tile(arr, (1,) * (arr.ndim - n) + (N // L,) * n)
 
 
+# numpy evaluates `F * np.conj(W)` in place in the temporary conj(W) when
+# that temporary has at least this many bytes and the shape of the product;
+# it then computes conj(W) * F, whose bits can differ from F * conj(W).
+_ELIDE_BYTES = 1 << 18
+
+
+@dataclass(frozen=True)
+class _WindowPlan:
+    """One (eps, j) block of the Meyer transform on the FFT grid.
+
+    `window` is the tensor window W and L = 2^j the fold's bucket count.
+    When every residue class of the fold mod L meets at most two nonzero
+    values of W (every 1-d block), `support` holds the flat FFT indices
+    where W is nonzero, `conj` is conj(W) there, and `segments` lists the
+    (start, bucket, length) runs of support positions that land in
+    consecutive buckets; otherwise `support` and `conj` are None.  Two
+    terms per bucket is the bound for bit identity: the reshape-sum of the
+    full grid adds each bucket's terms and exact zeros in some order, and
+    two nonzero terms sum to the same float in either order; three need
+    not."""
+
+    window: np.ndarray
+    L: int
+    support: np.ndarray | None = None
+    conj: np.ndarray | None = None
+    segments: tuple[tuple[int, int, int], ...] = ()
+
+    @classmethod
+    def build(cls, W: np.ndarray, L: int) -> "_WindowPlan":
+        W.flags.writeable = False
+        support = np.flatnonzero(W)
+        residues = tuple(axis % L for axis in np.unravel_index(support, W.shape))
+        bucket = np.ravel_multi_index(residues, (L,) * W.ndim)
+        if np.bincount(bucket).max() > 2:
+            return cls(W, L)
+        breaks = (np.flatnonzero(np.diff(bucket) != 1) + 1).tolist()
+        starts, stops = [0, *breaks], [*breaks, len(support)]
+        segments = tuple((a, int(bucket[a]), b - a) for a, b in zip(starts, stops))
+        return cls(W, L, support, np.conj(W.reshape(-1)[support]), segments)
+
+    def fold_product(self, F: np.ndarray) -> np.ndarray:
+        """_fold(F * np.conj(W), L, n) bit for bit; F may carry leading
+        axes."""
+        W, L, n = self.window, self.L, self.window.ndim
+        if self.support is None or (F.shape == W.shape
+                                    and W.nbytes >= _ELIDE_BYTES):
+            return _fold(F * np.conj(W), L, n)
+        lead = F.shape[:F.ndim - n]
+        # one multiply over the whole support: numpy may round a complex
+        # product in a one-element loop differently
+        prod = np.take(F.reshape(lead + (-1,)), self.support, axis=-1) * self.conj
+        out = np.zeros(lead + (L ** n,), dtype=prod.dtype)
+        for start, bucket, length in self.segments:
+            out[..., bucket:bucket + length] += prod[..., start:start + length]
+        return out.reshape(lead + (L,) * n)
+
+
 class _Basis:
     """What both families share: the detail band and single basis functions."""
 
@@ -313,13 +370,23 @@ class MeyerBasis(_Basis):
             j: self.window.axis_window(1, TWO_PI * m / (1 << j))
             for j in range(self.j_min, self.j_max + 1)
         }
+        self._plans: dict[tuple, _WindowPlan] = {}
+
+    def _plan(self, eps, j: int) -> _WindowPlan:
+        """The cached plan of block (eps, j), built on first use."""
+        key = (tuple(eps), j)
+        plan = self._plans.get(key)
+        if plan is None:
+            axes = [self._w1[j] if bit else self._w0[j] for bit in key[0]]
+            W = axes[0]
+            for w in axes[1:]:
+                W = np.multiply.outer(W, w)
+            plan = self._plans[key] = _WindowPlan.build(W, 1 << j)
+        return plan
 
     def _tensor_window(self, eps: tuple[int, ...], j: int) -> np.ndarray:
-        axes = [self._w1[j] if bit else self._w0[j] for bit in eps]
-        out = axes[0]
-        for w in axes[1:]:
-            out = np.multiply.outer(out, w)
-        return out
+        """The tensor window of block (eps, j), read-only and cached."""
+        return self._plan(eps, j).window
 
     def fourier(self, f: GridFunction) -> np.ndarray:
         if f.spec != self.spec:
@@ -332,8 +399,7 @@ class MeyerBasis(_Basis):
     def _coeffs_from_fourier(self, F: np.ndarray, eps, j) -> np.ndarray:
         """Level-j coefficients of type eps; F may carry leading batch axes."""
         n = self.spec.n
-        W = self._tensor_window(eps, j)
-        folded = _fold(F * np.conj(W), 1 << j, n)
+        folded = self._plan(eps, j).fold_product(F)
         return 2.0 ** (n * j / 2.0) * np.fft.ifftn(folded,
                                                    axes=range(-n, 0))
 

@@ -198,8 +198,9 @@ def test_cli_verify_seed_comes_from_the_file_unless_given(tmp_path):
     ("kind = czo-boundedness\nsamples = two\n", "'samples': cannot parse 'two'"),
     ("kind = czo-boundedness\nm0 = 2.5\n", "'m0': cannot parse"),
     ("kind = czo-boundedness\nsamples 2\n", "line 2: expected 'key = value'"),
+    ("kind = riesz-tent\nsamples = 0\n", "samples must be at least 1, got 0"),
 ], ids=["unknown-key", "partial-space-params", "no-kind", "samples-not-int",
-        "m0-not-int", "no-equals-sign"])
+        "m0-not-int", "no-equals-sign", "zero-samples"])
 def test_bad_config_files_are_rejected(tmp_path, text, message):
     path = tmp_path / "cfg.txt"
     path.write_text(text)
@@ -209,6 +210,22 @@ def test_bad_config_files_are_rejected(tmp_path, text, message):
     with pytest.raises(SystemExit, match=re.escape(message)):
         cli_main(["verify", "--config", str(path), "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["semigroup-characterization", "riesz-tent"])
+def test_a_run_without_samples_is_rejected(kind):
+    # with no sample drawn, every per-J peak would stay 0 and the growth
+    # gate would pass on nothing
+    with pytest.raises(ParameterError, match="samples must be at least 1"):
+        ExperimentConfig(kind, samples=0)
+
+
+def test_czo_boundedness_rejects_an_unknown_profile():
+    # as every other experiment does: the profile reaches its Meyer bases
+    cfg = ExperimentConfig("czo-boundedness", J_sweep=(6, 7), samples=2,
+                           profile="nonexistent-profile")
+    with pytest.raises(ParameterError, match="unknown profile"):
+        run_experiment(cfg)
 
 
 @pytest.mark.parametrize("kind", ["norm-equivalence", "czo-boundedness"])

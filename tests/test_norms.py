@@ -195,10 +195,9 @@ class TestOscillationNorm:
         assert rep.refined_value <= rep.value + 1e-12
 
 
-def per_cube_oracle(f, sp, cutoff, m0, basis, cube):
-    """The oscillation of one cube from the definition: its own chart, an
-    lstsq moment fit, one full-grid analyze and tl_norm, the Morrey weight."""
-    spec = f.spec
+def oracle_chart(spec, cutoff, cube):
+    """The sample slices covering supp(phi_Q), clipped to [0, 1)^n, and the
+    scaled coordinates (x - x_Q)/r along each axis."""
     N, r = spec.samples_per_axis, cube.side
     R = cutoff.support_radius * r
     slices, axes = [], []
@@ -207,6 +206,14 @@ def per_cube_oracle(f, sp, cutoff, m0, basis, cube):
         hi = min(N, int(np.ceil((ci + R) * N)) + 1)
         slices.append(slice(lo, hi))
         axes.append((np.arange(lo, hi) / N - ci) / r)
+    return slices, axes
+
+
+def per_cube_oracle(f, sp, cutoff, m0, basis, cube):
+    """The oscillation of one cube from the definition: its own chart, an
+    lstsq moment fit, one full-grid analyze and tl_norm, the Morrey weight."""
+    spec = f.spec
+    slices, axes = oracle_chart(spec, cutoff, cube)
     grids = np.meshgrid(*axes, indexing="ij")
     weight = cutoff.evaluate(np.sqrt(sum(g**2 for g in grids)))
     fvals = f.data[tuple(slices)]
@@ -276,6 +283,31 @@ class TestLevelBatchedOscillation:
         assert [cube for cube, _ in rep.per_cube] == [cube for cube, _ in want]
         assert [v for _, v in rep.per_cube] == pytest.approx(
             [v for _, v in want], rel=1e-12)
+
+    @pytest.mark.parametrize("n, J, j0", [(1, 8, 5), (2, 5, 3)])
+    def test_one_lstsq_per_distinct_chart(self, n, J, j0, monkeypatch):
+        # boundary cubes have clipped charts of their own; every interior
+        # cube shares one chart, so one multi-RHS solve serves them all
+        spec = GridSpec(n=n, J=J, j_min=0)
+        basis = build_basis("meyer", spec)
+        sp = SpaceParams(0.0, 0.3, 2.0, 2.0)
+        cutoff = CutoffFamily(n=n)
+        f = basis.synthesize(_random_detail_field(basis, sp, 3))
+        cubes = list(enumerate_cubes(spec, j0, j0))
+        charts = {tuple(u.tobytes() for u in oracle_chart(spec, cutoff, cube)[1])
+                  for cube in cubes}
+        assert 1 < len(charts) < len(cubes)
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append(args[1].shape)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        oscillation_norm_report(f, sp, cutoff, 1, basis, cube_levels=[j0])
+        assert len(calls) == len(charts)
+        assert sum(shape[1] for shape in calls) == len(cubes)
 
     def test_first_ill_conditioned_cube_is_named(self):
         spec = GridSpec(n=1, J=8, j_min=0)

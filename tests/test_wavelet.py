@@ -14,6 +14,7 @@ from oscillet.wavelet import (
     DAUBECHIES_FILTERS,
     MeyerWindow,
     WaveletIndex,
+    _fold,
     build_basis,
     coeff_field_from_json,
     coeff_field_to_json,
@@ -370,6 +371,29 @@ def test_daubechies_synthesize_rejects_a_stack(rng):
     with pytest.raises(GridMismatchError):
         basis.synthesize(c)
     assert rel_l2_error(basis.synthesize(c[1]), GridFunction(basis.spec, data[1])) < 1e-12
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+@pytest.mark.parametrize("lead", [(), (1,), (3,), (16,)])
+@pytest.mark.parametrize("n,J", [(1, 8), (1, 14), (2, 5), (2, 7)])
+def test_meyer_block_kernel_is_the_full_grid_fold(n, J, lead, complex_input):
+    """Every level block, the scaling blocks down to j = 0 included, has the
+    bits of the full-grid product and reshape-sum fold.  The 1-d J=14 and
+    2-d J=7 grids without a leading axis are the sizes at which numpy
+    computes the full-grid product in place in its temporary."""
+    basis = build_basis("meyer", GridSpec(n, J, 0))
+    F = random_stack(np.random.default_rng(J + len(lead)),
+                     lead + basis.spec.shape, complex_input)
+    eps0 = (0,) * n
+    blocks = [(eps, j) for j in basis.detail_levels
+              for eps in basis.detail_type_list()]
+    blocks += [(eps0, j) for j in range(basis.j_min, basis.j_max + 2)]
+    for eps, j in blocks:
+        W = basis._tensor_window(eps, j)
+        want = 2.0 ** (n * j / 2.0) * np.fft.ifftn(
+            _fold(F * np.conj(W), 2 ** j, n), axes=range(-n, 0))
+        np.testing.assert_array_equal(basis._coeffs_from_fourier(F, eps, j),
+                                      want, err_msg=f"block {eps}, j={j}")
 
 
 @settings(max_examples=40)
