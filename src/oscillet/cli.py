@@ -56,6 +56,7 @@ CONFIG_TEMPLATE = """\
 #       riesz-tent | decay-bounds | embeddings
 kind = norm-equivalence
 n = 1
+# one level or more, strictly increasing
 J_sweep = 8,9,10
 j_min = 0
 gamma1 = 0.0
@@ -71,7 +72,8 @@ seed = 42
 family = meyer
 profile = polynomial
 time_nodes = 256
-# moment order of the oscillation norm; auto is 1 for gamma1 <= 0, else 3
+# moment order of the oscillation norm (auto or >= 0); auto is 1 for
+# gamma1 <= 0, else 3
 m0 = auto
 """
 

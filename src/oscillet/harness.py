@@ -86,6 +86,13 @@ class ExperimentConfig:
                 f"expected one of {EXPERIMENT_KINDS}")
         if self.samples < 1:
             raise ParameterError(f"samples must be at least 1, got {self.samples}")
+        J = tuple(self.J_sweep)
+        if not J or any(a >= b for a, b in zip(J, J[1:])):
+            raise ParameterError(
+                f"J_sweep must be a non-empty, strictly increasing list of "
+                f"levels, got {J}")
+        if self.m0 is not None and self.m0 < 0:
+            raise ParameterError(f"m0 must be auto or at least 0, got {self.m0}")
 
     def tent_params(self) -> TentParams:
         return TentParams(self.sp, self.m, self.m_prime, self.beta)

@@ -377,6 +377,8 @@ def oscillation_norm_report(f: GridFunction, sp: SpaceParams,
     spec = f.spec
     if not np.all(np.isfinite(f.data)):
         raise ParameterError("f has non-finite samples")
+    if m0 < 0:
+        raise ParameterError(f"moment order m0 must be at least 0, got {m0}")
     if cube_levels is None:
         cube_levels = range(spec.j_min, spec.J)
     best, best_cube = 0.0, None

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import GridMismatchError, ParameterError
 from .grid import GridFunction, GridSpec, TimeGrid, flat_positions, min_image
@@ -119,6 +118,8 @@ class CalibratedFamily:
 
 def calibrate_family(beta: float, profile: str = "polynomial",
                      n_check: int = 5) -> CalibratedFamily:
+    from scipy.integrate import quad
+
     if not (np.isfinite(beta) and beta > 0):
         raise ParameterError(f"beta must be finite and positive, got {beta}")
     window = MeyerWindow(profile)

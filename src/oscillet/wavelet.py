@@ -265,6 +265,16 @@ def _fold(arr: np.ndarray, L: int, n: int) -> np.ndarray:
     return reshaped.sum(axis=tuple(range(b, b + 2 * n, 2)))
 
 
+def _fft_last(a: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
+    """np.fft.fftn (ifftn) over the last n axes, bit for bit: numpy's own
+    loop of 1-d transforms, last axis first, without its per-call argument
+    handling."""
+    transform = np.fft.ifft if inverse else np.fft.fft
+    for axis in range(-1, -n - 1, -1):
+        a = transform(a, axis=axis)
+    return a
+
+
 def _tile(arr: np.ndarray, N: int, n: int) -> np.ndarray:
     """Inverse of the fold indexing along the last n axes: value at FFT
     index i is arr[i mod L]."""
@@ -283,34 +293,50 @@ class _WindowPlan:
     """One (eps, j) block of the Meyer transform on the FFT grid.
 
     `window` is the tensor window W and L = 2^j the fold's bucket count.
-    When every residue class of the fold mod L meets at most two nonzero
-    values of W (every 1-d block), `support` holds the flat FFT indices
-    where W is nonzero, `conj` is conj(W) there, and `segments` lists the
-    (start, bucket, length) runs of support positions that land in
-    consecutive buckets; otherwise `support` and `conj` are None.  Two
-    terms per bucket is the bound for bit identity: the reshape-sum of the
-    full grid adds each bucket's terms and exact zeros in some order, and
-    two nonzero terms sum to the same float in either order; three need
-    not."""
+    `support` holds the flat FFT indices where W is nonzero, grouped by
+    rank: a term's rank is its place in flat order among the nonzero terms
+    of its fold bucket mod L.  `conj` is conj(W) there, and `passes` lists
+    the (buckets, terms) pairs that add the products into the buckets, rank
+    after rank: a rank whose buckets form at most two runs of consecutive
+    buckets adds by slices, another by one index array.  Adding the ranks
+    in turn adds each bucket's terms in flat order, the order of the full
+    grid's reshape-sum for L >= 2 (numpy adds the reduced axes elementwise,
+    outermost first), and the exact zeros between them change nothing.
+    For L = 1 numpy sums the one bucket pairwise, which is that order only
+    for at most two terms; such a block with more terms keeps `support`
+    None and folds the full grid."""
 
     window: np.ndarray
     L: int
     support: np.ndarray | None = None
     conj: np.ndarray | None = None
-    segments: tuple[tuple[int, int, int], ...] = ()
+    passes: tuple[tuple[slice | np.ndarray, slice], ...] = ()
 
     @classmethod
     def build(cls, W: np.ndarray, L: int) -> "_WindowPlan":
         W.flags.writeable = False
         support = np.flatnonzero(W)
+        if L == 1 and len(support) > 2:
+            return cls(W, L)
         residues = tuple(axis % L for axis in np.unravel_index(support, W.shape))
         bucket = np.ravel_multi_index(residues, (L,) * W.ndim)
-        if np.bincount(bucket).max() > 2:
-            return cls(W, L)
-        breaks = (np.flatnonzero(np.diff(bucket) != 1) + 1).tolist()
-        starts, stops = [0, *breaks], [*breaks, len(support)]
-        segments = tuple((a, int(bucket[a]), b - a) for a, b in zip(starts, stops))
-        return cls(W, L, support, np.conj(W.reshape(-1)[support]), segments)
+        by_bucket = np.argsort(bucket, kind="stable")
+        first = np.searchsorted(bucket[by_bucket], bucket[by_bucket])
+        rank = np.empty_like(by_bucket)
+        rank[by_bucket] = np.arange(len(support)) - first
+        order = np.argsort(rank, kind="stable")
+        support, bucket = support[order], bucket[order]
+        stops = np.cumsum(np.bincount(rank)).tolist()
+        passes = []
+        for a, b in zip([0, *stops[:-1]], stops):
+            breaks = (np.flatnonzero(np.diff(bucket[a:b]) != 1) + 1 + a).tolist()
+            if len(breaks) > 1:
+                passes.append((bucket[a:b], slice(a, b)))
+                continue
+            for lo, hi in zip([a, *breaks], [*breaks, b]):
+                start = int(bucket[lo])
+                passes.append((slice(start, start + hi - lo), slice(lo, hi)))
+        return cls(W, L, support, np.conj(W.reshape(-1)[support]), tuple(passes))
 
     def fold_product(self, F: np.ndarray) -> np.ndarray:
         """_fold(F * np.conj(W), L, n) bit for bit; F may carry leading
@@ -324,8 +350,8 @@ class _WindowPlan:
         # product in a one-element loop differently
         prod = np.take(F.reshape(lead + (-1,)), self.support, axis=-1) * self.conj
         out = np.zeros(lead + (L ** n,), dtype=prod.dtype)
-        for start, bucket, length in self.segments:
-            out[..., bucket:bucket + length] += prod[..., start:start + length]
+        for buckets, terms in self.passes:
+            out[..., buckets] += prod[..., terms]
         return out.reshape(lead + (L,) * n)
 
 
@@ -391,24 +417,24 @@ class MeyerBasis(_Basis):
     def fourier(self, f: GridFunction) -> np.ndarray:
         if f.spec != self.spec:
             raise GridMismatchError("grid function does not match basis grid")
-        return np.fft.fftn(f.data) / self.spec.size
+        return _fft_last(f.data, self.spec.n) / self.spec.size
 
     def from_fourier(self, F: np.ndarray) -> GridFunction:
-        return GridFunction(self.spec, np.fft.ifftn(F) * self.spec.size)
+        return GridFunction(self.spec, _fft_last(F, self.spec.n, inverse=True)
+                            * self.spec.size)
 
     def _coeffs_from_fourier(self, F: np.ndarray, eps, j) -> np.ndarray:
         """Level-j coefficients of type eps; F may carry leading batch axes."""
         n = self.spec.n
         folded = self._plan(eps, j).fold_product(F)
-        return 2.0 ** (n * j / 2.0) * np.fft.ifftn(folded,
-                                                   axes=range(-n, 0))
+        return 2.0 ** (n * j / 2.0) * _fft_last(folded, n, inverse=True)
 
     def _fourier_from_coeffs(self, c: np.ndarray, eps, j) -> np.ndarray:
         """Fourier side of a level-j block of type eps; c may carry leading
         batch axes."""
         n = self.spec.n
         W = self._tensor_window(eps, j)
-        C = np.fft.fftn(c, axes=range(-n, 0))
+        C = _fft_last(c, n)
         return 2.0 ** (-n * j / 2.0) * W * _tile(C, self.spec.samples_per_axis, n)
 
     def analyze(self, f: GridFunction) -> CoeffField:
@@ -422,7 +448,7 @@ class MeyerBasis(_Basis):
         inverse FFT per block; the blocks carry the same leading axes."""
         n = self.spec.n
         _check_stack(self.spec, data)
-        F = np.fft.fftn(data, axes=range(-n, 0))
+        F = _fft_last(data, n)
         F /= self.spec.size
         out = CoeffField(self.spec, self.family, self.j_min, self.j_max)
         for j in self.detail_levels:
@@ -448,7 +474,7 @@ class MeyerBasis(_Basis):
                 F += self._fourier_from_coeffs(arr, eps, j)
         if np.any(c.scaling):
             F += self._fourier_from_coeffs(c.scaling, (0,) * n, self.j_min)
-        return np.fft.ifftn(F, axes=range(-n, 0)) * self.spec.size
+        return _fft_last(F, n, inverse=True) * self.spec.size
 
     def scaling_coefficients(self, f: GridFunction, j: int) -> np.ndarray:
         """<f, Phi^0_{j,k}> for all k at one level (levels up to j_max + 1)."""

@@ -199,8 +199,14 @@ def test_cli_verify_seed_comes_from_the_file_unless_given(tmp_path):
     ("kind = czo-boundedness\nm0 = 2.5\n", "'m0': cannot parse"),
     ("kind = czo-boundedness\nsamples 2\n", "line 2: expected 'key = value'"),
     ("kind = riesz-tent\nsamples = 0\n", "samples must be at least 1, got 0"),
+    ("kind = czo-boundedness\nJ_sweep = 7,7\n",
+     "J_sweep must be a non-empty, strictly increasing list of levels, got (7, 7)"),
+    ("kind = czo-boundedness\nJ_sweep = 9,8\n",
+     "J_sweep must be a non-empty, strictly increasing list of levels, got (9, 8)"),
+    ("kind = norm-equivalence\nm0 = -1\n", "m0 must be auto or at least 0, got -1"),
 ], ids=["unknown-key", "partial-space-params", "no-kind", "samples-not-int",
-        "m0-not-int", "no-equals-sign", "zero-samples"])
+        "m0-not-int", "no-equals-sign", "zero-samples", "repeated-J",
+        "decreasing-J", "negative-m0"])
 def test_bad_config_files_are_rejected(tmp_path, text, message):
     path = tmp_path / "cfg.txt"
     path.write_text(text)
@@ -218,6 +224,22 @@ def test_a_run_without_samples_is_rejected(kind):
     # gate would pass on nothing
     with pytest.raises(ParameterError, match="samples must be at least 1"):
         ExperimentConfig(kind, samples=0)
+
+
+def test_an_empty_sweep_is_rejected():
+    # a config file cannot name one: an empty J_sweep does not parse
+    with pytest.raises(ParameterError, match="J_sweep must be a non-empty"):
+        ExperimentConfig("norm-equivalence", J_sweep=())
+
+
+def test_cli_osc_norm_rejects_a_negative_moment_order(tmp_path, meyer1d):
+    cpath = tmp_path / "c.json"
+    from oscillet.wavelet import coeff_field_to_json
+    cpath.write_text(coeff_field_to_json(meyer1d.analyze(
+        GridFunction(meyer1d.spec, np.ones(meyer1d.spec.shape)))))
+    with pytest.raises(ParameterError, match="m0 must be at least 0, got -1"):
+        cli_main(["norm", "--kind", "osc", "--m0", "-1", "--gamma1", "0.0",
+                  "--gamma2", "0.3", "--p", "2", "--q", "2", "--in", str(cpath)])
 
 
 def test_czo_boundedness_rejects_an_unknown_profile():

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscillet import norms
 from oscillet.errors import (
@@ -118,6 +119,21 @@ class TestTlmNorm:
                                              np.random.default_rng(seed)))
             sp = SpaceParams(0.12, 1.0 / 2.0, 2.0, 2.0)
             assert tlm_wavelet_norm(c, sp) == tl_norm(c, 0.12, 2.0, 2.0)
+
+    @settings(max_examples=40)
+    @given(family=st.sampled_from(["meyer", "daubechies"]),
+           n=st.sampled_from([1, 2]), J=st.integers(2, 8),
+           gamma1=st.floats(-0.5, 0.5), p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]),
+           q=st.sampled_from([1.0, 1.5, 2.0, 4.0]), seed=st.integers(0, 2**16))
+    def test_collapse_identity_at_gamma2_n_over_p(self, family, n, J, gamma1,
+                                                  p, q, seed):
+        """At gamma2 = n/p the Morrey weight is 1 and the torus is the cube
+        of the sup: the TLM norm is the TL norm."""
+        basis = build_basis(family, GridSpec(n, J if n == 1 else min(J, 6), 0))
+        data = np.random.default_rng(seed).standard_normal(basis.spec.shape)
+        c = basis.analyze_stack(data)
+        assert tlm_wavelet_norm(c, SpaceParams(gamma1, n / p, p, q)) == \
+            pytest.approx(tl_norm(c, gamma1, p, q), rel=1e-12)
 
     def test_degenerate_regime_flag(self, meyer1d, rng):
         c = meyer1d.analyze(band_limited(meyer1d, rng))

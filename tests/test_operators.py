@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscillet.errors import DegenerateRegimeWarning, ParameterError
 from oscillet.grid import GridFunction, GridSpec, lp_norm
@@ -143,6 +144,23 @@ class TestRieszApply:
             total = total + riesz_apply(riesz_apply(f, l), l)
         target = -(f.data - np.mean(f.data))
         assert np.max(np.abs(total.data - target)) < 1e-10
+
+    @settings(max_examples=40)
+    @given(n=st.sampled_from([1, 2]), J=st.integers(1, 10),
+           complex_input=st.booleans(), seed=st.integers(0, 2**16))
+    def test_sum_of_squares_is_minus_the_mean_free_part(self, n, J,
+                                                          complex_input, seed):
+        """sum_l R_l^2 = -(I - mean) on every grid."""
+        spec = GridSpec(n, J if n == 1 else min(J, 6), 0)
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal(spec.shape)
+        if complex_input:
+            data = data + 1j * rng.standard_normal(spec.shape)
+        f = GridFunction(spec, data)
+        total = sum((riesz_apply(riesz_apply(f, l), l).data
+                     for l in range(1, n + 1)), np.zeros(spec.shape))
+        target = -(data - np.mean(data))
+        assert np.max(np.abs(total - target)) < 1e-12 * max(1.0, np.max(np.abs(data)))
 
     def test_l2_contraction(self, spec1d, rng):
         f = GridFunction(spec1d, rng.standard_normal(spec1d.shape))

@@ -374,13 +374,15 @@ def test_daubechies_synthesize_rejects_a_stack(rng):
 
 
 @pytest.mark.parametrize("complex_input", [False, True])
-@pytest.mark.parametrize("lead", [(), (1,), (3,), (16,)])
-@pytest.mark.parametrize("n,J", [(1, 8), (1, 14), (2, 5), (2, 7)])
+@pytest.mark.parametrize("lead", [(), (1,), (3,), (16,), (64,)])
+@pytest.mark.parametrize("n,J", [(1, 8), (1, 14), (2, 5), (2, 7), (2, 4), (2, 6)])
 def test_meyer_block_kernel_is_the_full_grid_fold(n, J, lead, complex_input):
     """Every level block, the scaling blocks down to j = 0 included, has the
-    bits of the full-grid product and reshape-sum fold.  The 1-d J=14 and
-    2-d J=7 grids without a leading axis are the sizes at which numpy
-    computes the full-grid product in place in its temporary."""
+    bits of the full-grid product and reshape-sum fold, and the transforms
+    the bits of np.fft.ifftn.  The 1-d J=14 and 2-d J=7 grids without a
+    leading axis are the sizes at which numpy computes the full-grid
+    product in place in its temporary; the 2-d blocks add up to four terms
+    per fold bucket."""
     basis = build_basis("meyer", GridSpec(n, J, 0))
     F = random_stack(np.random.default_rng(J + len(lead)),
                      lead + basis.spec.shape, complex_input)
@@ -389,6 +391,7 @@ def test_meyer_block_kernel_is_the_full_grid_fold(n, J, lead, complex_input):
               for eps in basis.detail_type_list()]
     blocks += [(eps0, j) for j in range(basis.j_min, basis.j_max + 2)]
     for eps, j in blocks:
+        assert j == 0 or basis._plan(eps, j).support is not None
         W = basis._tensor_window(eps, j)
         want = 2.0 ** (n * j / 2.0) * np.fft.ifftn(
             _fold(F * np.conj(W), 2 ** j, n), axes=range(-n, 0))
