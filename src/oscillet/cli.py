@@ -13,7 +13,12 @@ import sys
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import (
+    BandRangeError,
+    BasisConstructionError,
+    GridMismatchError,
+    ParameterError,
+)
 from .grid import GridSpec, read_grid_function, write_grid_function
 from .harness import ExperimentConfig, default_suite, run_all, write_report
 from .norms import (
@@ -397,7 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParameterError, BandRangeError, GridMismatchError,
+            BasisConstructionError) as exc:
+        raise SystemExit(f"oscillet {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -234,10 +234,11 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> dict:
         per_J = {}
         for J, basis in _sweep(cfg, family=family):
             ratios = []
-            for s in range(cfg.samples):
-                f = _sample(cfg, basis, s)
+            fs = [_sample(cfg, basis, s) for s in range(cfg.samples)]
+            oscs = [rep.value for rep in
+                    oscillation_norm_report(fs, cfg.sp, cutoff, m0, basis)]
+            for s, (f, osc) in enumerate(zip(fs, oscs)):
                 wav = tlm_wavelet_norm(basis.analyze(f), cfg.sp)
-                osc = oscillation_norm_report(f, cfg.sp, cutoff, m0, basis).value
                 if family == "meyer":
                     meyer_osc[(J, s)] = osc
                 if wav <= 0:

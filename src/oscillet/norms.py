@@ -11,18 +11,27 @@ matched polynomial subtraction, plain Triebel-Lizorkin norm per cube).
 Scaling coefficients never enter these norms: the spaces are homogeneous and
 the scaling block only carries the sub-band remainder of the discretization.
 
-The oscillation norm is evaluated one cube level at a time.  The chart
-coordinates u = (x - x_Q)/r are dyadic rationals that depend on the cube
-only through the offset lo - k 2^{J-j0} of its (boundary-clipped) sample
-box, so the interior cubes of a level share one chart bit for bit.  Each
-distinct chart gets one bump weight, one Gram matrix, one condition number
-and one least-squares solve with a right-hand side per cube; the residuals
-phi_Q (f - P_{Q,f}) of consecutive cubes are scattered into one stack of at
-most CHUNK_BYTES, which one batched wavelet analysis and one batched TL norm
-consume.  Every per-cube sum still runs along one contiguous last axis, each
-column of a multi-RHS lstsq has the bits of its own solve, and the final
-root stays a scalar pow, so each value is bit for bit the one a
-cube-by-cube evaluation gives.
+Level fields are built at band resolution: a level-j field is constant on
+blocks of 2^{J - j_max} samples per axis, so it lives on the (2^{j_max},)^n
+grid, and only the p-th power of the integrand is blown up to the sample
+grid, just before the sums.  Elementwise results do not depend on position
+and each sum still reads the full grid, so the values are bit for bit those
+of full-grid fields.
+
+The oscillation norm takes one sample or a batch of samples on one grid and
+is evaluated one cube level at a time.  The chart coordinates
+u = (x - x_Q)/r are dyadic rationals that depend on the cube only through
+the offset lo - k 2^{J-j0} of its (boundary-clipped) sample box, so the
+interior cubes of a level share one chart bit for bit, and no chart
+depends on the sample.  Each distinct chart gets one bump weight, one Gram
+matrix, one condition number and one least-squares solve with a
+right-hand side per cube of every sample; the residuals
+phi_Q (f - P_{Q,f}) of consecutive (sample, cube) rows are scattered into
+one stack of at most CHUNK_BYTES, which one batched wavelet analysis and
+one batched TL norm consume.  Every per-cube sum still runs along one
+contiguous last axis, each column of a multi-RHS lstsq has the bits of its
+own solve, and the final root stays a scalar pow, so each value is bit for
+bit the one a cube-by-cube, sample-by-sample evaluation gives.
 
 Cube sups are exact over the finite dyadic family; when gamma2 = n/p and the
 coarsest cube is the whole torus, the Morrey sup is attained there and the
@@ -39,6 +48,7 @@ import numpy as np
 
 from .errors import (
     DegenerateRegimeWarning,
+    GridMismatchError,
     MomentConditioningError,
     ParameterError,
 )
@@ -76,6 +86,8 @@ def _upsample(arr: np.ndarray, J: int, n: int | None = None) -> np.ndarray:
     with n given, only the last n axes are grid axes."""
     n = arr.ndim if n is None else n
     factor = (1 << J) // arr.shape[-1]
+    if factor == 1:
+        return arr
     out = arr
     for axis in range(arr.ndim - n, arr.ndim):
         out = np.repeat(out, factor, axis=axis)
@@ -103,23 +115,28 @@ def _level_power_sum(c: CoeffField, j: int, q: float, rows=Ellipsis) -> np.ndarr
 
 
 def _level_aggregates(c: CoeffField, gamma1: float, q: float):
-    """Yield (j, field) finest level first: the full-grid field
+    """Yield (j, field) finest level first: the field
     sum_eps 2^{qj(gamma1+n/2)} |a|^q (pointwise sup over eps of the weighted
-    |a| when q = inf), with the leading batch axes of a stacked c."""
-    n, J = c.spec.n, c.spec.J
+    |a| when q = inf) at band resolution (2^{j_max},)^n, with the leading
+    batch axes of a stacked c."""
+    n = c.spec.n
     for j in reversed(c.levels):
         w = 2.0 ** (j * (gamma1 + n / 2.0))
         lvl = _level_power_sum(c, j, q)
-        yield j, _upsample(w * lvl if q == np.inf else (w ** q) * lvl, J, n)
+        yield j, _upsample(w * lvl if q == np.inf else (w ** q) * lvl, c.j_max, n)
 
 
 def _morrey_cube_max(integrand: np.ndarray, j0: int, sp: SpaceParams,
                      spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per row of the integrand's leading batch axis: the max over level-j0
     cubes Q of |Q|^{gamma2/n - 1/p} ||integrand||_{L^p(Q)}, and the flat
-    position of the first cube attaining it."""
+    position of the first cube attaining it.  The integrand may be at any
+    dyadic resolution up to the grid's; its p-th power is blown up to the
+    grid before the cube sums, which therefore read what a full-grid
+    integrand gives, bit for bit."""
     n = spec.n
-    sums = _block_reduce_sum(integrand ** sp.p, j0, spec.J, n)
+    sums = _block_reduce_sum(_upsample(integrand ** sp.p, spec.J, n),
+                             j0, spec.J, n)
     weight = 2.0 ** (-j0 * (sp.gamma2 - n / sp.p))
     vals = weight * (spec.cell_volume * sums) ** (1.0 / sp.p)
     vals = vals.reshape(len(vals), -1)
@@ -158,7 +175,9 @@ def tl_norm(c: CoeffField, gamma1: float, p: float, q: float):
     if V is None:
         return np.zeros(batch) if batch else 0.0
     integrand = V if q == np.inf else V ** (1.0 / q)
-    sums = np.sum((integrand ** p).reshape(batch + (-1,)), axis=-1)
+    # elementwise powers at band resolution; the sum reads the full grid
+    powered = _upsample(integrand ** p, c.spec.J, c.spec.n)
+    sums = np.sum(powered.reshape(batch + (-1,)), axis=-1)
     # the final root stays a numpy-scalar pow (libm) per value: an array
     # power maps ** 0.5 to sqrt, which can differ in the last bit
     cell = c.spec.cell_volume
@@ -302,8 +321,8 @@ def _monomial_exponents(n: int, m0: int) -> list[tuple[int, ...]]:
 @dataclass
 class MomentSystem:
     """Moment-matched polynomials P_{Q,f} of total degree <= m0 for the B
-    cubes of one chart: coefficients (B, d), and the condition number of
-    the Gram matrix they share."""
+    (sample, cube) pairs of one chart: coefficients (B, d), and the
+    condition number of the Gram matrix they share."""
 
     m0: int
     exponents: list[tuple[int, ...]]
@@ -337,10 +356,11 @@ def _moment_rhs(weight: np.ndarray, grids, fvals: np.ndarray,
 def solve_moment_system(weight: np.ndarray, grids, rhs: np.ndarray,
                         m0: int, cubes: Sequence[DyadicCube]) -> MomentSystem:
     """Least squares on the Gram system <u^a, phi u^b> c = <u^a, phi f> of
-    one chart, shared by the cubes `cubes`: weight and grids are (W,) on
-    the chart, rhs (d, B) is `_moment_rhs` of each cube.  One Gram matrix,
-    one condition number and one lstsq with a right-hand side per cube;
-    raises for the first cube if the system is ill-conditioned."""
+    one chart, shared by the cubes `cubes` of every sample: weight and
+    grids are (W,) on the chart, rhs (d, B) is `_moment_rhs` of each
+    (sample, cube) pair.  One Gram matrix, one condition number and one
+    lstsq with a right-hand side per pair; raises for the first cube if
+    the system is ill-conditioned."""
     expos = _monomial_exponents(len(grids), m0)
     monos = [_mono(grids, e) for e in expos]
     G = np.array([[np.sum(weight * ma * mb) for mb in monos] for ma in monos])
@@ -368,30 +388,48 @@ def oscillation_norm(f: GridFunction, sp: SpaceParams, cutoff: CutoffFamily,
                                    cube_levels=cube_levels, refine=refine).value
 
 
-def oscillation_norm_report(f: GridFunction, sp: SpaceParams,
-                            cutoff: CutoffFamily, m0: int, basis,
-                            cube_levels: Sequence[int] | None = None,
-                            refine: bool = False) -> OscillationReport:
+def oscillation_norm_report(f: GridFunction | Sequence[GridFunction],
+                            sp: SpaceParams, cutoff: CutoffFamily, m0: int,
+                            basis, cube_levels: Sequence[int] | None = None,
+                            refine: bool = False):
     """Definition-side norm: sup over cubes of the weighted TL norm of
-    phi_Q (f - P_{Q,f}), evaluated one cube level at a time."""
-    spec = f.spec
-    if not np.all(np.isfinite(f.data)):
-        raise ParameterError("f has non-finite samples")
+    phi_Q (f - P_{Q,f}), evaluated one cube level at a time.
+
+    f is one grid function (the result is one report) or a sequence of
+    them on one grid (a list of reports, in order).  The samples of a
+    sequence share every chart and moment system and fill the analysis
+    stacks together; each report is bit for bit the one a call with its
+    sample alone gives.  `refine` applies per sample."""
+    single = isinstance(f, GridFunction)
+    fs = [f] if single else list(f)
     if m0 < 0:
         raise ParameterError(f"moment order m0 must be at least 0, got {m0}")
+    if not fs:
+        return []
+    spec = fs[0].spec
+    if any(g.spec != spec for g in fs):
+        raise GridMismatchError("the samples of one call must share a grid")
+    data = np.stack([g.data.reshape(-1) for g in fs])
+    if not np.all(np.isfinite(data)):
+        raise ParameterError("f has non-finite samples")
     if cube_levels is None:
         cube_levels = range(spec.j_min, spec.J)
-    best, best_cube = 0.0, None
-    table: list[tuple[DyadicCube, float]] = []
+    tables: list[list[tuple[DyadicCube, float]]] = [[] for _ in fs]
     for j0 in cube_levels:
-        for cube, val in _level_oscillation(f, sp, cutoff, m0, basis, j0):
-            table.append((cube, val))
+        cubes, vals = _level_oscillation(data, spec, sp, cutoff, m0, basis, j0)
+        for table, row in zip(tables, vals.tolist()):
+            table += zip(cubes, row)
+    reports = []
+    for g, table in zip(fs, tables):
+        best, best_cube = 0.0, None
+        for cube, val in table:
             if val > best:
                 best, best_cube = val, cube
-    refined = None
-    if refine and best_cube is not None:
-        refined = _refine_cube(f, sp, cutoff, m0, basis, best_cube, best)
-    return OscillationReport(best, best_cube, table, refined)
+        refined = None
+        if refine and best_cube is not None:
+            refined = _refine_cube(g, sp, cutoff, m0, basis, best_cube, best)
+        reports.append(OscillationReport(best, best_cube, table, refined))
+    return reports[0] if single else reports
 
 
 def _runs(keys: np.ndarray) -> list[tuple[int, int]]:
@@ -403,38 +441,41 @@ def _runs(keys: np.ndarray) -> list[tuple[int, int]]:
 
 @dataclass
 class _ChartSystem:
-    """The cubes of one level that share a chart, and their moment system:
-    member positions in cube order, the flat sample indices of the first
-    member's chart (W,) and each member's offset from them (B, 1), the bump
-    weight and coordinates on the chart (W,)."""
+    """The (sample, cube) rows of one level whose cubes share a chart, and
+    their moment system.  The rows s * cubes + member run sample-major;
+    per row its sample and the offset (R, 1) of its chart from the first
+    member's flat sample indices `flat` (W,); the bump weight and the
+    coordinates on the chart (W,)."""
 
-    members: np.ndarray
+    rows: np.ndarray
+    sample: np.ndarray
     flat: np.ndarray
     shift: np.ndarray
     weight: np.ndarray
     grids: list
     system: MomentSystem
 
-    def residuals(self, samples: np.ndarray, a: int, b: int):
-        """Flat sample indices and phi_Q (f - P_{Q,f}) of members a..b-1,
-        each (b - a, W)."""
+    def residuals(self, data: np.ndarray, a: int, b: int):
+        """Flat sample indices and phi_Q (f - P_{Q,f}) of rows a..b-1, each
+        (b - a, W); data holds one flat sample per row."""
         idx = self.flat + self.shift[a:b]
         poly = self.system.evaluate(self.grids, slice(a, b))
-        return idx, self.weight * (samples[idx] - poly)
+        return idx, self.weight * (data[self.sample[a:b, None], idx] - poly)
 
 
-def _level_charts(f, cutoff, m0, j0, ks, cubes) -> list[_ChartSystem]:
+def _level_charts(data, spec, cutoff, m0, j0, ks, cubes) -> list[_ChartSystem]:
     """One moment system per distinct chart of the level-j0 cubes at
-    positions ks, in the order of the chart's first cube, so an
-    ill-conditioned chart raises for the first such cube.  The right-hand
-    sides are summed over blocks of at most CHUNK_BYTES of samples.
+    positions ks, shared by every sample (row of data), in the order of
+    the chart's first cube, so an ill-conditioned chart raises for the
+    first such cube.  The right-hand sides, one per member cube of every
+    sample in sample-major order, are summed over blocks of at most
+    CHUNK_BYTES of samples.
 
     u = (x - x_Q)/r is a dyadic rational that depends on k only through the
     offset lo - k 2^{J-j0}, so cubes with equal offsets and chart shapes
     have bitwise-equal charts; only boundary-clipped cubes differ."""
-    spec = f.spec
     strides = spec.samples_per_axis ** np.arange(spec.n - 1, -1, -1)
-    samples = f.data.reshape(-1)
+    S, count = len(data), len(ks)
     lo, hi = _chart_bounds(spec, j0, ks, cutoff)
     keys = np.concatenate([lo - ks * (1 << (spec.J - j0)), hi - lo], axis=1)
     _, first, inverse = np.unique(keys, axis=0, return_index=True,
@@ -444,45 +485,46 @@ def _level_charts(f, cutoff, m0, j0, ks, cubes) -> list[_ChartSystem]:
         members = np.flatnonzero(inverse.reshape(-1) == c)
         flat, grids, radius = _cube_chart(spec, j0, ks[members[0]], cutoff)
         weight = cutoff.evaluate(radius)
-        shift = ((lo[members] - lo[members[0]]) @ strides)[:, None]
+        rows = (np.arange(S)[:, None] * count + members).reshape(-1)
+        sample = rows // count
+        shift = np.tile((lo[members] - lo[members[0]]) @ strides, S)[:, None]
         block = max(1, CHUNK_BYTES // (16 * len(flat)))
         rhs = np.concatenate(
-            [_moment_rhs(weight, grids, samples[flat + shift[a:a + block]], m0)
-             for a in range(0, len(members), block)], axis=1)
+            [_moment_rhs(weight, grids, data[sample[a:a + block, None],
+                                             flat + shift[a:a + block]], m0)
+             for a in range(0, len(rows), block)], axis=1)
         system = solve_moment_system(weight, grids, rhs, m0,
                                      [cubes[i] for i in members])
-        out.append(_ChartSystem(members, flat, shift, weight, grids, system))
+        out.append(_ChartSystem(rows, sample, flat, shift, weight, grids, system))
     return out
 
 
-def _level_oscillation(f, sp, cutoff, m0, basis, j0):
-    """(cube, weighted TL norm of phi_Q (f - P_{Q,f})) for every level-j0
-    cube in order.  The residuals of a chunk of cubes are scattered into one
-    (chunk,) + grid stack of at most CHUNK_BYTES, analyzed together and
-    normed together."""
-    spec = f.spec
+def _level_oscillation(data, spec, sp, cutoff, m0, basis, j0):
+    """The level-j0 cubes in order, and per sample (row of data) the
+    weighted TL norm of phi_Q (f - P_{Q,f}) of each: (samples, cubes).  The
+    residuals of consecutive (sample, cube) rows, sample-major, are
+    scattered into one (chunk,) + grid stack of at most CHUNK_BYTES,
+    analyzed together and normed together."""
     n = spec.n
     ks = np.stack(np.unravel_index(np.arange((1 << j0) ** n), (1 << j0,) * n),
                   axis=-1)
     cubes = [DyadicCube(j0, tuple(k)) for k in ks.tolist()]
-    charts = _level_charts(f, cutoff, m0, j0, ks, cubes)
-    samples = f.data.reshape(-1)
+    charts = _level_charts(data, spec, cutoff, m0, j0, ks, cubes)
+    total = len(data) * len(ks)
     rows = max(1, CHUNK_BYTES // (16 * spec.size))
-    weight_j = 2.0 ** (-j0 * (sp.gamma2 - n / sp.p))
-    out = []
-    for start in range(0, len(ks), rows):
-        stop = min(start + rows, len(ks))
+    tl = np.empty(total)
+    for start in range(0, total, rows):
+        stop = min(start + rows, total)
         stack = np.zeros((stop - start, spec.size), dtype=complex)
         for chart in charts:
-            a, b = np.searchsorted(chart.members, (start, stop))
+            a, b = np.searchsorted(chart.rows, (start, stop))
             if a < b:
-                idx, residual = chart.residuals(samples, a, b)
-                stack[chart.members[a:b, None] - start, idx] = residual
+                idx, residual = chart.residuals(data, a, b)
+                stack[chart.rows[a:b, None] - start, idx] = residual
         c = basis.analyze_stack(stack.reshape((stop - start,) + spec.shape))
-        tl = tl_norm(c, sp.gamma1, sp.p, sp.q)
-        out += [(cube, weight_j * float(v))
-                for cube, v in zip(cubes[start:stop], tl)]
-    return out
+        tl[start:stop] = tl_norm(c, sp.gamma1, sp.p, sp.q)
+    weight_j = 2.0 ** (-j0 * (sp.gamma2 - n / sp.p))
+    return cubes, weight_j * tl.reshape(len(data), len(ks))
 
 
 def _refine_cube(f, sp, cutoff, m0, basis, cube, moment_value) -> float:

@@ -111,9 +111,10 @@ class TentNormReport:
 
 def _level_base_fields(tcf: CoeffField, nodes: slice,
                        q: float) -> dict[int, np.ndarray]:
-    """Per level j: the full-grid fields sum_eps |a(t)|^q (sup for q=inf) of
-    the nodes in `nodes`, stacked along a leading node axis."""
-    return {j: _upsample(_level_power_sum(tcf, j, q, nodes), tcf.spec.J, tcf.spec.n)
+    """Per level j: the fields sum_eps |a(t)|^q (sup for q=inf) of the nodes
+    in `nodes` at band resolution (2^{j_max},)^n, stacked along a leading
+    node axis."""
+    return {j: _upsample(_level_power_sum(tcf, j, q, nodes), tcf.j_max, tcf.spec.n)
             for j in tcf.levels}
 
 
@@ -274,12 +275,13 @@ def tent_norms(tcf: CoeffField, tp: TentParams,
         root = 1.0 if literal_exponent else 1.0 / q
 
         def one_row(win, j, log_lo, log_hi):
-            """Full-grid field of sum_eps window integrals, batch of one."""
+            """Band-resolution field of sum_eps window integrals, batch of
+            one."""
             total = None
             for eps in detail_types(n):
                 I = win.window((eps, j), log_lo, log_hi)
                 total = I if total is None else total + I
-            return _upsample(total.reshape((1,) + (1 << j,) * n), spec.J, n)
+            return _upsample(total.reshape((1,) + (1 << j,) * n), tcf.j_max, n)
 
         # part IV is cube-geometry independent in time: one field
         field_iv = {j: one_row(win_mp, j, -np.inf, -2.0 * j * beta * ln2)

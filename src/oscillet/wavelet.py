@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Iterator
 
@@ -122,9 +123,11 @@ class WaveletIndex:
     k: tuple[int, ...]
 
 
-def detail_types(n: int) -> list[tuple[int, ...]]:
-    """E_n = {0,1}^n minus the all-zero type, in lexicographic order."""
-    return [e for e in product((0, 1), repeat=n) if any(e)]
+@cache
+def detail_types(n: int) -> tuple[tuple[int, ...], ...]:
+    """E_n = {0,1}^n minus the all-zero type, in lexicographic order; built
+    once per n."""
+    return tuple(e for e in product((0, 1), repeat=n) if any(e))
 
 
 class CoeffField:
@@ -362,7 +365,7 @@ class _Basis:
     def detail_levels(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
-    def detail_type_list(self) -> list[tuple[int, ...]]:
+    def detail_type_list(self) -> tuple[tuple[int, ...], ...]:
         return detail_types(self.spec.n)
 
     def basis_function(self, idx: WaveletIndex) -> GridFunction:

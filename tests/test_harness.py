@@ -93,7 +93,9 @@ def test_norm_equivalence_computes_each_oscillation_norm_once(
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[0].spec.J)
+        # one entry per evaluated sample: a call takes one or a batch
+        f = args[0]
+        calls.extend(g.spec.J for g in ([f] if isinstance(f, GridFunction) else f))
         return real(*args, **kwargs)
 
     cfg = ExperimentConfig("norm-equivalence", J_sweep=(6, 7, 8),
@@ -237,9 +239,25 @@ def test_cli_osc_norm_rejects_a_negative_moment_order(tmp_path, meyer1d):
     from oscillet.wavelet import coeff_field_to_json
     cpath.write_text(coeff_field_to_json(meyer1d.analyze(
         GridFunction(meyer1d.spec, np.ones(meyer1d.spec.shape)))))
-    with pytest.raises(ParameterError, match="m0 must be at least 0, got -1"):
+    # one line on exit, as `verify --config` gives, not a traceback
+    with pytest.raises(SystemExit,
+                       match="^oscillet norm: moment order m0 must be at least "
+                             "0, got -1$"):
         cli_main(["norm", "--kind", "osc", "--m0", "-1", "--gamma1", "0.0",
                   "--gamma2", "0.3", "--p", "2", "--q", "2", "--in", str(cpath)])
+
+
+def test_cli_norm_rejects_a_file_with_a_bad_header(tmp_path, meyer1d):
+    # a grid-function file read as a coefficient field: the reader rejects
+    # its header, and the command exits with that one line
+    from oscillet.grid import write_grid_function
+    path = tmp_path / "f.bin"
+    write_grid_function(GridFunction.zeros(meyer1d.spec), str(path))
+    with pytest.raises(SystemExit,
+                       match=r"^oscillet norm: unsupported header: .*\(expected "
+                             r"\(2, 3\)\)"):
+        cli_main(["norm", "--kind", "tlm", "--gamma1", "0.0", "--gamma2", "0.3",
+                  "--p", "2", "--q", "2", "--in", str(path)])
 
 
 def test_czo_boundedness_rejects_an_unknown_profile():

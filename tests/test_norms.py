@@ -2,11 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 from hypothesis import given, settings, strategies as st
 
 from oscillet import norms
 from oscillet.errors import (
     DegenerateRegimeWarning,
+    GridMismatchError,
     MomentConditioningError,
     ParameterError,
 )
@@ -324,6 +326,12 @@ class TestLevelBatchedOscillation:
         oscillation_norm_report(f, sp, cutoff, 1, basis, cube_levels=[j0])
         assert len(calls) == len(charts)
         assert sum(shape[1] for shape in calls) == len(cubes)
+        # a batch shares the charts: as many solves, a column per sample
+        del calls[:]
+        fs = [f, 2.0 * f, GridFunction(spec, f.data + 1.0)]
+        oscillation_norm_report(fs, sp, cutoff, 1, basis, cube_levels=[j0])
+        assert len(calls) == len(charts)
+        assert sum(shape[1] for shape in calls) == 3 * len(cubes)
 
     def test_first_ill_conditioned_cube_is_named(self):
         spec = GridSpec(n=1, J=8, j_min=0)
@@ -334,6 +342,69 @@ class TestLevelBatchedOscillation:
         with pytest.raises(MomentConditioningError) as err:
             oscillation_norm_report(f, sp, tiny, 3, basis, cube_levels=[7])
         assert err.value.cube == DyadicCube(j=7, k=(0,))
+
+
+class TestSampleBatch:
+    """A batch of samples against one call per sample, bit for bit."""
+
+    @staticmethod
+    def samples(family, n, J, count):
+        basis = build_basis(family, GridSpec(n=n, J=J, j_min=0))
+        rng = np.random.default_rng(100 * n + J)
+        return basis, [GridFunction(basis.spec, rng.standard_normal(
+            basis.spec.shape)) for _ in range(count)]
+
+    @staticmethod
+    def assert_same(got, want):
+        assert [cube for cube, _ in got.per_cube] == \
+            [cube for cube, _ in want.per_cube]
+        assert_array_equal([v for _, v in got.per_cube],
+                           [v for _, v in want.per_cube])
+        assert_array_equal(got.value, want.value)
+        assert got.argmax_cube == want.argmax_cube
+        assert got.refined_value == want.refined_value
+
+    @pytest.mark.parametrize("family, n, J", [
+        ("meyer", 1, 8), ("daubechies", 1, 8), ("meyer", 2, 5),
+        ("daubechies", 2, 5)])
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_batch_matches_single_calls(self, family, n, J, count):
+        # a chunk holds 64 rows at n=1, J=8 and 16 at n=2, J=5, so at these
+        # counts sample boundaries fall inside chunks, at the coarse levels
+        # (all samples in one chunk) and the fine ones alike
+        basis, fs = self.samples(family, n, J, count)
+        sp = SpaceParams(0.0, 0.3, 2.0, 2.0)
+        cutoff = CutoffFamily(n=n)
+        reps = oscillation_norm_report(fs, sp, cutoff, 1, basis)
+        assert isinstance(reps, list) and len(reps) == count
+        for f, rep in zip(fs, reps):
+            self.assert_same(rep, oscillation_norm_report(f, sp, cutoff, 1, basis))
+
+    @pytest.mark.parametrize("family, n, J, levels", [
+        ("meyer", 1, 8, [6, 2]), ("daubechies", 1, 8, [3, 7]),
+        ("meyer", 2, 5, [1, 3]), ("daubechies", 2, 5, [4, 0])])
+    def test_level_subset_and_refine_per_sample(self, family, n, J, levels):
+        basis, fs = self.samples(family, n, J, 3)
+        sp = SpaceParams(0.0, 0.3, 2.0, 2.0)
+        cutoff = CutoffFamily(n=n)
+        reps = oscillation_norm_report(fs, sp, cutoff, 2, basis,
+                                       cube_levels=levels, refine=True)
+        for f, rep in zip(fs, reps):
+            want = oscillation_norm_report(f, sp, cutoff, 2, basis,
+                                           cube_levels=levels, refine=True)
+            assert want.refined_value is not None
+            self.assert_same(rep, want)
+
+    def test_empty_and_mixed_batches(self, meyer1d, meyer2d):
+        sp = SpaceParams(0.0, 0.3, 2.0, 2.0)
+        assert oscillation_norm_report([], sp, CutoffFamily(n=1), 1, meyer1d) == []
+        f1 = GridFunction.zeros(meyer1d.spec)
+        f2 = GridFunction.zeros(meyer2d.spec)
+        with pytest.raises(GridMismatchError):
+            oscillation_norm_report([f1, f2], sp, CutoffFamily(n=1), 1, meyer1d)
+        bad = GridFunction(meyer1d.spec, np.full(meyer1d.spec.shape, np.nan))
+        with pytest.raises(ParameterError, match="non-finite"):
+            oscillation_norm_report([f1, bad], sp, CutoffFamily(n=1), 1, meyer1d)
 
 
 class TestNonFiniteInput:
