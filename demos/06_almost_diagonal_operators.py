@@ -80,7 +80,7 @@ sg2 = SemigroupSpec(1.0, spec2)
 tg2 = default_time_grid(spec2, 1.0, L=96)
 tcf2 = evolve_coefficients(sg2, basis2, f2, tg2)
 tp2 = TentParams(sp2, 3.0, 1.0, 1.0)
-result = riesz_tent_experiment(tcf2, tp2, 1, basis2)
+result = riesz_tent_experiment(tcf2, tp2, riesz_matrix(basis2, 1))
 print("  part ratios:", {k: (None if v is None else round(v, 4))
                           for k, v in result["ratios"].items()})
 print(f"  part III of R g over parts III+IV of g: "

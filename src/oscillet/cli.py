@@ -74,6 +74,8 @@ beta = 1.0
 samples = 20
 # verify --seed overrides the seed
 seed = 42
+# meyer, or daubechies for norm-equivalence (it then also runs meyer); the
+# other kinds run on meyer only
 family = meyer
 profile = polynomial
 time_nodes = 256

@@ -18,6 +18,7 @@ import csv
 import os
 import struct
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -224,10 +225,14 @@ class TimeGrid:
         return np.log(self.t_min) + np.arange(self.L + 1) * self.step
 
 
+@cache
 def flat_positions(j: int, n: int) -> np.ndarray:
-    """(2^{nj}, n) array of the level-j position multi-indices in C order."""
+    """(2^{nj}, n) array of the level-j position multi-indices in C order;
+    built once per (j, n) and read-only."""
     grids = np.meshgrid(*([np.arange(1 << j)] * n), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=-1)
+    out = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    out.setflags(write=False)
+    return out
 
 
 def min_image(diff: np.ndarray, period: float) -> np.ndarray:

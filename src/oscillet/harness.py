@@ -12,9 +12,15 @@ time-dependent enters them; the only timestamp lives in the digest's
 metadata block.
 
 Every runner and negative control takes its bases, inputs and time grid
-from the same helpers (`_sweep`, `_sample`, `_time_grid`).  Warnings are
-muted in one place, `run_experiment`; the runners and the library
-functions they call leave the caller's warning filters alone.
+from the same helpers (`_sweep`, `_sample`, `_time_grid`).  What does not
+depend on the sample is built once per sweep point: the Riesz matrix of
+each J, the reconstruction's multiplier table of each (J, time grid), the
+initial data of each decay-bounds (variant, J), shared by its betas.  The
+heat-side negative controls run on the loop's own lifts and reports (the
+level boost on sample 0 at the sweep endpoints, the miscalibrated
+reconstruction and the misattributed decay on the first J), so they add no
+lift.  Warnings are muted in one place, `run_experiment`; the runners and
+the library functions they call leave the caller's warning filters alone.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .operators import (
     _random_detail_field,
     czo_boundedness_experiment,
     ratio_growth,
+    riesz_matrix,
     riesz_tent_experiment,
 )
 from .semigroup import (
@@ -93,6 +100,10 @@ class ExperimentConfig:
                 f"levels, got {J}")
         if self.m0 is not None and self.m0 < 0:
             raise ParameterError(f"m0 must be auto or at least 0, got {self.m0}")
+        if self.family != "meyer" and self.kind != "norm-equivalence":
+            raise ParameterError(
+                f"{self.kind} runs on the Meyer basis only; family "
+                f"{self.family!r} applies to norm-equivalence")
 
     def tent_params(self) -> TentParams:
         return TentParams(self.sp, self.m, self.m_prime, self.beta)
@@ -180,15 +191,11 @@ def _band_stability(values_by_J: dict) -> float:
 
 # -- the shared sweep pieces -----------------------------------------------------
 
-def _basis(cfg: ExperimentConfig, J: int, family: str = "meyer"):
-    return build_basis(family, GridSpec(n=cfg.n, J=J, j_min=cfg.j_min),
-                       profile=cfg.profile)
-
-
 def _sweep(cfg: ExperimentConfig, family: str = "meyer", endpoints: bool = False):
     """(J, basis) for each J of the sweep, or for its first and last J."""
     Js = (cfg.J_sweep[0], cfg.J_sweep[-1]) if endpoints else cfg.J_sweep
-    return ((J, _basis(cfg, J, family)) for J in Js)
+    return ((J, build_basis(family, GridSpec(n=cfg.n, J=J, j_min=cfg.j_min),
+                            profile=cfg.profile)) for J in Js)
 
 
 def _sample(cfg: ExperimentConfig, basis, s: int = 0) -> GridFunction:
@@ -325,6 +332,7 @@ def run_semigroup_characterization(cfg: ExperimentConfig) -> dict:
     reverse_max, residual_max, surjectivity = {}, {}, {}
     tg = _time_grid(cfg)
     fam = calibrate_family(cfg.beta, profile=cfg.profile)
+    control = None
     for J, basis in _sweep(cfg):
         peaks = {name: 0.0 for name in part_max}
         rev_peak, res_peak = 0.0, 0.0
@@ -345,6 +353,8 @@ def run_semigroup_characterization(cfg: ExperimentConfig) -> dict:
                          "sample": s, "combined": combined,
                          **{f"part_{name}": v for name, v in zip(PARTS, rep.values)},
                          "reverse_ratio": reverse, "residual": residual})
+            if J == cfg.J_sweep[0] and s == 0:
+                control = _miscalibrated_reconstruction_control(fam, basis, f, tcf)
         for name in part_max:
             part_max[name][J] = peaks[name]
         reverse_max[J] = rev_peak
@@ -352,7 +362,6 @@ def run_semigroup_characterization(cfg: ExperimentConfig) -> dict:
         surjectivity[J] = _surjectivity_probe(basis, fam, tg, tp, cfg)
     growths = {name: ratio_growth(vals) for name, vals in part_max.items()}
     rev_growth = ratio_growth(reverse_max)
-    control = _miscalibrated_reconstruction_control(cfg, fam, tg)
     passed = (all(g < GROWTH_LIMIT for g in growths.values())
               and rev_growth < GROWTH_LIMIT
               and max(residual_max.values()) < IDENTITY_TOL
@@ -376,14 +385,13 @@ def run_semigroup_characterization(cfg: ExperimentConfig) -> dict:
     return {"report": report, "rows": rows}
 
 
-def _miscalibrated_reconstruction_control(cfg, fam, tg) -> dict:
+def _miscalibrated_reconstruction_control(fam, basis, f, tcf) -> dict:
     """Inflating the calibration constant by half must push the
-    reconstruction residual far beyond the identity tolerance."""
-    basis = _basis(cfg, cfg.J_sweep[0])
-    f = _sample(cfg, basis)
+    reconstruction residual far beyond the identity tolerance; run on the
+    sweep's first J and sample 0 (f and its lift tcf)."""
     bad_fam = replace(fam, C_beta=1.5 * fam.C_beta)
-    tcf = _lift(basis, f, tg, cfg.beta)
-    rec, _ = pi_phi_report(bad_fam, frames_from_tcf(basis, tcf), tg, basis.spec)
+    rec, _ = pi_phi_report(bad_fam, frames_from_tcf(basis, tcf), tcf.tg,
+                           basis.spec)
     residual = rel_l2_error(rec, f)
     return {"kind": "miscalibrated-reconstruction", "residual": residual,
             "detected": bool(residual > IDENTITY_TOL)}
@@ -448,12 +456,14 @@ def run_riesz_tent(cfg: ExperimentConfig) -> dict:
     tp = cfg.tent_params()
     rows = []
     part_ratio_max = {name: {} for name in PARTS}
+    boost_by_J = {}
     tg = _time_grid(cfg)
     for J, basis in _sweep(cfg):
         peaks = {name: 0.0 for name in part_ratio_max}
+        mat = riesz_matrix(basis, 1)
         for s in range(cfg.samples):
             tcf = _lift(basis, _sample(cfg, basis, s), tg, cfg.beta)
-            result = riesz_tent_experiment(tcf, tp, 1, basis)
+            result = riesz_tent_experiment(tcf, tp, mat)
             row = {"experiment": "riesz-tent", "J": J, "sample": s}
             for name in PARTS:
                 r = result["ratios"][name]
@@ -462,10 +472,13 @@ def run_riesz_tent(cfg: ExperimentConfig) -> dict:
                     peaks[name] = max(peaks[name], r)
             row["cross_part_iii"] = result["cross_part_iii"]
             rows.append(row)
+            if s == 0 and J in (cfg.J_sweep[0], cfg.J_sweep[-1]):
+                boost_by_J[J] = _level_boost_ratio(tcf, tp,
+                                                   max(result["input_parts"]))
         for name in part_ratio_max:
             part_ratio_max[name][J] = peaks[name]
     growths = {name: ratio_growth(vals) for name, vals in part_ratio_max.items()}
-    control = _level_boost_control(cfg, tp, tg)
+    control = _level_boost_control(boost_by_J)
     passed = (all(g < GROWTH_LIMIT for g in growths.values())
               and control["detected"])
     report = {
@@ -481,17 +494,17 @@ def run_riesz_tent(cfg: ExperimentConfig) -> dict:
     return {"report": report, "rows": rows}
 
 
-def _level_boost_control(cfg, tp, tg) -> dict:
-    """An unbounded diagonal operator (coefficients boosted by 2^{j/2}) must
-    make the tent-part ratios grow across the sweep."""
-    ratio_by_J = {}
-    for J, basis in _sweep(cfg, endpoints=True):
-        tcf = _lift(basis, _sample(cfg, basis), tg, cfg.beta)
-        boosted = tcf.map_detail(lambda eps, j, block: block * 2.0 ** (j / 2.0))
-        rep_in = tent_norms(tcf, tp)
-        rep_out = tent_norms(boosted, tp)
-        ratio_by_J[J] = (rep_out.combined / rep_in.combined
-                         if rep_in.combined > 0 else 0.0)
+def _level_boost_ratio(tcf: CoeffField, tp: TentParams, combined_in: float) -> float:
+    """Combined tent norm of the lift tcf with its coefficients boosted by
+    2^{j/2} (an unbounded diagonal operator), over tcf's own combined norm
+    `combined_in`."""
+    boosted = tcf.map_detail(lambda eps, j, block: block * 2.0 ** (j / 2.0))
+    return tent_norms(boosted, tp).combined / combined_in if combined_in > 0 else 0.0
+
+
+def _level_boost_control(ratio_by_J: dict) -> dict:
+    """The level-boost ratios of sample 0 at the sweep endpoints must grow
+    across the sweep."""
     growth = ratio_growth(ratio_by_J)
     return {"kind": "level-boost", "ratio_by_J": {str(J): v for J, v in
                                                   ratio_by_J.items()},
@@ -506,30 +519,41 @@ def run_decay_bounds(cfg: ExperimentConfig) -> dict:
     all_pass = True
     by_beta = {}
     j_star = max(cfg.j_min, (cfg.j_min + min(cfg.J_sweep) - 2) // 2)
+    k_star = (3 % (1 << j_star),) * cfg.n
+    # single-coefficient data at two separated levels gate the pass: the
+    # measured constant must hold at every resolution and comparably
+    # across the coefficient level.  The random field is informational:
+    # its max ratio is an extreme over a sample set that grows with J.
+    variants = [("single", j_star), ("single-fine", j_star + 2), ("random", None)]
+    # the initial data of each (variant, J) and its synthesis, shared by the
+    # betas: (basis, c0, f)
+    inputs = {}
+    for J, basis in _sweep(cfg):
+        for variant, j_coeff in variants:
+            if j_coeff is not None:
+                c0 = _one_coefficient(basis, j_coeff, (3 % (1 << j_coeff),) * cfg.n)
+            else:
+                c0 = _random_detail_field(basis, cfg.sp, cfg.seed + 17)
+            inputs[(variant, J)] = (basis, c0, basis.synthesize(c0))
+    control = None
     for beta in betas:
         tg = _time_grid(cfg, beta)
         by_variant = {}
-        # single-coefficient data at two separated levels gate the pass: the
-        # measured constant must hold at every resolution and comparably
-        # across the coefficient level.  The random field is informational:
-        # its max ratio is an extreme over a sample set that grows with J.
-        variants = [("single", j_star), ("single-fine", j_star + 2), ("random", None)]
         gate_values = []
         for variant, j_coeff in variants:
             reports = []
-            for J, basis in _sweep(cfg):
-                if j_coeff is not None:
-                    c0 = _one_coefficient(basis, j_coeff,
-                                          (3 % (1 << j_coeff),) * cfg.n)
-                else:
-                    c0 = _random_detail_field(basis, cfg.sp, cfg.seed + 17)
-                tcf = _lift(basis, basis.synthesize(c0), tg, beta)
+            for J in cfg.J_sweep:
+                basis, c0, f = inputs[(variant, J)]
+                tcf = _lift(basis, f, tg, beta)
                 rep = check_decay_bounds(tcf, c0, N=4.0)
                 reports.append((J, rep))
                 rows.append({"experiment": "decay-bounds", "beta": beta,
                              "variant": variant, "J": J, "max_r2": rep.max_r2,
                              "seam_residual": rep.seam_residual,
                              "violations": rep.violations})
+                if (beta, variant, J) == (cfg.beta, "single", cfg.J_sweep[0]):
+                    control = _misattributed_decay_control(basis, tcf, rep,
+                                                           j_star, k_star)
             ctilde, _worst = fit_ctilde(reports, 0.05)
             idx = int(np.argmin(np.abs(reports[0][1].ctilde_grid - ctilde)))
             r1_by_J = {J: rep.max_r1[idx] for J, rep in reports}
@@ -554,7 +578,6 @@ def run_decay_bounds(cfg: ExperimentConfig) -> dict:
             by_variant["cross_level_ratio"] = cross
             all_pass = all_pass and cross < 4.0
         by_beta[str(beta)] = by_variant
-    control = _misattributed_decay_control(cfg, j_star)
     all_pass = all_pass and control["detected"]
     report = {"kind": "decay-bounds",
               "params": {"N": 4.0, "j_star": j_star, "n": cfg.n,
@@ -565,15 +588,12 @@ def run_decay_bounds(cfg: ExperimentConfig) -> dict:
     return {"report": report, "rows": rows}
 
 
-def _misattributed_decay_control(cfg, j_star) -> dict:
+def _misattributed_decay_control(basis, tcf, rep_true, j_star, k_true) -> dict:
     """Checking the lift of one wavelet against initial data positioned on
-    the opposite side of the torus must blow the measured constant up."""
-    basis = _basis(cfg, cfg.J_sweep[0])
-    k_true = (3 % (1 << j_star),) * cfg.n
+    the opposite side of the torus must blow the measured constant up; run
+    on the lift tcf of the unit coefficient at (j_star, k_true), whose
+    report against its own initial data is rep_true."""
     k_wrong = tuple((k + (1 << j_star) // 2) % (1 << j_star) for k in k_true)
-    c_true = _one_coefficient(basis, j_star, k_true)
-    tcf = _lift(basis, basis.synthesize(c_true), _time_grid(cfg), cfg.beta)
-    rep_true = check_decay_bounds(tcf, c_true, N=4.0)
     rep_wrong = check_decay_bounds(tcf, _one_coefficient(basis, j_star, k_wrong),
                                    N=4.0)
     blowup = (rep_wrong.max_r2 / rep_true.max_r2

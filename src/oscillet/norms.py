@@ -126,22 +126,26 @@ def _level_aggregates(c: CoeffField, gamma1: float, q: float):
         yield j, _upsample(w * lvl if q == np.inf else (w ** q) * lvl, c.j_max, n)
 
 
-def _morrey_cube_max(integrand: np.ndarray, j0: int, sp: SpaceParams,
-                     spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of the integrand's leading batch axis: the max over level-j0
-    cubes Q of |Q|^{gamma2/n - 1/p} ||integrand||_{L^p(Q)}, and the flat
-    position of the first cube attaining it.  The integrand may be at any
-    dyadic resolution up to the grid's; its p-th power is blown up to the
-    grid before the cube sums, which therefore read what a full-grid
-    integrand gives, bit for bit."""
+def _morrey_cube_max(integrand: np.ndarray, j0s: Sequence[int], sp: SpaceParams,
+                     spec: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each cube level j0 of j0s, per row of the integrand's leading
+    batch axis: the max over level-j0 cubes Q of
+    |Q|^{gamma2/n - 1/p} ||integrand||_{L^p(Q)}, and the flat position of
+    the first cube attaining it.  The integrand may be at any dyadic
+    resolution up to the grid's; its p-th power is blown up to the grid
+    once, before the cube sums of every j0, which therefore read what a
+    full-grid integrand gives, bit for bit."""
     n = spec.n
-    sums = _block_reduce_sum(_upsample(integrand ** sp.p, spec.J, n),
-                             j0, spec.J, n)
-    weight = 2.0 ** (-j0 * (sp.gamma2 - n / sp.p))
-    vals = weight * (spec.cell_volume * sums) ** (1.0 / sp.p)
-    vals = vals.reshape(len(vals), -1)
-    flat = np.argmax(vals, axis=1)
-    return vals[np.arange(len(vals)), flat], flat
+    powered = _upsample(integrand ** sp.p, spec.J, n)
+    out = []
+    for j0 in j0s:
+        sums = _block_reduce_sum(powered, j0, spec.J, n)
+        weight = 2.0 ** (-j0 * (sp.gamma2 - n / sp.p))
+        vals = weight * (spec.cell_volume * sums) ** (1.0 / sp.p)
+        vals = vals.reshape(len(vals), -1)
+        flat = np.argmax(vals, axis=1)
+        out.append((vals[np.arange(len(vals)), flat], flat))
+    return out
 
 
 def _suffix_combine(levels, q: float):
@@ -221,7 +225,7 @@ def _tlm_core(c: CoeffField, sp: SpaceParams, cube_levels) -> TlmReport:
             continue
         Vj = V[min(avail)]
         integrand = Vj if sp.q == np.inf else Vj ** (1.0 / sp.q)
-        vals, flat = _morrey_cube_max(integrand[None], j0, sp, c.spec)
+        [(vals, flat)] = _morrey_cube_max(integrand[None], (j0,), sp, c.spec)
         per_level[j0] = float(vals[0])
         if per_level[j0] > best:
             best = per_level[j0]

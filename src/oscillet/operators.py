@@ -407,12 +407,12 @@ def ratio_growth(by_J: dict) -> float:
     return worst
 
 
-def riesz_tent_experiment(tcf, tp, l: int, basis) -> dict:
-    """Tent-part ratios of one Riesz application, plus the cross-part
-    attribution of part III against parts III+IV of the input."""
+def riesz_tent_experiment(tcf, tp, mat: AlmostDiagonalMatrix) -> dict:
+    """Tent-part ratios of one Riesz application (`mat`, from
+    `riesz_matrix`), plus the cross-part attribution of part III against
+    parts III+IV of the input."""
     from .tent import tent_norms
 
-    mat = riesz_matrix(basis, l)
     out = apply_matrix_time(mat, tcf)
     rep_in = tent_norms(tcf, tp)
     rep_out = tent_norms(out, tp)

@@ -18,9 +18,12 @@ builds the propagated spectra of a chunk as one (chunk,) + grid stack and
 transforms every level block of the chunk at once, and `frames_from_tcf`
 synthesizes one chunk of slices at a time.  A chunk holds at most
 CHUNK_BYTES of complex grid rows, the bound shared with the oscillation norm
-and the tent parts.  Every value is bit for bit the one a node-by-node
-evaluation gives; the reconstruction keeps its spatial round trip, since
-accumulating in Fourier space would change the bits.
+and the tent parts.  The reconstruction reads the calibrated multiplier from
+one table per time grid and grid, kept on the family (the last one only),
+and transforms its frames a chunk at a time, adding them in node order.
+Every value is bit for bit the one a node-by-node evaluation gives; the
+reconstruction keeps its spatial round trip, since accumulating in Fourier
+space would change the bits.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from .errors import GridMismatchError, ParameterError
 from .grid import GridFunction, GridSpec, TimeGrid, flat_positions, min_image
 from .norms import _level_power_sum
-from .wavelet import CHUNK_BYTES, CoeffField, MeyerWindow, TWO_PI
+from .wavelet import CHUNK_BYTES, CoeffField, MeyerWindow, TWO_PI, _fft_last
 
 
 @dataclass(frozen=True)
@@ -111,9 +114,32 @@ class CalibratedFamily:
     scale: float                 # w(r) = scale * omega(r)
     C_beta: float
     admissibility: dict = field(default_factory=dict)
+    # the last multiplier table built, under the key it was built for; a
+    # copy made with dataclasses.replace shares it, and the key holds every
+    # input of the table (C_beta is not one)
+    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def radial(self, r: np.ndarray) -> np.ndarray:
         return self.scale * self.window.omega(np.asarray(r, dtype=float))
+
+    def multiplier_table(self, tg: TimeGrid,
+                         spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+        """phi-hat(t^{1/(2 beta)} |xi|) at the lattice radii |xi| = 2 pi |m|:
+        a table over the nodes x the distinct radii, and the index of each
+        grid point's radius (spec.shape), both read-only.  Built once per
+        time grid and grid; only the last one is kept."""
+        key = (self.beta, self.scale, self.window, tg, spec)
+        if key not in self._tables:
+            self._tables.clear()
+            radii, where = np.unique(TWO_PI * np.sqrt(spec.lattice_norm2()),
+                                     return_inverse=True)
+            scales = np.array([t ** (1.0 / (2.0 * self.beta)) for t in tg.nodes()])
+            table = (self.radial(scales[:, None] * radii),
+                     where.reshape(spec.shape))
+            for arr in table:
+                arr.setflags(write=False)
+            self._tables[key] = table
+        return self._tables[key]
 
 
 def calibrate_family(beta: float, profile: str = "polynomial",
@@ -172,26 +198,18 @@ def pi_phi_report(family: CalibratedFamily, frames: Iterable[GridFunction],
                   tg: TimeGrid, spec: GridSpec):
     """C_beta int (F(t, .) * phi^beta_t)(x) dt/t on the time grid.
 
-    `frames` yields one GridFunction per node, in node order."""
+    `frames` yields one GridFunction per node, in node order.  The frames of
+    the nodes whose multiplier is not zero are transformed a chunk at a time
+    (at most CHUNK_BYTES of grid rows) and added in node order, bit for bit
+    a node-by-node sum."""
     acc = np.zeros(spec.shape, dtype=complex)
-    nodes, weights = tg.nodes(), tg.weights()
-    # phi-hat(t^{1/(2 beta)} xi) at the lattice radii |xi| = 2 pi |m|: one
-    # table over nodes x distinct radii, gathered onto the grid per node
-    radii, where = np.unique(TWO_PI * np.sqrt(spec.lattice_norm2()),
-                             return_inverse=True)
-    scales = np.array([t ** (1.0 / (2.0 * family.beta)) for t in nodes])
-    table = family.radial(scales[:, None] * radii)
-    where = where.reshape(spec.shape)
-    count = 0
-    for ell, frame in enumerate(frames):
-        if frame.spec != spec:
-            raise GridMismatchError("frame grid does not match")
-        mult = table[ell][where]
-        if np.any(mult):
-            acc += weights[ell] * mult * np.fft.fftn(frame.data)
-        count += 1
-    if count != tg.L:
-        raise ParameterError(f"expected {tg.L} frames, got {count}")
+    weights = tg.weights()
+    table, where = family.multiplier_table(tg, spec)
+    live = np.any(table, axis=1)
+    rows = max(1, CHUNK_BYTES // (16 * spec.size))
+    for ells, stack in _live_chunks(frames, spec, live, rows):
+        for ell, F in zip(ells, _fft_last(stack, spec.n)):
+            acc += weights[ell] * table[ell][where] * F
     out = GridFunction(spec, np.fft.ifftn(family.C_beta * acc))
 
     # coverage of the annulus tau = t |xi|^{2 beta} in [(2pi/3)^{2b}, (8pi/3)^{2b}]
@@ -210,6 +228,29 @@ def pi_phi_report(family: CalibratedFamily, frames: Iterable[GridFunction],
         warnings.warn(warning, UserWarning, stacklevel=2)
     report = ReconstructionReport(cov_low, cov_high, tg.step, warning)
     return out, report
+
+
+def _live_chunks(frames: Iterable[GridFunction], spec: GridSpec,
+                 live: np.ndarray, rows: int):
+    """(node indices, stacked data) of the frames at the nodes where `live`
+    is set, `rows` frames at a time, in node order; checks that there is
+    one frame on `spec` per node."""
+    ells, datas = [], []
+    count = 0
+    for ell, frame in enumerate(frames):
+        if frame.spec != spec:
+            raise GridMismatchError("frame grid does not match")
+        count += 1
+        if ell < len(live) and live[ell]:
+            ells.append(ell)
+            datas.append(frame.data)
+            if len(ells) == rows:
+                yield ells, np.stack(datas)
+                ells, datas = [], []
+    if count != len(live):
+        raise ParameterError(f"expected {len(live)} frames, got {count}")
+    if ells:
+        yield ells, np.stack(datas)
 
 
 def frames_from_tcf(basis, tcf: CoeffField) -> Iterable[GridFunction]:

@@ -19,11 +19,15 @@ sets depend on the node only through which levels lie at or above
 theta = -log2(t)/(2 beta), and theta is monotone in the node, so the nodes
 fall into runs that share every level set.  Within a run, the per-level
 fields of a chunk of nodes (at most CHUNK_BYTES of complex grid rows, the
-bound every batched evaluation shares) carry a leading node axis, and one
-cube-sup kernel call per cube level serves the whole chunk.  The kernel is
-the same for all four parts; parts III/IV call it as a batch of one.  Every
-sum runs in the order a node-by-node evaluation uses and the node updates
-stay in node order, so the values are bit for bit the same.
+bound every batched evaluation shares) carry a leading node axis.  Part I
+admits the same levels for every cube level j0 <= theta (and part IV for
+every j0), so the integrand and its p-th power are built once per distinct
+level set and serve each cube level that admits it; only the cube sums are
+per cube level.  The kernel is the same for all four parts; parts III/IV
+call it as a batch of one.  Every sum runs in the order a node-by-node,
+cube-level-by-cube-level evaluation uses, and the cube levels and node
+updates are scanned in order with a strict >, so the values are bit for bit
+the same.
 
 The outer 1/q power on the level sums of parts III/IV follows the same
 L^p(l^q) shape as parts I/II; `literal_exponent=True` switches to the
@@ -118,6 +122,15 @@ def _level_base_fields(tcf: CoeffField, nodes: slice,
             for j in tcf.levels}
 
 
+def _integrand(fields: dict[int, np.ndarray], level_weights: dict[int, float],
+               levels: Sequence[int], root: float | None) -> np.ndarray:
+    """(sum_{j in levels} w_j F_j)^root, or the pointwise sup over the
+    levels of w_j F_j when root is None (q = inf)."""
+    if root is None:
+        return np.maximum.reduce([level_weights[j] * fields[j] for j in levels])
+    return sum(level_weights[j] * fields[j] for j in levels) ** root
+
+
 def _cube_sup(fields: dict[int, np.ndarray], level_weights: dict[int, float],
               levels: Sequence[int], j0: int, root: float | None,
               sp: SpaceParams, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -126,11 +139,9 @@ def _cube_sup(fields: dict[int, np.ndarray], level_weights: dict[int, float],
     norm restricted to the cube, and the flat position of the first cube
     attaining it.  root=None aggregates by the pointwise sup over the levels
     instead (q = inf)."""
-    if root is None:
-        integrand = np.maximum.reduce([level_weights[j] * fields[j] for j in levels])
-    else:
-        integrand = sum(level_weights[j] * fields[j] for j in levels) ** root
-    return _morrey_cube_max(integrand, j0, sp, spec)
+    [result] = _morrey_cube_max(_integrand(fields, level_weights, levels, root),
+                                (j0,), sp, spec)
+    return result
 
 
 def _sup_over_cubes(fields, rows: int, level_weights,
@@ -138,15 +149,22 @@ def _sup_over_cubes(fields, rows: int, level_weights,
     """Per row of the fields' leading axis (`rows` long): the sup over the
     cubes of every cube level j0 of `admitted` (which maps j0 to its
     admitted levels), scanning the cube levels in order with a strict > as
-    a cube-by-cube scan does.  Returns the values, the cube level and the
-    flat position of the winner (level -1 where no cube exceeds zero)."""
+    a cube-by-cube scan does.  The integrand and its p-th power are built
+    once per distinct level set, for all the cube levels that admit it.
+    Returns the values, the cube level and the flat position of the winner
+    (level -1 where no cube exceeds zero)."""
+    by_levels: dict[tuple[int, ...], list[int]] = {}
+    for j0, levels in admitted.items():
+        if levels:
+            by_levels.setdefault(tuple(levels), []).append(j0)
+    sups = {}
+    for levels, j0s in by_levels.items():
+        integrand = _integrand(fields, level_weights, levels, root)
+        sups.update(zip(j0s, _morrey_cube_max(integrand, j0s, sp, spec)))
     best = np.zeros(rows)
     best_j0 = np.full(rows, -1)
     best_flat = np.zeros(rows, dtype=int)
-    for j0, levels in admitted.items():
-        if not levels:
-            continue
-        vals, flat = _cube_sup(fields, level_weights, levels, j0, root, sp, spec)
+    for j0, (vals, flat) in sorted(sups.items()):
         better = vals > best
         best[better] = vals[better]
         best_j0[better] = j0

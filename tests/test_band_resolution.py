@@ -4,8 +4,8 @@ Every level field of a coefficient field is constant on blocks of
 2^{J - j_max} samples per axis, so the norms build them at (2^{j_max},)^n
 and blow the p-th power of the integrand up to the grid just before the
 sums.  The references below are the full-grid expressions the norms used
-before: every level field upsampled to (2^J,)^n.  The results must agree
-bit for bit.
+before: every level field upsampled to (2^J,)^n, and one p-th power per
+cube level.  The results must agree bit for bit.
 """
 
 import numpy as np
@@ -114,11 +114,20 @@ def test_tent_parts_match_full_grid(monkeypatch, family, n, J, L, p, q, literal)
     for arr in tcf.detail.values():
         arr[:] = rng.standard_normal(arr.shape)
     got = tent_norms(tcf, tp, literal_exponent=literal)
-    # the reference: every level field of parts I-IV on the full grid
+    # the reference: every level field of parts I-IV on the full grid, and
+    # the full-grid kernel once per cube level
+    reference_calls = []
+
+    def full_grid_kernel(integrand, j0s, sp, spec):
+        reference_calls.append(tuple(j0s))
+        return [full_grid_morrey_cube_max(integrand, j0, sp, spec) for j0 in j0s]
+
     monkeypatch.setattr(tent, "_upsample",
                         lambda arr, _J, n=None: norms._upsample(arr, J, n))
-    monkeypatch.setattr(tent, "_morrey_cube_max", full_grid_morrey_cube_max)
+    monkeypatch.setattr(tent, "_morrey_cube_max", full_grid_kernel)
     want = tent_norms(tcf, tp, literal_exponent=literal)
+    # the patched kernel ran, so the reference is not the code under test
+    assert reference_calls
     assert got == want
     assert got.part_i.value > 0 and got.part_ii.value > 0
     assert (got.part_iii.value > 0) == (q != np.inf)

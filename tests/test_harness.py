@@ -206,9 +206,12 @@ def test_cli_verify_seed_comes_from_the_file_unless_given(tmp_path):
     ("kind = czo-boundedness\nJ_sweep = 9,8\n",
      "J_sweep must be a non-empty, strictly increasing list of levels, got (9, 8)"),
     ("kind = norm-equivalence\nm0 = -1\n", "m0 must be auto or at least 0, got -1"),
+    ("kind = riesz-tent\nfamily = daubechies\n",
+     "riesz-tent runs on the Meyer basis only; family 'daubechies' applies to "
+     "norm-equivalence"),
 ], ids=["unknown-key", "partial-space-params", "no-kind", "samples-not-int",
         "m0-not-int", "no-equals-sign", "zero-samples", "repeated-J",
-        "decreasing-J", "negative-m0"])
+        "decreasing-J", "negative-m0", "non-meyer-family"])
 def test_bad_config_files_are_rejected(tmp_path, text, message):
     path = tmp_path / "cfg.txt"
     path.write_text(text)
@@ -226,6 +229,19 @@ def test_a_run_without_samples_is_rejected(kind):
     # gate would pass on nothing
     with pytest.raises(ParameterError, match="samples must be at least 1"):
         ExperimentConfig(kind, samples=0)
+
+
+@pytest.mark.parametrize("kind", ["semigroup-characterization",
+                                  "czo-boundedness", "riesz-tent",
+                                  "decay-bounds", "embeddings"])
+def test_a_non_meyer_family_is_rejected_outside_norm_equivalence(kind):
+    # these kinds run on the Meyer basis whatever the family says; a
+    # Daubechies config used to run Meyer and report as if nothing were amiss
+    with pytest.raises(ParameterError, match="runs on the Meyer basis only"):
+        ExperimentConfig(kind, n=2, J_sweep=(4, 5), samples=1, time_nodes=16,
+                         family="daubechies",
+                         sp=SpaceParams(-0.2, 0.1, 2.0, 2.0))
+    ExperimentConfig(kind, family="meyer")
 
 
 def test_an_empty_sweep_is_rejected():
@@ -418,3 +434,84 @@ def test_cli_riesz(tmp_path, rng):
                      "--out", str(opath)]) == 0
     g = read_grid_function(str(opath))
     np.testing.assert_allclose(g.data.real, np.sin(2 * np.pi * x), atol=1e-12)
+
+
+# -- sweep invariants built once: the runners against the per-sample paths ----
+
+def test_riesz_tent_one_matrix_per_J_matches_one_per_sample():
+    from oscillet import harness
+    from oscillet.operators import riesz_matrix, riesz_tent_experiment
+    from oscillet.tent import tent_norms
+
+    cfg = ExperimentConfig("riesz-tent", n=2, J_sweep=(4, 5), samples=2,
+                           time_nodes=16, sp=SpaceParams(-0.2, 0.1, 2.0, 2.0))
+    tp, tg = cfg.tent_params(), harness._time_grid(cfg)
+    want_rows, want_boost = [], {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = run_experiment(cfg)
+        for J, basis in harness._sweep(cfg):
+            for s in range(cfg.samples):
+                tcf = harness._lift(basis, harness._sample(cfg, basis, s), tg,
+                                    cfg.beta)
+                result = riesz_tent_experiment(tcf, tp, riesz_matrix(basis, 1))
+                want_rows.append([result["ratios"][name] for name in harness.PARTS]
+                                 + [result["cross_part_iii"]])
+        # the control as a run of its own: sample 0 lifted again and both
+        # tent norms evaluated again
+        for J, basis in harness._sweep(cfg, endpoints=True):
+            tcf = harness._lift(basis, harness._sample(cfg, basis), tg, cfg.beta)
+            boosted = tcf.map_detail(lambda eps, j, block: block * 2.0 ** (j / 2.0))
+            want_boost[str(J)] = (tent_norms(boosted, tp).combined
+                                  / tent_norms(tcf, tp).combined)
+    got_rows = [[row[f"ratio_{name}"] for name in harness.PARTS]
+                + [row["cross_part_iii"]] for row in got["rows"]]
+    np.testing.assert_array_equal(np.array(got_rows, dtype=float),
+                                  np.array(want_rows, dtype=float))
+    assert list(got["report"]["negative_control"]["ratio_by_J"]) == ["4", "5"]
+    np.testing.assert_array_equal(
+        [got["report"]["negative_control"]["ratio_by_J"][J] for J in ("4", "5")],
+        [want_boost[J] for J in ("4", "5")])
+
+
+def test_heat_controls_on_the_loop_lifts_match_their_own_lifts():
+    from dataclasses import replace
+
+    from oscillet import harness
+    from oscillet.grid import rel_l2_error
+    from oscillet.semigroup import (
+        calibrate_family,
+        check_decay_bounds,
+        frames_from_tcf,
+        pi_phi_report,
+    )
+
+    sp = SpaceParams(-0.2, 0.1, 2.0, 2.0)
+    semi = ExperimentConfig("semigroup-characterization", J_sweep=(6, 7),
+                            samples=2, time_nodes=32, sp=sp)
+    decay = ExperimentConfig("decay-bounds", J_sweep=(6, 7), time_nodes=32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got_semi = run_experiment(semi)["report"]["negative_control"]
+        got_decay = run_experiment(decay)["report"]["negative_control"]
+        # the miscalibrated reconstruction with its own lift, family and table
+        J0, basis = next(harness._sweep(semi))
+        f = harness._sample(semi, basis)
+        tg = harness._time_grid(semi)
+        tcf = harness._lift(basis, f, tg, semi.beta)
+        fam = calibrate_family(semi.beta)
+        bad = replace(fam, C_beta=1.5 * fam.C_beta, _tables={})
+        rec, _ = pi_phi_report(bad, frames_from_tcf(basis, tcf), tg, basis.spec)
+        # the misattributed decay with its own basis and lift
+        J0, basis = next(harness._sweep(decay))
+        j_star = max(0, (min(decay.J_sweep) - 2) // 2)
+        k_true = 3 % (1 << j_star)
+        k_wrong = (k_true + (1 << j_star) // 2) % (1 << j_star)
+        c_true = harness._one_coefficient(basis, j_star, (k_true,))
+        c_wrong = harness._one_coefficient(basis, j_star, (k_wrong,))
+        lift = harness._lift(basis, basis.synthesize(c_true),
+                             harness._time_grid(decay), decay.beta)
+        blowup = (check_decay_bounds(lift, c_wrong, N=4.0).max_r2
+                  / check_decay_bounds(lift, c_true, N=4.0).max_r2)
+    assert got_semi["residual"] == rel_l2_error(rec, f)
+    assert got_decay["blowup"] == blowup

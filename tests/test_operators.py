@@ -308,7 +308,7 @@ class TestRieszTent:
         tg = TimeGrid(1e-4, 2.0, 8)
         tcf = CoeffField(meyer2d.spec, "meyer", 0, meyer2d.j_max, tg=tg, beta=1.0)
         tp = TentParams(SpaceParams(-0.2, 0.1, 2.0, 2.0), 3.0, 1.0, 1.0)
-        result = riesz_tent_experiment(tcf, tp, 1, meyer2d)
+        result = riesz_tent_experiment(tcf, tp, riesz_matrix(meyer2d, 1))
         assert all(v is None for v in result["ratios"].values())
 
     def test_heat_lifted_ratios_finite(self, meyer2d):
@@ -321,7 +321,7 @@ class TestRieszTent:
             f = meyer2d.synthesize(_random_detail_field(meyer2d, sp, 21))
             tcf = evolve_coefficients(sg, meyer2d, f, tg)
             tp = TentParams(sp, 3.0, 1.0, 1.0)
-            result = riesz_tent_experiment(tcf, tp, 1, meyer2d)
+            result = riesz_tent_experiment(tcf, tp, riesz_matrix(meyer2d, 1))
         for name, r in result["ratios"].items():
             if r is not None:
                 assert np.isfinite(r)

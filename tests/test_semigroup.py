@@ -248,6 +248,74 @@ class TestPiPhi:
             pi_phi_report(fam, frames, tg, meyer1d.spec)
 
 
+def pi_phi_oracle(fam, frames, tg, spec):
+    """The reconstruction node by node: the calibrated multiplier on the
+    full grid and one FFT per frame, added in node order."""
+    radius = 2 * np.pi * np.sqrt(spec.lattice_norm2())
+    acc = np.zeros(spec.shape, dtype=complex)
+    dead = 0
+    for t, w, frame in zip(tg.nodes(), tg.weights(), frames):
+        mult = fam.radial(t ** (1.0 / (2.0 * fam.beta)) * radius)
+        if np.any(mult):
+            acc += w * mult * np.fft.fftn(frame.data)
+        else:
+            dead += 1
+    return np.fft.ifftn(fam.C_beta * acc), dead
+
+
+class TestChunkedReconstruction:
+    # the 2-d default grid leaves the corner modes short of the annulus
+    @pytest.mark.filterwarnings("ignore:time grid does not cover")
+    @pytest.mark.parametrize("n, J, L, rows", [(1, 8, 48, 5), (1, 10, 64, 7),
+                                               (2, 5, 40, 3)])
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_matches_node_loop(self, monkeypatch, n, J, L, rows, chunked):
+        spec = GridSpec(n, J, 0)
+        fam = calibrate_family(0.75)
+        tg = default_time_grid(spec, fam.beta, L=L)
+        rng = np.random.default_rng(J * L)
+        data = (rng.standard_normal((L,) + spec.shape)
+                + 1j * rng.standard_normal((L,) + spec.shape))
+        frames = [GridFunction(spec, row) for row in data]
+        if chunked:
+            # chunk edges inside the run of live nodes, a partial last chunk
+            monkeypatch.setattr(semigroup, "CHUNK_BYTES", rows * 16 * spec.size)
+        table, _ = fam.multiplier_table(tg, spec)
+        live = np.flatnonzero(np.any(table, axis=1))
+        assert live.size > rows and live.size % rows
+        want, dead = pi_phi_oracle(fam, frames, tg, spec)
+        assert dead == L - live.size > 0      # some node adds nothing
+        got, _ = pi_phi_report(fam, iter(frames), tg, spec)
+        np.testing.assert_array_equal(got.data, want)
+        # the table is built once per time grid and grid
+        again, _ = pi_phi_report(fam, iter(frames), tg, spec)
+        assert fam.multiplier_table(tg, spec)[0] is table
+        np.testing.assert_array_equal(again.data, want)
+
+    def test_one_table_per_time_grid_shared_by_a_rescaled_copy(self, meyer1d):
+        fam = calibrate_family(1.0)
+        tg = default_time_grid(meyer1d.spec, 1.0, L=32)
+        table = fam.multiplier_table(tg, meyer1d.spec)
+        assert not table[0].flags.writeable and not table[1].flags.writeable
+        # C_beta is not an input of the table, beta is
+        from dataclasses import replace
+        assert replace(fam, C_beta=2.0).multiplier_table(tg, meyer1d.spec) is table
+        other = replace(fam, beta=0.5)
+        assert other.multiplier_table(tg, meyer1d.spec)[0] is not table[0]
+        # a new time grid replaces the last table
+        tg2 = default_time_grid(meyer1d.spec, 1.0, L=16)
+        assert fam.multiplier_table(tg2, meyer1d.spec)[0].shape[0] == 16
+        assert fam.multiplier_table(tg, meyer1d.spec)[0] is not table[0]
+
+    def test_frame_count_is_checked(self, meyer1d):
+        fam = calibrate_family(1.0)
+        tg = default_time_grid(meyer1d.spec, 1.0, L=16)
+        for count in (15, 17):
+            frames = (GridFunction.zeros(meyer1d.spec) for _ in range(count))
+            with pytest.raises(ParameterError, match=f"expected 16 frames, got {count}"):
+                pi_phi_report(fam, frames, tg, meyer1d.spec)
+
+
 class TestDecayBounds:
     def test_zero_data(self, meyer1d):
         sg = SemigroupSpec(1.0, meyer1d.spec)

@@ -139,6 +139,76 @@ class TestNodeBatchedParts:
             assert ell in (None, rep.part_i.argmax_node, rep.part_ii.argmax_node)
 
 
+def sup_over_cubes_per_level(fields, rows, level_weights, admitted, root, sp,
+                             spec):
+    """`tent._sup_over_cubes` one cube level at a time: one `_cube_sup`
+    call, so one integrand and one p-th power, per cube level."""
+    best = np.zeros(rows)
+    best_j0 = np.full(rows, -1)
+    best_flat = np.zeros(rows, dtype=int)
+    for j0, levels in admitted.items():
+        if not levels:
+            continue
+        vals, flat = tent._cube_sup(fields, level_weights, levels, j0, root, sp,
+                                    spec)
+        better = vals > best
+        best[better] = vals[better]
+        best_j0[better] = j0
+        best_flat[better] = flat[better]
+    return best, best_j0, best_flat
+
+
+class TestSharedIntegrand:
+    @pytest.mark.parametrize("n, J, L", [(1, 8, 48), (2, 5, 16)])
+    @pytest.mark.parametrize("p, q", [(2.0, 2.0), (3.0, 1.5), (1.5, np.inf)])
+    def test_parts_match_one_integrand_per_cube_level(self, monkeypatch, n, J,
+                                                      L, p, q):
+        spec = GridSpec(n, J, 0)
+        basis = build_basis("meyer", spec)
+        tp = make_tp(p=p, q=q)
+        tcf = empty_tcf(basis, default_time_grid(spec, tp.beta, L=L))
+        rng = np.random.default_rng(3 * J + n)
+        for arr in tcf.detail.values():
+            arr[:] = rng.standard_normal(arr.shape)
+        kernel = tent._morrey_cube_max
+        shared = []
+
+        def counting_kernel(integrand, j0s, sp, spec):
+            shared.append(len(j0s))
+            return kernel(integrand, j0s, sp, spec)
+
+        monkeypatch.setattr(tent, "_morrey_cube_max", counting_kernel)
+        got = tent_norms(tcf, tp)
+        # part I admits one level set for every j0 <= theta, part IV one
+        # for every j0: some integrand served several cube levels
+        assert max(shared) >= 2
+        monkeypatch.setattr(tent, "_sup_over_cubes", sup_over_cubes_per_level)
+        del shared[:]
+        want = tent_norms(tcf, tp)
+        assert max(shared) == 1
+        assert got == want
+        # and parts I/II against the per-node oracle
+        for part, (value, cube, node) in zip((got.part_i, got.part_ii),
+                                             parts_i_ii_oracle(tcf, tp)):
+            assert (part.value, part.argmax_cube, part.argmax_node) \
+                == (value, cube, node)
+
+
+    def test_a_tie_goes_to_the_first_cube_level(self):
+        # a constant integrand at p = 1, gamma2 = 0 has Morrey value exactly
+        # 1 on every cube of every level: the strict > keeps the first one
+        spec = GridSpec(1, 6, 0)
+        sp = SpaceParams(-0.2, 0.0, 1.0, 2.0)
+        fields = {j: np.ones((2, 16)) for j in (2, 3)}
+        weights = {2: 0.5, 3: 0.5}
+        admitted = {0: [2, 3], 1: [2, 3], 2: [2, 3], 3: [3], 4: [3], 5: []}
+        for sup in (tent._sup_over_cubes, sup_over_cubes_per_level):
+            vals, j0, flat = sup(fields, 2, weights, admitted, 1.0, sp, spec)
+            np.testing.assert_array_equal(vals, [1.0, 1.0])
+            np.testing.assert_array_equal(j0, [0, 0])
+            np.testing.assert_array_equal(flat, [0, 0])
+
+
 class TestNonFiniteTentInput:
     @pytest.mark.parametrize("name", ["m", "m_prime", "beta", "tau"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -46,3 +46,35 @@ def test_norm_equivalence_solves_each_moment_system_once_per_sweep_point():
         assert t.stats["norms.oscillation"][0] == 2
         counts[samples] = t.stats["norms.moment_solve"][0]
     assert counts[3] == counts[5] > 0
+
+
+def test_heat_experiments_build_each_sweep_invariant_once(monkeypatch):
+    # one Riesz matrix per J; one lift per (J, sample), the negative
+    # controls reusing the loop's; one multiplier table per (J, time grid)
+    from oscillet.norms import SpaceParams
+    from oscillet.semigroup import CalibratedFamily
+
+    tracer = _tracer()
+    sp = SpaceParams(-0.2, 0.1, 2.0, 2.0)
+    tables = []
+    radial = CalibratedFamily.radial
+    monkeypatch.setattr(CalibratedFamily, "radial",
+                        lambda fam, r: tables.append(r.shape) or radial(fam, r))
+    for samples in (2, 3):
+        riesz = ExperimentConfig("riesz-tent", n=2, J_sweep=(4, 5),
+                                 samples=samples, time_nodes=16, sp=sp)
+        with tracer.installed(tracer.Tracer()) as t:
+            run_experiment(riesz)
+        assert t.stats["operators.riesz_matrix"][0] == 2
+        assert t.stats["semigroup.evolve"][0] == 2 * samples
+        assert t.stats["tent.norms"][0] == 2 * 2 * samples + 2
+
+        semi = ExperimentConfig("semigroup-characterization", J_sweep=(6, 7),
+                                samples=samples, time_nodes=32, sp=sp)
+        del tables[:]
+        with tracer.installed(tracer.Tracer()) as t:
+            run_experiment(semi)
+        assert t.stats["semigroup.evolve"][0] == 2 * samples
+        # the samples, the surjectivity probe of each J and the control
+        assert t.stats["semigroup.reconstruct"][0] == 2 * samples + 2 + 1
+        assert len(tables) == 2
