@@ -340,7 +340,8 @@ def run_semigroup_characterization(cfg: ExperimentConfig) -> dict:
             f = _sample(cfg, basis, s)
             tcf = _lift(basis, f, tg, cfg.beta)
             rep = tent_norms(tcf, tp)
-            rec, _ = pi_phi_report(fam, frames_from_tcf(basis, tcf), tg, basis.spec)
+            rec, _ = pi_phi_report(fam, frames_from_tcf(basis, tcf, fam), tg,
+                                   basis.spec)
             rec_norm = tlm_wavelet_norm(basis.analyze(rec), cfg.sp)
             residual = rel_l2_error(rec, f)
             combined = rep.combined
@@ -390,7 +391,7 @@ def _miscalibrated_reconstruction_control(fam, basis, f, tcf) -> dict:
     reconstruction residual far beyond the identity tolerance; run on the
     sweep's first J and sample 0 (f and its lift tcf)."""
     bad_fam = replace(fam, C_beta=1.5 * fam.C_beta)
-    rec, _ = pi_phi_report(bad_fam, frames_from_tcf(basis, tcf), tcf.tg,
+    rec, _ = pi_phi_report(bad_fam, frames_from_tcf(basis, tcf, bad_fam), tcf.tg,
                            basis.spec)
     residual = rel_l2_error(rec, f)
     return {"kind": "miscalibrated-reconstruction", "residual": residual,
@@ -410,7 +411,7 @@ def _surjectivity_probe(basis, fam, tg, tp, cfg) -> dict:
         profile = np.where(tau <= 1.0, tau**tp.m_prime, tau ** (-(tp.m + 1.0)))
         arr[:] = profile.reshape((-1,) + (1,) * spec.n) * c.detail[(eps, j)]
     rep = tent_norms(tcf, tp)
-    rec, _ = pi_phi_report(fam, frames_from_tcf(basis, tcf), tg, spec)
+    rec, _ = pi_phi_report(fam, frames_from_tcf(basis, tcf, fam), tg, spec)
     image_norm = tlm_wavelet_norm(basis.analyze(rec), cfg.sp)
     combined = rep.combined
     return {"tent_norm": combined, "image_norm": image_norm,
@@ -525,8 +526,9 @@ def run_decay_bounds(cfg: ExperimentConfig) -> dict:
     # across the coefficient level.  The random field is informational:
     # its max ratio is an extreme over a sample set that grows with J.
     variants = [("single", j_star), ("single-fine", j_star + 2), ("random", None)]
-    # the initial data of each (variant, J) and its synthesis, shared by the
-    # betas: (basis, c0, f)
+    # the initial data of each (variant, J), its synthesis and the dict its
+    # coupling denominators are built into by the first check, shared by the
+    # betas: (basis, c0, f, denominators)
     inputs = {}
     for J, basis in _sweep(cfg):
         for variant, j_coeff in variants:
@@ -534,7 +536,7 @@ def run_decay_bounds(cfg: ExperimentConfig) -> dict:
                 c0 = _one_coefficient(basis, j_coeff, (3 % (1 << j_coeff),) * cfg.n)
             else:
                 c0 = _random_detail_field(basis, cfg.sp, cfg.seed + 17)
-            inputs[(variant, J)] = (basis, c0, basis.synthesize(c0))
+            inputs[(variant, J)] = (basis, c0, basis.synthesize(c0), {})
     control = None
     for beta in betas:
         tg = _time_grid(cfg, beta)
@@ -543,9 +545,9 @@ def run_decay_bounds(cfg: ExperimentConfig) -> dict:
         for variant, j_coeff in variants:
             reports = []
             for J in cfg.J_sweep:
-                basis, c0, f = inputs[(variant, J)]
+                basis, c0, f, denoms = inputs[(variant, J)]
                 tcf = _lift(basis, f, tg, beta)
-                rep = check_decay_bounds(tcf, c0, N=4.0)
+                rep = check_decay_bounds(tcf, c0, N=4.0, denominators=denoms)
                 reports.append((J, rep))
                 rows.append({"experiment": "decay-bounds", "beta": beta,
                              "variant": variant, "J": J, "max_r2": rep.max_r2,

@@ -17,6 +17,14 @@ Every stored entry is measured against the decay envelope
 with `dist` the periodic minimal-image distance between the cube anchors
 k 2^{-j} and k' 2^{-j'} (matrices of periodic operators wrap, so the flat
 distance of the plane is replaced by the torus metric).
+
+A circulant block is applied as a product of spectra.  One apply takes one
+forward FFT per (source block, zero-stuffed or not), shared by every
+destination block that reads it and dropped after the last one; each
+kernel's FFT (for j' = j + 1 that of the flipped and rolled kernel) is kept
+on the matrix after its first apply.  The products and the adds into each
+destination run in the order of the block-by-block evaluation, so the
+result has its bits.
 """
 
 from __future__ import annotations
@@ -60,6 +68,19 @@ class AlmostDiagonalMatrix:
         self.coo: dict[BlockKey, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         # block -> kernel table over the shifted position difference
         self.circulant: dict[BlockKey, np.ndarray] = {}
+        # block -> (kernel, its spectrum), filled by the first apply
+        self._spectra: dict[BlockKey, tuple[np.ndarray, np.ndarray]] = {}
+
+    def kernel_spectrum(self, key: BlockKey, kern: np.ndarray) -> np.ndarray:
+        """The FFT that circulant block `key` (kernel `kern`) multiplies its
+        source spectrum by; built on first use and kept while the block
+        holds the same kernel array."""
+        kept = self._spectra.get(key)
+        if kept is None or kept[0] is not kern:
+            eps, j, eps_p, j_p = key
+            kept = self._spectra[key] = (kern, _kernel_spectrum(kern, j, j_p,
+                                                                self.spec.n))
+        return kept[1]
 
     # -- entry iteration ---------------------------------------------------
 
@@ -177,32 +198,33 @@ def _check_band(mat: AlmostDiagonalMatrix, c: CoeffField):
         raise GridMismatchError("coefficient field band incompatible with matrix")
 
 
-def _apply_circulant_block(kern: np.ndarray, j: int, j_p: int,
-                           blockin: np.ndarray, n: int) -> np.ndarray:
-    """Batched over a leading axis; position axes are the trailing n."""
-    axes = tuple(range(blockin.ndim - n, blockin.ndim))
-    if j == j_p:
-        return np.fft.ifftn(
-            np.fft.fftn(kern) * np.fft.fftn(blockin, axes=axes), axes=axes)
+def _kernel_spectrum(kern: np.ndarray, j: int, j_p: int, n: int) -> np.ndarray:
+    """The FFT a circulant block multiplies its source spectrum by: the
+    kernel's, or for j' = j + 1 that of the flipped and rolled kernel."""
     if j_p == j + 1:
         # entry(k, k') = kern[(k' - 2k) mod L'] -> correlate then stride 2
         rev = kern
         for ax in range(n):
             rev = np.flip(rev, axis=ax)
             rev = np.roll(rev, 1, axis=ax)
-        out = np.fft.ifftn(
-            np.fft.fftn(rev) * np.fft.fftn(blockin, axes=axes), axes=axes)
-        slicer = (Ellipsis,) + (slice(None, None, 2),) * n
-        return out[slicer]
-    if j_p == j - 1:
-        # entry(k, k') = kern[(k - 2k') mod L] -> zero-stuff then convolve
+        return np.fft.fftn(rev)
+    if abs(j - j_p) > 1:
+        raise ParameterError("circulant blocks exist only for |j - j'| <= 1")
+    # j' = j: convolve; j' = j - 1: entry(k, k') = kern[(k - 2k') mod L] ->
+    # zero-stuff the source, then convolve
+    return np.fft.fftn(kern)
+
+
+def _source_spectrum(blockin: np.ndarray, stuffed: bool, n: int) -> np.ndarray:
+    """FFT over the trailing n axes of a source block, zero-stuffed to
+    twice its size per axis when `stuffed` (a j' = j - 1 block reads it)."""
+    axes = tuple(range(blockin.ndim - n, blockin.ndim))
+    if stuffed:
         up_shape = blockin.shape[:-n] + tuple(2 * s for s in blockin.shape[-n:])
         up = np.zeros(up_shape, dtype=complex)
-        slicer = (Ellipsis,) + (slice(None, None, 2),) * n
-        up[slicer] = blockin
-        return np.fft.ifftn(np.fft.fftn(kern) * np.fft.fftn(up, axes=axes),
-                            axes=axes)
-    raise ParameterError("circulant blocks exist only for |j - j'| <= 1")
+        up[(Ellipsis,) + (slice(None, None, 2),) * n] = blockin
+        blockin = up
+    return np.fft.fftn(blockin, axes=axes)
 
 
 def apply_matrix(mat: AlmostDiagonalMatrix, c: CoeffField) -> CoeffField:
@@ -231,8 +253,23 @@ def _apply(mat: AlmostDiagonalMatrix, c: CoeffField) -> CoeffField:
         np.add.at(acc.T, rows, vals[:, None] * src.T[cols])
         dst = block(out, eps, j)
         dst += acc.reshape(dst.shape)
-    for (eps, j, eps_p, j_p), kern in mat.circulant.items():
-        res = _apply_circulant_block(kern, j, j_p, block(c, eps_p, j_p), n)
+    # one forward FFT per (source block, zero-stuffed or not), shared by
+    # the destination blocks that read it and dropped after the last one
+    circulant = list(mat.circulant.items())
+    last_use = {(eps_p, j_p, j_p == j - 1): i
+                for i, ((eps, j, eps_p, j_p), _) in enumerate(circulant)}
+    spectra = {}
+    stride = (Ellipsis,) + (slice(None, None, 2),) * n
+    for i, (key, kern) in enumerate(circulant):
+        eps, j, eps_p, j_p = key
+        src = (eps_p, j_p, j_p == j - 1)
+        if src not in spectra:
+            spectra[src] = _source_spectrum(block(c, eps_p, j_p), src[2], n)
+        spectrum = spectra.pop(src) if last_use[src] == i else spectra[src]
+        res = np.fft.ifftn(mat.kernel_spectrum(key, kern) * spectrum,
+                           axes=tuple(range(spectrum.ndim - n, spectrum.ndim)))
+        if j_p == j + 1:
+            res = res[stride]
         dst = block(out, eps, j)
         dst += res.reshape(dst.shape)
     return out
@@ -317,24 +354,31 @@ class BoundednessReport:
 
 
 def _random_detail_field(basis, sp: SpaceParams, seed: int,
-                         top_margin: int = 1) -> CoeffField:
+                         top_margin: int = 1,
+                         draws: dict | None = None) -> CoeffField:
     """Detail coefficients with per-level variance 2^{-j(2 gamma1 + n)},
     rescaled to unit Morrey norm.  Levels draw from per-level seeds so the
-    same seed at a finer resolution extends the coarse field.
+    same seed at a finer resolution extends the coarse field; `draws`, a
+    dict shared by the calls of one J sweep, keeps each level's standard
+    normal draws so that a finer J reuses them.
 
     The finest `top_margin` levels stay empty: content then lives where the
     truncated ladder resolves exactly, so frequency multipliers (heat,
     Riesz) keep the field inside the basis span."""
     c = CoeffField(basis.spec, basis.family, basis.j_min, basis.j_max)
     n = basis.spec.n
+    draws = {} if draws is None else draws
     for j in basis.detail_levels:
         if j > basis.j_max - top_margin:
             continue
         sigma = 2.0 ** (-j * (2 * sp.gamma1 + n) / 2.0)
         for ei, eps in enumerate(basis.detail_type_list()):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(j, ei)))
-            c.detail[(eps, j)] = sigma * rng.standard_normal((1 << j,) * n) + 0j
+            normal = draws.get((seed, j, ei))
+            if normal is None:
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(seed, spawn_key=(j, ei)))
+                normal = draws[(seed, j, ei)] = rng.standard_normal((1 << j,) * n)
+            c.detail[(eps, j)] = sigma * normal + 0j
     norm = tlm_wavelet_norm(c, sp)
     if norm > 0:
         c = c.scaled(1.0 / norm)
@@ -359,6 +403,7 @@ def czo_boundedness_experiment(params: CzoGeneratorParams, sp: SpaceParams,
 
     per_sample = []
     max_by_J = {}
+    draws = {}
     certified = True
     notes = []
     if sp.p <= 1 or sp.q <= 1:
@@ -377,7 +422,7 @@ def czo_boundedness_experiment(params: CzoGeneratorParams, sp: SpaceParams,
                 f"envelope at N0={check_N0} (C_min={val.C_min:.3g})")
         ratios = []
         for s in range(samples):
-            g = _random_detail_field(basis, sp, seed + 104729 * s)
+            g = _random_detail_field(basis, sp, seed + 104729 * s, draws=draws)
             out = apply_matrix(mat, g)
             in_norm = tlm_wavelet_norm(g, sp)
             out_norm = tlm_wavelet_norm(out, sp)

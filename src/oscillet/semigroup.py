@@ -13,15 +13,19 @@ Time grids (`grid.TimeGrid`, re-exported here) are logarithmic midpoint
 rules for the measure dt/t.  A heat lift is a `CoeffField` on a time grid,
 tagged with the beta of its semigroup.
 
-The heat lift is evaluated on chunks of time nodes: `evolve_coefficients`
-builds the propagated spectra of a chunk as one (chunk,) + grid stack and
-transforms every level block of the chunk at once, and `frames_from_tcf`
-synthesizes one chunk of slices at a time.  A chunk holds at most
-CHUNK_BYTES of complex grid rows, the bound shared with the oscillation norm
-and the tent parts.  The reconstruction reads the calibrated multiplier from
-one table per time grid and grid, kept on the family (the last one only),
-and transforms its frames a chunk at a time, adding them in node order.
-Every value is bit for bit the one a node-by-node evaluation gives; the
+The heat lift is evaluated on chunks of time nodes at band resolution:
+`evolve_coefficients` builds the propagated spectra of a chunk only at the
+basis's band support (the union of the window supports, 1,849 of 4,096
+frequencies at 2-d J=6) as one (chunk, band) stack, and every level block
+of the chunk reads its support from it and transforms at once.  A chunk
+holds at most CHUNK_BYTES of that stack, the bound shared with the
+oscillation norm and the tent parts.  `frames_from_tcf` synthesizes one
+chunk of at most CHUNK_BYTES of grid rows at a time and, given the family
+that reconstructs from them, skips the nodes whose multiplier is zero at
+every radius.  The reconstruction reads the calibrated multiplier from one
+table per time grid and grid, kept on the family (the last one only), and
+transforms its frames a chunk at a time, adding them in node order.  Every
+value is bit for bit the one a node-by-node evaluation gives; the
 reconstruction keeps its spatial round trip, since accumulating in Fourier
 space would change the bits.
 """
@@ -36,7 +40,7 @@ import numpy as np
 
 from .errors import GridMismatchError, ParameterError
 from .grid import GridFunction, GridSpec, TimeGrid, flat_positions, min_image
-from .norms import _level_power_sum
+from .norms import _level_power_sum, _runs
 from .wavelet import CHUNK_BYTES, CoeffField, MeyerWindow, TWO_PI, _fft_last
 
 
@@ -78,30 +82,29 @@ def default_time_grid(spec: GridSpec, beta: float, L: int = 256,
 def evolve_coefficients(sg: SemigroupSpec, basis, f: GridFunction,
                         tg: TimeGrid) -> CoeffField:
     """The field on the time grid tg (tagged with sg.beta) whose row ell
-    equals analyze(heat_apply(f, t_ell)); computed in frequency
-    space, one chunk of nodes at a time: a (chunk,) + grid stack of the
-    propagated spectra, then one masked multiply, fold and small transform
-    per level block for the whole chunk."""
+    equals analyze(heat_apply(f, t_ell)); computed in frequency space on
+    the basis's band support only, one chunk of nodes at a time: a
+    (chunk, band) stack of the propagated spectra, then one masked
+    multiply, fold and small transform per level block for the whole
+    chunk."""
     if basis.spec != sg.spec:
         raise GridMismatchError("basis and semigroup grids differ")
     if not np.all(np.isfinite(f.data)):
         raise ParameterError("f has non-finite samples")
-    F = basis.fourier(f)
-    symbol = sg.symbol()
+    band = basis.band_support()
+    F = basis.fourier(f).reshape(-1)[band]
+    symbol = sg.symbol().reshape(-1)[band]
     out = CoeffField(sg.spec, basis.family, basis.j_min, basis.j_max, tg=tg,
                      beta=sg.beta)
-    blocks = [(eps, j) for j in basis.detail_levels
-              for eps in basis.detail_type_list()]
     eps0 = (0,) * sg.spec.n
     nodes = tg.nodes()
-    rows = max(1, CHUNK_BYTES // (16 * sg.spec.size))
+    rows = max(1, CHUNK_BYTES // (16 * band.size))
     for start in range(0, tg.L, rows):
         chunk = slice(start, start + rows)
-        ts = nodes[chunk].reshape((-1,) + (1,) * sg.spec.n)
-        Ft = F * np.exp(-ts * symbol)
-        for eps, j in blocks:
-            out.detail[(eps, j)][chunk] = basis._coeffs_from_fourier(Ft, eps, j)
-        out.scaling[chunk] = basis._coeffs_from_fourier(Ft, eps0, basis.j_min)
+        Ft = F * np.exp(-nodes[chunk, None] * symbol)
+        for (eps, j), coeffs in basis._coeffs_from_band(Ft):
+            block = out.scaling if eps == eps0 else out.detail[(eps, j)]
+            block[chunk] = coeffs
     return out
 
 
@@ -140,6 +143,12 @@ class CalibratedFamily:
                 arr.setflags(write=False)
             self._tables[key] = table
         return self._tables[key]
+
+    def live_nodes(self, tg: TimeGrid, spec: GridSpec) -> np.ndarray:
+        """Per node of tg, whether its multiplier is nonzero at some lattice
+        radius of spec: the frames of the other nodes add nothing to the
+        reconstruction."""
+        return np.any(self.multiplier_table(tg, spec)[0], axis=1)
 
 
 def calibrate_family(beta: float, profile: str = "polynomial",
@@ -205,7 +214,7 @@ def pi_phi_report(family: CalibratedFamily, frames: Iterable[GridFunction],
     acc = np.zeros(spec.shape, dtype=complex)
     weights = tg.weights()
     table, where = family.multiplier_table(tg, spec)
-    live = np.any(table, axis=1)
+    live = family.live_nodes(tg, spec)
     rows = max(1, CHUNK_BYTES // (16 * spec.size))
     for ells, stack in _live_chunks(frames, spec, live, rows):
         for ell, F in zip(ells, _fft_last(stack, spec.n)):
@@ -253,13 +262,28 @@ def _live_chunks(frames: Iterable[GridFunction], spec: GridSpec,
         yield ells, np.stack(datas)
 
 
-def frames_from_tcf(basis, tcf: CoeffField) -> Iterable[GridFunction]:
+def frames_from_tcf(basis, tcf: CoeffField,
+                    family: CalibratedFamily | None = None
+                    ) -> Iterable[GridFunction]:
     """The synthesized slice of every node, in node order; one chunk of nodes
-    of at most CHUNK_BYTES is synthesized at a time."""
+    of at most CHUNK_BYTES is synthesized at a time.  With the family that
+    will reconstruct from them, only its live nodes (`live_nodes`) are
+    synthesized, and every other node yields one shared read-only zero
+    frame, which `pi_phi_report` skips."""
+    live = (np.ones(tcf.tg.L, dtype=bool) if family is None
+            else family.live_nodes(tcf.tg, tcf.spec))
     rows = max(1, CHUNK_BYTES // (16 * tcf.spec.size))
-    for start in range(0, tcf.tg.L, rows):
-        for data in basis.synthesize_stack(tcf[start:start + rows]):
-            yield GridFunction(tcf.spec, data)
+    dead = None
+    for a, b in _runs(live[:, None]):
+        if not live[a]:
+            if dead is None:
+                dead = GridFunction.zeros(tcf.spec)
+                dead.data.flags.writeable = False
+            yield from [dead] * (b - a)
+            continue
+        for start in range(a, b, rows):
+            for data in basis.synthesize_stack(tcf[start:min(start + rows, b)]):
+                yield GridFunction(tcf.spec, data)
 
 
 def heat_frames(sg: SemigroupSpec, f: GridFunction, tg: TimeGrid):
@@ -321,14 +345,21 @@ class DecayReport:
 
 def check_decay_bounds(tcf: CoeffField, c0: CoeffField, N: float,
                        ctilde_grid: Sequence[float] | None = None,
-                       band: int = 3) -> DecayReport:
+                       band: int = 3,
+                       denominators: dict[int, np.ndarray] | None = None
+                       ) -> DecayReport:
     """Measured constants in the two-regime coefficient decay bound for
-    heat-evolved data against the initial coefficients."""
+    heat-evolved data against the initial coefficients.  `denominators`
+    holds coupling_denominators(c0, N, band); an empty dict is filled here,
+    so a caller that checks several lifts of c0 hands the same dict to
+    each call and builds it once."""
     beta = _heat_beta(tcf)
     if ctilde_grid is None:
         ctilde_grid = np.arange(0.05, 2.0001, 0.05)
     ctilde_grid = np.asarray(ctilde_grid, dtype=float)
-    denoms = coupling_denominators(c0, N, band=band)
+    denoms = {} if denominators is None else denominators
+    if not denoms:
+        denoms.update(coupling_denominators(c0, N, band=band))
     nodes = tcf.tg.nodes()
     scale = max(c0.max_abs(), 1e-300)
     atol = 1e-12 * scale

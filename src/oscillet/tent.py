@@ -29,6 +29,8 @@ cube-level-by-cube-level evaluation uses, and the cube levels and node
 updates are scanned in order with a strict >, so the values are bit for bit
 the same.
 
+Every part reads |a|^q (|a| for q = inf) from one table built per call.
+
 The outer 1/q power on the level sums of parts III/IV follows the same
 L^p(l^q) shape as parts I/II; `literal_exponent=True` switches to the
 displayed form without that root.
@@ -46,7 +48,6 @@ from .errors import ParameterError
 from .grid import DyadicCube, GridSpec, TimeGrid
 from .norms import (
     SpaceParams,
-    _level_power_sum,
     _morrey_cube_max,
     _runs,
     _upsample,
@@ -113,13 +114,26 @@ class TentNormReport:
         return max(self.values)
 
 
-def _level_base_fields(tcf: CoeffField, nodes: slice,
+def _abs_power(tcf: CoeffField, q: float) -> dict:
+    """|a|^q of every detail block of tcf (|a| for q = inf), in its shape:
+    the one table every tent part reads."""
+    if q == np.inf:
+        return {key: np.abs(arr) for key, arr in tcf.detail.items()}
+    return {key: np.abs(arr) ** q for key, arr in tcf.detail.items()}
+
+
+def _level_base_fields(tcf: CoeffField, absq: dict, nodes: slice,
                        q: float) -> dict[int, np.ndarray]:
     """Per level j: the fields sum_eps |a(t)|^q (sup for q=inf) of the nodes
     in `nodes` at band resolution (2^{j_max},)^n, stacked along a leading
-    node axis."""
-    return {j: _upsample(_level_power_sum(tcf, j, q, nodes), tcf.j_max, tcf.spec.n)
-            for j in tcf.levels}
+    node axis; `absq` is the table `_abs_power(tcf, q)`."""
+    n = tcf.spec.n
+    out = {}
+    for j in tcf.levels:
+        stack = [absq[(eps, j)][nodes] for eps in detail_types(n)]
+        lvl = np.maximum.reduce(stack) if q == np.inf else sum(stack)
+        out[j] = _upsample(lvl, tcf.j_max, n)
+    return out
 
 
 def _integrand(fields: dict[int, np.ndarray], level_weights: dict[int, float],
@@ -188,11 +202,10 @@ def _time_moment_antiderivative(logt: np.ndarray, qm: float) -> np.ndarray:
 
 class _WindowIntegrals:
     """Per-coefficient integrals int_window |a(t)|^q t^{qm} dt/t with the
-    measure integrated exactly on each log cell and |a| held at the node."""
+    measure integrated exactly on each log cell and |a| held at the node;
+    `absq` is the table `_abs_power(tcf, q)` of a finite q."""
 
-    def __init__(self, tcf: CoeffField, q: float, qm: float):
-        if q == np.inf:
-            raise ParameterError("time-integrated parts need finite q")
+    def __init__(self, tcf: CoeffField, absq: dict, qm: float):
         self.tcf = tcf
         self.qm = qm
         edges = tcf.tg.log_edges()
@@ -200,12 +213,12 @@ class _WindowIntegrals:
         anti = _time_moment_antiderivative(edges, qm)
         self.cell_mass = np.diff(anti)          # full-cell measure moments
         self.blocks = {}
-        for key, arr in tcf.detail.items():
-            absq = np.abs(arr.reshape(tcf.tg.L, -1)) ** q
-            full = absq * self.cell_mass[:, None]
+        for key, table in absq.items():
+            flat = table.reshape(tcf.tg.L, -1)
+            full = flat * self.cell_mass[:, None]
             prefix = np.concatenate(
-                [np.zeros((1, absq.shape[1])), np.cumsum(full, axis=0)], axis=0)
-            self.blocks[key] = (absq, prefix)
+                [np.zeros((1, flat.shape[1])), np.cumsum(full, axis=0)], axis=0)
+            self.blocks[key] = (flat, prefix)
 
     def _eval(self, key, log_s: float) -> np.ndarray:
         """G(s) = integral over (t_min-edge, s] per coefficient."""
@@ -260,6 +273,7 @@ def tent_norms(tcf: CoeffField, tp: TentParams,
     # levels lie at or above theta fixes both sets for every cube level
     above = np.array([[j >= theta for j in levels] for theta in thetas])
     rows = max(1, CHUNK_BYTES // (16 * spec.size))
+    absq = _abs_power(tcf, q)
     for a, b in _runs(above):
         theta = thetas[a]
         admit_i = {j0: [j for j in levels if j >= max(j0, theta)]
@@ -268,7 +282,7 @@ def tent_norms(tcf: CoeffField, tp: TentParams,
                     for j0 in cube_levels}
         for start in range(a, b, rows):
             stop = min(start + rows, b)
-            base = _level_base_fields(tcf, slice(start, stop), q)
+            base = _level_base_fields(tcf, absq, slice(start, stop), q)
             sup1 = _sup_over_cubes(base, stop - start, w_i, admit_i, root, sp,
                                    spec)
             sup2 = _sup_over_cubes(base, stop - start, w_ii, admit_ii, root, sp,
@@ -287,8 +301,8 @@ def tent_norms(tcf: CoeffField, tp: TentParams,
     part3 = PartResult(0.0)
     part4 = PartResult(0.0)
     if q != np.inf:
-        win_m = _WindowIntegrals(tcf, q, q * tp.m)
-        win_mp = _WindowIntegrals(tcf, q, q * tp.m_prime)
+        win_m = _WindowIntegrals(tcf, absq, q * tp.m)
+        win_mp = _WindowIntegrals(tcf, absq, q * tp.m_prime)
         w_iv = {j: 2.0 ** (q * j * (s + 2 * tp.m_prime * beta)) for j in levels}
         root = 1.0 if literal_exponent else 1.0 / q
 

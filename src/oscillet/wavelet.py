@@ -18,6 +18,12 @@ Two families:
 A coefficient field stores one dense array per (eps, j) detail block plus
 the scaling block at j_min, which matches how every norm in this package
 consumes coefficients.
+
+Each Meyer block has one cached `_WindowPlan`, which serves both
+directions on the window's support only: analysis multiplies the spectrum
+by conj(W) there and folds, synthesis multiplies the block's FFT, read
+mod 2^j, by W there and adds into the support.  Both are bit for bit the
+full-grid expressions.
 """
 
 from __future__ import annotations
@@ -293,65 +299,95 @@ _ELIDE_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class _WindowPlan:
-    """One (eps, j) block of the Meyer transform on the FFT grid.
+    """One (eps, j) block of the Meyer transform on the FFT grid, for both
+    directions.
 
     `window` is the tensor window W and L = 2^j the fold's bucket count.
-    `support` holds the flat FFT indices where W is nonzero, grouped by
-    rank: a term's rank is its place in flat order among the nonzero terms
-    of its fold bucket mod L.  `conj` is conj(W) there, and `passes` lists
-    the (buckets, terms) pairs that add the products into the buckets, rank
-    after rank: a rank whose buckets form at most two runs of consecutive
-    buckets adds by slices, another by one index array.  Adding the ranks
-    in turn adds each bucket's terms in flat order, the order of the full
-    grid's reshape-sum for L >= 2 (numpy adds the reduced axes elementwise,
-    outermost first), and the exact zeros between them change nothing.
-    For L = 1 numpy sums the one bucket pairwise, which is that order only
-    for at most two terms; such a block with more terms keeps `support`
-    None and folds the full grid."""
+    `support` holds the flat FFT indices where W is nonzero, `residue` their
+    flat indices mod L on the (L,)^n grid, `conj` conj(W) and `synth`
+    2^{-nj/2} W there.  Analysis multiplies F by `conj` on the support and
+    folds; synthesis multiplies the block's FFT, read at `residue`, by
+    `synth` and adds the products into the support.  Outside the support
+    the full-grid products are +-0, and neither the fold's buckets nor the
+    synthesis accumulator (both start at +0) ever hold -0, so leaving those
+    terms out changes no bit.
+
+    For the fold, `support` is grouped by rank: a term's rank is its place
+    in flat order among the nonzero terms of its fold bucket, and `passes`
+    lists the (buckets, terms) pairs that add the products into the
+    buckets, rank after rank: a rank whose buckets form at most two runs of
+    consecutive buckets adds by slices, another by one index array.  Adding
+    the ranks in turn adds each bucket's terms in flat order, the order of
+    the full grid's reshape-sum for L >= 2 (numpy adds the reduced axes
+    elementwise, outermost first).  For L = 1 numpy sums the one bucket
+    pairwise, which is that order only for at most two terms; such a block
+    with more terms keeps `support` in flat order and `passes` None, and
+    folds the full grid."""
 
     window: np.ndarray
     L: int
-    support: np.ndarray | None = None
-    conj: np.ndarray | None = None
-    passes: tuple[tuple[slice | np.ndarray, slice], ...] = ()
+    support: np.ndarray
+    residue: np.ndarray
+    conj: np.ndarray
+    synth: np.ndarray
+    passes: tuple[tuple[slice | np.ndarray, slice], ...] | None
 
     @classmethod
     def build(cls, W: np.ndarray, L: int) -> "_WindowPlan":
         W.flags.writeable = False
+        n = W.ndim
         support = np.flatnonzero(W)
-        if L == 1 and len(support) > 2:
-            return cls(W, L)
         residues = tuple(axis % L for axis in np.unravel_index(support, W.shape))
-        bucket = np.ravel_multi_index(residues, (L,) * W.ndim)
-        by_bucket = np.argsort(bucket, kind="stable")
-        first = np.searchsorted(bucket[by_bucket], bucket[by_bucket])
-        rank = np.empty_like(by_bucket)
-        rank[by_bucket] = np.arange(len(support)) - first
-        order = np.argsort(rank, kind="stable")
-        support, bucket = support[order], bucket[order]
-        stops = np.cumsum(np.bincount(rank)).tolist()
-        passes = []
-        for a, b in zip([0, *stops[:-1]], stops):
-            breaks = (np.flatnonzero(np.diff(bucket[a:b]) != 1) + 1 + a).tolist()
-            if len(breaks) > 1:
-                passes.append((bucket[a:b], slice(a, b)))
-                continue
-            for lo, hi in zip([a, *breaks], [*breaks, b]):
-                start = int(bucket[lo])
-                passes.append((slice(start, start + hi - lo), slice(lo, hi)))
-        return cls(W, L, support, np.conj(W.reshape(-1)[support]), tuple(passes))
+        bucket = np.ravel_multi_index(residues, (L,) * n)
+        passes = None
+        if L > 1 or len(support) <= 2:
+            by_bucket = np.argsort(bucket, kind="stable")
+            first = np.searchsorted(bucket[by_bucket], bucket[by_bucket])
+            rank = np.empty_like(by_bucket)
+            rank[by_bucket] = np.arange(len(support)) - first
+            order = np.argsort(rank, kind="stable")
+            support, bucket = support[order], bucket[order]
+            stops = np.cumsum(np.bincount(rank)).tolist()
+            passes = []
+            for a, b in zip([0, *stops[:-1]], stops):
+                breaks = (np.flatnonzero(np.diff(bucket[a:b]) != 1) + 1 + a).tolist()
+                if len(breaks) > 1:
+                    passes.append((bucket[a:b], slice(a, b)))
+                    continue
+                for lo, hi in zip([a, *breaks], [*breaks, b]):
+                    start = int(bucket[lo])
+                    passes.append((slice(start, start + hi - lo), slice(lo, hi)))
+            passes = tuple(passes)
+        j = L.bit_length() - 1
+        # the scaled window on the full grid, then read at the support: the
+        # products _fourier_from_coeffs forms there
+        synth = (2.0 ** (-n * j / 2.0) * W).reshape(-1)[support]
+        return cls(W, L, support, bucket, np.conj(W.reshape(-1)[support]),
+                   synth, passes)
 
     def fold_product(self, F: np.ndarray) -> np.ndarray:
         """_fold(F * np.conj(W), L, n) bit for bit; F may carry leading
         axes."""
-        W, L, n = self.window, self.L, self.window.ndim
-        if self.support is None or (F.shape == W.shape
-                                    and W.nbytes >= _ELIDE_BYTES):
-            return _fold(F * np.conj(W), L, n)
+        W, n = self.window, self.window.ndim
+        if self.passes is None or (F.shape == W.shape
+                                   and W.nbytes >= _ELIDE_BYTES):
+            return _fold(F * np.conj(W), self.L, n)
         lead = F.shape[:F.ndim - n]
+        return self.fold_support(np.take(F.reshape(lead + (-1,)), self.support,
+                                         axis=-1))
+
+    def fold_support(self, Fs: np.ndarray) -> np.ndarray:
+        """The fold of F * conj(W) from F read at `support` (Fs: leading
+        axes, then the support), as fold_product folds a stack of F."""
+        W, L, n = self.window, self.L, self.window.ndim
         # one multiply over the whole support: numpy may round a complex
         # product in a one-element loop differently
-        prod = np.take(F.reshape(lead + (-1,)), self.support, axis=-1) * self.conj
+        prod = Fs * self.conj
+        lead = prod.shape[:-1]
+        if self.passes is None:
+            full = np.zeros(lead + (W.size,), dtype=prod.dtype)
+            full[..., self.support] = prod
+            return _fold(full.reshape(lead + W.shape), L, n)
         out = np.zeros(lead + (L ** n,), dtype=prod.dtype)
         for buckets, terms in self.passes:
             out[..., buckets] += prod[..., terms]
@@ -400,6 +436,7 @@ class MeyerBasis(_Basis):
             for j in range(self.j_min, self.j_max + 1)
         }
         self._plans: dict[tuple, _WindowPlan] = {}
+        self._band_plan = None
 
     def _plan(self, eps, j: int) -> _WindowPlan:
         """The cached plan of block (eps, j), built on first use."""
@@ -416,6 +453,36 @@ class MeyerBasis(_Basis):
     def _tensor_window(self, eps: tuple[int, ...], j: int) -> np.ndarray:
         """The tensor window of block (eps, j), read-only and cached."""
         return self._plan(eps, j).window
+
+    def band_support(self) -> np.ndarray:
+        """The sorted flat FFT indices where some block's window, the
+        scaling block's at j_min included, is nonzero: the only frequencies
+        `analyze` reads."""
+        return self._band()[0]
+
+    def _band(self):
+        """band_support() and, per block in `analyze_stack` order, the
+        positions of its plan's support in it; built once."""
+        if self._band_plan is None:
+            n = self.spec.n
+            keys = [(eps, j) for j in self.detail_levels
+                    for eps in self.detail_type_list()]
+            keys.append(((0,) * n, self.j_min))
+            supports = [self._plan(eps, j).support for eps, j in keys]
+            band = np.unique(np.concatenate(supports))
+            self._band_plan = (band, [(key, np.searchsorted(band, sup))
+                                      for key, sup in zip(keys, supports)])
+        return self._band_plan
+
+    def _coeffs_from_band(self, Fb: np.ndarray):
+        """Yield ((eps, j), coefficients) of every block, scaling block last,
+        from spectra read at band_support() (Fb: leading axes, then the
+        band): bit for bit what _coeffs_from_fourier gives from the full
+        grid."""
+        n = self.spec.n
+        for (eps, j), where in self._band()[1]:
+            folded = self._plan(eps, j).fold_support(np.take(Fb, where, axis=-1))
+            yield (eps, j), 2.0 ** (n * j / 2.0) * _fft_last(folded, n, inverse=True)
 
     def fourier(self, f: GridFunction) -> np.ndarray:
         if f.spec != self.spec:
@@ -465,19 +532,25 @@ class MeyerBasis(_Basis):
 
     def synthesize_stack(self, c: CoeffField) -> np.ndarray:
         """Samples of every field of a stacked c (leading batch axes, possibly
-        none, then the grid shape), one batched transform per block.  An
-        all-zero block is skipped; one that is zero in some rows only adds
-        exact zeros there, which leaves those rows' bits unchanged."""
+        none, then the grid shape), one batched transform per block.  Each
+        block multiplies and adds only on its window's support, where it
+        reads its FFT mod 2^j: bit for bit the sum of the full-grid
+        _fourier_from_coeffs terms, block by block.  An all-zero block is
+        skipped; one that is zero in some rows only adds exact zeros there,
+        which leaves those rows' bits unchanged."""
         if c.spec != self.spec or c.j_min != self.j_min or c.j_max != self.j_max:
             raise IndexOutOfBandError("coefficient field does not match basis band")
         n = self.spec.n
-        F = np.zeros(c.batch_shape + self.spec.shape, dtype=complex)
-        for (eps, j), arr in c.detail.items():
+        lead = c.batch_shape
+        F = np.zeros(lead + (self.spec.size,), dtype=complex)
+        blocks = list(c.detail.items()) + [(((0,) * n, self.j_min), c.scaling)]
+        for (eps, j), arr in blocks:
             if np.any(arr):
-                F += self._fourier_from_coeffs(arr, eps, j)
-        if np.any(c.scaling):
-            F += self._fourier_from_coeffs(c.scaling, (0,) * n, self.j_min)
-        return _fft_last(F, n, inverse=True) * self.spec.size
+                plan = self._plan(eps, j)
+                C = _fft_last(arr, n).reshape(lead + (-1,))
+                F[..., plan.support] += plan.synth * np.take(C, plan.residue, axis=-1)
+        return _fft_last(F.reshape(lead + self.spec.shape), n,
+                         inverse=True) * self.spec.size
 
     def scaling_coefficients(self, f: GridFunction, j: int) -> np.ndarray:
         """<f, Phi^0_{j,k}> for all k at one level (levels up to j_max + 1)."""
@@ -563,17 +636,23 @@ def _dwt_stack(a: np.ndarray, filt: np.ndarray, axis: int) -> np.ndarray:
 
 def _idwt_axis(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray,
                axis: int) -> np.ndarray:
-    """Adjoint of the convolution-decimation: zero-stuff and filter, periodic."""
-    lo = np.moveaxis(lo, axis, 0)
-    hi = np.moveaxis(hi, axis, 0)
-    M = 2 * lo.shape[0]
-    up_lo = np.zeros((M,) + lo.shape[1:], dtype=complex)
-    up_hi = np.zeros_like(up_lo)
-    up_lo[0::2] = lo
-    up_hi[0::2] = hi
-    out = np.zeros_like(up_lo)
+    """Adjoint of the convolution-decimation: zero-stuff and filter, periodic.
+
+    Tap m adds hm * lo[k] + gm * hi[k] at the output index (2k + m) mod M,
+    which is out[p::2] at (k + q) mod (M/2) with m mod M = 2q + p: two slice
+    adds per tap.  The zero-stuffed samples between them would add only
+    +-0 to an accumulator that starts at +0 and so never holds -0."""
+    lo = np.moveaxis(np.asarray(lo, dtype=complex), axis, 0)
+    hi = np.moveaxis(np.asarray(hi, dtype=complex), axis, 0)
+    half = lo.shape[0]
+    out = np.zeros((2 * half,) + lo.shape[1:], dtype=complex)
     for m, (hm, gm) in enumerate(zip(h, g)):
-        out += hm * np.roll(up_lo, m, axis=0) + gm * np.roll(up_hi, m, axis=0)
+        q, p = divmod(m % (2 * half), 2)
+        q %= half
+        tap = hm * lo + gm * hi
+        dst = out[p::2]
+        dst[q:] += tap[:half - q]
+        dst[:q] += tap[half - q:]
     return np.moveaxis(out, 0, axis)
 
 

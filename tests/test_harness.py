@@ -515,3 +515,38 @@ def test_heat_controls_on_the_loop_lifts_match_their_own_lifts():
                   / check_decay_bounds(lift, c_true, N=4.0).max_r2)
     assert got_semi["residual"] == rel_l2_error(rec, f)
     assert got_decay["blowup"] == blowup
+
+
+def test_decay_bounds_build_one_denominator_set_per_variant_and_J(monkeypatch):
+    """The report with one coupling_denominators per (variant, J), shared by
+    the betas, equals the report that rebuilds them in every check."""
+    from oscillet import harness, semigroup
+
+    cfg = ExperimentConfig("decay-bounds", J_sweep=(6, 7), time_nodes=32)
+    builds, checks = [], []
+    build = semigroup.coupling_denominators
+    check = harness.check_decay_bounds
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    def counting_check(*args, **kwargs):
+        checks.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "coupling_denominators", counting_build)
+    monkeypatch.setattr(harness, "check_decay_bounds", counting_check)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = run_experiment(cfg)
+        # 2 betas x 3 variants x 2 J, plus the control
+        assert len(checks) == 13
+        # 3 variants x 2 J, plus the control's own initial data
+        assert len(builds) == 7
+        monkeypatch.setattr(harness, "check_decay_bounds",
+                            lambda *args, denominators=None, **kwargs:
+                            check(*args, **kwargs))
+        want = run_experiment(cfg)
+    assert len(builds) == 7 + 13
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)

@@ -373,3 +373,91 @@ def test_ratio_growth_at_zero():
     assert ratio_growth({8: 0.0, 9: 1.0}) == np.inf
     assert ratio_growth({8: 1.0, 9: 0.0}) == 0.0
     assert ratio_growth({8: 1.0, 10: 4.0, 11: 2.0}) == pytest.approx(1.0)
+
+
+def apply_circulant_block(kern, j, j_p, blockin, n):
+    """One circulant block on its own: the kernel's and the source's FFT,
+    their product and the inverse FFT, nothing shared."""
+    axes = tuple(range(blockin.ndim - n, blockin.ndim))
+    stride = (Ellipsis,) + (slice(None, None, 2),) * n
+    if j == j_p:
+        return np.fft.ifftn(
+            np.fft.fftn(kern) * np.fft.fftn(blockin, axes=axes), axes=axes)
+    if j_p == j + 1:
+        rev = kern
+        for ax in range(n):
+            rev = np.flip(rev, axis=ax)
+            rev = np.roll(rev, 1, axis=ax)
+        out = np.fft.ifftn(
+            np.fft.fftn(rev) * np.fft.fftn(blockin, axes=axes), axes=axes)
+        return out[stride]
+    up = np.zeros(blockin.shape[:-n] + tuple(2 * s for s in blockin.shape[-n:]),
+                  dtype=complex)
+    up[stride] = blockin
+    return np.fft.ifftn(np.fft.fftn(kern) * np.fft.fftn(up, axes=axes), axes=axes)
+
+
+def apply_by_blocks(mat, c):
+    out = c.zeros_like()
+    n = c.spec.n
+
+    def block(field, eps, j):
+        return field.scaling if not any(eps) else field.detail[(eps, j)]
+
+    for (eps, j, eps_p, j_p), kern in mat.circulant.items():
+        dst = block(out, eps, j)
+        dst += apply_circulant_block(kern, j, j_p, block(c, eps_p, j_p), n).reshape(
+            dst.shape)
+    return out
+
+
+def riesz_case(n, J, L):
+    basis = build_basis("meyer", GridSpec(n, J, 0))
+    f = basis.synthesize(_random_detail_field(
+        basis, SpaceParams(-0.2, 0.1, 2.0, 2.0), 3 * J + n))
+    tcf = evolve_coefficients(SemigroupSpec(1.0, basis.spec), basis, f,
+                              TimeGrid(1e-5, 1.0, L))
+    return basis, riesz_matrix(basis, n), tcf
+
+
+@pytest.mark.parametrize("n, J, L", [(1, 8, 6), (2, 5, 4), (2, 6, 3)])
+def test_shared_spectra_apply_is_the_per_block_product(n, J, L):
+    basis, mat, tcf = riesz_case(n, J, L)
+    kinds = {j_p - j for _, j, _, j_p in mat.circulant}
+    assert kinds == {-1, 0, 1}
+    want = apply_by_blocks(mat, tcf)
+    # the second apply reads the kernel spectra the first one kept
+    for _ in range(2):
+        got = apply_matrix_time(mat, tcf)
+        for key in want.detail:
+            np.testing.assert_array_equal(got.detail[key], want.detail[key])
+        np.testing.assert_array_equal(got.scaling, want.scaling)
+    one = apply_matrix(mat, tcf[1])
+    want_one = apply_by_blocks(mat, tcf[1])
+    for key in want.detail:
+        np.testing.assert_array_equal(one.detail[key], want_one.detail[key])
+
+
+@pytest.mark.parametrize("n, J", [(1, 8), (2, 6)])
+def test_one_forward_fft_per_source_and_kernel_spectra_kept(monkeypatch, n, J):
+    basis, mat, tcf = riesz_case(n, J, 2)
+    sources = {(eps_p, j_p, j_p == j - 1) for _, j, eps_p, j_p in mat.circulant}
+    if (n, J) == (2, 6):
+        assert (len(sources), len(mat.circulant)) == (22, 53)
+    calls = []
+    fftn = np.fft.fftn
+
+    def counting_fftn(*args, **kwargs):
+        calls.append(args[0].shape)
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+    first = apply_matrix_time(mat, tcf)
+    assert len(calls) == len(sources) + len(mat.circulant)
+    del calls[:]
+    second = apply_matrix_time(mat, tcf)
+    # a second apply builds no kernel FFT: every transform is of a source
+    assert len(calls) == len(sources)
+    assert all(shape[0] == tcf.tg.L for shape in calls)
+    for key in first.detail:
+        np.testing.assert_array_equal(first.detail[key], second.detail[key])

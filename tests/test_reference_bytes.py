@@ -1,25 +1,39 @@
-"""The default suite's output files against the benchmark's references.
+"""Program outputs against the benchmark's references.
 
 `perfbench/refs/verify-default.json` pins the sha256 of every file that
 `oscillet verify --suite default` writes (the digest without its `#`
 metadata lines).  Checking seed 42 here makes a drift in any report bit a
-test failure, not only a benchmark failure.
+test failure, not only a benchmark failure.  `perfbench/refs/heat-1d.json`
+pins the heat-1d workload's report and rows (1e-12 relative); it runs the
+1-d heat lift at J=11 and L=256, which the default suite does not.
 """
 
 import importlib.util
 import os
+import sys
 
 from oscillet.cli import main as cli_main
+from oscillet.harness import run_experiment
 
-CHECK = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                     "perfbench", "check.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                         "perfbench")
+
+
+def _load(name):
+    """perfbench/<name>.py as a module, perfbench's own imports resolved."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(PERFBENCH)
+    return module
 
 
 def _check():
-    spec = importlib.util.spec_from_file_location("perfbench_check", CHECK)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("check")
 
 
 def test_verify_default_is_byte_identical_to_the_references(tmp_path):
@@ -30,5 +44,14 @@ def test_verify_default_is_byte_identical_to_the_references(tmp_path):
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     result = check.check("verify-default", 42, {"exit_code": rc, "files": files},
                          check.load_refs("verify-default"))
+    assert result["reference"]
+    assert result["ok"], result["errors"]
+
+
+def test_heat_1d_matches_the_references():
+    check = _check()
+    cfg = _load("workloads").experiment_config("heat-1d", 42)
+    result = check.check("heat-1d", 42, run_experiment(cfg),
+                         check.load_refs("heat-1d"))
     assert result["reference"]
     assert result["ok"], result["errors"]

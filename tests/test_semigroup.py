@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -114,16 +116,19 @@ class TestEvolveCoefficients:
 
 
 def evolve_oracle(sg, basis, f, tg):
-    """The node-by-node evolution: one propagated spectrum per node."""
+    """The node-by-node evolution: one propagated full-grid spectrum per
+    node, analyzed as a batch of one (a bare 2-d J=7 spectrum would take
+    the in-place `conj(W) * F` fold of `_coeffs_from_fourier`, which the
+    batched evolution never takes)."""
     F = basis.fourier(f)
     symbol = sg.symbol()
     out = CoeffField(sg.spec, basis.family, basis.j_min, basis.j_max, tg=tg)
     eps0 = (0,) * sg.spec.n
     for ell, t in enumerate(tg.nodes()):
-        Ft = F * np.exp(-t * symbol)
+        Ft = (F * np.exp(-t * symbol))[None]
         for eps, j in out.detail:
-            out.detail[(eps, j)][ell] = basis._coeffs_from_fourier(Ft, eps, j)
-        out.scaling[ell] = basis._coeffs_from_fourier(Ft, eps0, basis.j_min)
+            out.detail[(eps, j)][ell] = basis._coeffs_from_fourier(Ft, eps, j)[0]
+        out.scaling[ell] = basis._coeffs_from_fourier(Ft, eps0, basis.j_min)[0]
     return out
 
 
@@ -139,12 +144,17 @@ class TestNodeBatchedHeat:
     """Chunks of nodes against the node-by-node evaluation, bit for bit; with
     `rows` set, a chunk holds that many nodes and the last one is partial."""
 
-    @pytest.mark.parametrize("n, J, L", [(1, 8, 40), (2, 5, 11)])
+    # 2-d J=7 has a block whose fold is the full grid's pairwise sum
+    @pytest.mark.parametrize("n, J, L", [(1, 8, 40), (1, 10, 40), (2, 5, 11),
+                                         (2, 7, 5)])
     @pytest.mark.parametrize("rows", [None, 3])
     def test_evolve_bitwise(self, monkeypatch, n, J, L, rows):
         basis, sg, f, tg = heat_case(n, J, L)
         if rows:
-            monkeypatch.setattr(semigroup, "CHUNK_BYTES", rows * 16 * sg.spec.size)
+            # evolve stacks the spectra on the band support only
+            band = basis.band_support().size
+            monkeypatch.setattr(semigroup, "CHUNK_BYTES", rows * 16 * band)
+            assert L > rows and L % rows
         got = evolve_coefficients(sg, basis, f, tg)
         want = evolve_oracle(sg, basis, f, tg)
         assert got.detail.keys() == want.detail.keys()
@@ -314,9 +324,72 @@ class TestChunkedReconstruction:
             frames = (GridFunction.zeros(meyer1d.spec) for _ in range(count))
             with pytest.raises(ParameterError, match=f"expected 16 frames, got {count}"):
                 pi_phi_report(fam, frames, tg, meyer1d.spec)
+            # frames that skip the family's dead nodes still count every node
+            basis, sg, f, tg_f = heat_case(1, 8, count)
+            tcf = evolve_coefficients(sg, basis, f, tg_f)
+            with pytest.raises(ParameterError, match=f"expected 16 frames, got {count}"):
+                pi_phi_report(fam, frames_from_tcf(basis, tcf, fam), tg, basis.spec)
+
+
+class TestDeadNodeFrames:
+    @pytest.mark.parametrize("n, J, L", [(1, 9, 192), (1, 10, 192), (2, 5, 40)])
+    def test_skipping_dead_nodes_keeps_the_reconstruction(self, monkeypatch, n,
+                                                          J, L):
+        basis, sg, f, tg = heat_case(n, J, L)
+        fam = calibrate_family(1.0)
+        tcf = evolve_coefficients(sg, basis, f, tg)
+        live = fam.live_nodes(tg, basis.spec)
+        assert 0 < live.sum() < L
+        synthesized = []
+        stack = basis.synthesize_stack
+
+        def counting_stack(c):
+            synthesized.append(int(np.prod(c.batch_shape)))
+            return stack(c)
+
+        monkeypatch.setattr(basis, "synthesize_stack", counting_stack)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            want, _ = pi_phi_report(fam, frames_from_tcf(basis, tcf), tg, basis.spec)
+            assert sum(synthesized) == L
+            del synthesized[:]
+            got, _ = pi_phi_report(fam, frames_from_tcf(basis, tcf, fam), tg,
+                                   basis.spec)
+        assert sum(synthesized) == live.sum()
+        assert got.data.tobytes() == want.data.tobytes()
+        # node order: every live frame is the synthesized slice, every dead
+        # one the shared read-only zero frame
+        for ell, frame in enumerate(frames_from_tcf(basis, tcf, fam)):
+            if live[ell]:
+                assert frame.data.tobytes() == basis.synthesize(tcf[ell]).data.tobytes()
+            else:
+                assert not np.any(frame.data) and not frame.data.flags.writeable
 
 
 class TestDecayBounds:
+    def test_shared_denominators_equal_a_per_call_recomputation(self, monkeypatch):
+        basis, _, _, tg = heat_case(1, 8, 24)
+        c0 = _random_detail_field(basis, SpaceParams(-0.2, 0.1, 2.0, 2.0), 5)
+        f = basis.synthesize(c0)
+        built = []
+        build = semigroup.coupling_denominators
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(semigroup, "coupling_denominators", counting)
+        shared = {}
+        for beta in (0.5, 1.0):
+            tcf = evolve_coefficients(SemigroupSpec(beta, basis.spec), basis, f, tg)
+            got = check_decay_bounds(tcf, c0, N=4.0, denominators=shared)
+            want = check_decay_bounds(tcf, c0, N=4.0)
+            for name, value in vars(want).items():
+                np.testing.assert_array_equal(getattr(got, name), value, err_msg=name)
+        # one build for the shared dict, one per unshared call
+        assert len(built) == 3
+        assert shared.keys() == set(c0.levels)
+
     def test_zero_data(self, meyer1d):
         sg = SemigroupSpec(1.0, meyer1d.spec)
         tg = TimeGrid(1e-5, 4.0, 16)

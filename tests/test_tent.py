@@ -6,7 +6,7 @@ import pytest
 from oscillet import tent
 from oscillet.errors import ParameterError
 from oscillet.grid import DyadicCube, GridFunction, GridSpec, cube_contains
-from oscillet.norms import SpaceParams, _runs
+from oscillet.norms import SpaceParams, _level_power_sum, _runs, _upsample
 from oscillet.operators import _random_detail_field
 from oscillet.semigroup import (
     SemigroupSpec,
@@ -84,7 +84,8 @@ def parts_i_ii_oracle(tcf, tp):
     best = [(0.0, None, None), (0.0, None, None)]
     for ell, t in enumerate(tcf.tg.nodes()):
         theta = -np.log2(t) / (2.0 * tp.beta)
-        base = tent._level_base_fields(tcf, slice(ell, ell + 1), q)
+        base = {j: _upsample(_level_power_sum(tcf, j, q, slice(ell, ell + 1)),
+                             tcf.j_max, spec.n) for j in tcf.levels}
         parts = [(w_i, lambda j0, j: j >= max(j0, theta), t**tp.m),
                  (w_ii, lambda j0, j: j0 < j < theta, 1.0)]
         for part, (w, admit, scale) in enumerate(parts):
@@ -156,6 +157,48 @@ def sup_over_cubes_per_level(fields, rows, level_weights, admitted, root, sp,
         best_j0[better] = j0
         best_flat[better] = flat[better]
     return best, best_j0, best_flat
+
+
+class TestOnePowerTable:
+    """Every part reads one |a|^q table per tent_norms call; the values are
+    those of parts that each take |a|^q themselves."""
+
+    @pytest.mark.parametrize("n, J, L", [(1, 8, 48), (2, 5, 16)])
+    @pytest.mark.parametrize("q", [2.0, 1.5, np.inf])
+    def test_shared_table_matches_per_part_recomputation(self, monkeypatch, n, J,
+                                                         L, q):
+        spec = GridSpec(n, J, 0)
+        basis = build_basis("meyer", spec)
+        tp = make_tp(p=3.0, q=q)
+        tcf = empty_tcf(basis, default_time_grid(spec, tp.beta, L=L))
+        rng = np.random.default_rng(5 * J + n)
+        for arr in tcf.detail.values():
+            arr[:] = rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape)
+        tables = []
+        abs_power = tent._abs_power
+
+        def counting(field, q):
+            tables.append(q)
+            return abs_power(field, q)
+
+        monkeypatch.setattr(tent, "_abs_power", counting)
+        got = tent_norms(tcf, tp)
+        assert tables == [q]
+
+        def base_fields(field, absq, nodes, q):
+            return {j: _upsample(_level_power_sum(field, j, q, nodes), field.j_max,
+                                 field.spec.n) for j in field.levels}
+
+        class OwnTable(tent._WindowIntegrals):
+            def __init__(self, field, absq, qm):
+                super().__init__(field, {key: np.abs(arr) ** q for key, arr
+                                         in field.detail.items()}, qm)
+
+        monkeypatch.setattr(tent, "_level_base_fields", base_fields)
+        monkeypatch.setattr(tent, "_WindowIntegrals", OwnTable)
+        want = tent_norms(tcf, tp)
+        assert got == want
+        assert got.part_i.value > 0 and (q == np.inf or got.part_iii.value > 0)
 
 
 class TestSharedIntegrand:

@@ -9,6 +9,7 @@ from oscillet.errors import (
     ParameterError,
 )
 from oscillet.grid import GridFunction, GridSpec, l2_inner, lp_norm, rel_l2_error
+from oscillet import wavelet
 from oscillet.wavelet import (
     CHUNK_BYTES,
     DAUBECHIES_FILTERS,
@@ -391,12 +392,98 @@ def test_meyer_block_kernel_is_the_full_grid_fold(n, J, lead, complex_input):
               for eps in basis.detail_type_list()]
     blocks += [(eps0, j) for j in range(basis.j_min, basis.j_max + 2)]
     for eps, j in blocks:
-        assert j == 0 or basis._plan(eps, j).support is not None
+        assert j == 0 or basis._plan(eps, j).passes is not None
         W = basis._tensor_window(eps, j)
         want = 2.0 ** (n * j / 2.0) * np.fft.ifftn(
             _fold(F * np.conj(W), 2 ** j, n), axes=range(-n, 0))
         np.testing.assert_array_equal(basis._coeffs_from_fourier(F, eps, j),
                                       want, err_msg=f"block {eps}, j={j}")
+
+
+@pytest.mark.parametrize("lead", [(1,), (3,)])
+@pytest.mark.parametrize("n,J", [(1, 8), (1, 10), (2, 5), (2, 7)])
+def test_band_coefficients_are_the_full_grid_ones(n, J, lead):
+    """Spectra read at the band support give every block the bits that
+    _coeffs_from_fourier gives from the full grid; at 2-d this includes the
+    (1, 1), j = 0 block, whose fold is the full grid's pairwise sum."""
+    basis = build_basis("meyer", GridSpec(n, J, 0))
+    F = random_stack(np.random.default_rng(J), lead + basis.spec.shape, True)
+    band = basis.band_support()
+    assert np.array_equal(band, np.unique(band)) and band.size < basis.spec.size
+    keys = []
+    for (eps, j), coeffs in basis._coeffs_from_band(
+            F.reshape(lead + (-1,))[..., band]):
+        keys.append((eps, j))
+        np.testing.assert_array_equal(coeffs, basis._coeffs_from_fourier(F, eps, j),
+                                      err_msg=f"block {eps}, j={j}")
+    assert keys[-1] == ((0,) * n, basis.j_min)
+    assert sorted(keys[:-1]) == sorted(basis.analyze_stack(F[0]).detail)
+    if n == 2:
+        assert basis._plan((1, 1), 0).passes is None
+
+
+def synthesize_full_grid(basis, c):
+    """The synthesis as a sum of full-grid _fourier_from_coeffs terms, block
+    by block (all-zero blocks skipped), then one inverse FFT."""
+    n = basis.spec.n
+    F = np.zeros(c.batch_shape + basis.spec.shape, dtype=complex)
+    for (eps, j), arr in c.detail.items():
+        if np.any(arr):
+            F += basis._fourier_from_coeffs(arr, eps, j)
+    if np.any(c.scaling):
+        F += basis._fourier_from_coeffs(c.scaling, (0,) * n, basis.j_min)
+    return np.fft.ifftn(F, axes=range(-n, 0)) * basis.spec.size
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (4,)])
+@pytest.mark.parametrize("n,J", [(1, 8), (1, 10), (2, 5), (2, 7)])
+def test_meyer_synthesis_on_the_support_is_the_full_grid_sum(n, J, lead):
+    """synthesize_stack multiplies and adds on each window's support only:
+    bit for bit the full-grid sum, for a bare grid and stacks, with zero
+    rows in a block and an all-zero block."""
+    basis = build_basis("meyer", GridSpec(n, J, 0))
+    data = random_stack(np.random.default_rng(7 * J + n), lead + basis.spec.shape,
+                        True)
+    c = basis.analyze_stack(data)
+    finest = (basis.detail_type_list()[0], basis.j_max)
+    if lead and lead[0] > 1:
+        c.detail[finest][1] = 0.0
+        c.scaling[2] = 0.0
+    c.detail[(basis.detail_type_list()[-1], basis.j_min + 1)][...] = 0.0
+    got = basis.synthesize_stack(c)
+    np.testing.assert_array_equal(got, synthesize_full_grid(basis, c))
+    if not lead:
+        np.testing.assert_array_equal(basis.synthesize(c).data, got)
+    zero = c.zeros_like()
+    assert not np.any(basis.synthesize_stack(zero))
+
+
+def idwt_axis_by_rolls(lo, hi, h, g, axis):
+    """The zero-stuff-and-filter step with two full np.roll copies per tap."""
+    lo = np.moveaxis(lo, axis, 0)
+    hi = np.moveaxis(hi, axis, 0)
+    M = 2 * lo.shape[0]
+    up_lo = np.zeros((M,) + lo.shape[1:], dtype=complex)
+    up_hi = np.zeros_like(up_lo)
+    up_lo[0::2] = lo
+    up_hi[0::2] = hi
+    out = np.zeros_like(up_lo)
+    for m, (hm, gm) in enumerate(zip(h, g)):
+        out += hm * np.roll(up_lo, m, axis=0) + gm * np.roll(up_hi, m, axis=0)
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("m0", sorted(DAUBECHIES_FILTERS))
+@pytest.mark.parametrize("n,J,j_min", [(1, 7, 0), (1, 6, 2), (2, 5, 0), (2, 4, 1)])
+def test_daubechies_synthesis_matches_the_roll_form(monkeypatch, n, J, j_min, m0):
+    """The slice-add inverse step against the roll form, bit for bit, down to
+    j_min, where the filter (2 m0 taps) is longer than the axis."""
+    basis = build_basis("daubechies", GridSpec(n, J, j_min), m0=m0)
+    data = random_stack(np.random.default_rng(m0 + J), basis.spec.shape, True)
+    c = basis.analyze_stack(data)
+    got = basis.synthesize(c).data
+    monkeypatch.setattr(wavelet, "_idwt_axis", idwt_axis_by_rolls)
+    assert got.tobytes() == basis.synthesize(c).data.tobytes()
 
 
 @settings(max_examples=40)
