@@ -34,3 +34,7 @@ class MomentConditioningError(ArithmeticError):
 
 class DegenerateRegimeWarning(UserWarning):
     """gamma2 > n/p: in the continuum limit the space contains only polynomials."""
+
+
+class QuadratureWarning(UserWarning):
+    """An adaptive quadrature stopped short of its tolerance (QUADPACK ier > 0)."""

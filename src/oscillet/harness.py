@@ -420,11 +420,13 @@ def _surjectivity_probe(basis, fam, tg, tp, cfg) -> dict:
 
 def run_czo_boundedness(cfg: ExperimentConfig) -> dict:
     """Admissible matrices must stay J-stable; the decay-violating control
-    must blow up and be flagged."""
+    must blow up and be flagged.  Both sweeps draw the same samples' normals
+    (same seeds), so they share one `draws` dict."""
+    draws = {}
     admissible = czo_boundedness_experiment(
         CzoGeneratorParams(N0=6.0, C=1.0), cfg.sp, cfg.samples, cfg.seed,
         J_sweep=cfg.J_sweep, n=cfg.n, j_min=cfg.j_min,
-        growth_limit=GROWTH_LIMIT, profile=cfg.profile)
+        growth_limit=GROWTH_LIMIT, profile=cfg.profile, draws=draws)
     sp_control = SpaceParams(1.5, 0.3, 2.0, 2.0)
     control_params = CzoGeneratorParams(
         N0=0.2, C=1.0, band=np.inf, window_cells=np.inf,
@@ -432,7 +434,8 @@ def run_czo_boundedness(cfg: ExperimentConfig) -> dict:
     control = czo_boundedness_experiment(
         control_params, sp_control, cfg.samples, cfg.seed,
         J_sweep=cfg.J_sweep, n=cfg.n, j_min=cfg.j_min,
-        growth_limit=GROWTH_LIMIT, declared_N0=6.0, profile=cfg.profile)
+        growth_limit=GROWTH_LIMIT, declared_N0=6.0, profile=cfg.profile,
+        draws=draws)
     control_flagged = (not control.certified) and control.growth_per_J > 0.50
     rows = []
     for tag, rep in (("admissible", admissible), ("control", control)):

@@ -18,18 +18,21 @@ with `dist` the periodic minimal-image distance between the cube anchors
 k 2^{-j} and k' 2^{-j'} (matrices of periodic operators wrap, so the flat
 distance of the plane is replaced by the torus metric).
 
-A circulant block is applied as a product of spectra.  One apply takes one
-forward FFT per (source block, zero-stuffed or not), shared by every
-destination block that reads it and dropped after the last one; each
-kernel's FFT (for j' = j + 1 that of the flipped and rolled kernel) is kept
-on the matrix after its first apply.  The products and the adds into each
-destination run in the order of the block-by-block evaluation, so the
-result has its bits.
+A circulant block is applied as a product of spectra.  One apply visits the
+source blocks in order (level j', type eps', zero-stuffed or not) and takes
+one forward FFT per source and chunk of at most CHUNK_BYTES of its rows,
+used at once by every destination block that reads it, so one source
+spectrum chunk is alive at a time; each kernel's FFT (for j' = j + 1 that of
+the flipped and rolled kernel) is kept on the matrix after its first apply.
+Every step is row-independent, and each destination receives its adds in
+source order, which is the order `riesz_matrix` stores them in, so the
+result has the bits of the block-by-block evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +40,7 @@ import numpy as np
 from .errors import GridMismatchError, ParameterError
 from .grid import GridFunction, GridSpec, flat_positions, min_image
 from .norms import SpaceParams, tlm_wavelet_norm
-from .wavelet import CoeffField, detail_types
+from .wavelet import CHUNK_BYTES, CoeffField, detail_types
 
 TWO_PI = 2.0 * np.pi
 
@@ -227,6 +230,13 @@ def _source_spectrum(blockin: np.ndarray, stuffed: bool, n: int) -> np.ndarray:
     return np.fft.fftn(blockin, axes=axes)
 
 
+def _source_order(item) -> tuple:
+    """(j', eps', zero-stuffed) of a circulant block (key, kernel): the order
+    in which `_apply` visits the source blocks."""
+    (eps, j, eps_p, j_p), _ = item
+    return j_p, eps_p, j_p == j - 1
+
+
 def apply_matrix(mat: AlmostDiagonalMatrix, c: CoeffField) -> CoeffField:
     """Exact sparse/circulant matrix-vector product; linear in c."""
     return _apply(mat, c)
@@ -253,25 +263,33 @@ def _apply(mat: AlmostDiagonalMatrix, c: CoeffField) -> CoeffField:
         np.add.at(acc.T, rows, vals[:, None] * src.T[cols])
         dst = block(out, eps, j)
         dst += acc.reshape(dst.shape)
-    # one forward FFT per (source block, zero-stuffed or not), shared by
-    # the destination blocks that read it and dropped after the last one
-    circulant = list(mat.circulant.items())
-    last_use = {(eps_p, j_p, j_p == j - 1): i
-                for i, ((eps, j, eps_p, j_p), _) in enumerate(circulant)}
-    spectra = {}
+    # source by source: one forward FFT per (source block, zero-stuffed or
+    # not) and chunk of rows, used at once by every destination block that
+    # reads it
+    lead = len(c.batch_shape)
+    total = int(np.prod(c.batch_shape))
     stride = (Ellipsis,) + (slice(None, None, 2),) * n
-    for i, (key, kern) in enumerate(circulant):
-        eps, j, eps_p, j_p = key
-        src = (eps_p, j_p, j_p == j - 1)
-        if src not in spectra:
-            spectra[src] = _source_spectrum(block(c, eps_p, j_p), src[2], n)
-        spectrum = spectra.pop(src) if last_use[src] == i else spectra[src]
-        res = np.fft.ifftn(mat.kernel_spectrum(key, kern) * spectrum,
-                           axes=tuple(range(spectrum.ndim - n, spectrum.ndim)))
-        if j_p == j + 1:
-            res = res[stride]
-        dst = block(out, eps, j)
-        dst += res.reshape(dst.shape)
+
+    def rows(arr):
+        return arr.reshape((-1,) + arr.shape[lead:]) if lead else arr[None]
+
+    for (j_p, eps_p, stuffed), group in groupby(
+            sorted(mat.circulant.items(), key=_source_order), key=_source_order):
+        group = list(group)
+        src = rows(block(c, eps_p, j_p))
+        size = (2 << j_p if stuffed else 1 << j_p) ** n     # values per row
+        step = max(1, CHUNK_BYTES // (16 * size))
+        for start in range(0, total, step):
+            part = slice(start, start + step)
+            spectrum = _source_spectrum(src[part], stuffed, n)
+            for key, kern in group:
+                eps, j = key[:2]
+                res = np.fft.ifftn(mat.kernel_spectrum(key, kern) * spectrum,
+                                   axes=tuple(range(1, n + 1)))
+                if j_p == j + 1:
+                    res = res[stride]
+                dst = rows(block(out, eps, j))[part]
+                dst += res
     return out
 
 
@@ -391,9 +409,12 @@ def czo_boundedness_experiment(params: CzoGeneratorParams, sp: SpaceParams,
                                n: int = 1, j_min: int = 0,
                                growth_limit: float = 0.10,
                                declared_N0: float | None = None,
-                               profile: str = "polynomial") -> BoundednessReport:
+                               profile: str = "polynomial",
+                               draws: dict | None = None) -> BoundednessReport:
     """Morrey-norm ratios of random admissible matrices across the J sweep,
-    on the Meyer basis with transition profile `profile`.
+    on the Meyer basis with transition profile `profile`.  `draws` keeps the
+    samples' standard normal draws (see `_random_detail_field`); sweeps over
+    the same seeds, n and levels may share one dict.
 
     A matrix violating the declared envelope still runs but the report is
     tagged uncertified (negative control)."""
@@ -403,7 +424,7 @@ def czo_boundedness_experiment(params: CzoGeneratorParams, sp: SpaceParams,
 
     per_sample = []
     max_by_J = {}
-    draws = {}
+    draws = {} if draws is None else draws
     certified = True
     notes = []
     if sp.p <= 1 or sp.q <= 1:

@@ -7,7 +7,9 @@ detail window of the Meyer pair: w(r) = omega(r) / sqrt(2 beta ln 2), which
 makes the squared Calderon integral int_0^inf w(t^{1/(2 beta)} |xi|)^2 dt/t
 equal to one for every nonzero lattice frequency (the dyadic shells of the
 window tile the ray exactly), while the companion constant of the damped
-integral is computed by quadrature and recorded.
+integral is computed by quadrature and recorded.  The quadrature is
+`_quadpack.quad`, a pure-Python port of QUADPACK's `dqagse` with the bits
+of `scipy.integrate.quad`, so calibrating loads no scipy.
 
 Time grids (`grid.TimeGrid`, re-exported here) are logarithmic midpoint
 rules for the measure dt/t.  A heat lift is a `CoeffField` on a time grid,
@@ -38,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError, ParameterError
+from .errors import GridMismatchError, ParameterError, QuadratureWarning
 from .grid import GridFunction, GridSpec, TimeGrid, flat_positions, min_image
 from .norms import _level_power_sum, _runs
 from .wavelet import CHUNK_BYTES, CoeffField, MeyerWindow, TWO_PI, _fft_last
@@ -153,7 +155,15 @@ class CalibratedFamily:
 
 def calibrate_family(beta: float, profile: str = "polynomial",
                      n_check: int = 5) -> CalibratedFamily:
-    from scipy.integrate import quad
+    """The calibrated family of `beta` on the Meyer window `profile`: C_beta
+    from the damped integral (iii), and the residuals of the Calderon
+    identity (ii) at `n_check` radii and of the vanishing moments (i).
+
+    The integrals run through `_quadpack.quad`, a port of QUADPACK's
+    `dqagse` that returns the bits of `scipy.integrate.quad` at limit 200,
+    so calibrating imports no scipy.  A quadrature that stops short of its
+    tolerance warns with QuadratureWarning and names QUADPACK's ier."""
+    from . import _quadpack
 
     if not (np.isfinite(beta) and beta > 0):
         raise ParameterError(f"beta must be finite and positive, got {beta}")
@@ -163,10 +173,17 @@ def calibrate_family(beta: float, profile: str = "polynomial",
     def w(r):
         return scale * window.omega(np.asarray([r], dtype=float))[0]
 
+    def quad(f, a, b):
+        val, err, _, ier, _ = _quadpack.quad(f, a, b, limit=200)
+        if ier > 0:
+            warnings.warn(f"calibration quadrature at beta={beta} stopped "
+                          f"short of its tolerance (QUADPACK ier={ier})",
+                          QuadratureWarning, stacklevel=3)
+        return val, err
+
     # (iii): damped scalar integral over the support of r = t^{1/(2 beta)}
     lo, hi = (TWO_PI / 3.0) ** (2 * beta), (8.0 * np.pi / 3.0) ** (2 * beta)
-    val, err = quad(lambda t: w(t ** (1.0 / (2 * beta))) * np.exp(-t) / t, lo, hi,
-                    limit=200)
+    val, err = quad(lambda t: w(t ** (1.0 / (2 * beta))) * np.exp(-t) / t, lo, hi)
     if val <= 0:
         raise ParameterError("calibration integral vanished; bad window")
     C_beta = 1.0 / val
@@ -177,8 +194,7 @@ def calibrate_family(beta: float, profile: str = "polynomial",
     for r0 in radii:
         tlo = (TWO_PI / (3.0 * r0)) ** (2 * beta)
         thi = (8.0 * np.pi / (3.0 * r0)) ** (2 * beta)
-        v, _ = quad(lambda t: w(t ** (1.0 / (2 * beta)) * r0) ** 2 / t, tlo, thi,
-                    limit=200)
+        v, _ = quad(lambda t: w(t ** (1.0 / (2 * beta)) * r0) ** 2 / t, tlo, thi)
         resid_ii = max(resid_ii, abs(v - 1.0))
 
     # (i): all spatial moments vanish because phi-hat is 0 near the origin
@@ -396,20 +412,24 @@ def check_decay_bounds(tcf: CoeffField, c0: CoeffField, N: float,
                     abs(r1_branch * np.exp(-tau[ell]) / r2_branch - 1.0),
                 )
             seam_gap = max(seam_gap, abs(float(np.log(tau[ell]))))
+    max_r1 = np.zeros_like(ctilde_grid)
+    n_pairs = 0
     if ratios_hi:
         Rh = np.concatenate(ratios_hi)
         Th = np.concatenate(taus_hi)
         pos = Rh > 0          # underflowed-to-zero pairs carry no information
         logR, Tp = np.log(Rh[pos]), Th[pos]
-        max_r1 = np.array([
-            float(np.exp(np.clip(np.max(logR + ct * Tp), -745, 709)))
-            if logR.size else 0.0
-            for ct in ctilde_grid
-        ])
         n_pairs = int(np.sum(pos))
-    else:
-        max_r1 = np.zeros_like(ctilde_grid)
-        n_pairs = 0
+        if logR.size:
+            # the pairs of one (block, node) share tau, and x -> x + c rounds
+            # monotonically, so max(logR + ct tau) over a run of equal tau
+            # is max(logR) + ct tau: the same bits from one max per run
+            starts = np.flatnonzero(np.r_[True, Tp[1:] != Tp[:-1]])
+            peak, tau = np.maximum.reduceat(logR, starts), Tp[starts]
+            max_r1 = np.array([
+                float(np.exp(np.clip(np.max(peak + ct * tau), -745, 709)))
+                for ct in ctilde_grid
+            ])
     return DecayReport(ctilde_grid, max_r1, max_r2, seam_residual, seam_gap,
                        violations, n_pairs)
 

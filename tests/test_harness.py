@@ -145,6 +145,42 @@ def test_run_all_writes_reports(tmp_path):
     assert rep["kind"] == "czo-boundedness"
 
 
+def test_czo_control_reuses_the_admissible_draws(tmp_path, monkeypatch):
+    # both sweeps draw the same normals; the control reads them from the
+    # admissible sweep's dict and seeds no generator for a sample, and the
+    # reports are the bytes of two separate dicts
+    from oscillet import harness
+
+    cfg = ExperimentConfig("czo-boundedness", J_sweep=(6, 7), samples=2, seed=3)
+    experiment = harness.czo_boundedness_experiment
+    seeded = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed=None):
+        # sample draws are seeded per (level, type); matrix draws per block pair
+        if isinstance(seed, np.random.SeedSequence) and len(seed.spawn_key) == 2:
+            seeded[-1] += 1
+        return default_rng(seed)
+
+    def per_sweep(*args, **kwargs):
+        seeded.append(0)
+        return experiment(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(harness, "czo_boundedness_experiment", per_sweep)
+    run_all([cfg], str(tmp_path / "shared"))
+    assert seeded[0] > 0 and seeded[1] == 0
+
+    def separate(*args, draws=None, **kwargs):
+        return experiment(*args, draws={}, **kwargs)
+
+    monkeypatch.setattr(harness, "czo_boundedness_experiment", separate)
+    run_all([cfg], str(tmp_path / "separate"))
+    for name in ("report_czo-boundedness.json", "samples.csv", "summary.json"):
+        assert ((tmp_path / "shared" / name).read_bytes()
+                == (tmp_path / "separate" / name).read_bytes()), name
+
+
 def test_cli_verify_deterministic(tmp_path):
     # two runs of a one-experiment suite produce byte-identical reports;
     # only the digest metadata block may differ

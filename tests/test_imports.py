@@ -1,7 +1,8 @@
-"""scipy is imported only where it runs: the calibration quadrature
-(`semigroup.calibrate_family`) and the direct minimization of
-`norms._refine_cube`.  Every command and experiment that never calibrates
-stays free of it, and its import time with it."""
+"""scipy is imported only where it runs: the direct minimization of
+`norms._refine_cube` (`oscillation_norm_report(..., refine=True)`).  The
+calibration quadrature (`semigroup.calibrate_family`) runs the QUADPACK port
+of `oscillet._quadpack`, so every command and experiment, `verify` and
+`reconstruct` included, stays free of scipy and its import time."""
 
 import json
 import os
@@ -23,7 +24,7 @@ import oscillet, oscillet.cli, oscillet.harness
 seen["import"] = scipy_loaded()
 
 import numpy as np
-from oscillet.grid import GridFunction, GridSpec
+from oscillet.grid import GridFunction, GridSpec, write_grid_function
 from oscillet.harness import ExperimentConfig, run_experiment
 from oscillet.wavelet import build_basis, coeff_field_to_json
 run_experiment(ExperimentConfig("norm-equivalence", J_sweep=(5, 6), samples=1))
@@ -42,11 +43,35 @@ seen["norm --kind tlm"] = scipy_loaded()
 from oscillet.semigroup import calibrate_family
 seen["C_beta"] = calibrate_family(1.0).C_beta.hex()
 seen["calibrate_family"] = scipy_loaded()
+
+# the verify command on the experiment that calibrates
+with open("cfg.txt", "w") as fh:
+    fh.write("kind = semigroup-characterization\\nJ_sweep = 6,7\\n"
+             "gamma1 = -0.2\\ngamma2 = 0.1\\np = 2.0\\nq = 2.0\\n"
+             "samples = 1\\ntime_nodes = 32\\n")
+oscillet.cli.main(["verify", "--config", "cfg.txt", "--out", "reports"])
+with open("reports/report_semigroup-characterization.json") as fh:
+    assert "error" not in json.load(fh)
+seen["verify"] = scipy_loaded()
+
+write_grid_function(f, "f.bin")
+assert oscillet.cli.main(["semigroup", "--L", "16", "--in", "f.bin",
+                          "--out", "t.bin"]) == 0
+assert oscillet.cli.main(["reconstruct", "--in", "t.bin", "--out", "r.bin",
+                          "--report", "rec.json"]) == 0
+seen["reconstruct"] = scipy_loaded()
+
+from oscillet.norms import CutoffFamily, SpaceParams, oscillation_norm_report
+rep = oscillation_norm_report(basis.synthesize(basis.analyze(f)),
+                              SpaceParams(0.0, 0.3, 2.0, 2.0),
+                              CutoffFamily(n=1), 1, basis, refine=True)
+assert rep.refined_value is not None
+seen["refine"] = scipy_loaded()
 print(json.dumps(seen))
 """
 
 
-def test_scipy_loads_only_with_the_calibration(tmp_path):
+def test_scipy_loads_only_with_the_refinement(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -57,5 +82,8 @@ def test_scipy_loads_only_with_the_calibration(tmp_path):
     assert not seen["import"]
     assert not seen["norm-equivalence"]
     assert not seen["norm --kind tlm"]
-    assert seen["calibrate_family"]
+    assert not seen["calibrate_family"]
     assert seen["C_beta"] == calibrate_family(1.0).C_beta.hex()
+    assert not seen["verify"]
+    assert not seen["reconstruct"]
+    assert seen["refine"]

@@ -461,3 +461,30 @@ def test_one_forward_fft_per_source_and_kernel_spectra_kept(monkeypatch, n, J):
     assert all(shape[0] == tcf.tg.L for shape in calls)
     for key in first.detail:
         np.testing.assert_array_equal(first.detail[key], second.detail[key])
+
+
+@pytest.mark.parametrize("n, J", [(1, 8), (2, 6)])
+def test_chunks_of_rows_are_the_unchunked_apply(monkeypatch, n, J):
+    # the finest sources' rows go two at a time, so 5 rows end in a
+    # partial chunk of one; the coarser ones take more rows per chunk
+    from oscillet import operators
+
+    basis, mat, tcf = riesz_case(n, J, 5)
+    monkeypatch.setattr(operators, "CHUNK_BYTES", 1 << 40)
+    whole = apply_matrix_time(mat, tcf)
+    monkeypatch.setattr(operators, "CHUNK_BYTES", 2 * 16 * (1 << basis.j_max) ** n)
+    rows = []
+    fftn = np.fft.fftn
+
+    def counting_fftn(*args, **kwargs):
+        rows.append(args[0].shape[0])
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+    chunked = apply_matrix_time(mat, tcf)
+    assert {2, 1} <= set(rows) and max(rows) == 5
+    want = apply_by_blocks(mat, tcf)
+    for key in whole.detail:
+        np.testing.assert_array_equal(chunked.detail[key], whole.detail[key])
+        np.testing.assert_array_equal(chunked.detail[key], want.detail[key])
+    np.testing.assert_array_equal(chunked.scaling, whole.scaling)

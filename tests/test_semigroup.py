@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oscillet import semigroup
-from oscillet.errors import ParameterError
+from oscillet import _quadpack, semigroup
+from oscillet.errors import ParameterError, QuadratureWarning
 from oscillet.grid import GridFunction, GridSpec, lp_norm, rel_l2_error
 from oscillet.norms import SpaceParams
 from oscillet.operators import _random_detail_field
@@ -24,7 +24,9 @@ from oscillet.semigroup import (
     pi_phi_report,
 )
 from oscillet.wavelet import (
+    TWO_PI,
     CoeffField,
+    MeyerWindow,
     WaveletIndex,
     build_basis,
     detail_types,
@@ -216,6 +218,58 @@ class TestCalibratedFamily:
         assert val == pytest.approx(1.0 / fam.C_beta, rel=1e-8)
 
 
+def scipy_calibration(beta, profile="polynomial", n_check=5):
+    """(C_beta, admissibility) of calibrate_family computed with
+    scipy.integrate.quad, as the calibration did before its QUADPACK port."""
+    window = MeyerWindow(profile)
+    scale = 1.0 / np.sqrt(2.0 * beta * np.log(2.0))
+
+    def w(r):
+        return scale * window.omega(np.asarray([r], dtype=float))[0]
+
+    lo, hi = (TWO_PI / 3.0) ** (2 * beta), (8.0 * np.pi / 3.0) ** (2 * beta)
+    val, err = quad(lambda t: w(t ** (1.0 / (2 * beta))) * np.exp(-t) / t, lo, hi,
+                    limit=200)
+    resid_ii = 0.0
+    for r0 in np.exp(np.linspace(np.log(0.3), np.log(200.0), n_check)):
+        tlo = (TWO_PI / (3.0 * r0)) ** (2 * beta)
+        thi = (8.0 * np.pi / (3.0 * r0)) ** (2 * beta)
+        v, _ = quad(lambda t: w(t ** (1.0 / (2 * beta)) * r0) ** 2 / t, tlo, thi,
+                    limit=200)
+        resid_ii = max(resid_ii, abs(v - 1.0))
+    rr = np.linspace(0, TWO_PI / 3.0 * 0.999, 64)
+    return 1.0 / val, {
+        "moment_residual": float(np.max(np.abs(window.omega(rr)))),
+        "calderon_residual": resid_ii,
+        "damped_integral": val,
+        "damped_integral_quad_error": err,
+    }
+
+
+class TestCalibrationBits:
+    @pytest.mark.parametrize("profile", ["polynomial", "smooth"])
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.75, 1.0, 1.7, 2.5])
+    def test_equals_the_scipy_calibration(self, beta, profile):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # and ier == 0: no warning
+            fam = calibrate_family(beta, profile)
+        C_beta, admissibility = scipy_calibration(beta, profile)
+        assert fam.C_beta.hex() == C_beta.hex()
+        assert fam.admissibility.keys() == admissibility.keys()
+        for name, value in admissibility.items():
+            assert float(fam.admissibility[name]).hex() == float(value).hex(), name
+
+    def test_a_short_quadrature_warns_with_its_flag(self, monkeypatch):
+        quad_port = _quadpack.quad
+
+        def limited(f, a, b, limit):
+            return quad_port(f, a, b, limit=2)
+
+        monkeypatch.setattr(_quadpack, "quad", limited)
+        with pytest.warns(QuadratureWarning, match="ier=1"):
+            calibrate_family(1.0)
+
+
 class TestPiPhi:
     def test_zero(self, meyer1d):
         tg = default_time_grid(meyer1d.spec, 1.0, L=32)
@@ -366,7 +420,69 @@ class TestDeadNodeFrames:
                 assert not np.any(frame.data) and not frame.data.flags.writeable
 
 
+def pairwise_max_r1(tcf, c0, N, ctilde_grid):
+    """check_decay_bounds' max_r1 as max(logR + ct tau) over every positive
+    (coefficient, node) pair of the high regime; also the number of pairs
+    that underflowed to zero."""
+    denoms = semigroup.coupling_denominators(c0, N, band=3)
+    nodes = tcf.tg.nodes()
+    atol = 1e-12 * max(c0.max_abs(), 1e-300)
+    ratios, taus = [np.zeros(0)], [np.zeros(0)]
+    for (eps, j), block in tcf.detail.items():
+        D = denoms[j]
+        tau = nodes * 2.0 ** (2.0 * tcf.beta * j)
+        ok = D > atol
+        R = np.abs(block.reshape(tcf.tg.L, -1))[:, ok] / D[None, ok]
+        hi = tau >= 1.0
+        ratios.append(R[hi].reshape(-1))
+        taus.append(np.repeat(tau[hi], int(np.sum(ok))))
+    Rh, Th = np.concatenate(ratios), np.concatenate(taus)
+    pos = Rh > 0
+    logR, Tp = np.log(Rh[pos]), Th[pos]
+    return np.array([
+        float(np.exp(np.clip(np.max(logR + ct * Tp), -745, 709)))
+        if logR.size else 0.0
+        for ct in ctilde_grid
+    ]), int(np.sum(~pos))
+
+
 class TestDecayBounds:
+    def test_one_max_per_node_is_the_pairwise_max(self):
+        grid = np.arange(0.05, 2.0001, 0.05)
+        underflowed = 0
+        for J in (8, 9):
+            basis = build_basis("meyer", GridSpec(1, J, 0))
+            single = basis.analyze(GridFunction.zeros(basis.spec))
+            single.set(WaveletIndex((1,), 3, (3,)), 1.0)
+            rand = _random_detail_field(basis, SpaceParams(-0.2, 0.1, 2.0, 2.0), 59)
+            for c0 in (single, rand):
+                f = basis.synthesize(c0)
+                for beta in (0.5, 1.0):
+                    tg = default_time_grid(GridSpec(1, 9, 0), beta, L=64)
+                    # t up to 40: the finest levels underflow to zero
+                    for tg in (tg, TimeGrid(tg.t_min, 40.0, 64)):
+                        tcf = evolve_coefficients(SemigroupSpec(beta, basis.spec),
+                                                  basis, f, tg)
+                        # rows reversed in time: the ratios grow with tau, so
+                        # the max lies at the last node of a block
+                        for field in (tcf, tcf.map_detail(
+                                lambda eps, j, arr: arr[::-1].copy())):
+                            rep = check_decay_bounds(field, c0, N=4.0)
+                            want, zeros = pairwise_max_r1(field, c0, 4.0, grid)
+                            underflowed += zeros
+                            assert rep.max_r1.tobytes() == want.tobytes()
+        assert underflowed > 0
+
+    def test_empty_high_regime(self, meyer1d, rng):
+        # every tau below 1: no pair of the high regime
+        c0 = meyer1d.analyze(band_limited(meyer1d, rng))
+        tcf = evolve_coefficients(SemigroupSpec(1.0, meyer1d.spec), meyer1d,
+                                  meyer1d.synthesize(c0), TimeGrid(1e-12, 1e-10, 8))
+        rep = check_decay_bounds(tcf, c0, N=4.0)
+        want, _ = pairwise_max_r1(tcf, c0, 4.0, rep.ctilde_grid)
+        assert rep.max_r1.tobytes() == want.tobytes()
+        assert rep.n_pairs == 0 and not np.any(rep.max_r1)
+
     def test_shared_denominators_equal_a_per_call_recomputation(self, monkeypatch):
         basis, _, _, tg = heat_case(1, 8, 24)
         c0 = _random_detail_field(basis, SpaceParams(-0.2, 0.1, 2.0, 2.0), 5)
