@@ -32,6 +32,7 @@ from typing import Callable
 EPMACH = 2.220446049250313e-16       # d1mach(4), the machine epsilon
 UFLOW = 2.2250738585072014e-308      # d1mach(1), the smallest normal
 OFLOW = 1.7976931348623157e308       # d1mach(2), the largest finite
+EPSABS = EPSREL = 1.49e-8            # scipy.integrate.quad's tolerances
 
 # 21-point Kronrod abscissae; xgk[2], xgk[4], ... are the 10-point Gauss ones
 XGK = (None,
@@ -242,14 +243,12 @@ def dqelg(n: int, epstab: list, res3la: list, nres: int):
     return n, result, max(abserr, 5.0 * EPMACH * abs(result)), nres
 
 
-def qagse(f: Callable[[float], float], a: float, b: float,
-          epsabs: float = 1.49e-8, epsrel: float = 1.49e-8, limit: int = 50):
-    """The integral of f over [a, b] (b < a integrates backwards):
-    (value, abserr, neval, ier, last).  ier is QUADPACK's: 0 on success,
-    1 when `limit` subintervals did not reach the tolerance, 2 for roundoff,
-    3 for bad integrand behaviour, 4 when the extrapolation did not
-    converge, 5 for a probably divergent integral, 6 for invalid
-    tolerances."""
+def qagse(f: Callable[[float], float], a: float, b: float, limit: int):
+    """The integral of f over [a, b] (b < a integrates backwards) to
+    EPSABS and EPSREL: (value, abserr, neval, ier, last).  ier is
+    QUADPACK's: 0 on success, 1 when `limit` subintervals did not reach the
+    tolerance, 2 for roundoff, 3 for bad integrand behaviour, 4 when the
+    extrapolation did not converge, 5 for a probably divergent integral."""
     a, b = float(a), float(b)
     alist = [0.0] * (limit + 1)
     blist = [0.0] * (limit + 1)
@@ -261,14 +260,12 @@ def qagse(f: Callable[[float], float], a: float, b: float,
     ier = 0
     alist[1] = a
     blist[1] = b
-    if epsabs <= 0.0 and epsrel < max(50.0 * EPMACH, 0.5e-28):
-        return 0.0, 0.0, 0, 6, 0
 
     # first approximation to the integral
     ierro = 0
     result, abserr, defabs, resabs = dqk21(f, a, b)
     dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
+    errbnd = max(EPSABS, EPSREL * dres)
     last = 1
     rlist[1] = result
     elist[1] = abserr
@@ -325,7 +322,7 @@ def qagse(f: Callable[[float], float], a: float, b: float,
                 iroff3 += 1
         rlist[maxerr] = area1
         rlist[last] = area2
-        errbnd = max(epsabs, epsrel * abs(area))
+        errbnd = max(EPSABS, EPSREL * abs(area))
 
         # roundoff, subdivision limit, bad behaviour at a point of the range
         if iroff1 + iroff2 >= 10 or iroff3 >= 20:
@@ -406,7 +403,7 @@ def qagse(f: Callable[[float], float], a: float, b: float,
             abserr = abseps
             result = reseps
             correc = erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
+            ertest = max(EPSABS, EPSREL * abs(reseps))
             if abserr <= ertest:
                 break
 
@@ -462,8 +459,7 @@ def _ieee_div(x: float, y: float) -> float:
     return math.copysign(math.inf, x) * math.copysign(1.0, y)
 
 
-def quad(f: Callable[[float], float], a: float, b: float,
-         epsabs: float = 1.49e-8, epsrel: float = 1.49e-8, limit: int = 50):
+def quad(f: Callable[[float], float], a: float, b: float, limit: int):
     """`scipy.integrate.quad(f, a, b, limit=limit)` for finite a and b:
     zero on an empty interval, and reversed limits integrate over [b, a]
     and negate the value.  Returns (value, abserr, neval, ier, last) as
@@ -471,5 +467,5 @@ def quad(f: Callable[[float], float], a: float, b: float,
     if a == b:
         return 0.0, 0.0, 0, 0, 0
     flip, a, b = b < a, min(a, b), max(a, b)
-    value, abserr, neval, ier, last = qagse(f, a, b, epsabs, epsrel, limit)
+    value, abserr, neval, ier, last = qagse(f, a, b, limit)
     return (-value if flip else value), abserr, neval, ier, last

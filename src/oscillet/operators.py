@@ -270,13 +270,13 @@ def _apply(mat: AlmostDiagonalMatrix, c: CoeffField) -> CoeffField:
     total = int(np.prod(c.batch_shape))
     stride = (Ellipsis,) + (slice(None, None, 2),) * n
 
-    def rows(arr):
+    def by_row(arr):
         return arr.reshape((-1,) + arr.shape[lead:]) if lead else arr[None]
 
     for (j_p, eps_p, stuffed), group in groupby(
             sorted(mat.circulant.items(), key=_source_order), key=_source_order):
         group = list(group)
-        src = rows(block(c, eps_p, j_p))
+        src = by_row(block(c, eps_p, j_p))
         size = (2 << j_p if stuffed else 1 << j_p) ** n     # values per row
         step = max(1, CHUNK_BYTES // (16 * size))
         for start in range(0, total, step):
@@ -288,7 +288,7 @@ def _apply(mat: AlmostDiagonalMatrix, c: CoeffField) -> CoeffField:
                                    axes=tuple(range(1, n + 1)))
                 if j_p == j + 1:
                     res = res[stride]
-                dst = rows(block(out, eps, j))[part]
+                dst = by_row(block(out, eps, j))[part]
                 dst += res
     return out
 
@@ -329,6 +329,9 @@ def riesz_matrix(basis, l: int, N0: float = 2.0) -> AlmostDiagonalMatrix:
     mat = AlmostDiagonalMatrix(spec, basis.j_min, basis.j_max, N0,
                                C=0.0, band=1)
     eps0 = (0,) * n
+    # (j', eps') order, the scaling block first: each destination's sources
+    # are stored in `_source_order`, the order in which `_apply` adds them,
+    # so its bits are those of the block-by-block evaluation
     blocks: list[tuple[tuple, int]] = [(eps0, basis.j_min)]
     for j in basis.detail_levels:
         for eps in basis.detail_type_list():

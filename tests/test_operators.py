@@ -9,6 +9,7 @@ from oscillet.operators import (
     AlmostDiagonalMatrix,
     CzoGeneratorParams,
     _random_detail_field,
+    _source_order,
     apply_matrix,
     apply_matrix_time,
     czo_boundedness_experiment,
@@ -436,6 +437,21 @@ def test_shared_spectra_apply_is_the_per_block_product(n, J, L):
     want_one = apply_by_blocks(mat, tcf[1])
     for key in want.detail:
         np.testing.assert_array_equal(one.detail[key], want_one.detail[key])
+
+
+@pytest.mark.parametrize("basis", ["meyer1d", "meyer2d"])
+def test_riesz_matrix_stores_each_destinations_sources_in_apply_order(
+        request, basis):
+    # _apply adds a destination's sources in _source_order; it has the bits
+    # of the block-by-block evaluation only because riesz_matrix stores them
+    # in that order
+    mat = riesz_matrix(request.getfixturevalue(basis), 1)
+    by_dest = {}
+    for item in mat.circulant.items():
+        by_dest.setdefault(item[0][:2], []).append(_source_order(item))
+    assert len(by_dest) > 1
+    for order in by_dest.values():
+        assert order == sorted(order)
 
 
 @pytest.mark.parametrize("n, J", [(1, 8), (2, 6)])
