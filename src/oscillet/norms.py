@@ -53,7 +53,7 @@ from .errors import (
     ParameterError,
 )
 from .grid import DyadicCube, GridFunction, GridSpec, cube_sample_slices, min_image
-from .wavelet import CHUNK_BYTES, CoeffField, detail_types
+from .wavelet import CoeffField, chunk_rows, detail_types
 
 CONDITION_LIMIT = 1e10
 
@@ -492,7 +492,7 @@ def _level_charts(data, spec, cutoff, m0, j0, ks, cubes) -> list[_ChartSystem]:
         rows = (np.arange(S)[:, None] * count + members).reshape(-1)
         sample = rows // count
         shift = np.tile((lo[members] - lo[members[0]]) @ strides, S)[:, None]
-        block = max(1, CHUNK_BYTES // (16 * len(flat)))
+        block = chunk_rows(len(flat))
         rhs = np.concatenate(
             [_moment_rhs(weight, grids, data[sample[a:a + block, None],
                                              flat + shift[a:a + block]], m0)
@@ -515,7 +515,7 @@ def _level_oscillation(data, spec, sp, cutoff, m0, basis, j0):
     cubes = [DyadicCube(j0, tuple(k)) for k in ks.tolist()]
     charts = _level_charts(data, spec, cutoff, m0, j0, ks, cubes)
     total = len(data) * len(ks)
-    rows = max(1, CHUNK_BYTES // (16 * spec.size))
+    rows = chunk_rows(spec.size)
     tl = np.empty(total)
     for start in range(0, total, rows):
         stop = min(start + rows, total)
@@ -602,10 +602,14 @@ def level_indicator_field(c: CoeffField, j: int, s: float) -> GridFunction:
 def kernel_sum(c: CoeffField, j_prime: int, j: int, k: tuple[int, ...],
                gamma: float, s: float) -> float:
     """The discrete kernel sum pairing level j' mass against position k at
-    level j, with decay exponent n + gamma in the normalized distance."""
+    level j, with decay exponent n + gamma in the normalized distance.
+    ParameterError unless Q_{j,k} is a cube of the n-torus."""
     n = c.spec.n
     if j_prime not in c.levels:
         raise ParameterError(f"level {j_prime} not in field band")
+    if len(k) != n:
+        raise ParameterError(f"cube position {k} has {len(k)} entries, not n={n}")
+    DyadicCube(j, tuple(k))         # ParameterError off the torus
     L = 1 << j_prime
     kp = np.stack(np.meshgrid(*([np.arange(L)] * n), indexing="ij"), axis=-1)
     if j >= j_prime:

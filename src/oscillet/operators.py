@@ -40,7 +40,7 @@ import numpy as np
 from .errors import GridMismatchError, ParameterError
 from .grid import GridFunction, GridSpec, flat_positions, min_image
 from .norms import SpaceParams, tlm_wavelet_norm
-from .wavelet import CHUNK_BYTES, CoeffField, detail_types
+from .wavelet import CoeffField, chunk_rows, detail_types
 
 TWO_PI = 2.0 * np.pi
 
@@ -278,7 +278,7 @@ def _apply(mat: AlmostDiagonalMatrix, c: CoeffField) -> CoeffField:
         group = list(group)
         src = by_row(block(c, eps_p, j_p))
         size = (2 << j_p if stuffed else 1 << j_p) ** n     # values per row
-        step = max(1, CHUNK_BYTES // (16 * size))
+        step = chunk_rows(size)
         for start in range(0, total, step):
             part = slice(start, start + step)
             spectrum = _source_spectrum(src[part], stuffed, n)

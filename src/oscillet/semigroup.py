@@ -43,7 +43,7 @@ import numpy as np
 from .errors import GridMismatchError, ParameterError, QuadratureWarning
 from .grid import GridFunction, GridSpec, TimeGrid, flat_positions, min_image
 from .norms import _level_power_sum, _runs
-from .wavelet import CHUNK_BYTES, CoeffField, MeyerWindow, TWO_PI, _fft_last
+from .wavelet import CoeffField, MeyerWindow, TWO_PI, _fft_last, chunk_rows
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def evolve_coefficients(sg: SemigroupSpec, basis, f: GridFunction,
                      beta=sg.beta)
     eps0 = (0,) * sg.spec.n
     nodes = tg.nodes()
-    rows = max(1, CHUNK_BYTES // (16 * band.size))
+    rows = chunk_rows(band.size)
     for start in range(0, tg.L, rows):
         chunk = slice(start, start + rows)
         Ft = F * np.exp(-nodes[chunk, None] * symbol)
@@ -231,7 +231,7 @@ def pi_phi_report(family: CalibratedFamily, frames: Iterable[GridFunction],
     weights = tg.weights()
     table, where = family.multiplier_table(tg, spec)
     live = family.live_nodes(tg, spec)
-    rows = max(1, CHUNK_BYTES // (16 * spec.size))
+    rows = chunk_rows(spec.size)
     for ells, stack in _live_chunks(frames, spec, live, rows):
         for ell, F in zip(ells, _fft_last(stack, spec.n)):
             acc += weights[ell] * table[ell][where] * F
@@ -288,7 +288,7 @@ def frames_from_tcf(basis, tcf: CoeffField,
     frame, which `pi_phi_report` skips."""
     live = (np.ones(tcf.tg.L, dtype=bool) if family is None
             else family.live_nodes(tcf.tg, tcf.spec))
-    rows = max(1, CHUNK_BYTES // (16 * tcf.spec.size))
+    rows = chunk_rows(tcf.spec.size)
     dead = None
     for a, b in _runs(live[:, None]):
         if not live[a]:

@@ -52,7 +52,7 @@ from .norms import (
     _runs,
     _upsample,
 )
-from .wavelet import CHUNK_BYTES, CoeffField, detail_types
+from .wavelet import CoeffField, chunk_rows, detail_types
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,7 @@ def tent_norms(tcf: CoeffField, tp: TentParams,
     # part I admits j >= max(j0, theta) and part II j0 < j < theta, so which
     # levels lie at or above theta fixes both sets for every cube level
     above = np.array([[j >= theta for j in levels] for theta in thetas])
-    rows = max(1, CHUNK_BYTES // (16 * spec.size))
+    rows = chunk_rows(spec.size)
     absq = _abs_power(tcf, q)
     for a, b in _runs(above):
         theta = thetas[a]

@@ -19,11 +19,13 @@ A coefficient field stores one dense array per (eps, j) detail block plus
 the scaling block at j_min, which matches how every norm in this package
 consumes coefficients.
 
-Each Meyer block has one cached `_WindowPlan`, which serves both
-directions on the window's support only: analysis multiplies the spectrum
-by conj(W) there and folds, synthesis multiplies the block's FFT, read
-mod 2^j, by W there and adds into the support.  Both are bit for bit the
-full-grid expressions.
+Each Meyer block has one cached `_WindowPlan`, and every block of every
+transform (analysis, synthesis, the scaling coefficients and the P_j / Q_j
+projections) runs on its plan's support only: analysis reads the spectrum
+at the band support (the union of the plans' supports), multiplies by
+conj(W) there and folds; synthesis multiplies the block's FFT, read mod
+2^j, by W there and adds into a +0 accumulator on the support.  Both are
+bit for bit the full-grid expressions.
 """
 
 from __future__ import annotations
@@ -62,6 +64,12 @@ TWO_PI = 2.0 * np.pi
 # level-batched oscillation norm, heat evolution, frame synthesis, tent
 # parts I/II): 16 rows of 2^10 complex samples, one row of a 2-d J=7 grid.
 CHUNK_BYTES = 1 << 18
+
+
+def chunk_rows(width: int) -> int:
+    """Rows of `width` complex values in one chunk: as many as fit in
+    CHUNK_BYTES, at least one."""
+    return max(1, CHUNK_BYTES // (16 * width))
 
 
 # -- transition profiles -------------------------------------------------------
@@ -284,19 +292,6 @@ def _fft_last(a: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
     return a
 
 
-def _tile(arr: np.ndarray, N: int, n: int) -> np.ndarray:
-    """Inverse of the fold indexing along the last n axes: value at FFT
-    index i is arr[i mod L]."""
-    L = arr.shape[-1]
-    return np.tile(arr, (1,) * (arr.ndim - n) + (N // L,) * n)
-
-
-# numpy evaluates `F * np.conj(W)` in place in the temporary conj(W) when
-# that temporary has at least this many bytes and the shape of the product;
-# it then computes conj(W) * F, whose bits can differ from F * conj(W).
-_ELIDE_BYTES = 1 << 18
-
-
 @dataclass(frozen=True)
 class _WindowPlan:
     """One (eps, j) block of the Meyer transform on the FFT grid, for both
@@ -310,7 +305,8 @@ class _WindowPlan:
     `synth` and adds the products into the support.  Outside the support
     the full-grid products are +-0, and neither the fold's buckets nor the
     synthesis accumulator (both start at +0) ever hold -0, so leaving those
-    terms out changes no bit.
+    terms out changes no bit.  `coefficients` and `add_synthesis` are the
+    two directions.
 
     For the fold, `support` is grouped by rank: a term's rank is its place
     in flat order among the nonzero terms of its fold bucket, and `passes`
@@ -322,7 +318,7 @@ class _WindowPlan:
     elementwise, outermost first).  For L = 1 numpy sums the one bucket
     pairwise, which is that order only for at most two terms; such a block
     with more terms keeps `support` in flat order and `passes` None, and
-    folds the full grid."""
+    folds the full grid it scatters the products into."""
 
     window: np.ndarray
     L: int
@@ -360,25 +356,14 @@ class _WindowPlan:
             passes = tuple(passes)
         j = L.bit_length() - 1
         # the scaled window on the full grid, then read at the support: the
-        # products _fourier_from_coeffs forms there
+        # full-grid synthesis term's factor there
         synth = (2.0 ** (-n * j / 2.0) * W).reshape(-1)[support]
         return cls(W, L, support, bucket, np.conj(W.reshape(-1)[support]),
                    synth, passes)
 
-    def fold_product(self, F: np.ndarray) -> np.ndarray:
-        """_fold(F * np.conj(W), L, n) bit for bit; F may carry leading
-        axes."""
-        W, n = self.window, self.window.ndim
-        if self.passes is None or (F.shape == W.shape
-                                   and W.nbytes >= _ELIDE_BYTES):
-            return _fold(F * np.conj(W), self.L, n)
-        lead = F.shape[:F.ndim - n]
-        return self.fold_support(np.take(F.reshape(lead + (-1,)), self.support,
-                                         axis=-1))
-
     def fold_support(self, Fs: np.ndarray) -> np.ndarray:
-        """The fold of F * conj(W) from F read at `support` (Fs: leading
-        axes, then the support), as fold_product folds a stack of F."""
+        """_fold(F * conj(W), L, n) bit for bit, from F read at `support`
+        (Fs: leading axes, then the support)."""
         W, L, n = self.window, self.L, self.window.ndim
         # one multiply over the whole support: numpy may round a complex
         # product in a one-element loop differently
@@ -392,6 +377,22 @@ class _WindowPlan:
         for buckets, terms in self.passes:
             out[..., buckets] += prod[..., terms]
         return out.reshape(lead + (L,) * n)
+
+    def coefficients(self, Fs: np.ndarray) -> np.ndarray:
+        """The block's coefficients from spectra read at `support` (Fs:
+        leading axes, then the support): 2^{nj/2} times the inverse FFT of
+        the fold."""
+        n, j = self.window.ndim, self.L.bit_length() - 1
+        return 2.0 ** (n * j / 2.0) * _fft_last(self.fold_support(Fs), n,
+                                                 inverse=True)
+
+    def add_synthesis(self, F: np.ndarray, c: np.ndarray) -> None:
+        """Add the block's Fourier term 2^{-nj/2} W * FFT(c), its FFT read
+        mod 2^j, into F (leading axes, then the flat grid) on the support;
+        c holds the block's coefficients with the same leading axes."""
+        n = self.window.ndim
+        C = _fft_last(c, n).reshape(c.shape[:c.ndim - n] + (-1,))
+        F[..., self.support] += self.synth * np.take(C, self.residue, axis=-1)
 
 
 class _Basis:
@@ -469,7 +470,11 @@ class MeyerBasis(_Basis):
                     for eps in self.detail_type_list()]
             keys.append(((0,) * n, self.j_min))
             supports = [self._plan(eps, j).support for eps, j in keys]
-            band = np.unique(np.concatenate(supports))
+            # the sorted union through a mask: np.unique would import
+            # numpy.ma (about 1 MB) into every process that analyzes
+            hit = np.zeros(self.spec.size, dtype=bool)
+            hit[np.concatenate(supports)] = True
+            band = np.flatnonzero(hit)
             self._band_plan = (band, [(key, np.searchsorted(band, sup))
                                       for key, sup in zip(keys, supports)])
         return self._band_plan
@@ -477,12 +482,9 @@ class MeyerBasis(_Basis):
     def _coeffs_from_band(self, Fb: np.ndarray):
         """Yield ((eps, j), coefficients) of every block, scaling block last,
         from spectra read at band_support() (Fb: leading axes, then the
-        band): bit for bit what _coeffs_from_fourier gives from the full
-        grid."""
-        n = self.spec.n
+        band)."""
         for (eps, j), where in self._band()[1]:
-            folded = self._plan(eps, j).fold_support(np.take(Fb, where, axis=-1))
-            yield (eps, j), 2.0 ** (n * j / 2.0) * _fft_last(folded, n, inverse=True)
+            yield (eps, j), self._plan(eps, j).coefficients(np.take(Fb, where, axis=-1))
 
     def fourier(self, f: GridFunction) -> np.ndarray:
         if f.spec != self.spec:
@@ -493,20 +495,6 @@ class MeyerBasis(_Basis):
         return GridFunction(self.spec, _fft_last(F, self.spec.n, inverse=True)
                             * self.spec.size)
 
-    def _coeffs_from_fourier(self, F: np.ndarray, eps, j) -> np.ndarray:
-        """Level-j coefficients of type eps; F may carry leading batch axes."""
-        n = self.spec.n
-        folded = self._plan(eps, j).fold_product(F)
-        return 2.0 ** (n * j / 2.0) * _fft_last(folded, n, inverse=True)
-
-    def _fourier_from_coeffs(self, c: np.ndarray, eps, j) -> np.ndarray:
-        """Fourier side of a level-j block of type eps; c may carry leading
-        batch axes."""
-        n = self.spec.n
-        W = self._tensor_window(eps, j)
-        C = _fft_last(c, n)
-        return 2.0 ** (-n * j / 2.0) * W * _tile(C, self.spec.samples_per_axis, n)
-
     def analyze(self, f: GridFunction) -> CoeffField:
         if f.spec != self.spec:
             raise GridMismatchError("grid function does not match basis grid")
@@ -514,17 +502,22 @@ class MeyerBasis(_Basis):
 
     def analyze_stack(self, data: np.ndarray) -> CoeffField:
         """Analyze every grid function in `data` (leading batch axes, possibly
-        none, then the grid shape) with one batched FFT and one fold and
-        inverse FFT per block; the blocks carry the same leading axes."""
+        none, then the grid shape) with one batched FFT, read at the band
+        support, and one fold and inverse FFT per block; the blocks carry
+        the same leading axes.  A bare grid gets the bits of the same grid
+        as a batch of one."""
         n = self.spec.n
         _check_stack(self.spec, data)
-        F = _fft_last(data, n)
-        F /= self.spec.size
+        lead = data.shape[:data.ndim - n]
+        Fb = np.take(_fft_last(data, n).reshape(lead + (-1,)), self.band_support(),
+                     axis=-1)
+        Fb /= self.spec.size
         out = CoeffField(self.spec, self.family, self.j_min, self.j_max)
-        for j in self.detail_levels:
-            for eps in self.detail_type_list():
-                out.detail[(eps, j)] = self._coeffs_from_fourier(F, eps, j)
-        out.scaling = self._coeffs_from_fourier(F, (0,) * n, self.j_min)
+        for (eps, j), coeffs in self._coeffs_from_band(Fb):
+            if any(eps):
+                out.detail[(eps, j)] = coeffs
+            else:
+                out.scaling = coeffs
         return out
 
     def synthesize(self, c: CoeffField) -> GridFunction:
@@ -532,52 +525,48 @@ class MeyerBasis(_Basis):
 
     def synthesize_stack(self, c: CoeffField) -> np.ndarray:
         """Samples of every field of a stacked c (leading batch axes, possibly
-        none, then the grid shape), one batched transform per block.  Each
-        block multiplies and adds only on its window's support, where it
-        reads its FFT mod 2^j: bit for bit the sum of the full-grid
-        _fourier_from_coeffs terms, block by block.  An all-zero block is
+        none, then the grid shape), one batched transform per block, each
+        added on its window's support only: bit for bit the full-grid sum of
+        the blocks' Fourier terms, block by block.  An all-zero block is
         skipped; one that is zero in some rows only adds exact zeros there,
         which leaves those rows' bits unchanged."""
         if c.spec != self.spec or c.j_min != self.j_min or c.j_max != self.j_max:
             raise IndexOutOfBandError("coefficient field does not match basis band")
         n = self.spec.n
-        lead = c.batch_shape
-        F = np.zeros(lead + (self.spec.size,), dtype=complex)
+        F = np.zeros(c.batch_shape + (self.spec.size,), dtype=complex)
         blocks = list(c.detail.items()) + [(((0,) * n, self.j_min), c.scaling)]
         for (eps, j), arr in blocks:
             if np.any(arr):
-                plan = self._plan(eps, j)
-                C = _fft_last(arr, n).reshape(lead + (-1,))
-                F[..., plan.support] += plan.synth * np.take(C, plan.residue, axis=-1)
-        return _fft_last(F.reshape(lead + self.spec.shape), n,
+                self._plan(eps, j).add_synthesis(F, arr)
+        return _fft_last(F.reshape(c.batch_shape + self.spec.shape), n,
                          inverse=True) * self.spec.size
 
     def scaling_coefficients(self, f: GridFunction, j: int) -> np.ndarray:
         """<f, Phi^0_{j,k}> for all k at one level (levels up to j_max + 1)."""
         if not (self.j_min <= j <= self.j_max + 1):
             raise BandRangeError(f"scaling level {j} outside [{self.j_min}, {self.j_max + 1}]")
-        return self._coeffs_from_fourier(self.fourier(f), (0,) * self.spec.n, j)
+        plan = self._plan((0,) * self.spec.n, j)
+        return plan.coefficients(self.fourier(f).reshape(-1)[plan.support])
 
     def project(self, f: GridFunction, j: int, kind: str) -> GridFunction:
-        """P_j (scaling space at level j) or Q_j (detail space at level j)."""
-        F = self.fourier(f)
+        """P_j (scaling space at level j) or Q_j (detail space at level j):
+        each block's coefficients, synthesized into one spectrum."""
+        F = self.fourier(f).reshape(-1)
         if kind == "P":
             if not (self.j_min <= j <= self.j_max + 1):
                 raise BandRangeError(f"P level {j} outside [{self.j_min}, {self.j_max + 1}]")
-            eps0 = (0,) * self.spec.n
-            return self.from_fourier(
-                self._fourier_from_coeffs(self._coeffs_from_fourier(F, eps0, j), eps0, j)
-            )
-        if kind == "Q":
+            types = [(0,) * self.spec.n]
+        elif kind == "Q":
             if not (self.j_min <= j <= self.j_max):
                 raise BandRangeError(f"Q level {j} outside [{self.j_min}, {self.j_max}]")
-            G = np.zeros_like(F)
-            for eps in self.detail_type_list():
-                G += self._fourier_from_coeffs(
-                    self._coeffs_from_fourier(F, eps, j), eps, j
-                )
-            return self.from_fourier(G)
-        raise ParameterError(f"kind must be 'P' or 'Q', got {kind!r}")
+            types = self.detail_type_list()
+        else:
+            raise ParameterError(f"kind must be 'P' or 'Q', got {kind!r}")
+        G = np.zeros_like(F)
+        for eps in types:
+            plan = self._plan(eps, j)
+            plan.add_synthesis(G, plan.coefficients(F[plan.support]))
+        return self.from_fourier(G.reshape(self.spec.shape))
 
     def band_cap(self) -> int:
         """Largest |m| per axis on which the truncated ladder resolves exactly."""

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from oscillet.grid import GridFunction, GridSpec
-from oscillet.wavelet import build_basis
+from oscillet.wavelet import _fold, build_basis
 
 # Property tests draw the same examples on every run, keep no example
 # database and have no per-example deadline; each test sets max_examples.
@@ -49,3 +49,15 @@ def random_field1d(spec1d, rng):
 def band_limited(basis, rng):
     f = GridFunction(basis.spec, rng.standard_normal(basis.spec.shape))
     return basis.band_limit(f)
+
+
+def full_grid_coefficients(basis, F, eps, j):
+    """Level-j Meyer coefficients of type eps from spectra F (leading axes,
+    then the grid shape): the full-grid product and reshape-sum fold, then
+    np.fft.ifftn.  conj(W) is a named array, so numpy forms F * cW in the
+    written order at every size (a temporary conj(W) of 2^18 bytes or more
+    would take the product in place, as cW * F)."""
+    n = basis.spec.n
+    cW = np.conj(basis._tensor_window(eps, j))
+    return 2.0 ** (n * j / 2.0) * np.fft.ifftn(_fold(F * cW, 2 ** j, n),
+                                               axes=range(-n, 0))

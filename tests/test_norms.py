@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oscillet import norms
+from oscillet import norms, wavelet
 from oscillet.errors import (
     DegenerateRegimeWarning,
     GridMismatchError,
@@ -150,6 +150,33 @@ class TestTlmNorm:
         full = _tlm_core(c, sp, cube_levels=range(0, 8))
         assert full.value >= small.value
 
+    @settings(max_examples=30)
+    @given(family=st.sampled_from(["meyer", "daubechies"]),
+           n=st.sampled_from([1, 2]), J=st.integers(3, 9), j_min=st.integers(1, 3),
+           re=st.floats(-1e3, 1e3), im=st.floats(-1e3, 1e3),
+           shifts=st.tuples(st.integers(-7, 7), st.integers(-7, 7)),
+           seed=st.integers(0, 2**16))
+    def test_homogeneous_and_dyadic_shift_invariant(self, family, n, J, j_min,
+                                                    re, im, shifts, seed):
+        """||z f|| = |z| ||f|| at complex z, and a shift by a multiple of
+        2^{-j_min} per axis (the coarsest cube side) moves every detail
+        block and every cube the sup runs over onto another of its level,
+        so it leaves the norm as it is."""
+        z = complex(re, im)
+        assume(abs(z) >= 1e-3)
+        J = max(J if n == 1 else min(J, 6), j_min + 2)
+        basis = build_basis(family, GridSpec(n, J, j_min))
+        sp = SpaceParams(0.1, 0.2, 2.0, 1.5)
+        data = np.random.default_rng(seed).standard_normal(basis.spec.shape)
+        norm = tlm_wavelet_norm(basis.analyze_stack(data), sp)
+        assert norm > 0
+        assert tlm_wavelet_norm(basis.analyze_stack(z * data), sp) == \
+            pytest.approx(abs(z) * norm, rel=1e-12)
+        step = basis.spec.samples_per_axis >> j_min
+        moved = np.roll(data, [step * m for m in shifts[:n]], axis=tuple(range(n)))
+        assert tlm_wavelet_norm(basis.analyze_stack(moved), sp) == \
+            pytest.approx(norm, rel=1e-12)
+
     def test_quasinorm_axioms(self, meyer1d, rng):
         sp = SpaceParams(0.2, 0.3, 2.0, 2.0)
         u = meyer1d.analyze(band_limited(meyer1d, rng))
@@ -281,7 +308,7 @@ class TestLevelBatchedOscillation:
         # several different widths
         spec = GridSpec(n=1, J=7, j_min=0)
         basis = build_basis("meyer", spec)
-        monkeypatch.setattr(norms, "CHUNK_BYTES", 3 * 16 * spec.size)
+        monkeypatch.setattr(wavelet, "CHUNK_BYTES", 3 * 16 * spec.size)
         sp = SpaceParams(0.0, 0.3, 2.0, 2.0)
         cut = CutoffFamily(n=1, plateau_radius=1.2, support_radius=2.6)
         f = basis.synthesize(_random_detail_field(basis, sp, 4))
@@ -505,6 +532,17 @@ class TestKernelSum:
         with pytest.warns(UserWarning):
             rep = kernel_bound_report(c, 4, 4, (3,), gamma=1.0, s=0.0, A=1.0)
         assert not rep.guaranteed
+
+    @pytest.mark.parametrize("n, j, k", [(1, 2, (99,)), (1, 2, (4,)), (1, 2, (-1,)),
+                                         (1, 2, (1, 2)), (1, 2, ()), (1, -1, (0,)),
+                                         (2, 2, (1,)), (2, 3, (0, 8)), (2, -1, (0, 0))])
+    def test_cube_outside_the_torus_raises(self, meyer1d, meyer2d, n, j, k):
+        basis = meyer1d if n == 1 else meyer2d
+        c = _random_detail_field(basis, SpaceParams(0.0, 0.3, 2.0, 2.0), 11)
+        with pytest.raises(ParameterError):
+            kernel_sum(c, 2, j, k, 4.0, 0.0)
+        with pytest.raises(ParameterError):
+            kernel_bound_report(c, 2, j, k, gamma=4.0, s=0.0, A=1.0)
 
 
 class TestQuasiNormAndSupAggregate:

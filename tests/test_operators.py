@@ -98,13 +98,17 @@ class TestApply:
             np.testing.assert_allclose(out.detail[key], c.detail[key],
                                        atol=1e-14)
 
-    def test_linearity(self, meyer1d, rng):
-        mat = generate_random_czo(meyer1d.spec, 0, meyer1d.j_max,
+    @pytest.mark.parametrize("a, b", [(2.0, -1.5 + 0.5j), (0.3j, 1.2 - 1.6j),
+                                      (-1e-3 + 1.7j, 1.0)])
+    @pytest.mark.parametrize("n, J", [(1, 6), (1, 8), (2, 4), (2, 5)])
+    def test_linearity(self, n, J, a, b, rng):
+        basis = build_basis("meyer", GridSpec(n, J, 0))
+        mat = generate_random_czo(basis.spec, 0, basis.j_max,
                                   CzoGeneratorParams(N0=4.0, C=1.0), seed=1)
-        u = meyer1d.analyze(band_limited(meyer1d, rng))
-        v = meyer1d.analyze(band_limited(meyer1d, rng))
-        lhs = apply_matrix(mat, u.scaled(2.0) + v.scaled(-1.5 + 0.5j))
-        rhs = apply_matrix(mat, u).scaled(2.0) + apply_matrix(mat, v).scaled(-1.5 + 0.5j)
+        u = basis.analyze(band_limited(basis, rng))
+        v = basis.analyze(band_limited(basis, rng))
+        lhs = apply_matrix(mat, u.scaled(a) + v.scaled(b))
+        rhs = apply_matrix(mat, u).scaled(a) + apply_matrix(mat, v).scaled(b)
         for key in lhs.detail:
             np.testing.assert_allclose(lhs.detail[key], rhs.detail[key],
                                        atol=1e-12)
@@ -483,12 +487,12 @@ def test_one_forward_fft_per_source_and_kernel_spectra_kept(monkeypatch, n, J):
 def test_chunks_of_rows_are_the_unchunked_apply(monkeypatch, n, J):
     # the finest sources' rows go two at a time, so 5 rows end in a
     # partial chunk of one; the coarser ones take more rows per chunk
-    from oscillet import operators
+    from oscillet import wavelet
 
     basis, mat, tcf = riesz_case(n, J, 5)
-    monkeypatch.setattr(operators, "CHUNK_BYTES", 1 << 40)
+    monkeypatch.setattr(wavelet, "CHUNK_BYTES", 1 << 40)
     whole = apply_matrix_time(mat, tcf)
-    monkeypatch.setattr(operators, "CHUNK_BYTES", 2 * 16 * (1 << basis.j_max) ** n)
+    monkeypatch.setattr(wavelet, "CHUNK_BYTES", 2 * 16 * (1 << basis.j_max) ** n)
     rows = []
     fftn = np.fft.fftn
 

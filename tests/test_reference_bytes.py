@@ -6,6 +6,9 @@ metadata lines).  Checking seed 42 here makes a drift in any report bit a
 test failure, not only a benchmark failure.  `perfbench/refs/heat-1d.json`
 pins the heat-1d workload's report and rows (1e-12 relative); it runs the
 1-d heat lift at J=11 and L=256, which the default suite does not.
+`perfbench/refs/osc-1d.json` pins the osc-1d workload the same way; its
+oscillation norm at J 8-10 runs more batched Meyer analyses than any other
+workload.  The tests read `perfbench/` and write nothing there.
 """
 
 import importlib.util
@@ -48,10 +51,20 @@ def test_verify_default_is_byte_identical_to_the_references(tmp_path):
     assert result["ok"], result["errors"]
 
 
-def test_heat_1d_matches_the_references():
+def _check_experiment(workload):
+    """Run an experiment workload at seed 42 and check it against its
+    references."""
     check = _check()
-    cfg = _load("workloads").experiment_config("heat-1d", 42)
-    result = check.check("heat-1d", 42, run_experiment(cfg),
-                         check.load_refs("heat-1d"))
+    cfg = _load("workloads").experiment_config(workload, 42)
+    result = check.check(workload, 42, run_experiment(cfg),
+                         check.load_refs(workload))
     assert result["reference"]
     assert result["ok"], result["errors"]
+
+
+def test_heat_1d_matches_the_references():
+    _check_experiment("heat-1d")
+
+
+def test_osc_1d_matches_the_references():
+    _check_experiment("osc-1d")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oscillet import _quadpack, semigroup
+from oscillet import _quadpack, semigroup, wavelet
 from oscillet.errors import ParameterError, QuadratureWarning
 from oscillet.grid import GridFunction, GridSpec, lp_norm, rel_l2_error
 from oscillet.norms import SpaceParams
@@ -33,7 +33,7 @@ from oscillet.wavelet import (
     read_coeff_field,
     write_coeff_field,
 )
-from conftest import band_limited
+from conftest import band_limited, full_grid_coefficients
 
 
 class TestHeatApply:
@@ -119,18 +119,16 @@ class TestEvolveCoefficients:
 
 def evolve_oracle(sg, basis, f, tg):
     """The node-by-node evolution: one propagated full-grid spectrum per
-    node, analyzed as a batch of one (a bare 2-d J=7 spectrum would take
-    the in-place `conj(W) * F` fold of `_coeffs_from_fourier`, which the
-    batched evolution never takes)."""
+    node, each block from the full-grid product and fold."""
     F = basis.fourier(f)
     symbol = sg.symbol()
     out = CoeffField(sg.spec, basis.family, basis.j_min, basis.j_max, tg=tg)
     eps0 = (0,) * sg.spec.n
     for ell, t in enumerate(tg.nodes()):
-        Ft = (F * np.exp(-t * symbol))[None]
+        Ft = F * np.exp(-t * symbol)
         for eps, j in out.detail:
-            out.detail[(eps, j)][ell] = basis._coeffs_from_fourier(Ft, eps, j)[0]
-        out.scaling[ell] = basis._coeffs_from_fourier(Ft, eps0, basis.j_min)[0]
+            out.detail[(eps, j)][ell] = full_grid_coefficients(basis, Ft, eps, j)
+        out.scaling[ell] = full_grid_coefficients(basis, Ft, eps0, basis.j_min)
     return out
 
 
@@ -155,7 +153,7 @@ class TestNodeBatchedHeat:
         if rows:
             # evolve stacks the spectra on the band support only
             band = basis.band_support().size
-            monkeypatch.setattr(semigroup, "CHUNK_BYTES", rows * 16 * band)
+            monkeypatch.setattr(wavelet, "CHUNK_BYTES", rows * 16 * band)
             assert L > rows and L % rows
         got = evolve_coefficients(sg, basis, f, tg)
         want = evolve_oracle(sg, basis, f, tg)
@@ -169,7 +167,7 @@ class TestNodeBatchedHeat:
     def test_frames_bitwise(self, monkeypatch, n, J, L, rows):
         basis, sg, f, tg = heat_case(n, J, L)
         if rows:
-            monkeypatch.setattr(semigroup, "CHUNK_BYTES", rows * 16 * sg.spec.size)
+            monkeypatch.setattr(wavelet, "CHUNK_BYTES", rows * 16 * sg.spec.size)
         tcf = evolve_coefficients(sg, basis, f, tg)
         # a block that is zero at some nodes of a chunk only, and one that
         # is zero over whole chunks
@@ -343,7 +341,7 @@ class TestChunkedReconstruction:
         frames = [GridFunction(spec, row) for row in data]
         if chunked:
             # chunk edges inside the run of live nodes, a partial last chunk
-            monkeypatch.setattr(semigroup, "CHUNK_BYTES", rows * 16 * spec.size)
+            monkeypatch.setattr(wavelet, "CHUNK_BYTES", rows * 16 * spec.size)
         table, _ = fam.multiplier_table(tg, spec)
         live = np.flatnonzero(np.any(table, axis=1))
         assert live.size > rows and live.size % rows

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oscillet import tent
+from oscillet import tent, wavelet
 from oscillet.errors import ParameterError
 from oscillet.grid import DyadicCube, GridFunction, GridSpec, cube_contains
 from oscillet.norms import SpaceParams, _level_power_sum, _runs, _upsample
@@ -115,7 +115,7 @@ class TestNodeBatchedParts:
         rng = np.random.default_rng(J + n)
         for arr in tcf.detail.values():
             arr[:] = rng.standard_normal(arr.shape)
-        monkeypatch.setattr(tent, "CHUNK_BYTES", rows * 16 * spec.size)
+        monkeypatch.setattr(wavelet, "CHUNK_BYTES", rows * 16 * spec.size)
         # some run of nodes with equal level sets spans several chunks and
         # ends in a partial one
         above = np.array([[j >= -np.log2(t) / (2 * tp.beta) for j in tcf.levels]

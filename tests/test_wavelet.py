@@ -11,11 +11,9 @@ from oscillet.errors import (
 from oscillet.grid import GridFunction, GridSpec, l2_inner, lp_norm, rel_l2_error
 from oscillet import wavelet
 from oscillet.wavelet import (
-    CHUNK_BYTES,
     DAUBECHIES_FILTERS,
     MeyerWindow,
     WaveletIndex,
-    _fold,
     build_basis,
     coeff_field_from_json,
     coeff_field_to_json,
@@ -23,7 +21,7 @@ from oscillet.wavelet import (
     read_coeff_field,
     write_coeff_field,
 )
-from conftest import band_limited
+from conftest import band_limited, full_grid_coefficients
 
 TWO_PI = 2 * np.pi
 
@@ -349,7 +347,7 @@ def test_batched_cascade_is_bitwise_the_row_by_row_one(n, J, j_min, m0,
 @pytest.mark.parametrize("n,J", [(1, 5), (2, 3)])
 def test_batched_cascade_on_a_full_chunk(n, J, complex_input, rng):
     basis = build_basis("daubechies", GridSpec(n, J, 0))
-    rows = CHUNK_BYTES // (16 * basis.spec.size)
+    rows = wavelet.chunk_rows(basis.spec.size)
     assert_matches_rows(basis, random_stack(rng, (rows,) + basis.spec.shape,
                                             complex_input))
 
@@ -378,12 +376,10 @@ def test_daubechies_synthesize_rejects_a_stack(rng):
 @pytest.mark.parametrize("lead", [(), (1,), (3,), (16,), (64,)])
 @pytest.mark.parametrize("n,J", [(1, 8), (1, 14), (2, 5), (2, 7), (2, 4), (2, 6)])
 def test_meyer_block_kernel_is_the_full_grid_fold(n, J, lead, complex_input):
-    """Every level block, the scaling blocks down to j = 0 included, has the
-    bits of the full-grid product and reshape-sum fold, and the transforms
-    the bits of np.fft.ifftn.  The 1-d J=14 and 2-d J=7 grids without a
-    leading axis are the sizes at which numpy computes the full-grid
-    product in place in its temporary; the 2-d blocks add up to four terms
-    per fold bucket."""
+    """Every level block, the scaling blocks down to j = 0 included, has
+    from the spectrum read at its plan's support the bits of the full-grid
+    product and reshape-sum fold, and the transforms the bits of
+    np.fft.ifftn.  The 2-d blocks add up to four terms per fold bucket."""
     basis = build_basis("meyer", GridSpec(n, J, 0))
     F = random_stack(np.random.default_rng(J + len(lead)),
                      lead + basis.spec.shape, complex_input)
@@ -392,20 +388,40 @@ def test_meyer_block_kernel_is_the_full_grid_fold(n, J, lead, complex_input):
               for eps in basis.detail_type_list()]
     blocks += [(eps0, j) for j in range(basis.j_min, basis.j_max + 2)]
     for eps, j in blocks:
-        assert j == 0 or basis._plan(eps, j).passes is not None
-        W = basis._tensor_window(eps, j)
-        want = 2.0 ** (n * j / 2.0) * np.fft.ifftn(
-            _fold(F * np.conj(W), 2 ** j, n), axes=range(-n, 0))
-        np.testing.assert_array_equal(basis._coeffs_from_fourier(F, eps, j),
-                                      want, err_msg=f"block {eps}, j={j}")
+        plan = basis._plan(eps, j)
+        assert j == 0 or plan.passes is not None
+        got = plan.coefficients(np.take(F.reshape(lead + (-1,)), plan.support,
+                                        axis=-1))
+        np.testing.assert_array_equal(got, full_grid_coefficients(basis, F, eps, j),
+                                      err_msg=f"block {eps}, j={j}")
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+@pytest.mark.parametrize("n,J", [(1, 14), (2, 7)])
+def test_meyer_analyze_of_a_bare_grid_is_the_batch_of_one(n, J, complex_input):
+    """A bare grid analyzes to the bits of the same grid as a batch of one,
+    at the sizes where a full-grid `F * np.conj(W)` would be formed in
+    place in numpy's temporary, and both have the full-grid fold's bits."""
+    basis = build_basis("meyer", GridSpec(n, J, 0))
+    data = random_stack(np.random.default_rng(J), basis.spec.shape, complex_input)
+    bare, batch = basis.analyze_stack(data), basis.analyze_stack(data[None])
+    assert bare.batch_shape == () and batch.batch_shape == (1,)
+    F = np.fft.fftn(data) / basis.spec.size
+    for key in bare.detail:
+        assert bare.detail[key].tobytes() == batch.detail[key].tobytes(), key
+        np.testing.assert_array_equal(bare.detail[key],
+                                      full_grid_coefficients(basis, F, *key))
+    assert bare.scaling.tobytes() == batch.scaling.tobytes()
+    np.testing.assert_array_equal(
+        bare.scaling, full_grid_coefficients(basis, F, (0,) * n, basis.j_min))
 
 
 @pytest.mark.parametrize("lead", [(1,), (3,)])
 @pytest.mark.parametrize("n,J", [(1, 8), (1, 10), (2, 5), (2, 7)])
 def test_band_coefficients_are_the_full_grid_ones(n, J, lead):
-    """Spectra read at the band support give every block the bits that
-    _coeffs_from_fourier gives from the full grid; at 2-d this includes the
-    (1, 1), j = 0 block, whose fold is the full grid's pairwise sum."""
+    """Spectra read at the band support give every block the bits of the
+    full-grid fold; at 2-d this includes the (1, 1), j = 0 block, whose
+    fold is the full grid's pairwise sum."""
     basis = build_basis("meyer", GridSpec(n, J, 0))
     F = random_stack(np.random.default_rng(J), lead + basis.spec.shape, True)
     band = basis.band_support()
@@ -414,7 +430,7 @@ def test_band_coefficients_are_the_full_grid_ones(n, J, lead):
     for (eps, j), coeffs in basis._coeffs_from_band(
             F.reshape(lead + (-1,))[..., band]):
         keys.append((eps, j))
-        np.testing.assert_array_equal(coeffs, basis._coeffs_from_fourier(F, eps, j),
+        np.testing.assert_array_equal(coeffs, full_grid_coefficients(basis, F, eps, j),
                                       err_msg=f"block {eps}, j={j}")
     assert keys[-1] == ((0,) * n, basis.j_min)
     assert sorted(keys[:-1]) == sorted(basis.analyze_stack(F[0]).detail)
@@ -422,17 +438,51 @@ def test_band_coefficients_are_the_full_grid_ones(n, J, lead):
         assert basis._plan((1, 1), 0).passes is None
 
 
+def full_grid_term(basis, c, eps, j):
+    """The Fourier term of a level-j block of type eps on the full grid:
+    2^{-nj/2} W times the block's FFT tiled over the grid (c may carry
+    leading axes)."""
+    n = basis.spec.n
+    W = basis._tensor_window(eps, j)
+    C = np.fft.fftn(c, axes=range(-n, 0))
+    reps = (1,) * (c.ndim - n) + (basis.spec.samples_per_axis >> j,) * n
+    return 2.0 ** (-n * j / 2.0) * W * np.tile(C, reps)
+
+
 def synthesize_full_grid(basis, c):
-    """The synthesis as a sum of full-grid _fourier_from_coeffs terms, block
-    by block (all-zero blocks skipped), then one inverse FFT."""
+    """The synthesis as a sum of full-grid terms, block by block (all-zero
+    blocks skipped), then one inverse FFT."""
     n = basis.spec.n
     F = np.zeros(c.batch_shape + basis.spec.shape, dtype=complex)
     for (eps, j), arr in c.detail.items():
         if np.any(arr):
-            F += basis._fourier_from_coeffs(arr, eps, j)
+            F += full_grid_term(basis, arr, eps, j)
     if np.any(c.scaling):
-        F += basis._fourier_from_coeffs(c.scaling, (0,) * n, basis.j_min)
+        F += full_grid_term(basis, c.scaling, (0,) * n, basis.j_min)
     return np.fft.ifftn(F, axes=range(-n, 0)) * basis.spec.size
+
+
+@pytest.mark.parametrize("n,J", [(1, 8), (1, 11), (2, 5), (2, 6)])
+def test_meyer_projections_are_the_full_grid_ones(n, J):
+    """P_j and Q_j at every level: each block's coefficients from the
+    full-grid fold, its full-grid term added into a +0 accumulator, one
+    inverse FFT."""
+    basis = build_basis("meyer", GridSpec(n, J, 0))
+    f = GridFunction(basis.spec, random_stack(np.random.default_rng(J + n),
+                                              basis.spec.shape, True))
+    F = np.fft.fftn(f.data) / basis.spec.size
+    for j in range(basis.j_min, basis.j_max + 2):
+        kinds = [("P", [(0,) * n])]
+        if j <= basis.j_max:
+            kinds.append(("Q", basis.detail_type_list()))
+        for kind, types in kinds:
+            G = np.zeros_like(F)
+            for eps in types:
+                G += full_grid_term(basis, full_grid_coefficients(basis, F, eps, j),
+                                    eps, j)
+            want = np.fft.ifftn(G) * basis.spec.size
+            np.testing.assert_array_equal(basis.project(f, j, kind).data, want,
+                                          err_msg=f"{kind}_{j}")
 
 
 @pytest.mark.parametrize("lead", [(), (1,), (4,)])
