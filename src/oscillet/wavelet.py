@@ -462,29 +462,30 @@ class MeyerBasis(_Basis):
         return self._band()[0]
 
     def _band(self):
-        """band_support() and, per block in `analyze_stack` order, the
-        positions of its plan's support in it; built once."""
+        """band_support() and, per block in `analyze_stack` order, its key,
+        its plan and the positions of the plan's support in the band; built
+        once."""
         if self._band_plan is None:
             n = self.spec.n
             keys = [(eps, j) for j in self.detail_levels
                     for eps in self.detail_type_list()]
             keys.append(((0,) * n, self.j_min))
-            supports = [self._plan(eps, j).support for eps, j in keys]
+            plans = [self._plan(eps, j) for eps, j in keys]
             # the sorted union through a mask: np.unique would import
             # numpy.ma (about 1 MB) into every process that analyzes
             hit = np.zeros(self.spec.size, dtype=bool)
-            hit[np.concatenate(supports)] = True
+            hit[np.concatenate([plan.support for plan in plans])] = True
             band = np.flatnonzero(hit)
-            self._band_plan = (band, [(key, np.searchsorted(band, sup))
-                                      for key, sup in zip(keys, supports)])
+            where = [np.searchsorted(band, plan.support) for plan in plans]
+            self._band_plan = (band, list(zip(keys, plans, where)))
         return self._band_plan
 
     def _coeffs_from_band(self, Fb: np.ndarray):
         """Yield ((eps, j), coefficients) of every block, scaling block last,
         from spectra read at band_support() (Fb: leading axes, then the
         band)."""
-        for (eps, j), where in self._band()[1]:
-            yield (eps, j), self._plan(eps, j).coefficients(np.take(Fb, where, axis=-1))
+        for key, plan, where in self._band()[1]:
+            yield key, plan.coefficients(np.take(Fb, where, axis=-1))
 
     def fourier(self, f: GridFunction) -> np.ndarray:
         if f.spec != self.spec:
