@@ -134,6 +134,11 @@ class GridFunction:
             raise GridMismatchError(f"grid mismatch: {self.spec} vs {other.spec}")
 
 
+def _is_index(v) -> bool:
+    """An integer, Python or numpy, that is not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True, order=True)
 class DyadicCube:
     """Q_{j,k} = 2^{-j}(k + [0,1)^n)."""
@@ -142,8 +147,10 @@ class DyadicCube:
     k: tuple[int, ...]
 
     def __post_init__(self):
-        if self.j < 0:
-            raise ParameterError(f"cube level must be >= 0, got {self.j}")
+        if not _is_index(self.j) or self.j < 0:
+            raise ParameterError(f"cube level must be an integer >= 0, got {self.j!r}")
+        if not all(_is_index(ki) for ki in self.k):
+            raise ParameterError(f"cube position {self.k!r} has a non-integer entry")
         if any(not (0 <= ki < (1 << self.j)) for ki in self.k):
             raise ParameterError(f"cube position {self.k} outside level {self.j}")
 
@@ -309,6 +316,8 @@ def _write_pairs(fh, arr: np.ndarray) -> None:
 
 def _read_pairs(fh, shape: tuple[int, ...]) -> np.ndarray:
     raw = np.frombuffer(_read_exact(fh, 16 * int(np.prod(shape))), dtype="<f8")
+    if not np.all(np.isfinite(raw)):
+        raise ParameterError("payload holds a non-finite value")
     return (raw[0::2] + 1j * raw[1::2]).reshape(shape)
 
 

@@ -18,20 +18,49 @@ grid, just before the sums.  Elementwise results do not depend on position
 and each sum still reads the full grid, so the values are bit for bit those
 of full-grid fields.
 
-The oscillation norm takes one sample or a batch of samples on one grid and
-is evaluated one cube level at a time.  The chart coordinates
-u = (x - x_Q)/r are dyadic rationals that depend on the cube only through
-the offset lo - k 2^{J-j0} of its (boundary-clipped) sample box, so the
-interior cubes of a level share one chart bit for bit, and no chart
-depends on the sample.  Each distinct chart gets one bump weight, one Gram
-matrix, one condition number and one least-squares solve with a
-right-hand side per cube of every sample; the residuals
-phi_Q (f - P_{Q,f}) of consecutive (sample, cube) rows are scattered into
-one stack of at most CHUNK_BYTES, which one batched wavelet analysis and
-one batched TL norm consume.  Every per-cube sum still runs along one
-contiguous last axis, each column of a multi-RHS lstsq has the bits of its
-own solve, and the final root stays a scalar pow, so each value is bit for
-bit the one a cube-by-cube, sample-by-sample evaluation gives.
+The oscillation norm takes one sample or a batch of samples on one grid.
+The chart coordinates u = (x - x_Q)/r are dyadic rationals that depend on
+the cube only through the offset lo - k 2^{J-j0} of its (boundary-clipped)
+sample box, so the interior cubes of a level share one chart bit for bit,
+and no chart depends on the sample.  Each distinct chart gets one bump
+weight, one Gram matrix, one condition number and one least-squares solve
+with a right-hand side per cube of every sample.  Every level's charts are
+built, in level order, before any cube is analyzed.
+
+Most (sample, cube) rows are never analyzed.  Both bases are orthonormal,
+so by Bessel the detail coefficients a of the residual
+r = phi_Q (f - P_{Q,f}) satisfy sum |a|^2 <= cell sum |r|^2.  At a point
+the TL integrand is the l^q norm of m = |E_n| x (detail levels) terms
+2^{j(gamma1 + n/2)} |a_{j,k}|, and l^q <= max(1, m^{1/q - 1/2}) l^2 (Hoelder
+for q < 2; l^q <= l^2 for q >= 2, q = inf included).  For p <= 2 the L^p
+mean over the unit torus is at most the L^2 mean, and the L^2 norm of the
+l^2 integrand is (sum_j 2^{2 j gamma1} sum_{eps,k} |a|^2)^{1/2}, since a
+level-j cell has volume 2^{-nj}.  So a row's value is at most
+
+    B = w_{j0} C (cell sum |r|^2)^{1/2},
+    C = max_{j in band} 2^{j gamma1} max(1, m^{1/q - 1/2}),
+
+with w_{j0} the Morrey weight of its level.  For p > 2 the L^p mean
+exceeds the L^2 mean; C is +inf there and every row is evaluated.  The
+energies come from the residuals on their charts, in blocks of at most
+CHUNK_BYTES, with no transform.  An energy below 2^-800 may have lost its
+squares to underflow: its row is evaluated unless the residual is all
+zero, whose value is exactly 0.
+
+Two exact passes follow, through one evaluator.  Pass 1 evaluates each
+sample's row of largest B; its value is L_s.  Pass 2 evaluates every row
+with B (1 + BOUND_SLACK) >= L_s; BOUND_SLACK = 1e-6 is far above the
+rounding of either side.  A skipped row has a value below L_s <= sup, so
+it neither attains the sup nor ties with it: `value` and `argmax_cube`,
+the first cube attaining the sup, are those of the complete table.  The
+evaluator scatters the residuals of a sorted set of rows into stacks of at
+most CHUNK_BYTES, which one batched wavelet analysis and one batched TL
+norm consume.  Every per-cube sum still runs along one contiguous last
+axis, each column of a multi-RHS lstsq has the bits of its own solve, and
+the final root stays a scalar pow, so each value is bit for bit the one a
+cube-by-cube, sample-by-sample evaluation gives, whichever rows share its
+stack.  A report's `per_cube` evaluates the skipped rows of its sample on
+first access, through the same evaluator.
 
 Cube sups are exact over the finite dyadic family; when gamma2 = n/p and the
 coarsest cube is the whole torus, the Morrey sup is attained there and the
@@ -41,7 +70,9 @@ evaluator returns bit-for-bit the plain Triebel-Lizorkin norm.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,10 +83,22 @@ from .errors import (
     MomentConditioningError,
     ParameterError,
 )
-from .grid import DyadicCube, GridFunction, GridSpec, cube_sample_slices, min_image
+from .grid import (
+    DyadicCube,
+    GridFunction,
+    GridSpec,
+    cube_sample_slices,
+    flat_positions,
+    min_image,
+)
 from .wavelet import CoeffField, chunk_rows, detail_types
 
 CONDITION_LIMIT = 1e10
+# relative room a cube's bound gets over its computed value, far above the
+# rounding of either side
+BOUND_SLACK = 1e-6
+# below this residual energy the squares may have underflowed
+_TRUSTED_ENERGY = 2.0 ** -800
 
 
 @dataclass(frozen=True)
@@ -168,10 +211,17 @@ class TlmReport:
     per_level: dict[int, float] = field(default_factory=dict)
 
 
+def _check_finite(c: CoeffField) -> None:
+    if not all(np.all(np.isfinite(a)) for a in c.detail.values()):
+        raise ParameterError("coefficient field has non-finite detail coefficients")
+
+
 def tl_norm(c: CoeffField, gamma1: float, p: float, q: float):
     """Plain Triebel-Lizorkin norm of a coefficient field (no cube sup): a
-    float, or for a stacked field an array with one norm per batch index."""
+    float, or for a stacked field an array with one norm per batch index.
+    ParameterError for a non-finite detail coefficient."""
     SpaceParams(gamma1, c.spec.n / p, p, q)          # parameter checks only
+    _check_finite(c)
     batch = c.batch_shape
     V = None
     for _, V in _suffix_combine(_level_aggregates(c, gamma1, q), q):
@@ -196,8 +246,7 @@ def tlm_wavelet_norm(c: CoeffField, sp: SpaceParams) -> float:
 def tlm_wavelet_norm_report(c: CoeffField, sp: SpaceParams) -> TlmReport:
     if c.batch_shape:
         raise ParameterError("the TLM norm takes a single field, not a stack")
-    if not all(np.all(np.isfinite(a)) for a in c.detail.values()):
-        raise ParameterError("coefficient field has non-finite detail coefficients")
+    _check_finite(c)
     if sp.degenerate(c.spec.n):
         warnings.warn(
             f"gamma2={sp.gamma2} > n/p={c.spec.n / sp.p}: degenerate regime "
@@ -379,10 +428,20 @@ def solve_moment_system(weight: np.ndarray, grids, rhs: np.ndarray,
 
 @dataclass
 class OscillationReport:
+    """`value` is the sup over cubes and `argmax_cube` the first cube, in
+    level and position order, that attains it (None when no cube is
+    positive).  `per_cube` lists every cube with its value, level by
+    level; the cubes the bound ruled out are evaluated on first access."""
+
     value: float
     argmax_cube: DyadicCube | None
-    per_cube: list[tuple[DyadicCube, float]]
     refined_value: float | None = None
+    _rows: _CubeRows | None = field(default=None, repr=False, compare=False)
+    _sample: int = field(default=0, repr=False, compare=False)
+
+    @cached_property
+    def per_cube(self) -> list[tuple[DyadicCube, float]]:
+        return self._rows.table(self._sample)
 
 
 def oscillation_norm(f: GridFunction, sp: SpaceParams, cutoff: CutoffFamily,
@@ -397,7 +456,8 @@ def oscillation_norm_report(f: GridFunction | Sequence[GridFunction],
                             basis, cube_levels: Sequence[int] | None = None,
                             refine: bool = False):
     """Definition-side norm: sup over cubes of the weighted TL norm of
-    phi_Q (f - P_{Q,f}), evaluated one cube level at a time.
+    phi_Q (f - P_{Q,f}).  Every cube gets a Bessel bound; only the cubes
+    whose bound reaches the sup are analyzed (see the module docstring).
 
     f is one grid function (the result is one report) or a sequence of
     them on one grid (a list of reports, in order).  The samples of a
@@ -418,21 +478,15 @@ def oscillation_norm_report(f: GridFunction | Sequence[GridFunction],
         raise ParameterError("f has non-finite samples")
     if cube_levels is None:
         cube_levels = range(spec.j_min, spec.J)
-    tables: list[list[tuple[DyadicCube, float]]] = [[] for _ in fs]
-    for j0 in cube_levels:
-        cubes, vals = _level_oscillation(data, spec, sp, cutoff, m0, basis, j0)
-        for table, row in zip(tables, vals.tolist()):
-            table += zip(cubes, row)
+    rows = _CubeRows(data, spec, sp, cutoff, m0, basis, cube_levels)
+    rows.prune()
     reports = []
-    for g, table in zip(fs, tables):
-        best, best_cube = 0.0, None
-        for cube, val in table:
-            if val > best:
-                best, best_cube = val, cube
+    for s, g in enumerate(fs):
+        best, best_cube = rows.best(s)
         refined = None
         if refine and best_cube is not None:
             refined = _refine_cube(g, sp, cutoff, m0, basis, best_cube, best)
-        reports.append(OscillationReport(best, best_cube, table, refined))
+        reports.append(OscillationReport(best, best_cube, refined, rows, s))
     return reports[0] if single else reports
 
 
@@ -459,15 +513,30 @@ class _ChartSystem:
     grids: list
     system: MomentSystem
 
-    def residuals(self, data: np.ndarray, a: int, b: int):
-        """Flat sample indices and phi_Q (f - P_{Q,f}) of rows a..b-1, each
-        (b - a, W); data holds one flat sample per row."""
-        idx = self.flat + self.shift[a:b]
-        poly = self.system.evaluate(self.grids, slice(a, b))
-        return idx, self.weight * (data[self.sample[a:b, None], idx] - poly)
+    def residuals(self, data: np.ndarray, rows):
+        """Flat sample indices and phi_Q (f - P_{Q,f}) of the rows `rows` (a
+        slice or an index array) of this chart, each (len(rows), W); data
+        holds one flat sample per row."""
+        idx = self.flat + self.shift[rows]
+        poly = self.system.evaluate(self.grids, rows)
+        return idx, self.weight * (data[self.sample[rows, None], idx] - poly)
+
+    def energies(self, data: np.ndarray) -> np.ndarray:
+        """sum |phi_Q (f - P_{Q,f})|^2 over the chart per row, from residuals
+        made in blocks of at most CHUNK_BYTES: +inf where the residual is
+        not all zero but so small that its squares may have underflowed."""
+        block = chunk_rows(len(self.flat))
+        out = np.empty(len(self.rows))
+        for a in range(0, len(self.rows), block):
+            _, r = self.residuals(data, slice(a, a + block))
+            energy = np.sum(r.real ** 2 + r.imag ** 2, axis=-1)
+            low = energy < _TRUSTED_ENERGY
+            energy[low] = np.where(np.any(r[low] != 0, axis=-1), np.inf, 0.0)
+            out[a:a + block] = energy
+        return out
 
 
-def _level_charts(data, spec, cutoff, m0, j0, ks, cubes) -> list[_ChartSystem]:
+def _level_charts(data, spec, cutoff, m0, j0, ks) -> list[_ChartSystem]:
     """One moment system per distinct chart of the level-j0 cubes at
     positions ks, shared by every sample (row of data), in the order of
     the chart's first cube, so an ill-conditioned chart raises for the
@@ -497,38 +566,135 @@ def _level_charts(data, spec, cutoff, m0, j0, ks, cubes) -> list[_ChartSystem]:
             [_moment_rhs(weight, grids, data[sample[a:a + block, None],
                                              flat + shift[a:a + block]], m0)
              for a in range(0, len(rows), block)], axis=1)
-        system = solve_moment_system(weight, grids, rhs, m0,
-                                     [cubes[i] for i in members])
+        first_cube = DyadicCube(j0, tuple(ks[members[0]].tolist()))
+        system = solve_moment_system(weight, grids, rhs, m0, [first_cube])
         out.append(_ChartSystem(rows, sample, flat, shift, weight, grids, system))
     return out
 
 
-def _level_oscillation(data, spec, sp, cutoff, m0, basis, j0):
-    """The level-j0 cubes in order, and per sample (row of data) the
-    weighted TL norm of phi_Q (f - P_{Q,f}) of each: (samples, cubes).  The
-    residuals of consecutive (sample, cube) rows, sample-major, are
-    scattered into one (chunk,) + grid stack of at most CHUNK_BYTES,
-    analyzed together and normed together."""
-    n = spec.n
-    ks = np.stack(np.unravel_index(np.arange((1 << j0) ** n), (1 << j0,) * n),
-                  axis=-1)
-    cubes = [DyadicCube(j0, tuple(k)) for k in ks.tolist()]
-    charts = _level_charts(data, spec, cutoff, m0, j0, ks, cubes)
-    total = len(data) * len(ks)
-    rows = chunk_rows(spec.size)
-    tl = np.empty(total)
-    for start in range(0, total, rows):
-        stop = min(start + rows, total)
-        stack = np.zeros((stop - start, spec.size), dtype=complex)
-        for chart in charts:
-            a, b = np.searchsorted(chart.rows, (start, stop))
-            if a < b:
-                idx, residual = chart.residuals(data, a, b)
-                stack[chart.rows[a:b, None] - start, idx] = residual
-        c = basis.analyze_stack(stack.reshape((stop - start,) + spec.shape))
-        tl[start:stop] = tl_norm(c, sp.gamma1, sp.p, sp.q)
-    weight_j = 2.0 ** (-j0 * (sp.gamma2 - n / sp.p))
-    return cubes, weight_j * tl.reshape(len(data), len(ks))
+def _bound_factor(sp: SpaceParams, levels: range, n: int) -> float:
+    """C with weighted TL norm <= C (cell sum |r|^2)^{1/2} for every residual
+    r (module docstring): max over the detail levels of 2^{j gamma1}, times
+    max(1, m^{1/q - 1/2}) for the m = |E_n| (levels) terms at a point; +inf
+    for p > 2, where no bound is used."""
+    if sp.p > 2:
+        return np.inf
+    m = len(detail_types(n)) * len(levels)
+    return max(2.0 ** (j * sp.gamma1) for j in levels) \
+        * max(1.0, m ** (1.0 / sp.q - 0.5))
+
+
+class _CubeRows:
+    """The (sample, cube) rows of one oscillation call, level-major, then
+    sample-major, then in cube order.  Per row: its sample (`sample_of`),
+    its chart (`chart_of`), its row in that chart (`chart_row`), its Morrey
+    weight, its ceiling (the bound times 1 + BOUND_SLACK, which its
+    computed value never exceeds) and, once evaluated, its value.  Every
+    level's charts and moment systems are built in level order first, so
+    the first ill-conditioned cube raises as before."""
+
+    def __init__(self, data, spec, sp, cutoff, m0, basis, cube_levels):
+        self.data, self.spec, self.sp, self.basis = data, spec, sp, basis
+        n, S = spec.n, len(data)
+        factor = _bound_factor(sp, basis.detail_levels, n)
+        self.levels: list[tuple[int, int, np.ndarray]] = []   # (start, j0, ks)
+        self.charts: list[_ChartSystem] = []
+        # one array per level, after an empty one for an empty level list
+        sample_of, chart_of, chart_row = ([np.empty(0, int)] for _ in range(3))
+        weight, ceiling = [np.empty(0)], [np.empty(0)]
+        start = 0
+        for j0 in cube_levels:
+            ks = flat_positions(j0, n)
+            count = S * len(ks)
+            ids, where = np.empty(count, int), np.empty(count, int)
+            energy = np.full(count, np.inf)      # no bound: every row evaluated
+            for c in _level_charts(data, spec, cutoff, m0, j0, ks):
+                ids[c.rows] = len(self.charts)
+                where[c.rows] = np.arange(len(c.rows))
+                if factor < np.inf:
+                    energy[c.rows] = c.energies(data)
+                self.charts.append(c)
+            w = 2.0 ** (-j0 * (sp.gamma2 - n / sp.p))
+            sample_of.append(np.repeat(np.arange(S), len(ks)))
+            chart_of.append(ids)
+            chart_row.append(where)
+            weight.append(np.full(count, w))
+            ceiling.append(w * factor * np.sqrt(spec.cell_volume * energy)
+                           * (1.0 + BOUND_SLACK))
+            self.levels.append((start, j0, ks))
+            start += count
+        self.sample_of = np.concatenate(sample_of)
+        self.chart_of = np.concatenate(chart_of)
+        self.chart_row = np.concatenate(chart_row)
+        self.weight = np.concatenate(weight)
+        self.ceiling = np.concatenate(ceiling)
+        self.values = np.empty(start)
+        self.done = np.zeros(start, dtype=bool)
+
+    def rows_of(self, s: int) -> np.ndarray:
+        """The rows of sample s, in table order (ascending)."""
+        return np.flatnonzero(self.sample_of == s)
+
+    def cube(self, row: int) -> DyadicCube:
+        start, j0, ks = self.levels[bisect_right(self.levels, row,
+                                                 key=lambda lv: lv[0]) - 1]
+        return DyadicCube(j0, tuple(ks[(row - start) % len(ks)].tolist()))
+
+    def evaluate(self, rows: np.ndarray) -> None:
+        """Value the sorted rows `rows`: their residuals are scattered into
+        (chunk,) + grid stacks of at most CHUNK_BYTES, analyzed together and
+        normed together.  A row's bits do not depend on the rows that share
+        its stack."""
+        spec, sp = self.spec, self.sp
+        size = chunk_rows(spec.size)
+        for start in range(0, len(rows), size):
+            chunk = rows[start:start + size]
+            stack = np.zeros((len(chunk), spec.size), dtype=complex)
+            ids = self.chart_of[chunk]
+            for c in dict.fromkeys(ids.tolist()):
+                at = np.flatnonzero(ids == c)
+                idx, residual = self.charts[c].residuals(
+                    self.data, self.chart_row[chunk[at]])
+                stack[at[:, None], idx] = residual
+            coeffs = self.basis.analyze_stack(
+                stack.reshape((len(chunk),) + spec.shape))
+            self.values[chunk] = self.weight[chunk] * tl_norm(
+                coeffs, sp.gamma1, sp.p, sp.q)
+        self.done[rows] = True
+
+    def prune(self) -> None:
+        """Pass 1 values each sample's row of largest ceiling, L_s; pass 2
+        every row whose ceiling reaches its sample's L_s.  A zero ceiling
+        is a zero residual, of value 0; a NaN ceiling is evaluated."""
+        if not len(self.done):
+            return
+        firsts = [rows[np.argmax(self.ceiling[rows])]
+                  for rows in map(self.rows_of, range(len(self.data)))]
+        self.evaluate(np.sort(firsts))
+        limit = self.values[firsts][self.sample_of]
+        self.evaluate(np.flatnonzero(
+            ~self.done & (self.ceiling != 0) & ~(self.ceiling < limit)))
+
+    def best(self, s: int) -> tuple[float, DyadicCube | None]:
+        """The largest value of sample s among the evaluated rows and the
+        cube of the first row attaining it; (0.0, None) when none is
+        positive."""
+        rows = self.rows_of(s)
+        rows = rows[self.done[rows]]
+        best, best_row = 0.0, None
+        for row, val in zip(rows.tolist(), self.values[rows].tolist()):
+            if val > best:
+                best, best_row = val, row
+        return best, None if best_row is None else self.cube(best_row)
+
+    def table(self, s: int) -> list[tuple[DyadicCube, float]]:
+        """Every (cube, value) of sample s in level and cube order, the
+        rows not yet evaluated evaluated now."""
+        rows = self.rows_of(s)
+        self.evaluate(rows[~self.done[rows]])
+        cubes = [DyadicCube(j0, tuple(k)) for _, j0, ks in self.levels
+                 for k in ks.tolist()]
+        return list(zip(cubes, self.values[rows].tolist()))
 
 
 def _refine_cube(f, sp, cutoff, m0, basis, cube, moment_value) -> float:

@@ -179,17 +179,28 @@ class CoeffField:
         """Leading axes of a stacked or time field; () for one function."""
         return self.scaling.shape[:self.scaling.ndim - self.spec.n]
 
+    @classmethod
+    def _from_blocks(cls, spec: GridSpec, family: str, j_min: int, j_max: int,
+                     detail: dict, scaling: np.ndarray,
+                     tg: TimeGrid | None = None,
+                     beta: float | None = None) -> "CoeffField":
+        """A field holding the given blocks, detail (a mapping (eps, j) ->
+        block) in the band's (j, eps) order, without allocating zeros."""
+        out = cls.__new__(cls)
+        out.spec, out.family, out.j_min, out.j_max = spec, family, j_min, j_max
+        out.tg, out.beta = tg, beta
+        out.detail = {(eps, j): detail[(eps, j)] for j in range(j_min, j_max + 1)
+                      for eps in detail_types(spec.n)}
+        out.scaling = scaling
+        return out
+
     def _derive(self, fn, scaling: np.ndarray, tg: TimeGrid | None) -> "CoeffField":
         """A field with this one's band and beta, the detail blocks
         fn(eps, j, block) and the given scaling block and time grid."""
-        out = CoeffField.__new__(CoeffField)
-        out.spec, out.family, out.j_min, out.j_max = (
-            self.spec, self.family, self.j_min, self.j_max)
-        out.tg, out.beta = tg, self.beta
-        out.detail = {(eps, j): fn(eps, j, arr)
-                      for (eps, j), arr in self.detail.items()}
-        out.scaling = scaling
-        return out
+        return CoeffField._from_blocks(
+            self.spec, self.family, self.j_min, self.j_max,
+            {key: fn(*key, arr) for key, arr in self.detail.items()},
+            scaling, tg, self.beta)
 
     def __getitem__(self, rows) -> "CoeffField":
         """Row ell (an int) or rows start:stop (a slice) of the leading axis,
@@ -513,13 +524,10 @@ class MeyerBasis(_Basis):
         Fb = np.take(_fft_last(data, n).reshape(lead + (-1,)), self.band_support(),
                      axis=-1)
         Fb /= self.spec.size
-        out = CoeffField(self.spec, self.family, self.j_min, self.j_max)
-        for (eps, j), coeffs in self._coeffs_from_band(Fb):
-            if any(eps):
-                out.detail[(eps, j)] = coeffs
-            else:
-                out.scaling = coeffs
-        return out
+        blocks = dict(self._coeffs_from_band(Fb))
+        scaling = blocks.pop(((0,) * n, self.j_min))
+        return CoeffField._from_blocks(self.spec, self.family, self.j_min,
+                                       self.j_max, blocks, scaling)
 
     def synthesize(self, c: CoeffField) -> GridFunction:
         return GridFunction(self.spec, self.synthesize_stack(c))
@@ -681,7 +689,7 @@ class DaubechiesBasis(_Basis):
         lead = data.shape[:data.ndim - n]
         approx = np.asarray(data, dtype=complex).reshape((-1,) + self.spec.shape) \
             * 2.0 ** (-n * self.spec.J / 2.0)
-        out = CoeffField(self.spec, self.family, self.j_min, self.j_max)
+        detail = {}
         for j in range(self.j_max, self.j_min - 1, -1):
             blocks = {(): approx}
             for axis in range(n):
@@ -690,9 +698,10 @@ class DaubechiesBasis(_Basis):
                           for bit, filt in ((0, self.h), (1, self.g))}
             approx = blocks.pop((0,) * n)
             for eps, arr in blocks.items():
-                out.detail[(eps, j)] = arr.reshape(lead + arr.shape[1:])
-        out.scaling = approx.reshape(lead + approx.shape[1:])
-        return out
+                detail[(eps, j)] = arr.reshape(lead + arr.shape[1:])
+        return CoeffField._from_blocks(self.spec, self.family, self.j_min,
+                                       self.j_max, detail,
+                                       approx.reshape(lead + approx.shape[1:]))
 
     def synthesize(self, c: CoeffField) -> GridFunction:
         if c.spec != self.spec or c.j_min != self.j_min or c.j_max != self.j_max:

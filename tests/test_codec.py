@@ -136,6 +136,19 @@ def test_bad_time_grid_or_beta(tmp_path):
             read_coeff_field(str(path))
 
 
+@pytest.mark.parametrize("kind", ["plain", "time"])
+@pytest.mark.parametrize("block", ["scaling", "detail"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_nonfinite_payload_raises(tmp_path, kind, block, bad):
+    c = random_field("meyer", 1, 4, kind, 7)
+    arr = c.scaling if block == "scaling" else c.detail[((1,), 1)]
+    arr.reshape(-1)[-1] = bad
+    path = str(tmp_path / "c.oslt")
+    write_coeff_field(c, path)
+    with pytest.raises(ParameterError, match="non-finite"):
+        read_coeff_field(path)
+
+
 def test_stack_without_time_grid_is_not_written(tmp_path, meyer1d, rng):
     stack = meyer1d.analyze_stack(rng.standard_normal((3,) + meyer1d.spec.shape))
     with pytest.raises(ParameterError):

@@ -45,6 +45,19 @@ def test_cube_contains():
     assert not cube_contains(DyadicCube(1, (0, 1)), DyadicCube(3, (2, 3)))
 
 
+@pytest.mark.parametrize("j, k", [(2, (1.5,)), (2, (True,)), (2, (1.0,)),
+                                  (2, (np.float64(1.0), 0)), (2, (0, np.bool_(1))),
+                                  (2.0, (1,)), (True, (0,)), (np.float64(2.0), (1,))])
+def test_cube_rejects_non_integer_entries(j, k):
+    # 0 <= k < 2^j holds for 1.5 and for True (read as 1)
+    with pytest.raises(ParameterError):
+        DyadicCube(j, k)
+
+
+def test_cube_takes_numpy_integers():
+    assert DyadicCube(np.int64(3), (np.int32(5), np.uint8(0))) == DyadicCube(3, (5, 0))
+
+
 def test_partition_of_unity():
     spec = GridSpec(n=2, J=4, j_min=0)
     for j in (0, 1, 3):
@@ -117,6 +130,17 @@ def test_read_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ParameterError):
+        read_grid_function(str(path))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_read_rejects_a_nonfinite_payload(tmp_path, rng, bad):
+    spec = GridSpec(n=2, J=3, j_min=0)
+    data = rng.standard_normal(spec.shape).astype(complex)
+    data[1, 2] = bad
+    path = tmp_path / "f.bin"
+    write_grid_function(GridFunction(spec, data), str(path))
+    with pytest.raises(ParameterError, match="non-finite"):
         read_grid_function(str(path))
 
 

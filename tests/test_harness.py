@@ -299,6 +299,23 @@ def test_cli_osc_norm_rejects_a_negative_moment_order(tmp_path, meyer1d):
                   "--gamma2", "0.3", "--p", "2", "--q", "2", "--in", str(cpath)])
 
 
+def test_cli_tl_norm_rejects_a_nonfinite_coefficient(tmp_path, meyer1d):
+    # one line on exit, not "value": NaN and exit 0
+    from oscillet.wavelet import coeff_field_to_json
+    c = meyer1d.analyze(GridFunction(meyer1d.spec, np.ones(meyer1d.spec.shape)))
+    c.detail[((1,), 3)][2] = np.nan
+    cpath = tmp_path / "c.json"
+    cpath.write_text(coeff_field_to_json(c))
+    report = tmp_path / "norm.json"
+    with pytest.raises(SystemExit,
+                       match="^oscillet norm: coefficient field has non-finite "
+                             "detail coefficients$"):
+        cli_main(["norm", "--kind", "tl", "--gamma1", "0.0", "--gamma2", "0.3",
+                  "--p", "2", "--q", "2", "--in", str(cpath),
+                  "--report", str(report)])
+    assert not report.exists()
+
+
 def test_cli_norm_rejects_a_file_with_a_bad_header(tmp_path, meyer1d):
     # a grid-function file read as a coefficient field: the reader rejects
     # its header, and the command exits with that one line

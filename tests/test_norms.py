@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -434,6 +435,119 @@ class TestSampleBatch:
             oscillation_norm_report([f1, bad], sp, CutoffFamily(n=1), 1, meyer1d)
 
 
+def full_sup(table):
+    """The sup of a complete per-cube table and the first cube attaining
+    it, as the report defines them: (0.0, None) when no value is
+    positive."""
+    best, best_cube = 0.0, None
+    for cube, val in table:
+        if val > best:
+            best, best_cube = val, cube
+    return best, best_cube
+
+
+# the (p, q) of the bound's cases: each side of p = 2 and of q = 2
+BOUND_PQ = [(2.0, 2.0), (1.5, np.inf), (1.0, 1.5), (2.0, 1.0), (3.0, 2.0)]
+
+
+class TestBoundedOscillation:
+    """Every cube's Bessel bound against its exact value, and the pruned
+    sup against the complete table."""
+
+    @staticmethod
+    def samples(family, n, J):
+        """White noise, a random detail field (the harness's input kind), a
+        sample so small that its residuals' squares underflow, and one that
+        vanishes on half the torus, where residuals are exactly zero."""
+        basis = build_basis(family, GridSpec(n=n, J=J, j_min=0))
+        spec = basis.spec
+        sp = SpaceParams(0.0, 0.3, 2.0, 2.0)
+        noise = np.random.default_rng(10 * n + J).standard_normal(spec.shape)
+        smooth = basis.synthesize(_random_detail_field(basis, sp, J)).data
+        half = noise * (spec.meshgrid()[0] >= 0.5)
+        return basis, [GridFunction(spec, a)
+                       for a in (noise, smooth, 1e-200 * noise, half)]
+
+    @pytest.mark.parametrize("family", ["meyer", "daubechies"])
+    @pytest.mark.parametrize("n, J", [(1, 6), (1, 8), (2, 3), (2, 4)])
+    def test_bound_is_at_least_every_value(self, family, n, J):
+        basis, fs = self.samples(family, n, J)
+        fs = fs[:2]          # the other two have no finite bound to test
+        cutoff = CutoffFamily(n=n)
+        for (p, q), gamma1 in itertools.product(BOUND_PQ, (-0.2, 0.0, 0.5)):
+            sp = SpaceParams(gamma1, 0.3, p, q)
+            reps = oscillation_norm_report(fs, sp, cutoff, 1, basis)
+            for rep in reps:
+                rep.per_cube                       # every row evaluated
+            rows = reps[0]._rows
+            assert rows.done.all()
+            assert np.all(rows.values <= rows.ceiling), (p, q, gamma1)
+            if p > 2:
+                # no bound: every row is evaluated, whatever its residual
+                assert not np.any(rows.ceiling < np.inf)
+
+    @pytest.mark.parametrize("family, n, J", [
+        ("meyer", 1, 7), ("daubechies", 1, 7), ("meyer", 2, 4),
+        ("daubechies", 2, 4)])
+    @pytest.mark.parametrize("p, q, gamma1", [
+        (2.0, 2.0, 0.0), (1.5, np.inf, -0.2), (1.0, 1.5, 0.5), (2.0, 1.0, 0.0),
+        (3.0, 2.0, 0.5)])
+    def test_pruned_sup_is_the_full_tables(self, family, n, J, p, q, gamma1):
+        basis, fs = self.samples(family, n, J)
+        sp = SpaceParams(gamma1, 0.3, p, q)
+        reps = oscillation_norm_report(fs, sp, CutoffFamily(n=n), 1, basis)
+        rows = reps[0]._rows
+        skipped = int(np.sum(~rows.done))
+        assert (skipped == 0) if p > 2 else (skipped > 0)
+        for rep in reps:
+            value, cube = full_sup(rep.per_cube)
+            assert_array_equal(rep.value, value)
+            assert rep.argmax_cube == cube
+
+    def test_a_tie_goes_to_the_first_cube(self, monkeypatch):
+        # TL norms rounded down to multiples of 1/8 stay below the bound
+        # and tie bitwise: at p = 1, gamma2 = 0 the Morrey weight 2^{j0}
+        # puts the largest bound at the finest level, while the first cube
+        # of the tie lies elsewhere
+        basis = build_basis("daubechies", GridSpec(n=2, J=5, j_min=0))
+        rng = np.random.default_rng(5)
+        fs = [GridFunction(basis.spec, rng.standard_normal(basis.spec.shape))
+              for _ in range(3)]
+        tl = norms.tl_norm
+        monkeypatch.setattr(norms, "tl_norm",
+                            lambda c, *args: np.floor(tl(c, *args) * 8) / 8)
+        sp = SpaceParams(0.0, 0.0, 1.0, 2.0)
+        reps = oscillation_norm_report(fs, sp, CutoffFamily(n=2), 1, basis)
+        rows = reps[0]._rows
+        pass_one = [rows.cube(r[np.argmax(rows.ceiling[r])])
+                    for r in map(rows.rows_of, range(len(fs)))]
+        assert not rows.done.all()
+        for rep, first in zip(reps, pass_one):
+            value, cube = full_sup(rep.per_cube)
+            assert [c for c, v in rep.per_cube if v == value][1:]   # a tie
+            assert rep.value == value and rep.argmax_cube == cube
+        assert any(first != rep.argmax_cube for rep, first in zip(reps, pass_one))
+
+    def test_few_rows_are_analyzed(self, monkeypatch):
+        # the osc-1d shape at J = 8: 3 x 255 (sample, cube) rows
+        spec = GridSpec(n=1, J=8, j_min=0)
+        basis = build_basis("meyer", spec)
+        sp = SpaceParams(0.0, 0.3, 2.0, 2.0)
+        fs = [basis.synthesize(_random_detail_field(basis, sp, s))
+              for s in range(3)]
+        analyzed = []
+        analyze = basis.analyze_stack
+        monkeypatch.setattr(basis, "analyze_stack",
+                            lambda data: analyzed.append(len(data)) or analyze(data))
+        reps = oscillation_norm_report(fs, sp, CutoffFamily(n=1), 1, basis)
+        pruned = sum(analyzed)
+        assert 3 <= pruned <= 0.1 * 3 * 255
+        # the complete tables analyze each skipped row once, and agree
+        for rep in reps:
+            assert full_sup(rep.per_cube) == (rep.value, rep.argmax_cube)
+        assert sum(analyzed) == 3 * 255
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("gamma1, gamma2", [
         (np.nan, 0.3), (0.0, np.nan), (np.inf, 0.3), (0.0, -np.inf)])
@@ -456,6 +570,18 @@ class TestNonFiniteInput:
         c.detail[((1,), 5)][3] = bad
         with pytest.raises(ParameterError):
             tlm_wavelet_norm(c, SpaceParams(0.0, 0.3, 2.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_tl_rejects_nonfinite_coefficient(self, meyer1d, rng, bad):
+        # a NaN norm would pass as a value; one bad row of a stack raises
+        c = meyer1d.analyze(band_limited(meyer1d, rng))
+        c.detail[((1,), 5)][3] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            tl_norm(c, 0.0, 2.0, 2.0)
+        stack = meyer1d.analyze_stack(np.stack([band_limited(meyer1d, rng).data] * 3))
+        stack.detail[((1,), 2)][1, 0] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            tl_norm(stack, 0.0, 2.0, 2.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_oscillation_rejects_nonfinite_sample(self, meyer1d, bad):
@@ -543,6 +669,15 @@ class TestKernelSum:
             kernel_sum(c, 2, j, k, 4.0, 0.0)
         with pytest.raises(ParameterError):
             kernel_bound_report(c, 2, j, k, gamma=4.0, s=0.0, A=1.0)
+
+    @pytest.mark.parametrize("j, k", [(2, (1.5,)), (2, (True,)), (2, (1.0,)),
+                                      (2.0, (1,)), (True, (0,))])
+    def test_non_integer_cube_raises(self, meyer1d, j, k):
+        # 2^j k would place a finite kernel anywhere on the torus; a bool
+        # would read as 0 or 1
+        c = _random_detail_field(meyer1d, SpaceParams(0.0, 0.3, 2.0, 2.0), 11)
+        with pytest.raises(ParameterError):
+            kernel_sum(c, 2, j, k, 4.0, 0.0)
 
 
 class TestQuasiNormAndSupAggregate:
