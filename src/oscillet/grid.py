@@ -348,7 +348,7 @@ def write_grid_function_csv(f: GridFunction, path: str) -> None:
 
 def read_grid_function_csv(path: str, spec: GridSpec) -> GridFunction:
     """Inverse of write_grid_function_csv: every sample exactly once, each
-    index inside the grid, in any row order."""
+    index inside the grid, each value finite, in any row order."""
     n = spec.n
     data = np.zeros(spec.shape, dtype=complex)
     seen = np.zeros(spec.shape, dtype=bool)
@@ -365,6 +365,8 @@ def read_grid_function_csv(path: str, spec: GridSpec) -> GridFunction:
                 value = float(row[n]) + 1j * float(row[n + 1])
             except ValueError as exc:
                 raise ParameterError(f"CSV line {line}: {exc}") from None
+            if not np.isfinite(value):
+                raise ParameterError(f"CSV line {line}: non-finite sample {value}")
             if not all(0 <= i < spec.samples_per_axis for i in idx):
                 raise ParameterError(f"CSV line {line}: index {idx} outside the grid")
             if seen[idx]:

@@ -228,26 +228,35 @@ def _one_coefficient(basis, j: int, k: tuple[int, ...]) -> CoeffField:
 
 def run_norm_equivalence(cfg: ExperimentConfig) -> dict:
     """Oscillation norm against the wavelet norm: per-sample ratios, per-J
-    brackets, endpoint drift and cross-basis overlap."""
+    brackets, endpoint drift and cross-basis overlap.  One oscillation call
+    per family sweep; the Meyer sweep also holds the control's samples."""
     rows = []
     # the moment order follows the smoothness index: low orders avoid
     # absorbing coarse periodic content into the per-cube polynomial, high
     # smoothness needs more matched moments
     m0 = cfg.m0 if cfg.m0 is not None else (3 if cfg.sp.gamma1 > 0 else 1)
     brackets: dict[str, dict[int, tuple[float, float]]] = {}
-    meyer_osc: dict[tuple[int, int], float] = {}     # (J, sample) -> value
+    ends = (cfg.J_sweep[0], cfg.J_sweep[-1])
+    sp_wrong = replace(cfg.sp, gamma1=cfg.sp.gamma1 + 0.75)
+    control_in: dict[tuple[int, int], tuple[float, float]] = {}
     cutoff = CutoffFamily(n=cfg.n)
     for family in dict.fromkeys(("meyer", cfg.family)):
+        sweep = list(_sweep(cfg, family=family))
+        draws = [[_sample(cfg, basis, s) for s in range(
+                     max(cfg.samples, 3) if family == "meyer" and J in ends
+                     else cfg.samples)] for J, basis in sweep]
+        oscs = [[rep.value for rep in reps] for reps in oscillation_norm_report(
+            draws, cfg.sp, cutoff, m0, [basis for _, basis in sweep])]
         per_J = {}
-        for J, basis in _sweep(cfg, family=family):
+        for (J, basis), fs, osc_J in zip(sweep, draws, oscs):
             ratios = []
-            fs = [_sample(cfg, basis, s) for s in range(cfg.samples)]
-            oscs = [rep.value for rep in
-                    oscillation_norm_report(fs, cfg.sp, cutoff, m0, basis)]
-            for s, (f, osc) in enumerate(zip(fs, oscs)):
-                wav = tlm_wavelet_norm(basis.analyze(f), cfg.sp)
-                if family == "meyer":
-                    meyer_osc[(J, s)] = osc
+            for s, (f, osc) in enumerate(zip(fs, osc_J)):
+                c = basis.analyze(f)
+                if family == "meyer" and J in ends and s < 3:
+                    control_in[(J, s)] = (osc, tlm_wavelet_norm(c, sp_wrong))
+                if s >= cfg.samples:
+                    continue
+                wav = tlm_wavelet_norm(c, cfg.sp)
                 if wav <= 0:
                     continue
                 ratio = osc / wav
@@ -263,7 +272,7 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> dict:
 
     # negative control: pairing the oscillation norm with a wavelet norm of
     # mismatched smoothness must break the bracket stability
-    control = _mismatched_smoothness_control(cfg, m0, meyer_osc)
+    control = _mismatched_smoothness_control(cfg, sp_wrong.gamma1, control_in)
     passed = (all(d < GROWTH_LIMIT for d in drift.values()) and overlap
               and control["detected"])
     report = {
@@ -283,31 +292,20 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> dict:
     return {"report": report, "rows": rows}
 
 
-def _mismatched_smoothness_control(cfg: ExperimentConfig, m0: int,
-                                   meyer_osc: dict[tuple[int, int], float]) -> dict:
-    """Oscillation at gamma1 against coefficients weighted at gamma1 + 3/4:
-    the ratio drifts like 2^{0.75 per level} and must violate the drift
-    limit (three samples at the sweep endpoints suffice).  meyer_osc holds
-    the Meyer oscillation norms already computed for the same inputs, keyed
-    by (J, sample); only the missing ones are evaluated here."""
-    sp_wrong = SpaceParams(cfg.sp.gamma1 + 0.75, cfg.sp.gamma2, cfg.sp.p,
-                           cfg.sp.q)
-    cutoff = CutoffFamily(n=cfg.n)
+def _mismatched_smoothness_control(cfg: ExperimentConfig, gamma1_wrong: float,
+                                   norms: dict[tuple[int, int], tuple]) -> dict:
+    """Oscillation at gamma1 against coefficients weighted at gamma1_wrong =
+    gamma1 + 3/4: the ratio drifts like 2^{0.75 per level} and must violate
+    the drift limit (three samples at the sweep endpoints suffice).  `norms`
+    maps each (J, sample) of them to its Meyer oscillation norm and its TLM
+    norm at gamma1_wrong; the control draws and evaluates nothing."""
     endpoints = {}
-    for J, basis in _sweep(cfg, endpoints=True):
-        ratios = []
-        for s in range(3):
-            f = _sample(cfg, basis, s)
-            wav = tlm_wavelet_norm(basis.analyze(f), sp_wrong)
-            if (J, s) in meyer_osc:
-                osc = meyer_osc[(J, s)]
-            else:
-                osc = oscillation_norm_report(f, cfg.sp, cutoff, m0, basis).value
-            if wav > 0:
-                ratios.append(osc / wav)
+    for J in (cfg.J_sweep[0], cfg.J_sweep[-1]):
+        ratios = [osc / wav for osc, wav in (norms[(J, s)] for s in range(3))
+                  if wav > 0]
         endpoints[J] = (min(ratios), max(ratios))
     drift = _bracket_drift(cfg, endpoints)
-    return {"kind": "mismatched-smoothness", "gamma1_wrong": sp_wrong.gamma1,
+    return {"kind": "mismatched-smoothness", "gamma1_wrong": gamma1_wrong,
             "drift": drift, "detected": bool(max(drift.values()) > GROWTH_LIMIT)}
 
 

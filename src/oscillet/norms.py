@@ -18,14 +18,18 @@ grid, just before the sums.  Elementwise results do not depend on position
 and each sum still reads the full grid, so the values are bit for bit those
 of full-grid fields.
 
-The oscillation norm takes one sample or a batch of samples on one grid.
-The chart coordinates u = (x - x_Q)/r are dyadic rationals that depend on
-the cube only through the offset lo - k 2^{J-j0} of its (boundary-clipped)
-sample box, so the interior cubes of a level share one chart bit for bit,
-and no chart depends on the sample.  Each distinct chart gets one bump
-weight, one Gram matrix, one condition number and one least-squares solve
-with a right-hand side per cube of every sample.  Every level's charts are
-built, in level order, before any cube is analyzed.
+The oscillation norm takes one sample, a batch of samples on one grid, or
+the samples of several grids (a J sweep).  A level-j0 cube's chart
+coordinates u = (x - x_Q)/r on the 2^J grid are the dyadic rationals
+(lo - k 2^{J-j0} + i) 2^{j0-J} - 1/2, exact in floating point, so they
+depend only on J - j0 and the offset lo - k 2^{J-j0} and shape of the
+(boundary-clipped) sample box: the interior cubes of a level share a chart,
+the level-j0 charts of the 2^J grid are the level-(j0+1) charts of the
+2^{J+1} grid, and no chart depends on the sample.  Within one call each
+such geometry gets one weight, Gram matrix, condition number and lstsq,
+with a right-hand side per (grid, sample, cube), in the order of its first
+cube in (grid, level, position) order, so the first ill-conditioned cube
+raises; all are solved before any cube is analyzed.
 
 Most (sample, cube) rows are never analyzed.  Both bases are orthonormal,
 so by Bessel the detail coefficients a of the residual
@@ -42,10 +46,11 @@ level-j cell has volume 2^{-nj}.  So a row's value is at most
 
 with w_{j0} the Morrey weight of its level.  For p > 2 the L^p mean
 exceeds the L^2 mean; C is +inf there and every row is evaluated.  The
-energies come from the residuals on their charts, in blocks of at most
-CHUNK_BYTES, with no transform.  An energy below 2^-800 may have lost its
-squares to underflow: its row is evaluated unless the residual is all
-zero, whose value is exactly 0.
+samples of every chart are gathered once, in blocks of at most CHUNK_BYTES;
+each block gives the right-hand sides of its rows and, once its geometry
+is solved, their residuals and energies, with no transform.  An energy
+below 2^-800 may have lost its squares to underflow: its row is evaluated
+unless the residual is all zero, whose value is exactly 0.
 
 Two exact passes follow, through one evaluator.  Pass 1 evaluates each
 sample's row of largest B; its value is L_s.  Pass 2 evaluates every row
@@ -71,7 +76,7 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -374,48 +379,42 @@ def _monomial_exponents(n: int, m0: int) -> list[tuple[int, ...]]:
 @dataclass
 class MomentSystem:
     """Moment-matched polynomials P_{Q,f} of total degree <= m0 for the B
-    (sample, cube) pairs of one chart: coefficients (B, d), and the
-    condition number of the Gram matrix they share."""
+    (sample, cube) pairs of one chart: coefficients (B, d) over the chart's
+    monomials u^a (each (W,)), and the condition number of the Gram matrix
+    they share."""
 
-    m0: int
-    exponents: list[tuple[int, ...]]
+    monos: list
     coefficients: np.ndarray
     condition: float
 
-    def evaluate(self, grids, rows=slice(None)) -> np.ndarray:
+    def evaluate(self, rows=slice(None)) -> np.ndarray:
         """P_{Q,f} on the chart, one row (W,) per cube of `rows`."""
         coeffs = self.coefficients[rows]
-        out = np.zeros((len(coeffs), len(grids[0])), dtype=complex)
-        for coeff, expo in zip(coeffs.T, self.exponents):
-            out += coeff[:, None] * _mono(grids, expo)
+        out = np.zeros((len(coeffs), len(self.monos[0])), dtype=complex)
+        for coeff, mono in zip(coeffs.T, self.monos):
+            out += coeff[:, None] * mono
         return out
 
 
-def _mono(grids, expo) -> np.ndarray:
-    out = np.ones_like(grids[0])
-    for g, d in zip(grids, expo):
-        if d:
-            out = out * g**d
-    return out
+def _monomials(grids, m0: int) -> list:
+    """u^a on one chart (W,), for each exponent of total degree <= m0."""
+    return [np.prod([g**d for g, d in zip(grids, expo)], axis=0)
+            for expo in _monomial_exponents(len(grids), m0)]
 
 
-def _moment_rhs(weight: np.ndarray, grids, fvals: np.ndarray,
-                m0: int) -> np.ndarray:
+def _moment_rhs(weight: np.ndarray, monos: list, fvals: np.ndarray) -> np.ndarray:
     """<u^a, phi f> on one chart for each row of fvals (B, W): (d, B)."""
-    monos = [_mono(grids, e) for e in _monomial_exponents(len(grids), m0)]
     return np.stack([np.sum(weight * ma * fvals, axis=-1) for ma in monos])
 
 
-def solve_moment_system(weight: np.ndarray, grids, rhs: np.ndarray,
-                        m0: int, cubes: Sequence[DyadicCube]) -> MomentSystem:
+def solve_moment_system(weight: np.ndarray, monos: list, rhs: np.ndarray,
+                        cubes: Sequence[DyadicCube]) -> MomentSystem:
     """Least squares on the Gram system <u^a, phi u^b> c = <u^a, phi f> of
-    one chart, shared by the cubes `cubes` of every sample: weight and
-    grids are (W,) on the chart, rhs (d, B) is `_moment_rhs` of each
-    (sample, cube) pair.  One Gram matrix, one condition number and one
-    lstsq with a right-hand side per pair; raises for the first cube if
-    the system is ill-conditioned."""
-    expos = _monomial_exponents(len(grids), m0)
-    monos = [_mono(grids, e) for e in expos]
+    one chart geometry, shared by the cubes `cubes` of every sample and
+    grid: weight and the monomials are (W,) on the chart, rhs (d, B) is
+    `_moment_rhs` of each (sample, cube) pair.  One Gram matrix, one
+    condition number and one lstsq with a right-hand side per pair; raises
+    for the first cube if the system is ill-conditioned."""
     G = np.array([[np.sum(weight * ma * mb) for mb in monos] for ma in monos])
     cond = float(np.linalg.cond(G))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
@@ -423,7 +422,7 @@ def solve_moment_system(weight: np.ndarray, grids, rhs: np.ndarray,
     # lstsq, not np.linalg.solve: solve is another algorithm.  Each column
     # of a multi-RHS lstsq has the bits of its own single solve.
     coeffs = np.linalg.lstsq(G, rhs, rcond=None)[0].T
-    return MomentSystem(m0, expos, coeffs, cond)
+    return MomentSystem(monos, coeffs, cond)
 
 
 @dataclass
@@ -451,8 +450,7 @@ def oscillation_norm(f: GridFunction, sp: SpaceParams, cutoff: CutoffFamily,
                                    cube_levels=cube_levels, refine=refine).value
 
 
-def oscillation_norm_report(f: GridFunction | Sequence[GridFunction],
-                            sp: SpaceParams, cutoff: CutoffFamily, m0: int,
+def oscillation_norm_report(f, sp: SpaceParams, cutoff: CutoffFamily, m0: int,
                             basis, cube_levels: Sequence[int] | None = None,
                             refine: bool = False):
     """Definition-side norm: sup over cubes of the weighted TL norm of
@@ -460,34 +458,37 @@ def oscillation_norm_report(f: GridFunction | Sequence[GridFunction],
     whose bound reaches the sup are analyzed (see the module docstring).
 
     f is one grid function (the result is one report) or a sequence of
-    them on one grid (a list of reports, in order).  The samples of a
-    sequence share every chart and moment system and fill the analysis
-    stacks together; each report is bit for bit the one a call with its
-    sample alone gives.  `refine` applies per sample."""
-    single = isinstance(f, GridFunction)
-    fs = [f] if single else list(f)
+    them on one grid (a list of reports, in order); with `basis` a sequence
+    of bases, f holds one such sequence per basis and the result is one
+    list per basis.  The samples of a call share every chart geometry and
+    moment system and, on one grid, the analysis stacks; each report is bit
+    for bit the one a call with its sample alone gives.  `cube_levels` and
+    `refine` apply to every grid and sample."""
     if m0 < 0:
         raise ParameterError(f"moment order m0 must be at least 0, got {m0}")
-    if not fs:
-        return []
-    spec = fs[0].spec
-    if any(g.spec != spec for g in fs):
-        raise GridMismatchError("the samples of one call must share a grid")
-    data = np.stack([g.data.reshape(-1) for g in fs])
-    if not np.all(np.isfinite(data)):
-        raise ParameterError("f has non-finite samples")
-    if cube_levels is None:
-        cube_levels = range(spec.j_min, spec.J)
-    rows = _CubeRows(data, spec, sp, cutoff, m0, basis, cube_levels)
-    rows.prune()
-    reports = []
-    for s, g in enumerate(fs):
-        best, best_cube = rows.best(s)
-        refined = None
-        if refine and best_cube is not None:
-            refined = _refine_cube(g, sp, cutoff, m0, basis, best_cube, best)
-        reports.append(OscillationReport(best, best_cube, refined, rows, s))
-    return reports[0] if single else reports
+    sweep = isinstance(basis, (list, tuple))
+    single = not sweep and isinstance(f, GridFunction)
+    groups = [list(fs) for fs in f] if sweep else [[f] if single else list(f)]
+    bases = list(basis) if sweep else [basis]
+    if len(groups) != len(bases):
+        raise ParameterError(f"{len(groups)} sample sequences for {len(bases)} bases")
+    tables = [_CubeRows(fs, sp, b, cube_levels) if fs else None
+              for fs, b in zip(groups, bases)]
+    _build_charts([t for t in tables if t is not None], cutoff, m0)
+    out = []
+    for fs, rows in zip(groups, tables):
+        reports = []
+        if rows is not None:
+            rows.prune()
+        for s, g in enumerate(fs):
+            best, best_cube = rows.best(s)
+            refined = None
+            if refine and best_cube is not None:
+                refined = _refine_cube(g, sp, cutoff, m0, rows.basis, best_cube,
+                                       best)
+            reports.append(OscillationReport(best, best_cube, refined, rows, s))
+        out.append(reports)
+    return out if sweep else out[0][0] if single else out[0]
 
 
 def _runs(keys: np.ndarray) -> list[tuple[int, int]]:
@@ -499,77 +500,95 @@ def _runs(keys: np.ndarray) -> list[tuple[int, int]]:
 
 @dataclass
 class _ChartSystem:
-    """The (sample, cube) rows of one level whose cubes share a chart, and
-    their moment system.  The rows s * cubes + member run sample-major;
-    per row its sample and the offset (R, 1) of its chart from the first
-    member's flat sample indices `flat` (W,); the bump weight and the
-    coordinates on the chart (W,)."""
+    """The (sample, cube) rows s * count + i of the member cubes i of one
+    level of one grid that share a chart, sample-major; a row's samples sit
+    at the box offsets `flat` (W,) from the flat index `origins[i]` of its
+    cube's box origin.  The bump weight (W,) and the moment system are
+    those of the chart's geometry, set when it is solved."""
 
     rows: np.ndarray
-    sample: np.ndarray
+    count: int
     flat: np.ndarray
-    shift: np.ndarray
-    weight: np.ndarray
-    grids: list
-    system: MomentSystem
+    origins: np.ndarray
+    weight: np.ndarray | None = None
+    system: MomentSystem | None = None
 
-    def residuals(self, data: np.ndarray, rows):
-        """Flat sample indices and phi_Q (f - P_{Q,f}) of the rows `rows` (a
-        slice or an index array) of this chart, each (len(rows), W); data
-        holds one flat sample per row."""
-        idx = self.flat + self.shift[rows]
-        poly = self.system.evaluate(self.grids, rows)
-        return idx, self.weight * (data[self.sample[rows, None], idx] - poly)
+    def samples(self, data: np.ndarray, rows):
+        """Flat sample indices and samples of the rows `rows` (a slice or an
+        index array) of this chart, each (len(rows), W); data holds one
+        flat sample per row."""
+        sample, cube = np.divmod(self.rows[rows], self.count)
+        idx = self.flat + self.origins[cube, None]
+        return idx, data[sample[:, None], idx]
 
-    def energies(self, data: np.ndarray) -> np.ndarray:
-        """sum |phi_Q (f - P_{Q,f})|^2 over the chart per row, from residuals
-        made in blocks of at most CHUNK_BYTES: +inf where the residual is
-        not all zero but so small that its squares may have underflowed."""
-        block = chunk_rows(len(self.flat))
-        out = np.empty(len(self.rows))
-        for a in range(0, len(self.rows), block):
-            _, r = self.residuals(data, slice(a, a + block))
-            energy = np.sum(r.real ** 2 + r.imag ** 2, axis=-1)
-            low = energy < _TRUSTED_ENERGY
-            energy[low] = np.where(np.any(r[low] != 0, axis=-1), np.inf, 0.0)
-            out[a:a + block] = energy
-        return out
+    def residuals(self, vals: np.ndarray, rows) -> np.ndarray:
+        """phi_Q (f - P_{Q,f}) of the rows `rows`, from their samples vals."""
+        return self.weight * (vals - self.system.evaluate(rows))
 
 
-def _level_charts(data, spec, cutoff, m0, j0, ks) -> list[_ChartSystem]:
-    """One moment system per distinct chart of the level-j0 cubes at
-    positions ks, shared by every sample (row of data), in the order of
-    the chart's first cube, so an ill-conditioned chart raises for the
-    first such cube.  The right-hand sides, one per member cube of every
-    sample in sample-major order, are summed over blocks of at most
-    CHUNK_BYTES of samples.
+def _build_charts(tables: list[_CubeRows], cutoff: CutoffFamily, m0: int) -> None:
+    """The charts of every level of every table (grid), keyed by the offset
+    lo - k 2^{J-j0} and the shape of their sample box, and one solve per
+    distinct geometry (J - j0, key), in the order of its first cube (module
+    docstring)."""
+    geometries: dict[tuple, tuple] = {}     # key -> (spec, first cube, members)
+    for t in tables:
+        spec, S = t.spec, len(t.data)
+        for start, j0, ks in t.levels:
+            count = len(ks)
+            lo, hi = _chart_bounds(spec, j0, ks, cutoff)
+            keys = np.concatenate([lo - ks * (1 << (spec.J - j0)), hi - lo], axis=1)
+            origins = np.ravel_multi_index(tuple(lo.T), spec.shape)
+            _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                          return_inverse=True)
+            for c in np.argsort(first):
+                members = np.flatnonzero(inverse.reshape(-1) == c)
+                m = members[0]
+                rows = (np.arange(S)[:, None] * count + members).reshape(-1)
+                flat = np.ravel_multi_index(np.indices(hi[m] - lo[m]), spec.shape)
+                chart = _ChartSystem(rows, count, flat.reshape(-1), origins)
+                t.chart_of[start + rows] = len(t.charts)
+                t.chart_row[start + rows] = np.arange(len(rows))
+                t.charts.append(chart)
+                geometries.setdefault(
+                    (spec.J - j0, *keys[m].tolist()),
+                    (spec, DyadicCube(j0, tuple(ks[m].tolist())), []),
+                )[2].append((t, start, chart))
+    for spec, cube, members in geometries.values():
+        _solve_geometry(spec, cube, members, cutoff, m0)
 
-    u = (x - x_Q)/r is a dyadic rational that depends on k only through the
-    offset lo - k 2^{J-j0}, so cubes with equal offsets and chart shapes
-    have bitwise-equal charts; only boundary-clipped cubes differ."""
-    strides = spec.samples_per_axis ** np.arange(spec.n - 1, -1, -1)
-    S, count = len(data), len(ks)
-    lo, hi = _chart_bounds(spec, j0, ks, cutoff)
-    keys = np.concatenate([lo - ks * (1 << (spec.J - j0)), hi - lo], axis=1)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                  return_inverse=True)
-    out = []
-    for c in np.argsort(first):
-        members = np.flatnonzero(inverse.reshape(-1) == c)
-        flat, grids, radius = _cube_chart(spec, j0, ks[members[0]], cutoff)
-        weight = cutoff.evaluate(radius)
-        rows = (np.arange(S)[:, None] * count + members).reshape(-1)
-        sample = rows // count
-        shift = np.tile((lo[members] - lo[members[0]]) @ strides, S)[:, None]
-        block = chunk_rows(len(flat))
-        rhs = np.concatenate(
-            [_moment_rhs(weight, grids, data[sample[a:a + block, None],
-                                             flat + shift[a:a + block]], m0)
-             for a in range(0, len(rows), block)], axis=1)
-        first_cube = DyadicCube(j0, tuple(ks[members[0]].tolist()))
-        system = solve_moment_system(weight, grids, rhs, m0, [first_cube])
-        out.append(_ChartSystem(rows, sample, flat, shift, weight, grids, system))
-    return out
+
+def _solve_geometry(spec: GridSpec, cube: DyadicCube, members: list,
+                    cutoff: CutoffFamily, m0: int) -> None:
+    """Solve one chart geometry, first met at `cube` of grid `spec`, for
+    its member charts, (table, level start, chart) triples: one chart,
+    weight and set of monomials, one gather of every member's samples in
+    blocks of at most CHUNK_BYTES, and from each block the right-hand
+    sides of one lstsq and, after it, its rows' ceilings."""
+    _, grids, radius = _cube_chart(spec, cube.j, cube.k, cutoff)
+    weight = cutoff.evaluate(radius)
+    monos = _monomials(grids, m0)
+    size = chunk_rows(len(weight))
+    blocks = [(t, start, c, slice(a, a + size)) for t, start, c in members
+              for a in range(0, len(c.rows), size)]
+    vals = [c.samples(t.data, rows)[1] for t, _, c, rows in blocks]
+    rhs = np.concatenate([_moment_rhs(weight, monos, v) for v in vals], axis=1)
+    system = solve_moment_system(weight, monos, rhs, [cube])
+    at = 0
+    for _, _, c in members:
+        c.weight = weight
+        c.system = replace(system,
+                           coefficients=system.coefficients[at:at + len(c.rows)])
+        at += len(c.rows)
+    for (t, start, c, rows), v in zip(blocks, vals):
+        if t.factor == np.inf:
+            continue
+        r, idx = c.residuals(v, rows), start + c.rows[rows]
+        energy = np.sum(r.real ** 2 + r.imag ** 2, axis=-1)
+        low = energy < _TRUSTED_ENERGY         # the squares may have underflowed
+        energy[low] = np.where(np.any(r[low] != 0, axis=-1), np.inf, 0.0)
+        t.ceiling[idx] = (t.weight[idx] * t.factor
+                          * np.sqrt(t.spec.cell_volume * energy) * (1.0 + BOUND_SLACK))
 
 
 def _bound_factor(sp: SpaceParams, levels: range, n: int) -> float:
@@ -585,49 +604,42 @@ def _bound_factor(sp: SpaceParams, levels: range, n: int) -> float:
 
 
 class _CubeRows:
-    """The (sample, cube) rows of one oscillation call, level-major, then
-    sample-major, then in cube order.  Per row: its sample (`sample_of`),
-    its chart (`chart_of`), its row in that chart (`chart_row`), its Morrey
-    weight, its ceiling (the bound times 1 + BOUND_SLACK, which its
-    computed value never exceeds) and, once evaluated, its value.  Every
-    level's charts and moment systems are built in level order first, so
-    the first ill-conditioned cube raises as before."""
+    """The (sample, cube) rows of the samples of one grid in an oscillation
+    call, level-major, then sample-major, then in cube order.  Per row: its
+    sample (`sample_of`), its chart (`chart_of`), its row in that chart
+    (`chart_row`), its Morrey weight, its ceiling (the bound times
+    1 + BOUND_SLACK, which its computed value never exceeds; +inf where no
+    bound is used) and, once evaluated, its value.  `_build_charts` fills in
+    the charts and the ceilings."""
 
-    def __init__(self, data, spec, sp, cutoff, m0, basis, cube_levels):
-        self.data, self.spec, self.sp, self.basis = data, spec, sp, basis
-        n, S = spec.n, len(data)
-        factor = _bound_factor(sp, basis.detail_levels, n)
+    def __init__(self, fs, sp, basis, cube_levels):
+        spec = fs[0].spec
+        if any(g.spec != spec for g in fs):
+            raise GridMismatchError("the samples of one sequence must share a grid")
+        self.data = np.stack([g.data.reshape(-1) for g in fs])
+        if not np.all(np.isfinite(self.data)):
+            raise ParameterError("f has non-finite samples")
+        self.spec, self.sp, self.basis = spec, sp, basis
+        n, S = spec.n, len(fs)
+        self.factor = _bound_factor(sp, basis.detail_levels, n)
+        if cube_levels is None:
+            cube_levels = range(spec.j_min, spec.J)
         self.levels: list[tuple[int, int, np.ndarray]] = []   # (start, j0, ks)
         self.charts: list[_ChartSystem] = []
         # one array per level, after an empty one for an empty level list
-        sample_of, chart_of, chart_row = ([np.empty(0, int)] for _ in range(3))
-        weight, ceiling = [np.empty(0)], [np.empty(0)]
+        sample_of, weight = [np.empty(0, int)], [np.empty(0)]
         start = 0
         for j0 in cube_levels:
             ks = flat_positions(j0, n)
-            count = S * len(ks)
-            ids, where = np.empty(count, int), np.empty(count, int)
-            energy = np.full(count, np.inf)      # no bound: every row evaluated
-            for c in _level_charts(data, spec, cutoff, m0, j0, ks):
-                ids[c.rows] = len(self.charts)
-                where[c.rows] = np.arange(len(c.rows))
-                if factor < np.inf:
-                    energy[c.rows] = c.energies(data)
-                self.charts.append(c)
-            w = 2.0 ** (-j0 * (sp.gamma2 - n / sp.p))
             sample_of.append(np.repeat(np.arange(S), len(ks)))
-            chart_of.append(ids)
-            chart_row.append(where)
-            weight.append(np.full(count, w))
-            ceiling.append(w * factor * np.sqrt(spec.cell_volume * energy)
-                           * (1.0 + BOUND_SLACK))
+            weight.append(np.full(S * len(ks), 2.0 ** (-j0 * (sp.gamma2 - n / sp.p))))
             self.levels.append((start, j0, ks))
-            start += count
+            start += S * len(ks)
         self.sample_of = np.concatenate(sample_of)
-        self.chart_of = np.concatenate(chart_of)
-        self.chart_row = np.concatenate(chart_row)
         self.weight = np.concatenate(weight)
-        self.ceiling = np.concatenate(ceiling)
+        self.chart_of = np.empty(start, int)
+        self.chart_row = np.empty(start, int)
+        self.ceiling = np.full(start, np.inf)
         self.values = np.empty(start)
         self.done = np.zeros(start, dtype=bool)
 
@@ -653,9 +665,9 @@ class _CubeRows:
             ids = self.chart_of[chunk]
             for c in dict.fromkeys(ids.tolist()):
                 at = np.flatnonzero(ids == c)
-                idx, residual = self.charts[c].residuals(
-                    self.data, self.chart_row[chunk[at]])
-                stack[at[:, None], idx] = residual
+                chart, rows_c = self.charts[c], self.chart_row[chunk[at]]
+                idx, vals = chart.samples(self.data, rows_c)
+                stack[at[:, None], idx] = chart.residuals(vals, rows_c)
             coeffs = self.basis.analyze_stack(
                 stack.reshape((len(chunk),) + spec.shape))
             self.values[chunk] = self.weight[chunk] * tl_norm(
@@ -706,15 +718,14 @@ def _refine_cube(f, sp, cutoff, m0, basis, cube, moment_value) -> float:
     idx, grids, radius = _cube_chart(spec, cube.j, cube.k, cutoff)
     weight = cutoff.evaluate(radius)
     fvals = f.data.reshape(-1)[idx]
-    expos = _monomial_exponents(spec.n, m0)
-    rhs = _moment_rhs(weight, grids, fvals[None], m0)
-    start = solve_moment_system(weight, grids, rhs, m0,
-                                [cube]).coefficients[0].real
+    monos = _monomials(grids, m0)
+    rhs = _moment_rhs(weight, monos, fvals[None])
+    start = solve_moment_system(weight, monos, rhs, [cube]).coefficients[0].real
 
     def objective(coeffs):
         poly = np.zeros_like(grids[0])
-        for coeff, expo in zip(coeffs, expos):
-            poly += coeff * _mono(grids, expo)
+        for coeff, mono in zip(coeffs, monos):
+            poly += coeff * mono
         g = np.zeros(spec.size, dtype=complex)
         g[idx] = weight * (fvals - poly)
         c = basis.analyze(GridFunction(spec, g))

@@ -386,20 +386,24 @@ def _random_detail_field(basis, sp: SpaceParams, seed: int,
     The finest `top_margin` levels stay empty: content then lives where the
     truncated ladder resolves exactly, so frequency multipliers (heat,
     Riesz) keep the field inside the basis span."""
-    c = CoeffField(basis.spec, basis.family, basis.j_min, basis.j_max)
     n = basis.spec.n
     draws = {} if draws is None else draws
+    blocks = {}
     for j in basis.detail_levels:
-        if j > basis.j_max - top_margin:
-            continue
         sigma = 2.0 ** (-j * (2 * sp.gamma1 + n) / 2.0)
         for ei, eps in enumerate(basis.detail_type_list()):
+            if j > basis.j_max - top_margin:
+                blocks[(eps, j)] = np.zeros((1 << j,) * n, dtype=complex)
+                continue
             normal = draws.get((seed, j, ei))
             if normal is None:
                 rng = np.random.default_rng(
                     np.random.SeedSequence(seed, spawn_key=(j, ei)))
                 normal = draws[(seed, j, ei)] = rng.standard_normal((1 << j,) * n)
-            c.detail[(eps, j)] = sigma * normal + 0j
+            blocks[(eps, j)] = sigma * normal + 0j
+    scaling = np.zeros((1 << basis.j_min,) * n, dtype=complex)
+    c = CoeffField._from_blocks(basis.spec, basis.family, basis.j_min, basis.j_max,
+                                blocks, scaling)
     norm = tlm_wavelet_norm(c, sp)
     if norm > 0:
         c = c.scaled(1.0 / norm)
@@ -528,25 +532,47 @@ def write_matrix_jsonl(mat: AlmostDiagonalMatrix, path: str) -> None:
 
 
 def read_matrix_jsonl(path: str) -> AlmostDiagonalMatrix:
+    """Inverse of write_matrix_jsonl.  ParameterError for a malformed line,
+    a header off n in {1, 2}, 0 <= j_min <= j_max < J, finite N0 and C and a
+    band null or >= 0, a type or level off the band, a position off its
+    level, a non-finite value or an entry given twice."""
     import json
 
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        spec = GridSpec(n=header["n"], J=header["J"], j_min=header["j_min"])
-        band = np.inf if header["band"] is None else header["band"]
-        mat = AlmostDiagonalMatrix(spec, header["j_min"], header["j_max"],
-                                   header["N0"], header["C"], band)
-        grouped: dict[BlockKey, list] = {}
-        for line in fh:
-            rec = json.loads(line)
-            key = (tuple(rec["eps"]), rec["j"], tuple(rec["eps2"]), rec["j2"])
-            L, Lp = 1 << rec["j"], 1 << rec["j2"]
-            row = int(np.ravel_multi_index(rec["k"], (L,) * spec.n))
-            col = int(np.ravel_multi_index(rec["k2"], (Lp,) * spec.n))
-            grouped.setdefault(key, []).append((row, col, rec["re"] + 1j * rec["im"]))
-        for key, items in grouped.items():
-            rows = np.array([i[0] for i in items])
-            cols = np.array([i[1] for i in items])
-            vals = np.array([i[2] for i in items])
-            mat.coo[key] = (rows, cols, vals)
-        return mat
+    try:
+        with open(path) as fh:
+            head = json.loads(fh.readline())
+            n, J, j_min, j_max, band = (head[k] for k in ("n", "J", "j_min",
+                                                          "j_max", "band"))
+            numbers = [head["N0"], head["C"], 0.0 if band is None else band]
+            if head["kind"] != "almost-diagonal" or n not in (1, 2) \
+                    or any(type(v) is not int for v in (n, J, j_min, j_max)) \
+                    or not 0 <= j_min <= j_max < J or numbers[2] < 0 \
+                    or not np.all(np.isfinite(np.array(numbers, dtype=float))):
+                raise ParameterError(f"bad matrix header {head}")
+            mat = AlmostDiagonalMatrix(GridSpec(n=n, J=J, j_min=j_min), j_min,
+                                       j_max, head["N0"], head["C"],
+                                       np.inf if band is None else band)
+            grouped: dict[BlockKey, dict] = {}
+            for line, text in enumerate(fh, start=2):
+                rec = json.loads(text)
+                key = (tuple(rec["eps"]), rec["j"], tuple(rec["eps2"]), rec["j2"])
+                entry = []
+                for eps, j, k in ((*key[:2], rec["k"]), (*key[2:], rec["k2"])):
+                    if eps not in detail_types(n) or not j_min <= j <= j_max:
+                        raise ParameterError(f"line {line}: block {eps}, {j} "
+                                             f"outside the band of n={n}")
+                    # ValueError or TypeError for a position off its level
+                    entry.append(int(np.ravel_multi_index(k, (1 << j,) * n)))
+                value = rec["re"] + 1j * rec["im"]
+                if not np.isfinite(value) or tuple(entry) in grouped.get(key, ()):
+                    raise ParameterError(f"line {line}: non-finite or repeated "
+                                         f"entry {value}")
+                grouped.setdefault(key, {})[tuple(entry)] = value
+    except ParameterError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:   # JSONDecodeError too
+        raise ParameterError(f"malformed matrix file: {exc!r}") from None
+    for key, block in grouped.items():
+        rows, cols = (np.array(v) for v in zip(*block))
+        mat.coo[key] = (rows, cols, np.array(list(block.values())))
+    return mat

@@ -847,7 +847,7 @@ def coeff_field_to_json(c: CoeffField) -> str:
 
 
 def coeff_field_from_json(text: str) -> CoeffField:
-    """Inverse of coeff_field_to_json; each record must index the band."""
+    """Inverse of coeff_field_to_json; each record must index the band, finitely."""
     try:
         doc = json.loads(text)
         spec = GridSpec(n=doc["n"], J=doc["J"], j_min=doc["j_min"])
@@ -856,7 +856,10 @@ def coeff_field_from_json(text: str) -> CoeffField:
         c = CoeffField(spec, doc["family"], doc["j_min"], doc["j_max"])
         for rec in doc["coefficients"]:
             idx = WaveletIndex(tuple(rec["eps"]), rec["j"], tuple(rec["k"]))
-            c.set(idx, rec["re"] + 1j * rec["im"])
+            value = rec["re"] + 1j * rec["im"]
+            if not np.isfinite(value):
+                raise ParameterError(f"non-finite coefficient {value} at {idx}")
+            c.set(idx, value)
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ParameterError(f"malformed coefficient JSON: {exc!r}") from None
     return c

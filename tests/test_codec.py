@@ -180,3 +180,17 @@ def test_json_bad_header(meyer1d, change):
     doc.update(change)
     with pytest.raises(ParameterError):
         coeff_field_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("re, im", [("NaN", "0.0"), ("0.5", "Infinity"),
+                                    ("-Infinity", "1.0"), ("1e400", "0.0")])
+def test_json_nonfinite_coefficient(meyer1d, re, im):
+    text = coeff_field_to_json(meyer1d.analyze(
+        meyer1d.basis_function(wavelet.WaveletIndex((1,), 3, (2,)))))
+    doc = json.loads(text)
+    doc["coefficients"].append({"eps": [1], "j": 4, "k": [5], "re": 0.0, "im": 0.0})
+    # json writes no NaN/Infinity for these placeholders; put the tokens in
+    bad = json.dumps(doc).replace('"re": 0.0, "im": 0.0}]', f'"re": {re}, "im": {im}}}]')
+    assert bad != json.dumps(doc)
+    with pytest.raises(ParameterError, match="non-finite coefficient"):
+        coeff_field_from_json(bad)

@@ -172,3 +172,19 @@ def test_csv_rejects_bad_rows(tmp_path, rng, defect):
     path.write_text("\n".join([header, *rows]) + "\n")
     with pytest.raises(ParameterError):
         read_grid_function_csv(str(path), spec)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("column", [1, 2])
+def test_csv_rejects_a_nonfinite_sample(tmp_path, rng, cell, column):
+    spec = GridSpec(n=1, J=6, j_min=0)
+    path = tmp_path / "f.csv"
+    write_grid_function_csv(GridFunction(spec, rng.standard_normal(spec.shape)),
+                            str(path))
+    header, *rows = path.read_text().splitlines()
+    fields = rows[7].split(",")
+    fields[column] = cell
+    rows[7] = ",".join(fields)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ParameterError, match="line 9: non-finite sample"):
+        read_grid_function_csv(str(path), spec)

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -84,19 +86,19 @@ class TestNormEquivalencePieces:
                                              ("daubechies", 2)])
 def test_norm_equivalence_computes_each_oscillation_norm_once(
         monkeypatch, family, samples):
-    # the negative control reuses the Meyer loop's oscillation norms; it
-    # evaluates only samples the loop did not run (its third, when
-    # samples < 3)
+    # one oscillation call per family sweep evaluates every sample once; the
+    # Meyer sweep also takes the negative control's samples the loop does
+    # not run (its third at both endpoints, when samples < 3), and the
+    # control reads the loop's floats
     from oscillet import harness
+    from oscillet.norms import CutoffFamily
 
     real = harness.oscillation_norm_report
     calls = []
 
-    def counting(*args, **kwargs):
-        # one entry per evaluated sample: a call takes one or a batch
-        f = args[0]
-        calls.extend(g.spec.J for g in ([f] if isinstance(f, GridFunction) else f))
-        return real(*args, **kwargs)
+    def counting(fs_by_grid, *args, **kwargs):
+        calls.append([g.spec.J for fs in fs_by_grid for g in fs])
+        return real(fs_by_grid, *args, **kwargs)
 
     cfg = ExperimentConfig("norm-equivalence", J_sweep=(6, 7, 8),
                            samples=samples, seed=5, family=family)
@@ -104,10 +106,21 @@ def test_norm_equivalence_computes_each_oscillation_norm_once(
     out = harness.run_norm_equivalence(cfg)
     families = 1 if family == "meyer" else 2
     extra = 2 * (3 - samples)            # control samples at both endpoints
-    assert len(calls) == families * len(cfg.J_sweep) * samples + extra
-    fresh = harness._mismatched_smoothness_control(
-        cfg, out["report"]["moment_order"], {})
-    assert out["report"]["negative_control"] == fresh
+    assert len(calls) == families
+    assert sum(map(len, calls)) == families * len(cfg.J_sweep) * samples + extra
+    # the control against its inputs drawn and evaluated on their own
+    m0 = out["report"]["moment_order"]
+    sp_wrong = SpaceParams(cfg.sp.gamma1 + 0.75, cfg.sp.gamma2, cfg.sp.p,
+                           cfg.sp.q)
+    fresh = {}
+    for J, basis in harness._sweep(cfg, endpoints=True):
+        for s in range(3):
+            f = harness._sample(cfg, basis, s)
+            fresh[(J, s)] = (
+                real(f, cfg.sp, CutoffFamily(n=cfg.n), m0, basis).value,
+                tlm_wavelet_norm(basis.analyze(f), sp_wrong))
+    assert out["report"]["negative_control"] == \
+        harness._mismatched_smoothness_control(cfg, sp_wrong.gamma1, fresh)
 
 
 def test_unknown_kind_rejected():
@@ -300,7 +313,8 @@ def test_cli_osc_norm_rejects_a_negative_moment_order(tmp_path, meyer1d):
 
 
 def test_cli_tl_norm_rejects_a_nonfinite_coefficient(tmp_path, meyer1d):
-    # one line on exit, not "value": NaN and exit 0
+    # one line on exit, not "value": NaN and exit 0; the JSON reader
+    # rejects the coefficient before any norm sees it
     from oscillet.wavelet import coeff_field_to_json
     c = meyer1d.analyze(GridFunction(meyer1d.spec, np.ones(meyer1d.spec.shape)))
     c.detail[((1,), 3)][2] = np.nan
@@ -308,8 +322,8 @@ def test_cli_tl_norm_rejects_a_nonfinite_coefficient(tmp_path, meyer1d):
     cpath.write_text(coeff_field_to_json(c))
     report = tmp_path / "norm.json"
     with pytest.raises(SystemExit,
-                       match="^oscillet norm: coefficient field has non-finite "
-                             "detail coefficients$"):
+                       match=r"^oscillet norm: non-finite coefficient \(nan\+0j\) "
+                             r"at WaveletIndex\(eps=\(1,\), j=3, k=\(2,\)\)$"):
         cli_main(["norm", "--kind", "tl", "--gamma1", "0.0", "--gamma2", "0.3",
                   "--p", "2", "--q", "2", "--in", str(cpath),
                   "--report", str(report)])
@@ -603,3 +617,39 @@ def test_decay_bounds_build_one_denominator_set_per_variant_and_J(monkeypatch):
         want = run_experiment(cfg)
     assert len(builds) == 7 + 13
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("defect", ["matrix", "coefficient"])
+def test_cli_bad_input_exits_with_one_line(tmp_path, meyer1d, defect):
+    # a malformed matrix for `czo --apply` and a NaN coefficient for
+    # `transform --inverse`: exit status 1, one line on stderr, no traceback
+    from oscillet.operators import (CzoGeneratorParams, generate_random_czo,
+                                    write_matrix_jsonl)
+    from oscillet.wavelet import coeff_field_to_json
+
+    c = meyer1d.analyze(GridFunction(meyer1d.spec, np.ones(meyer1d.spec.shape)))
+    if defect == "coefficient":
+        c.detail[((1,), 3)][2] = np.nan
+    cpath = tmp_path / "c.json"
+    cpath.write_text(coeff_field_to_json(c))
+    if defect == "matrix":
+        mpath = tmp_path / "m.jsonl"
+        write_matrix_jsonl(generate_random_czo(
+            meyer1d.spec, 0, 5, CzoGeneratorParams(N0=4.0, C=0.5), seed=8),
+            str(mpath))
+        lines = mpath.read_text().splitlines()
+        mpath.write_text("\n".join(lines + [lines[-1]]) + "\n")   # a duplicate
+        argv = ["czo", "--apply", "--matrix", str(mpath), "--in", str(cpath),
+                "--out", str(tmp_path / "out.json")]
+    else:
+        argv = ["transform", "--inverse", "--in", str(cpath),
+                "--out", str(tmp_path / "out.bin")]
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "oscillet.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith(f"oscillet {argv[0]}: ")
+    assert "Traceback" not in done.stderr
+    assert not any(tmp_path.glob("out.*"))

@@ -372,6 +372,110 @@ class TestLevelBatchedOscillation:
         assert err.value.cube == DyadicCube(j=7, k=(0,))
 
 
+def chart_key(spec, cutoff, cube):
+    """The oracle chart's sample box, as its offset from the cube's first
+    sample per axis and its width per axis."""
+    slices, _ = oracle_chart(spec, cutoff, cube)
+    step = 1 << (spec.J - cube.j)
+    return tuple((sl.start - ki * step, sl.stop - sl.start)
+                 for sl, ki in zip(slices, cube.k))
+
+
+class TestSweepOscillation:
+    """One call over the grids of a J sweep against one call per grid."""
+
+    @pytest.mark.parametrize("n, J, j0", [(1, 7, 4), (1, 8, 2), (2, 4, 2),
+                                          (2, 5, 3)])
+    def test_charts_depend_on_J_minus_j0_only(self, n, J, j0):
+        # the chart of a level-j0 cube on the 2^J grid and the chart with
+        # the same key of a level-(j0+1) cube on the 2^(J+1) grid: the same
+        # coordinates, bump weight and Gram matrix, bit for bit
+        cutoff = CutoffFamily(n=n)
+
+        def charts(J, j0):
+            spec = GridSpec(n=n, J=J, j_min=0)
+            out = {}
+            for cube in enumerate_cubes(spec, j0, j0):
+                key = chart_key(spec, cutoff, cube)
+                if key in out:
+                    continue
+                axes = oracle_chart(spec, cutoff, cube)[1]
+                grids = np.meshgrid(*axes, indexing="ij")
+                weight = cutoff.evaluate(np.sqrt(sum(g**2 for g in grids)))
+                monos = [np.prod([g**d for g, d in zip(grids, e)], axis=0)
+                         for e in norms._monomial_exponents(n, 3)]
+                gram = np.array([[np.sum(weight * a * b) for b in monos]
+                                 for a in monos])
+                out[key] = (axes, weight, gram)
+                # the library's chart of the cube is the oracle's
+                _, u, radius = norms._cube_chart(spec, j0, cube.k, cutoff)
+                for got, want in zip(u, grids):
+                    assert_array_equal(got, want.reshape(-1))
+                assert_array_equal(cutoff.evaluate(radius), weight.reshape(-1))
+            return out
+
+        coarse, fine = charts(J, j0), charts(J + 1, j0 + 1)
+        shared = coarse.keys() & fine.keys()
+        # the interior chart and some boundary-clipped ones
+        assert len(shared) > 1
+        for key in shared:
+            for got, want in zip(fine[key][0], coarse[key][0]):
+                assert_array_equal(got, want)
+            assert_array_equal(fine[key][1], coarse[key][1])
+            assert_array_equal(fine[key][2], coarse[key][2])
+
+    @staticmethod
+    def sweep(family, n, Js, counts):
+        bases = [build_basis(family, GridSpec(n=n, J=J, j_min=0)) for J in Js]
+        rng = np.random.default_rng(10 * n + len(family))
+        return bases, [[GridFunction(b.spec, rng.standard_normal(b.spec.shape))
+                        for _ in range(count)] for b, count in zip(bases, counts)]
+
+    @pytest.mark.parametrize("family, n, Js", [
+        ("meyer", 1, (6, 7, 8)), ("daubechies", 1, (6, 7, 8)),
+        ("meyer", 2, (3, 4, 5)), ("daubechies", 2, (3, 4, 5))])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_sweep_matches_one_call_per_grid(self, family, n, Js, p):
+        # p = 3 has no bound: every row is evaluated
+        bases, fss = self.sweep(family, n, Js, (2, 3, 1))
+        sp = SpaceParams(0.0, 0.3, p, 2.0)
+        cutoff = CutoffFamily(n=n)
+        got = oscillation_norm_report(fss, sp, cutoff, 1, bases)
+        assert [len(reps) for reps in got] == [2, 3, 1]
+        for basis, fs, reps in zip(bases, fss, got):
+            for rep, want in zip(reps, oscillation_norm_report(fs, sp, cutoff,
+                                                               1, basis)):
+                TestSampleBatch.assert_same(rep, want)
+
+    def test_sweep_shapes(self, meyer1d):
+        sp = SpaceParams(0.0, 0.3, 2.0, 2.0)
+        cutoff = CutoffFamily(n=1)
+        bases, fss = self.sweep("meyer", 1, (5, 6), (1, 2))
+        assert oscillation_norm_report([], sp, cutoff, 1, []) == []
+        reps = oscillation_norm_report([[], fss[1]], sp, cutoff, 1, bases)
+        assert reps[0] == [] and len(reps[1]) == 2
+        with pytest.raises(ParameterError):
+            oscillation_norm_report(fss, sp, cutoff, 1, bases[:1])
+        with pytest.raises(GridMismatchError):
+            oscillation_norm_report([fss[0] + fss[1]], sp, cutoff, 1, bases[:1])
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0), (1, 2, 0)])
+    def test_first_ill_conditioned_cube_follows_grid_order(self, order):
+        # with this cut-off only the charts with J - j0 = 1 are singular,
+        # and on each grid the last cube of its finest level comes first
+        sp = SpaceParams(0.0, 0.3, 2.0, 2.0)
+        bad = CutoffFamily(n=1, plateau_radius=0.3, support_radius=0.6)
+        bases, fss = self.sweep("meyer", 1, (7, 8, 9), (1, 2, 1))
+        bases, fss = [bases[i] for i in order], [fss[i] for i in order]
+        with pytest.raises(MomentConditioningError) as own:
+            oscillation_norm_report(fss[0], sp, bad, 2, bases[0])
+        with pytest.raises(MomentConditioningError) as err:
+            oscillation_norm_report(fss, sp, bad, 2, bases)
+        J = bases[0].spec.J
+        assert own.value.cube == DyadicCube(J - 1, ((1 << (J - 1)) - 1,))
+        assert err.value.cube == own.value.cube
+
+
 class TestSampleBatch:
     """A batch of samples against one call per sample, bit for bit."""
 

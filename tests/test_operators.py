@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -508,3 +510,62 @@ def test_chunks_of_rows_are_the_unchunked_apply(monkeypatch, n, J):
         np.testing.assert_array_equal(chunked.detail[key], whole.detail[key])
         np.testing.assert_array_equal(chunked.detail[key], want.detail[key])
     np.testing.assert_array_equal(chunked.scaling, whole.scaling)
+
+
+def _matrix_lines(tmp_path, spec1d):
+    mat = generate_random_czo(spec1d, 0, 5, CzoGeneratorParams(N0=4.0, C=0.5),
+                              seed=8)
+    path = tmp_path / "m.jsonl"
+    write_matrix_jsonl(mat, str(path))
+    head, *recs = (json.loads(line) for line in path.read_text().splitlines())
+    return path, head, recs
+
+
+MATRIX_DEFECTS = {
+    "kind": lambda h, r: h.update(kind="dense"),
+    "n=3": lambda h, r: h.update(n=3),
+    "n missing": lambda h, r: h.pop("n"),
+    "n float": lambda h, r: h.update(n=1.0),
+    "j_max >= J": lambda h, r: h.update(j_max=h["J"]),
+    "N0 nan": lambda h, r: h.update(N0=float("nan")),
+    "band < 0": lambda h, r: h.update(band=-1.0),
+    "scaling type": lambda h, r: r[3].update(eps=[0]),
+    "type length": lambda h, r: r[3].update(eps2=[1, 1]),
+    "j above band": lambda h, r: r[3].update(j=6),
+    "j2 below band": lambda h, r: r[3].update(j2=-1),
+    "j not int": lambda h, r: r[3].update(j=2.0),
+    "k outside level": lambda h, r: r[3].update(k=[1 << r[3]["j"]]),
+    "k2 negative": lambda h, r: r[3].update(k2=[-1]),
+    "k length": lambda h, r: r[3].update(k=[0, 0]),
+    "k float": lambda h, r: r[3].update(k=[0.5]),
+    "re nan": lambda h, r: r[3].update(re=float("nan")),
+    "im inf": lambda h, r: r[3].update(im=float("inf")),
+    "duplicate": lambda h, r: r.append(dict(r[3], re=0.25)),
+    "missing key": lambda h, r: r[3].pop("im"),
+    "not a record": lambda h, r: r.append([1, 2]),
+}
+
+
+@pytest.mark.parametrize("defect", list(MATRIX_DEFECTS) + ["bad json", "empty"])
+def test_matrix_jsonl_rejects_bad_files(tmp_path, spec1d, defect):
+    path, head, recs = _matrix_lines(tmp_path, spec1d)
+    if defect in MATRIX_DEFECTS:
+        MATRIX_DEFECTS[defect](head, recs)
+    lines = [json.dumps(x) for x in [head, *recs]]
+    if defect == "bad json":
+        lines[4] = lines[4][:-1]
+    path.write_text("" if defect == "empty" else "\n".join(lines) + "\n")
+    with pytest.raises(ParameterError):
+        read_matrix_jsonl(str(path))
+
+
+def test_matrix_jsonl_keeps_the_file_order(tmp_path, spec1d):
+    # the entries of a block in file order, bit for bit
+    path, head, recs = _matrix_lines(tmp_path, spec1d)
+    mat = read_matrix_jsonl(str(path))
+    for key, (rows, cols, vals) in mat.coo.items():
+        want = [r for r in recs if (tuple(r["eps"]), r["j"], tuple(r["eps2"]),
+                                    r["j2"]) == key]
+        assert rows.tolist() == [r["k"][0] for r in want]
+        assert cols.tolist() == [r["k2"][0] for r in want]
+        assert vals.tolist() == [complex(r["re"], r["im"]) for r in want]

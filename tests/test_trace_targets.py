@@ -2,9 +2,14 @@
 must fail here, not only in a benchmark run."""
 
 import importlib.util
+import itertools
 import os
 
+import numpy as np
+
+from oscillet.grid import GridSpec, enumerate_cubes
 from oscillet.harness import ExperimentConfig, run_experiment
+from oscillet.norms import CutoffFamily
 
 TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "perfbench", "tracer.py")
@@ -26,26 +31,51 @@ def test_harness_inputs_go_through_generate_test_function():
     cfg = ExperimentConfig("norm-equivalence", J_sweep=(5, 6), samples=1)
     with tracer.installed(tracer.Tracer()) as t:
         run_experiment(cfg)
-    # one input per (J, sample) of the loop, plus the control's samples 1
-    # and 2 at both endpoints
-    assert t.stats["harness.generate_input"][0] == 2 * 1 + 2 * 3
-    assert t.stats["norms.oscillation"][0] == 2 * 1 + 2 * 2
+    # the control's three samples at both endpoints, sample 0 among them,
+    # drawn once by the sweep; one oscillation call takes them all
+    assert t.stats["harness.generate_input"][0] == 2 * 3
+    assert t.stats["norms.oscillation"][0] == 1
+
+
+def _distinct_charts(cfg) -> int:
+    """The distinct chart coordinates u = (x - x_Q)/r of every cube of a
+    sweep, from the definition."""
+    cutoff = CutoffFamily(n=cfg.n)
+    charts = set()
+    for J in cfg.J_sweep:
+        spec = GridSpec(n=cfg.n, J=J, j_min=cfg.j_min)
+        N = spec.samples_per_axis
+        for cube in enumerate_cubes(spec, spec.j_min, J - 1):
+            R = cutoff.support_radius * cube.side
+            axes = []
+            for c in cube.center:
+                lo = max(0, int(np.floor((c - R) * N)))
+                hi = min(N, int(np.ceil((c + R) * N)) + 1)
+                axes.append(((np.arange(lo, hi) / N - c) / cube.side).tobytes())
+            charts.add(tuple(axes))
+    return len(charts)
 
 
 def test_norm_equivalence_solves_each_moment_system_once_per_sweep_point():
-    # one oscillation call per (family, J) takes every sample, so the moment
-    # systems do not grow with the sample count; from three samples on, the
-    # negative control has every sample it needs and evaluates none itself
+    # one oscillation call per family sweep takes every sample of every J,
+    # so the moment systems grow with neither the sample count nor the
+    # sweep: one solve per distinct chart of the sweep; from three samples
+    # on, every input is drawn once per (J, sample)
     tracer = _tracer()
-    counts = {}
-    for samples in (3, 5):
-        cfg = ExperimentConfig("norm-equivalence", J_sweep=(5, 6),
-                               samples=samples)
+    shapes = ((1, (5, 6, 7)), (2, (3, 4)))
+    for (n, J_sweep), family, samples in itertools.product(
+            shapes, ("meyer", "daubechies"), (3, 5)):
+        cfg = ExperimentConfig("norm-equivalence", n=n, J_sweep=J_sweep,
+                               samples=samples, family=family)
         with tracer.installed(tracer.Tracer()) as t:
             run_experiment(cfg)
-        assert t.stats["norms.oscillation"][0] == 2
-        counts[samples] = t.stats["norms.moment_solve"][0]
-    assert counts[3] == counts[5] > 0
+        families = 1 if family == "meyer" else 2
+        charts = _distinct_charts(cfg)
+        assert charts < sum((1 << (n * J)) - 1 for J in J_sweep)
+        assert t.stats["norms.oscillation"][0] == families
+        assert t.stats["norms.moment_solve"][0] == families * charts
+        assert t.stats["harness.generate_input"][0] == \
+            families * len(J_sweep) * samples
 
 
 def test_heat_experiments_build_each_sweep_invariant_once(monkeypatch):
