@@ -12,7 +12,8 @@ Fortran routines statement for statement:
 - the abscissae are formed as `centr - absc` and `centr + absc` with
   `absc = hlgth * xgk[j]`;
 - the integrand is called with one Python float at a time (an array call
-  can take a SIMD path with other bits);
+  can take a SIMD path with other bits), or, when it has a `many` form
+  that returns those same bits, once per rule with all 21 abscissae;
 - `(200 * abserr / resasc) ** 1.5` is the C library's `pow`, as in Fortran;
 - the lists keep Fortran's 1-based indices (slot 0 is unused), so the
   bookkeeping reads like the original.
@@ -70,34 +71,39 @@ WG = (None,
 def dqk21(f: Callable[[float], float], a: float, b: float):
     """21-point Gauss-Kronrod rule on [a, b]: (result, abserr, resabs,
     resasc), with resabs the rule applied to |f| and resasc to
-    |f - mean|."""
+    |f - mean|.  An integrand with a `many` attribute gets the 21 abscissae
+    in one call, f.many(xs) -> 21 values, each the bits of f(x)."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     dhlgth = abs(hlgth)
+    # the abscissae in QUADPACK's order: the centre, then (centr - absc,
+    # centr + absc) for the Gauss points xgk[2], ..., xgk[10], then for the
+    # Kronrod points xgk[1], ..., xgk[9]
+    order = [*range(2, 11, 2), *range(1, 10, 2)]
+    xs = [centr]
+    for jtw in order:
+        absc = hlgth * XGK[jtw]
+        xs += [centr - absc, centr + absc]
+    many = getattr(f, "many", None)
+    fx = [float(v) for v in many(xs)] if many else [float(f(x)) for x in xs]
+    fc = fx[0]
     fv1 = [0.0] * 11
     fv2 = [0.0] * 11
+    for at, jtw in enumerate(order):
+        fv1[jtw], fv2[jtw] = fx[1 + 2 * at], fx[2 + 2 * at]
     resg = 0.0
-    fc = float(f(centr))
     resk = WGK[11] * fc
     resabs = abs(resk)
     for j in range(1, 6):
         jtw = 2 * j
-        absc = hlgth * XGK[jtw]
-        fval1 = float(f(centr - absc))
-        fval2 = float(f(centr + absc))
-        fv1[jtw] = fval1
-        fv2[jtw] = fval2
+        fval1, fval2 = fv1[jtw], fv2[jtw]
         fval = fval1 + fval2
         resg = resg + WG[j] * fval
         resk = resk + WGK[jtw] * fval
         resabs = resabs + WGK[jtw] * (abs(fval1) + abs(fval2))
     for j in range(1, 6):
         jtwm1 = 2 * j - 1
-        absc = hlgth * XGK[jtwm1]
-        fval1 = float(f(centr - absc))
-        fval2 = float(f(centr + absc))
-        fv1[jtwm1] = fval1
-        fv2[jtwm1] = fval2
+        fval1, fval2 = fv1[jtwm1], fv2[jtwm1]
         fval = fval1 + fval2
         resk = resk + WGK[jtwm1] * fval
         resabs = resabs + WGK[jtwm1] * (abs(fval1) + abs(fval2))

@@ -70,6 +70,39 @@ first access, through the same evaluator.
 Cube sups are exact over the finite dyadic family; when gamma2 = n/p and the
 coarsest cube is the whole torus, the Morrey sup is attained there and the
 evaluator returns bit-for-bit the plain Triebel-Lizorkin norm.
+
+The Morrey cube sups of the TLM norm and the tent parts are pruned the same
+way, with a bound from per-level cube sums (`_morrey_bounds`).  Their
+integrand is G = (sum_{j in S} w_j F_j)^root over an admitted level set S,
+F_j >= 0 constant on the level-j cells (root None: G = max_{j in S} w_j F_j).
+With r = p root (r = p for root None) the cube sum of the kernel is
+cell sum_{x in Q} G^p = int_Q G^p, and
+
+  - for r <= 1, (sum a_j)^r <= sum a_j^r (a concave power vanishing at 0 is
+    subadditive), so int_Q G^p <= sum_{j in S} w_j^r int_Q F_j^r; the same
+    sum bounds max_j (w_j F_j)^p for root None;
+  - for r > 1, Minkowski in L^r(Q) gives
+    int_Q G^p <= (sum_{j in S} (w_j^r int_Q F_j^r)^{1/r})^r.
+
+For j at or above the cube level j0, int_Q F_j^r = 2^{-nj} sum_{k in Q}
+F_j[k]^r is a pairwise-sum pyramid of the level's own cells, with no
+upsampling; a level j < j0 is constant on Q and contributes at most
+2^{-n j0} max_k F_j[k]^r.  The max over cubes of the bound's cube sum bounds
+the max of the exact one, and w_{j0} times its 1/p power bounds the Morrey
+value.  Every admitted level's cube sum gets 2^-800 added before its
+weight (the sum form adds it for every level the row weighs), and the sum
+over S once more after, so powers and products that underflowed cannot push
+the bound below the value; the result is multiplied by 1 + BOUND_SLACK, far
+above the rounding of the reordered sums for any value above 2^-800.
+
+`_PrunedCubeMax` then runs the two exact passes over a (row, cube level)
+table: pass 1 evaluates the pair of largest bound through `_morrey_cube_max`
+(value L), pass 2 every other pair of nonzero bound that is not below L
+(every one when L <= 2^-800).  A skipped pair's value is below L, so the
+scan over the evaluated pairs, in (row, cube level) order with a strict >,
+finds the value and first attaining cube of the complete table.  A per-row
+factor (the tent's t^m) multiplies bound and value alike before they are
+compared.
 """
 
 from __future__ import annotations
@@ -77,7 +110,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -138,7 +171,7 @@ def _upsample(arr: np.ndarray, J: int, n: int | None = None) -> np.ndarray:
         return arr
     out = arr
     for axis in range(arr.ndim - n, arr.ndim):
-        out = np.repeat(out, factor, axis=axis)
+        out = out.repeat(factor, axis=axis)
     return out
 
 
@@ -152,14 +185,20 @@ def _block_reduce_sum(arr: np.ndarray, j0: int, J: int,
     L, w = 1 << j0, 1 << (J - j0)
     reshaped = arr.reshape(lead + sum(((L, w),) * n, ()))
     b = len(lead)
-    return reshaped.sum(axis=tuple(range(b + 1, b + 2 * n, 2)))
+    return np.add.reduce(reshaped, axis=tuple(range(b + 1, b + 2 * n, 2)))
 
 
 def _level_power_sum(c: CoeffField, j: int, q: float, rows=Ellipsis) -> np.ndarray:
     """sum_eps |a^eps_{j,k}|^q at level resolution (the pointwise sup over
     eps of |a| when q = inf), for the rows `rows` of c's leading axes."""
-    stack = [np.abs(c.detail[(eps, j)][rows]) for eps in detail_types(c.spec.n)]
-    return np.maximum.reduce(stack) if q == np.inf else sum(a ** q for a in stack)
+    return _power_sum([c.detail[(eps, j)][rows] for eps in detail_types(c.spec.n)], q)
+
+
+def _power_sum(blocks, q: float) -> np.ndarray:
+    """sum over the blocks of |a|^q, added in order (sum()'s leading 0 adds
+    nothing), or the pointwise sup of |a| when q = inf."""
+    stack = [np.abs(a) for a in blocks]
+    return np.maximum.reduce(stack) if q == np.inf else reduce(np.add, [a ** q for a in stack])
 
 
 def _level_aggregates(c: CoeffField, gamma1: float, q: float):
@@ -196,6 +235,169 @@ def _morrey_cube_max(integrand: np.ndarray, j0s: Sequence[int], sp: SpaceParams,
     return out
 
 
+def _morrey_bounds(fields: dict[int, np.ndarray], parts, j0s: Sequence[int],
+                   root: float | None, sp: SpaceParams,
+                   spec: GridSpec) -> list[np.ndarray]:
+    """Upper bounds of the Morrey values `_morrey_cube_max` gives for the
+    integrands (sum_{j in S} w_j F_j)^root (root None: max_{j in S} w_j F_j),
+    per row of the fields' leading axis and cube level j0 of j0s (module
+    docstring).  `fields` maps each level j to F_j >= 0 at its own
+    resolution, (rows,) + (2^j,)^n.  Each part (w, skip) has weights w
+    (rows, levels), 0 leaving a level out of a row, and admits the levels
+    j >= j0 + skip, skip 0 or 1 (every level for skip None).  One
+    (rows, len(j0s)) array per part; 0 where a part admits no level, +inf
+    where the bound overflowed."""
+    with np.errstate(all="ignore"):
+        out = _bound_table(fields, parts, j0s, root, sp, spec)
+    out[np.isnan(out)] = np.inf
+    return list(out)
+
+
+def _bound_table(fields, parts, j0s, root, sp, spec) -> np.ndarray:
+    """`_morrey_bounds` as one (parts, rows, len(j0s)) array."""
+    n, levels = spec.n, sorted(fields)
+    rows, nl, P, K = len(fields[levels[0]]), len(levels), len(parts), len(j0s)
+    r = sp.p if root is None else sp.p * root
+    mink = root is not None and r > 1
+    W = np.array([w for w, _ in parts], dtype=float)
+    W = W if r == 1 else W ** r
+    Fr = [fields[j] if r == 1 else fields[j] ** r for j in levels]
+    grid = tuple(range(-n, 0))
+    # the level-j terms at their own resolution: 2^{-nj} F_j^r, weighted per
+    # part in the sum form, and summed along the way down to each cube
+    # level (the Minkowski form keeps one term per level)
+    coef = (W * [2.0 ** (-n * j) for j in levels]).reshape((P, rows, nl) + (1,) * n)
+    col = {j0: c for c, j0 in enumerate(j0s)}
+    own = {j: b for b, j in enumerate(levels)}
+    halves = [((Ellipsis, slice(h, None, 2)) + (slice(None),) * (-1 - axis))
+              for axis in grid for h in (0, 1)]
+    # the sum form keeps one running sum per part and leaves out the levels
+    # no row of a part weighs; the Minkowski form one stack of the levels
+    live = np.logical_or.reduce(W, axis=1).tolist()
+    accs, count = [None] * (1 if mink else P), 0
+    # per part the max over the cubes of each j0 of its high levels' terms:
+    # the levels > j0 (taken before level j0's terms join) for skip 1, the
+    # levels >= j0 (after) otherwise
+    highs = np.zeros((P, rows, K))
+    before = [p for p, (_, skip) in enumerate(parts) if skip == 1]
+    after = [p for p, (_, skip) in enumerate(parts) if skip != 1]
+
+    def high(p, c):
+        acc = accs[0 if mink else p]
+        if acc is None:
+            return
+        if mink:
+            w = W[p, :, nl - count:].reshape((rows, count) + (1,) * n)
+            acc = (((acc + _TRUSTED_ENERGY) * w) ** (1.0 / r)).sum(axis=1)
+        highs[p, :, c] = np.maximum.reduce(acc, axis=grid)
+
+    for i in range(max(levels[-1], max(j0s)), min(j0s) - 1, -1):
+        for a, acc in enumerate(accs):    # pairwise sums along every grid axis
+            if acc is not None:
+                for h in range(0, 2 * n, 2):
+                    acc = acc[halves[h]] + acc[halves[h + 1]]
+                accs[a] = acc
+        c = col.get(i)
+        for p in (before if c is not None else ()):
+            high(p, c)
+        b = own.get(i)
+        if b is not None and mink:
+            term = (2.0 ** (-n * i) * Fr[b])[:, None]
+            accs[0] = term if accs[0] is None else np.concatenate([term, accs[0]], axis=1)
+            count += 1
+        elif b is not None:
+            for p in range(P):
+                if live[p][b]:
+                    term = coef[p, :, b] * Fr[b]
+                    accs[p] = term if accs[p] is None else accs[p] + term
+        for p in (after if c is not None else ()):
+            high(p, c)
+    if not mink:
+        # 2^-800 for each per-level cube sum, before its weight
+        highs += _TRUSTED_ENERGY * np.add.reduce(W, axis=-1)[:, :, None]
+    for p, (_, skip) in enumerate(parts):
+        if skip is None:
+            # every level for every j0: a level j < j0 is constant on the
+            # cube and contributes 2^{-n j0} max_k F_j^r
+            lv, cube = np.array(levels), np.array(j0s)
+            low = lv[:, None] < cube[None, :]
+            peak = np.array([F.reshape(rows, -1).max(axis=1) for F in Fr]).T
+            t = W[p][:, :, None] * (2.0 ** (-n * cube) * peak[:, :, None]
+                                    + _TRUSTED_ENERGY)
+            highs[p] += ((t ** (1.0 / r) if mink else t) * low).sum(axis=1)
+    b = (highs ** r if mink else highs) + _TRUSTED_ENERGY
+    weight = [2.0 ** (-j0 * (sp.gamma2 - n / sp.p)) * (1.0 + BOUND_SLACK) for j0 in j0s]
+    out = b ** (1.0 / sp.p) * weight
+    # a part admits no level at the cube levels past its last level
+    for p, (_, skip) in enumerate(parts):
+        dead = [c for c, j0 in enumerate(j0s) if skip is not None and j0 + skip > levels[-1]]
+        if dead:
+            out[p][:, dead] = 0.0
+    return out
+
+
+class _PrunedCubeMax:
+    """Exact `_morrey_cube_max` values of a (row, cube level) table of
+    integrands, evaluated only where the bounds (rows, len(j0s)) let them
+    matter (module docstring).  `integrands(row, ks)` yields (integrand of
+    leading axis 1, cube-level indices it serves) for the indices ks of one
+    row (a pair they skip is 0); `scale` (rows,) multiplies values and
+    bounds before they are compared.  `got` maps each evaluated (row,
+    index) to (value, flat position of the first cube attaining it)."""
+
+    def __init__(self, bounds, integrands, j0s, sp, spec, scale=None):
+        self.integrands, self.j0s, self.sp, self.spec = integrands, j0s, sp, spec
+        self.scale = scale
+        self.got: dict[tuple[int, int], tuple[float, int]] = {}
+        flat = bounds.reshape(-1)
+        if not flat.size:
+            return
+        first = int(flat.argmax())          # no bound is NaN
+        if flat[first] == 0:
+            return                      # nothing admitted anywhere
+        limit = self.evaluate([first])
+        rest = np.flatnonzero(flat >= limit if limit > _TRUSTED_ENERGY else flat != 0)
+        others = [i for i in rest.tolist() if i != first]
+        if others:
+            self.evaluate(others)
+
+    def evaluate(self, idx: list[int]) -> float:
+        """Evaluate the flat pairs idx (ascending); the compared value of
+        the last."""
+        K = len(self.j0s)
+        by_row: dict[int, list[int]] = {}
+        for i in idx:
+            by_row.setdefault(i // K, []).append(i % K)
+            # a pair the integrands do not serve admits no level: value 0
+            self.got[divmod(i, K)] = (0.0, 0)
+        for row, ks in by_row.items():
+            for integrand, group in self.integrands(row, ks):
+                cube_max = _morrey_cube_max(integrand, [self.j0s[k] for k in group],
+                                            self.sp, self.spec)
+                for k, (vals, flat) in zip(group, cube_max):
+                    self.got[row, k] = (vals[0], int(flat[0]))
+        if not idx:
+            return 0.0
+        row, k = divmod(idx[-1], K)
+        value = self.got[row, k][0]
+        return value if self.scale is None else value * self.scale[row]
+
+    def rows(self) -> list[int]:
+        """The rows with an evaluated pair, in order."""
+        return sorted({row for row, _ in self.got})
+
+    def best(self, row: int) -> tuple[float, int, int]:
+        """The row's largest evaluated value, its cube level and the flat
+        position of its cube, the first in cube-level order (strict >);
+        (0.0, -1, 0) when none is positive."""
+        best, j0, flat = 0.0, -1, 0
+        for k in sorted(k for r, k in self.got if r == row):
+            value, at = self.got[row, k]
+            if value > best:
+                best, j0, flat = value, self.j0s[k], at
+        return best, j0, flat
+
+
 def _suffix_combine(levels, q: float):
     """Yield (j0, V[j0]) finest level first, V[j0] aggregating the level
     fields j >= j0 of `levels` (sum for finite q, sup for q=inf).  Lazy, so
@@ -211,14 +413,39 @@ def _suffix_combine(levels, q: float):
 
 @dataclass
 class TlmReport:
+    """`value` is the Morrey sup and `argmax_cube` the first cube, in level
+    and position order, attaining it.  `per_level` maps every cube level to
+    its sup; the levels the bound ruled out are evaluated on first access."""
+
     value: float
     argmax_cube: DyadicCube | None
-    per_level: dict[int, float] = field(default_factory=dict)
+    _table: Callable[[], dict[int, float]] | None = field(
+        default=None, repr=False, compare=False)
+
+    @cached_property
+    def per_level(self) -> dict[int, float]:
+        return {} if self._table is None else self._table()
 
 
-def _check_finite(c: CoeffField) -> None:
-    if not all(np.all(np.isfinite(a)) for a in c.detail.values()):
+def _all_finite(blocks) -> bool:
+    """Whether every entry of every array is finite; a contiguous complex
+    array is read as its real and imaginary parts, which is faster."""
+    return all(np.isfinite(a.view(np.float64) if a.dtype == complex
+                           and a.flags.c_contiguous else a).all() for a in blocks)
+
+
+def _check_finite(blocks) -> None:
+    if not _all_finite(blocks):
         raise ParameterError("coefficient field has non-finite detail coefficients")
+
+
+def _level_blocks(c: CoeffField) -> list[np.ndarray]:
+    """Per detail type, every level's coefficients end to end, coarsest
+    level first."""
+    if not c.levels:
+        return []
+    return [np.concatenate([c.detail[(eps, j)].reshape(-1) for j in c.levels])
+            for eps in detail_types(c.spec.n)]
 
 
 def tl_norm(c: CoeffField, gamma1: float, p: float, q: float):
@@ -226,7 +453,7 @@ def tl_norm(c: CoeffField, gamma1: float, p: float, q: float):
     float, or for a stacked field an array with one norm per batch index.
     ParameterError for a non-finite detail coefficient."""
     SpaceParams(gamma1, c.spec.n / p, p, q)          # parameter checks only
-    _check_finite(c)
+    _check_finite(c.detail.values())
     batch = c.batch_shape
     V = None
     for _, V in _suffix_combine(_level_aggregates(c, gamma1, q), q):
@@ -251,7 +478,8 @@ def tlm_wavelet_norm(c: CoeffField, sp: SpaceParams) -> float:
 def tlm_wavelet_norm_report(c: CoeffField, sp: SpaceParams) -> TlmReport:
     if c.batch_shape:
         raise ParameterError("the TLM norm takes a single field, not a stack")
-    _check_finite(c)
+    blocks = _level_blocks(c)
+    _check_finite(blocks)
     if sp.degenerate(c.spec.n):
         warnings.warn(
             f"gamma2={sp.gamma2} > n/p={c.spec.n / sp.p}: degenerate regime "
@@ -259,33 +487,64 @@ def tlm_wavelet_norm_report(c: CoeffField, sp: SpaceParams) -> TlmReport:
             DegenerateRegimeWarning,
             stacklevel=2,
         )
-    return _tlm_core(c, sp, cube_levels=None)
+    return _tlm_core(c, sp, None, blocks)
 
 
-def _tlm_core(c: CoeffField, sp: SpaceParams, cube_levels) -> TlmReport:
-    n, J = c.spec.n, c.spec.J
-    V = dict(_suffix_combine(_level_aggregates(c, sp.gamma1, sp.q), sp.q))
-    if not V:
+def _tlm_core(c: CoeffField, sp: SpaceParams, cube_levels,
+              blocks: list[np.ndarray] | None = None) -> TlmReport:
+    """The Morrey sup over the cube levels (all of the grid's when None) of
+    the suffix aggregates V[j0] of the levels j >= j0, pruned by
+    `_morrey_bounds` (module docstring); `blocks` is `_level_blocks(c)`."""
+    n, q = c.spec.n, sp.q
+    if not c.levels:
         return TlmReport(0.0, None)
-    if cube_levels is None:
-        cube_levels = range(c.spec.j_min, J)
-    best, best_cube = 0.0, None
-    per_level: dict[int, float] = {}
-    for j0 in cube_levels:
-        # levels >= j0 contribute; nothing left above the finest detail level
-        avail = [j for j in V if j >= j0]
-        if not avail:
-            per_level[j0] = 0.0
-            continue
-        Vj = V[min(avail)]
-        integrand = Vj if sp.q == np.inf else Vj ** (1.0 / sp.q)
-        [(vals, flat)] = _morrey_cube_max(integrand[None], (j0,), sp, c.spec)
-        per_level[j0] = float(vals[0])
-        if per_level[j0] > best:
-            best = per_level[j0]
-            k = np.unravel_index(int(flat[0]), (1 << j0,) * n)
-            best_cube = DyadicCube(j0, tuple(int(v) for v in k))
-    return TlmReport(best, best_cube, per_level)
+    j0s = list(range(c.spec.j_min, c.spec.J) if cube_levels is None
+               else cube_levels)
+    # the level aggregates of `_level_aggregates`, at level resolution: the
+    # same elementwise operations on every level's blocks laid end to end
+    sizes = [1 << (n * j) for j in c.levels]
+    w = [2.0 ** (j * (sp.gamma1 + n / 2.0)) for j in c.levels]
+    aggregates = np.repeat(w if q == np.inf else [x ** q for x in w], sizes) \
+        * _power_sum(_level_blocks(c) if blocks is None else blocks, q)
+    ends = np.cumsum(sizes).tolist()
+    fields = {j: aggregates[end - size:end].reshape((1,) + (1 << j,) * n)
+              for j, size, end in zip(c.levels, sizes, ends)}
+    [bounds] = _morrey_bounds(fields, [(np.ones((1, len(fields))), 0)], j0s,
+                              None if q == np.inf else 1.0 / q, sp, c.spec)
+    # the suffix aggregates V[j0] at band resolution, finest level first,
+    # built only as far down as an evaluated cube level needs
+    suffix = _suffix_combine(((j, _upsample(fields[j][0], c.j_max, n))
+                              for j in reversed(c.levels)), q)
+    V: dict[int, np.ndarray] = {}
+
+    def integrands(row, ks):
+        for k in ks:
+            j = max(j0s[k], c.j_min)
+            while j not in V:
+                V.update([next(suffix)])
+            yield (V[j] if q == np.inf else V[j] ** (1.0 / q))[None], [k]
+
+    sup = _PrunedCubeMax(bounds, integrands, j0s, sp, c.spec)
+    best, j0, flat = sup.best(0)
+
+    def table():
+        # levels above the finest detail level have nothing left: 0.0
+        sup.evaluate([k for k, j0 in enumerate(j0s)
+                      if j0 <= c.j_max and (0, k) not in sup.got])
+        return {j0: float(sup.got[0, k][0]) if (0, k) in sup.got else 0.0
+                for k, j0 in enumerate(j0s)}
+
+    return TlmReport(float(best), _cube_at(j0, flat, n), table)
+
+
+def _cube_at(j0: int, flat: int, n: int) -> DyadicCube | None:
+    """The level-j0 cube at flat position `flat`; None for j0 < 0."""
+    if j0 < 0:
+        return None
+    j0, flat = int(j0), int(flat)
+    # C order over (2^j0,)^n: each axis holds j0 bits of the flat position
+    return DyadicCube(j0, tuple((flat >> (j0 * axis)) & ((1 << j0) - 1)
+                                for axis in reversed(range(n))))
 
 
 # -- cutoff family and moment system -------------------------------------------

@@ -170,8 +170,20 @@ def calibrate_family(beta: float, profile: str = "polynomial",
     window = MeyerWindow(profile)
     scale = 1.0 / np.sqrt(2.0 * beta * np.log(2.0))
 
-    def w(r):
-        return scale * window.omega(np.asarray([r], dtype=float))[0]
+    class Integrand:
+        """t -> g(t, w(r(t))) with w(r) = scale omega(r); `many` evaluates
+        omega once for a whole rule, every other operation per point as in
+        the one-point call."""
+
+        def __init__(self, r, g):
+            self.r, self.g = r, g
+
+        def __call__(self, t):
+            return self.g(t, scale * window.omega(np.asarray([self.r(t)], dtype=float))[0])
+
+        def many(self, ts):
+            om = window.omega(np.asarray([self.r(t) for t in ts], dtype=float))
+            return [self.g(t, scale * o) for t, o in zip(ts, om)]
 
     def quad(f, a, b):
         val, err, _, ier, _ = _quadpack.quad(f, a, b, limit=200)
@@ -183,7 +195,8 @@ def calibrate_family(beta: float, profile: str = "polynomial",
 
     # (iii): damped scalar integral over the support of r = t^{1/(2 beta)}
     lo, hi = (TWO_PI / 3.0) ** (2 * beta), (8.0 * np.pi / 3.0) ** (2 * beta)
-    val, err = quad(lambda t: w(t ** (1.0 / (2 * beta))) * np.exp(-t) / t, lo, hi)
+    val, err = quad(Integrand(lambda t: t ** (1.0 / (2 * beta)),
+                              lambda t, w: w * np.exp(-t) / t), lo, hi)
     if val <= 0:
         raise ParameterError("calibration integral vanished; bad window")
     C_beta = 1.0 / val
@@ -194,7 +207,8 @@ def calibrate_family(beta: float, profile: str = "polynomial",
     for r0 in radii:
         tlo = (TWO_PI / (3.0 * r0)) ** (2 * beta)
         thi = (8.0 * np.pi / (3.0 * r0)) ** (2 * beta)
-        v, _ = quad(lambda t: w(t ** (1.0 / (2 * beta)) * r0) ** 2 / t, tlo, thi)
+        v, _ = quad(Integrand(lambda t: t ** (1.0 / (2 * beta)) * r0,
+                              lambda t, w: w ** 2 / t), tlo, thi)
         resid_ii = max(resid_ii, abs(v - 1.0))
 
     # (i): all spatial moments vanish because phi-hat is 0 near the origin

@@ -14,20 +14,26 @@ t^{q m} dt/t measure exactly over each log cell (the coefficient modulus is
 sampled at the cell midpoint), so constant-in-t profiles integrate to the
 closed form up to the window-edge cell resolution.
 
-Parts I/II are evaluated for many time nodes at once.  The admitted level
-sets depend on the node only through which levels lie at or above
-theta = -log2(t)/(2 beta), and theta is monotone in the node, so the nodes
-fall into runs that share every level set.  Within a run, the per-level
-fields of a chunk of nodes (at most CHUNK_BYTES of complex grid rows, the
-bound every batched evaluation shares) carry a leading node axis.  Part I
-admits the same levels for every cube level j0 <= theta (and part IV for
-every j0), so the integrand and its p-th power are built once per distinct
-level set and serve each cube level that admits it; only the cube sums are
-per cube level.  The kernel is the same for all four parts; parts III/IV
-call it as a batch of one.  Every sum runs in the order a node-by-node,
-cube-level-by-cube-level evaluation uses, and the cube levels and node
-updates are scanned in order with a strict >, so the values are bit for bit
-the same.
+Each part is a Morrey sup over (row, cube level) pairs of integrands
+(sum_{j in S} w_j F_j)^{1/q} (the max over S for q = inf): rows are the time
+nodes for parts I/II, one row for part IV and one per cube level for part
+III.  No pair is evaluated before `norms._morrey_bounds` bounds it from
+per-level cube sums at each level's own resolution (r = p/q: the sum over S
+of w_j^r int_Q F_j^r for r <= 1 or q = inf, Minkowski's
+(sum_j (w_j^r int_Q F_j^r)^{1/r})^r for r > 1; the proof is in the `norms`
+module docstring).  Parts I/II take one bound pass per chunk of nodes (at
+most CHUNK_BYTES of the pass's level arrays): part I admits the levels
+j >= max(j0, theta), part II the levels j0 < j < theta, so a per-node mask
+on each part's weights, with the suffixes j >= j0 (part I) and j > j0
+(part II) of the part's own pyramid, gives both level sets.  Part I's bound
+and value carry the node's t^m.  Then `norms._PrunedCubeMax`
+runs two exact passes through the unchanged upsampled kernel: the pair of
+largest bound, then every pair whose bound reaches that value.  The scan
+over the evaluated pairs keeps the (node, cube level, position) order with
+a strict >, so `value`, `argmax_cube` and `argmax_node` are those of the
+complete table, bit for bit.  Parts III/IV take every coefficient's window
+integrals from one in-order running sum over the log cells, read at the
+log edges -2 j beta ln 2 they use.
 
 Every part reads |a|^q (|a| for q = inf) from one table built per call.
 
@@ -40,16 +46,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .grid import DyadicCube, GridSpec, TimeGrid
+from .grid import DyadicCube, TimeGrid
 from .norms import (
     SpaceParams,
-    _morrey_cube_max,
-    _runs,
+    _all_finite,
+    _cube_at,
+    _morrey_bounds,
+    _PrunedCubeMax,
     _upsample,
 )
 from .wavelet import CoeffField, chunk_rows, detail_types
@@ -114,25 +123,27 @@ class TentNormReport:
         return max(self.values)
 
 
-def _abs_power(tcf: CoeffField, q: float) -> dict:
-    """|a|^q of every detail block of tcf (|a| for q = inf), in its shape:
-    the one table every tent part reads."""
+def _abs_power(tcf: CoeffField, q: float) -> tuple[dict, dict]:
+    """|a| and |a|^q (|a| again for q = inf) of every detail block of tcf,
+    in its shape: the one table every tent part reads, and the moduli the
+    quadrature estimate reads."""
+    absolute = {key: np.abs(arr) for key, arr in tcf.detail.items()}
     if q == np.inf:
-        return {key: np.abs(arr) for key, arr in tcf.detail.items()}
-    return {key: np.abs(arr) ** q for key, arr in tcf.detail.items()}
+        return absolute, absolute
+    return absolute, {key: a ** q for key, a in absolute.items()}
 
 
-def _level_base_fields(tcf: CoeffField, absq: dict, nodes: slice,
-                       q: float) -> dict[int, np.ndarray]:
-    """Per level j: the fields sum_eps |a(t)|^q (sup for q=inf) of the nodes
-    in `nodes` at band resolution (2^{j_max},)^n, stacked along a leading
+def _level_fields(tcf: CoeffField, absq: dict, nodes: slice,
+                  q: float) -> dict[int, np.ndarray]:
+    """Per level j: sum_eps |a(t)|^q (sup for q=inf) of the nodes in
+    `nodes` at the level's own resolution (2^j,)^n, stacked along a leading
     node axis; `absq` is the table `_abs_power(tcf, q)`."""
     n = tcf.spec.n
     out = {}
     for j in tcf.levels:
         stack = [absq[(eps, j)][nodes] for eps in detail_types(n)]
-        lvl = np.maximum.reduce(stack) if q == np.inf else sum(stack)
-        out[j] = _upsample(lvl, tcf.j_max, n)
+        # the eps terms added in order (sum()'s leading 0 adds nothing)
+        out[j] = np.maximum.reduce(stack) if q == np.inf else reduce(np.add, stack)
     return out
 
 
@@ -145,54 +156,6 @@ def _integrand(fields: dict[int, np.ndarray], level_weights: dict[int, float],
     return sum(level_weights[j] * fields[j] for j in levels) ** root
 
 
-def _cube_sup(fields: dict[int, np.ndarray], level_weights: dict[int, float],
-              levels: Sequence[int], j0: int, root: float | None,
-              sp: SpaceParams, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of the fields' leading batch axis: the max over level-j0 cubes
-    of |Q|^{gamma2/n - 1/p} || (sum_{j in levels} w_j F_j)^root ||_p with the
-    norm restricted to the cube, and the flat position of the first cube
-    attaining it.  root=None aggregates by the pointwise sup over the levels
-    instead (q = inf)."""
-    [result] = _morrey_cube_max(_integrand(fields, level_weights, levels, root),
-                                (j0,), sp, spec)
-    return result
-
-
-def _sup_over_cubes(fields, rows: int, level_weights,
-                    admitted: dict[int, list[int]], root, sp, spec):
-    """Per row of the fields' leading axis (`rows` long): the sup over the
-    cubes of every cube level j0 of `admitted` (which maps j0 to its
-    admitted levels), scanning the cube levels in order with a strict > as
-    a cube-by-cube scan does.  The integrand and its p-th power are built
-    once per distinct level set, for all the cube levels that admit it.
-    Returns the values, the cube level and the flat position of the winner
-    (level -1 where no cube exceeds zero)."""
-    by_levels: dict[tuple[int, ...], list[int]] = {}
-    for j0, levels in admitted.items():
-        if levels:
-            by_levels.setdefault(tuple(levels), []).append(j0)
-    sups = {}
-    for levels, j0s in by_levels.items():
-        integrand = _integrand(fields, level_weights, levels, root)
-        sups.update(zip(j0s, _morrey_cube_max(integrand, j0s, sp, spec)))
-    best = np.zeros(rows)
-    best_j0 = np.full(rows, -1)
-    best_flat = np.zeros(rows, dtype=int)
-    for j0, (vals, flat) in sorted(sups.items()):
-        better = vals > best
-        best[better] = vals[better]
-        best_j0[better] = j0
-        best_flat[better] = flat[better]
-    return best, best_j0, best_flat
-
-
-def _cube_at(j0: int, flat: int, n: int) -> DyadicCube | None:
-    if j0 < 0:
-        return None
-    k = np.unravel_index(int(flat), (1 << int(j0),) * n)
-    return DyadicCube(int(j0), tuple(int(x) for x in k))
-
-
 def _time_moment_antiderivative(logt: np.ndarray, qm: float) -> np.ndarray:
     """Antiderivative of t^{qm} dt/t as a function of log t."""
     if qm == 0.0:
@@ -201,42 +164,72 @@ def _time_moment_antiderivative(logt: np.ndarray, qm: float) -> np.ndarray:
 
 
 class _WindowIntegrals:
-    """Per-coefficient integrals int_window |a(t)|^q t^{qm} dt/t with the
-    measure integrated exactly on each log cell and |a| held at the node;
-    `absq` is the table `_abs_power(tcf, q)` of a finite q."""
+    """Per-coefficient integrals G(s) = int_(t_min-edge, s] |a(t)|^q t^{qm}
+    dt/t, for each moment qm of `qms` and each log time s of `log_points`,
+    with the measure integrated exactly on each log cell and |a| held at the
+    node; `absq` is the table `_abs_power(tcf, q)` of a finite q.  The
+    blocks sit side by side in one table, level by level, and the cells
+    below s are added in order, one row of every moment's cells at a time
+    (bit for bit a cumulative sum)."""
 
-    def __init__(self, tcf: CoeffField, absq: dict, qm: float):
+    def __init__(self, tcf: CoeffField, absq: dict, qms: Sequence[float],
+                 log_points: Sequence[float]):
+        n, L = tcf.spec.n, tcf.tg.L
         self.tcf = tcf
-        self.qm = qm
         edges = tcf.tg.log_edges()
-        self.log_edges = edges
-        anti = _time_moment_antiderivative(edges, qm)
-        self.cell_mass = np.diff(anti)          # full-cell measure moments
-        self.blocks = {}
-        for key, table in absq.items():
-            flat = table.reshape(tcf.tg.L, -1)
-            full = flat * self.cell_mass[:, None]
-            prefix = np.concatenate(
-                [np.zeros((1, flat.shape[1])), np.cumsum(full, axis=0)], axis=0)
-            self.blocks[key] = (flat, prefix)
+        blocks = [absq[(eps, j)].reshape(L, -1)
+                  for j in tcf.levels for eps in detail_types(n)]
+        starts = np.cumsum([0] + [block.shape[1] for block in blocks]).tolist()
+        width = starts[-1]
+        per_level = len(detail_types(n))
+        self.columns = {j: slice(starts[b * per_level], starts[(b + 1) * per_level])
+                        for b, j in enumerate(tcf.levels)}
+        # the cell holding each point (L: past the last edge, -1: before
+        # the first) and the number of whole cells below it
+        cell = {s: (L if s >= edges[-1] else -1 if s <= edges[0] else
+                    int(np.searchsorted(edges, s, side="right")) - 1)
+                for s in log_points}
+        below = {s: max(c, 0) for s, c in cell.items()}
+        top = max(below.values(), default=0)
+        # every moment's cell integrals |a|^q * mass, side by side
+        cells = np.empty((top, len(qms) * width))
+        for i, qm in enumerate(qms):
+            mass = np.diff(_time_moment_antiderivative(edges, qm))[:top, None]
+            for block, a, b in zip(blocks, starts[:-1], starts[1:]):
+                np.multiply(block[:top], mass, out=cells[:, i * width + a:i * width + b])
+        running = np.zeros(len(qms) * width)
+        wanted, sums = set(below.values()), {}
+        for c in range(top + 1):
+            if c in wanted:
+                sums[c] = running.copy()
+            if c < top:
+                np.add(running, cells[c], out=running)
+        self.G = {}
+        for s, c in cell.items():
+            row = np.concatenate([block[c] for block in blocks]) if 0 <= c < L else None
+            for i, qm in enumerate(qms):
+                G = sums[below[s]][i * width:(i + 1) * width]
+                if row is not None:
+                    anti_lo = _time_moment_antiderivative(np.array([edges[c]]), qm)[0]
+                    anti_s = _time_moment_antiderivative(np.array([s]), qm)[0]
+                    G = G + row * (anti_s - anti_lo)
+                self.G[i, s] = G
 
-    def _eval(self, key, log_s: float) -> np.ndarray:
-        """G(s) = integral over (t_min-edge, s] per coefficient."""
-        absq, prefix = self.blocks[key]
-        edges = self.log_edges
-        if log_s <= edges[0]:
-            return np.zeros(absq.shape[1])
-        if log_s >= edges[-1]:
-            return prefix[-1]
-        cellidx = int(np.searchsorted(edges, log_s, side="right")) - 1
-        anti_lo = _time_moment_antiderivative(np.array([edges[cellidx]]), self.qm)[0]
-        anti_s = _time_moment_antiderivative(np.array([log_s]), self.qm)[0]
-        return prefix[cellidx] + absq[cellidx] * (anti_s - anti_lo)
+    def own_edges(self, i: int, edge) -> np.ndarray:
+        """Every column's G (i-th moment) at its level's edge `edge(j)`."""
+        return np.concatenate([self.G[i, edge(j)][self.columns[j]]
+                               for j in self.tcf.levels])
 
-    def window(self, key, log_lo: float, log_hi: float) -> np.ndarray:
-        if log_hi <= log_lo:
-            return np.zeros(self.blocks[key][0].shape[1])
-        return np.maximum(self._eval(key, log_hi) - self._eval(key, log_lo), 0.0)
+    def level_fields(self, windows: np.ndarray) -> dict[int, np.ndarray]:
+        """Per level j: sum_eps of the window integrals `windows` (rows,
+        columns), at the level's resolution (rows,) + (2^j,)^n."""
+        n, rows = self.tcf.spec.n, len(windows)
+        out = {}
+        for j in self.tcf.levels:
+            per_eps = windows[:, self.columns[j]].reshape(
+                (rows, len(detail_types(n))) + (1 << j,) * n)
+            out[j] = reduce(np.add, [per_eps[:, e] for e in range(per_eps.shape[1])])
+        return out
 
 
 def tent_norms(tcf: CoeffField, tp: TentParams,
@@ -249,7 +242,7 @@ def tent_norms(tcf: CoeffField, tp: TentParams,
     carried by the sup-in-t part)."""
     if tcf.tg is None:
         raise ParameterError("tent norms need a coefficient field on a time grid")
-    if not all(np.all(np.isfinite(a)) for a in tcf.detail.values()):
+    if not _all_finite(tcf.detail.values()):
         raise ParameterError("time coefficient field has non-finite coefficients")
     spec, tg = tcf.spec, tcf.tg
     sp, beta, q = tp.sp, tp.beta, tp.sp.q
@@ -260,93 +253,126 @@ def tent_norms(tcf: CoeffField, tp: TentParams,
     ln2 = np.log(2.0)
     root = None if q == np.inf else 1.0 / q
 
-    part1 = PartResult(0.0)
-    part2 = PartResult(0.0)
+    def band(fields):
+        return {j: _upsample(F, tcf.j_max, n) for j, F in fields.items()}
+
     # level weights 2^{qj(gamma1 + n/2 + 2 m beta)} (part I, also III),
     # 2^{qj(gamma1 + n/2)} (part II), q read as 1 for the sup aggregate
     e, s = (1.0 if q == np.inf else q), sp.gamma1 + n / 2.0
     w_i = {j: 2.0 ** (e * j * (s + 2 * tp.m * beta)) for j in levels}
     w_ii = {j: 2.0 ** (e * j * s) for j in levels}
-    thetas = [-np.log2(t) / (2.0 * beta) for t in nodes]
+    # one log2 over the nodes: numpy runs the inner loop a node-by-node
+    # scalar call runs, so the seam levels keep their bits
+    thetas = -np.log2(nodes) / (2.0 * beta)
     seam_levels = dict(enumerate(thetas))
-    # part I admits j >= max(j0, theta) and part II j0 < j < theta, so which
-    # levels lie at or above theta fixes both sets for every cube level
-    above = np.array([[j >= theta for j in levels] for theta in thetas])
-    rows = chunk_rows(spec.size)
-    absq = _abs_power(tcf, q)
-    for a, b in _runs(above):
-        theta = thetas[a]
-        admit_i = {j0: [j for j in levels if j >= max(j0, theta)]
-                   for j0 in cube_levels}
-        admit_ii = {j0: [j for j in levels if j0 < j < theta]
-                    for j0 in cube_levels}
-        for start in range(a, b, rows):
-            stop = min(start + rows, b)
-            base = _level_base_fields(tcf, absq, slice(start, stop), q)
-            sup1 = _sup_over_cubes(base, stop - start, w_i, admit_i, root, sp,
-                                   spec)
-            sup2 = _sup_over_cubes(base, stop - start, w_ii, admit_ii, root, sp,
-                                   spec)
-            for r, ell in enumerate(range(start, stop)):
-                # t^m stays a numpy-scalar pow per node (an array pow can
-                # take a SIMD path with other bits)
-                v1 = float(sup1[0][r])
-                v1 *= nodes[ell] ** tp.m
-                if v1 > part1.value:
-                    part1 = PartResult(v1, _cube_at(sup1[1][r], sup1[2][r], n), ell)
-                v2 = float(sup2[0][r])
-                if v2 > part2.value:
-                    part2 = PartResult(v2, _cube_at(sup2[1][r], sup2[2][r], n), ell)
+    # part I admits j >= max(j0, theta) and part II j0 < j < theta: per node
+    # the levels at or above theta weigh in part I, the others in part II
+    above = np.array(levels)[None, :] >= thetas[:, None]
+    absolute, absq = _abs_power(tcf, q)
+    # part I's bound carries t^m; its value takes t^m as a numpy-scalar pow
+    # per node below (an array pow can take a SIMD path with other bits,
+    # which the bound's slack covers)
+    t_m = nodes ** tp.m
+    weights = [np.array([w[j] for j in levels]) * mask
+               for w, mask in ((w_i, above), (w_ii, ~above))]
+    bounds = [[], []]
+    # two float parts per node and cell: a complex grid row's bytes
+    rows = chunk_rows((1 << tcf.j_max) ** n)
+    for start in range(0, tg.L, rows):
+        chunk = slice(start, start + rows)
+        for out, b in zip(bounds, _morrey_bounds(
+                _level_fields(tcf, absq, chunk, q),
+                [(weights[0][chunk], 0), (weights[1][chunk], 1)], cube_levels,
+                root, sp, spec)):
+            out.append(b)
+
+    def node_integrands(w, admit):
+        def integrands(ell, ks):
+            fields = _level_fields(tcf, absq, slice(ell, ell + 1), q)
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for k in ks:
+                S = tuple(j for j in levels if admit(j, cube_levels[k], thetas[ell]))
+                if S:
+                    groups.setdefault(S, []).append(k)
+            for S, group in groups.items():
+                yield _integrand(band({j: fields[j] for j in S}), w, S, root), group
+        return integrands
+
+    sup1 = _PrunedCubeMax(np.concatenate(bounds[0]) * t_m[:, None],
+                          node_integrands(w_i, lambda j, j0, th: j >= max(j0, th)),
+                          cube_levels, sp, spec, scale=t_m)
+    sup2 = _PrunedCubeMax(np.concatenate(bounds[1]),
+                          node_integrands(w_ii, lambda j, j0, th: j0 < j < th),
+                          cube_levels, sp, spec)
+    part1 = PartResult(0.0)
+    for ell in sup1.rows():
+        v, j0, flat = sup1.best(ell)
+        v1 = float(v)
+        v1 *= nodes[ell] ** tp.m
+        if v1 > part1.value:
+            part1 = PartResult(v1, _cube_at(j0, flat, n), ell)
+    part2 = PartResult(0.0)
+    for ell in sup2.rows():
+        v, j0, flat = sup2.best(ell)
+        if float(v) > part2.value:
+            part2 = PartResult(float(v), _cube_at(j0, flat, n), ell)
 
     part3 = PartResult(0.0)
     part4 = PartResult(0.0)
     if q != np.inf:
-        win_m = _WindowIntegrals(tcf, absq, q * tp.m)
-        win_mp = _WindowIntegrals(tcf, absq, q * tp.m_prime)
-        w_iv = {j: 2.0 ** (q * j * (s + 2 * tp.m_prime * beta)) for j in levels}
         root = 1.0 if literal_exponent else 1.0 / q
 
-        def one_row(win, j, log_lo, log_hi):
-            """Band-resolution field of sum_eps window integrals, batch of
-            one."""
-            total = None
-            for eps in detail_types(n):
-                I = win.window((eps, j), log_lo, log_hi)
-                total = I if total is None else total + I
-            return _upsample(total.reshape((1,) + (1 << j,) * n), tcf.j_max, n)
+        def edge(j):
+            return -2.0 * j * beta * ln2
 
-        # part IV is cube-geometry independent in time: one field
-        field_iv = {j: one_row(win_mp, j, -np.inf, -2.0 * j * beta * ln2)
-                    for j in tcf.levels}
-        v4, j4, flat4 = _sup_over_cubes(field_iv, 1, w_iv,
-                                        {j0: levels for j0 in cube_levels},
-                                        root, sp, spec)
-        part4 = PartResult(float(v4[0]), _cube_at(j4[0], flat4[0], n))
+        # part IV: the windows (0, 2^{-2 j beta}] of every level, one row;
+        # it is cube-geometry independent in time.  Part III: per cube level
+        # j0 the windows (2^{-2 j beta}, r^{2 beta}] of the levels j > j0,
+        # one row per j0
+        j0s = [j0 for j0 in cube_levels if j0 < levels[-1]]
+        win = _WindowIntegrals(tcf, absq, (q * tp.m, q * tp.m_prime),
+                               sorted({edge(j) for j in levels + j0s}))
+        w_iv = {j: 2.0 ** (q * j * (s + 2 * tp.m_prime * beta)) for j in levels}
+        field_iv = win.level_fields(np.maximum(win.own_edges(1, edge), 0.0)[None])
+        [b4] = _morrey_bounds(field_iv, [([[w_iv[j] for j in levels]], None)],
+                              cube_levels, root, sp, spec)
+        sup4 = _PrunedCubeMax(
+            b4, lambda row, ks: [(_integrand(band(field_iv), w_iv, levels, root), ks)],
+            cube_levels, sp, spec)
+        v4, j4, flat4 = sup4.best(0)
+        part4 = PartResult(float(v4), _cube_at(j4, flat4, n))
 
-        # part III windows depend on the cube level through r^{2 beta}
-        for j0 in cube_levels:
-            log_hi = -2.0 * j0 * beta * ln2
-            field3 = {j: one_row(win_m, j, -2.0 * j * beta * ln2, log_hi)
-                      for j in tcf.levels if j > j0}
-            if not field3:
-                continue
-            v3, flat3 = _cube_sup(field3, w_i, list(field3), j0, root, sp, spec)
-            if v3[0] > part3.value:
-                part3 = PartResult(float(v3[0]), _cube_at(j0, flat3[0], n))
+        if j0s:
+            fields3 = win.level_fields(np.maximum(
+                np.stack([win.G[0, edge(j0)] for j0 in j0s]) - win.own_edges(0, edge),
+                0.0))
+            w3 = [[w_i[j] if j > j0 else 0.0 for j in levels] for j0 in j0s]
+            [b3] = _morrey_bounds(fields3, [(np.array(w3), 1)], j0s, root, sp, spec)
 
-    quad_est = _quadrature_refinement_estimate(tcf, tp)
+            def integrands3(row, ks):
+                for k in ks:
+                    field3 = {j: _upsample(F[k:k + 1], tcf.j_max, n)
+                              for j, F in fields3.items() if j > j0s[k]}
+                    yield _integrand(field3, w_i, list(field3), root), [k]
+
+            sup3 = _PrunedCubeMax(np.diagonal(b3)[None], integrands3, j0s, sp, spec)
+            v3, j3, flat3 = sup3.best(0)
+            part3 = PartResult(float(v3), _cube_at(j3, flat3, n))
+
+    quad_est = _quadrature_refinement_estimate(tcf, tp, absolute)
     return TentNormReport(part1, part2, part3, part4, seam_levels, quad_est)
 
 
-def _quadrature_refinement_estimate(tcf: CoeffField, tp: TentParams) -> float:
+def _quadrature_refinement_estimate(tcf: CoeffField, tp: TentParams,
+                                    absolute: dict) -> float:
     """Relative change of a representative time integral when every other
-    node is dropped; a proxy for the parts III/IV quadrature error."""
+    node is dropped; a proxy for the parts III/IV quadrature error.
+    `absolute` holds |a| of every detail block."""
     q = tp.sp.q
     if q == np.inf or tcf.tg.L < 8:
         return 0.0
-    key = max(tcf.detail, key=lambda k: float(np.max(np.abs(tcf.detail[k]))))
-    eps, j = key
-    arr = np.abs(tcf.detail[key].reshape(tcf.tg.L, -1))
+    key = max(absolute, key=lambda k: float(np.max(absolute[k])))
+    arr = absolute[key].reshape(tcf.tg.L, -1)
     flat = int(np.argmax(np.max(arr, axis=0)))
     prof = arr[:, flat] ** q
     t = tcf.tg.nodes()

@@ -114,17 +114,21 @@ def test_tent_parts_match_full_grid(monkeypatch, family, n, J, L, p, q, literal)
     for arr in tcf.detail.values():
         arr[:] = rng.standard_normal(arr.shape)
     got = tent_norms(tcf, tp, literal_exponent=literal)
-    # the reference: every level field of parts I-IV on the full grid, and
-    # the full-grid kernel once per cube level
+    # the reference: every level field of parts I-IV on the full grid, the
+    # full-grid kernel once per cube level, and every admitted (node, cube
+    # level) pair evaluated (the bounds of admitted pairs set to +inf)
     reference_calls = []
 
     def full_grid_kernel(integrand, j0s, sp, spec):
         reference_calls.append(tuple(j0s))
         return [full_grid_morrey_cube_max(integrand, j0, sp, spec) for j0 in j0s]
 
+    bounds = tent._morrey_bounds
+    monkeypatch.setattr(tent, "_morrey_bounds", lambda *args: [
+        np.where(b > 0, np.inf, 0.0) for b in bounds(*args)])
     monkeypatch.setattr(tent, "_upsample",
                         lambda arr, _J, n=None: norms._upsample(arr, J, n))
-    monkeypatch.setattr(tent, "_morrey_cube_max", full_grid_kernel)
+    monkeypatch.setattr(norms, "_morrey_cube_max", full_grid_kernel)
     want = tent_norms(tcf, tp, literal_exponent=literal)
     # the patched kernel ran, so the reference is not the code under test
     assert reference_calls

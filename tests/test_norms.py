@@ -143,6 +143,71 @@ class TestTlmNorm:
         with pytest.warns(DegenerateRegimeWarning):
             tlm_wavelet_norm(c, SpaceParams(0.0, 0.9, 2.0, 2.0))
 
+    @pytest.mark.parametrize("family, n, J", [("meyer", 1, 8), ("daubechies", 1, 7),
+                                              ("meyer", 2, 5), ("daubechies", 2, 4)])
+    @pytest.mark.parametrize("p, q", [(2.0, 2.0), (3.0, 1.5), (1.5, np.inf),
+                                      (1.0, 2.0)])
+    def test_pruned_report_equals_the_full_table(self, family, n, J, p, q):
+        """`per_level` (evaluated on first access) is the table of every cube
+        level's kernel value, bit for bit, and value and argmax_cube are its
+        first maximum."""
+        from oscillet import norms
+        basis = build_basis(family, GridSpec(n, J, 0))
+        sp = SpaceParams(0.1, 0.2, p, q)
+        for seed in range(3):
+            data = np.random.default_rng(seed).standard_normal(basis.spec.shape)
+            c = basis.analyze_stack(data + 1j * (seed - 1) * data[::-1])
+            rep = tlm_wavelet_norm_report(c, sp)
+            assert "per_level" not in vars(rep)          # not evaluated yet
+            V = dict(norms._suffix_combine(
+                norms._level_aggregates(c, sp.gamma1, q), q))
+            want = {}
+            for j0 in range(0, J):
+                avail = [j for j in V if j >= j0]
+                if not avail:
+                    want[j0] = 0.0
+                    continue
+                Vj = V[min(avail)]
+                integrand = Vj if q == np.inf else Vj ** (1.0 / q)
+                [(vals, flat)] = norms._morrey_cube_max(integrand[None], (j0,),
+                                                        sp, c.spec)
+                want[j0] = (float(vals[0]), int(flat[0]))
+            table = {j0: v if isinstance(v, float) else v[0]
+                     for j0, v in want.items()}
+            assert list(rep.per_level) == list(table)
+            assert [x.hex() for x in rep.per_level.values()] \
+                == [x.hex() for x in table.values()]
+            j_best = max(table, key=lambda j0: (table[j0], -j0))
+            assert rep.value == table[j_best] and type(rep.value) is float
+            k = np.unravel_index(want[j_best][1], (1 << j_best,) * n)
+            assert rep.argmax_cube == DyadicCube(j_best, tuple(map(int, k)))
+
+    def test_cli_tlm_report_is_the_unpruned_one(self, tmp_path, monkeypatch,
+                                                capsys):
+        """`oscillet norm --kind tlm` prints the bytes of an evaluation that
+        values every cube level."""
+        from oscillet import norms
+        from oscillet.cli import main as cli_main
+        from oscillet.cli import _save_coeffs
+        basis = build_basis("meyer", GridSpec(1, 8, 0))
+        data = np.random.default_rng(4).standard_normal(basis.spec.shape)
+        _save_coeffs(basis.analyze_stack(data), str(tmp_path / "c.bin"))
+        argv = ["norm", "--kind", "tlm", "--gamma1", "0", "--gamma2", "0.3",
+                "--p", "2", "--q", "2", "--in", str(tmp_path / "c.bin")]
+        outputs = []
+        for prune in (True, False):
+            with monkeypatch.context() as m:
+                if not prune:
+                    bounds = norms._morrey_bounds
+                    m.setattr(norms, "_morrey_bounds", lambda *args: [
+                        np.where(b > 0, np.inf, 0.0) for b in bounds(*args)])
+                out = tmp_path / f"tlm-{prune}.json"
+                assert cli_main(argv + ["--report", str(out)]) == 0
+                outputs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+        assert b'"per_level"' in outputs[0]
+
     def test_monotone_in_cube_family(self, meyer1d, rng):
         from oscillet.norms import _tlm_core
         c = meyer1d.analyze(band_limited(meyer1d, rng))

@@ -2,8 +2,8 @@
 
 `perfbench/refs/verify-default.json` pins the sha256 of every file that
 `oscillet verify --suite default` writes (the digest without its `#`
-metadata lines).  Checking seed 42 here makes a drift in any report bit a
-test failure, not only a benchmark failure.  `perfbench/refs/heat-1d.json`
+metadata lines).  Checking seeds 42 and 0-3 here makes a drift in any
+report bit a test failure, not only a benchmark failure.  `perfbench/refs/heat-1d.json`
 pins the heat-1d workload's report and rows (1e-12 relative); it runs the
 1-d heat lift at J=11 and L=256, which the default suite does not.
 `perfbench/refs/osc-1d.json` pins the osc-1d workload the same way, at
@@ -41,16 +41,27 @@ def _check():
     return _load("check")
 
 
-def test_verify_default_is_byte_identical_to_the_references(tmp_path):
+def _check_verify(tmp_path, seed):
     check = _check()
     out = tmp_path / "verify"
-    rc = cli_main(["verify", "--suite", "default", "--seed", "42",
+    rc = cli_main(["verify", "--suite", "default", "--seed", str(seed),
                    "--out", str(out)])
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    result = check.check("verify-default", 42, {"exit_code": rc, "files": files},
+    result = check.check("verify-default", seed,
+                         {"exit_code": rc, "files": files},
                          check.load_refs("verify-default"))
     assert result["reference"]
     assert result["ok"], result["errors"]
+
+
+def test_verify_default_is_byte_identical_to_the_references(tmp_path):
+    _check_verify(tmp_path, 42)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_default_is_byte_identical_at_more_seeds(tmp_path, seed):
+    # the pruned Morrey sups pick their exact pairs from the data
+    _check_verify(tmp_path, seed)
 
 
 def _check_experiment(workload, seed=42):

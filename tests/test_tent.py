@@ -2,11 +2,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oscillet import tent, wavelet
+from oscillet import norms, tent, wavelet
 from oscillet.errors import ParameterError
 from oscillet.grid import DyadicCube, GridFunction, GridSpec, cube_contains
-from oscillet.norms import SpaceParams, _level_power_sum, _runs, _upsample
+from oscillet.norms import (
+    SpaceParams,
+    _level_power_sum,
+    _morrey_bounds,
+    _morrey_cube_max,
+    _PrunedCubeMax,
+    _runs,
+    _upsample,
+)
 from oscillet.operators import _random_detail_field
 from oscillet.semigroup import (
     SemigroupSpec,
@@ -75,7 +85,8 @@ def brute_force_parts_I_II(tcf, tp):
 
 def parts_i_ii_oracle(tcf, tp):
     """Parts I/II node by node: per node and cube level, one batch-of-one
-    `_cube_sup` call; returns (value, argmax cube, argmax node) per part."""
+    `_morrey_cube_max` call; returns (value, argmax cube, argmax node) per
+    part."""
     spec, sp, q = tcf.spec, tp.sp, tp.sp.q
     e, root = (1.0, None) if q == np.inf else (q, 1.0 / q)
     s = sp.gamma1 + spec.n / 2.0
@@ -93,7 +104,8 @@ def parts_i_ii_oracle(tcf, tp):
             for j0 in range(spec.j_min, spec.J):
                 levels = [j for j in tcf.levels if admit(j0, j)]
                 if levels:
-                    vals, flat = tent._cube_sup(base, w, levels, j0, root, sp, spec)
+                    [(vals, flat)] = _morrey_cube_max(
+                        tent._integrand(base, w, levels, root), (j0,), sp, spec)
                     if vals[0] > v:
                         k = np.unravel_index(int(flat[0]), (1 << j0,) * spec.n)
                         v, cube = float(vals[0]), DyadicCube(j0, tuple(map(int, k)))
@@ -103,60 +115,138 @@ def parts_i_ii_oracle(tcf, tp):
     return best
 
 
+def parts_iii_iv_oracle(tcf, tp, literal=False):
+    """Parts III/IV cube level by cube level, with each block's window
+    integrals taken from its own running sums over the log cells, one
+    batch-of-one `_morrey_cube_max` call per cube level; returns (value,
+    argmax cube) per part."""
+    spec, sp, q, beta = tcf.spec, tp.sp, tp.sp.q, tp.beta
+    n, ln2, root = spec.n, np.log(2.0), 1.0 if literal else 1.0 / q
+    s = sp.gamma1 + n / 2.0
+    edges = tcf.tg.log_edges()
+
+    def G(key, qm, log_s):
+        """int_(t_min-edge, s] |a|^q t^{qm} dt/t of every coefficient of a
+        block."""
+        absq = np.abs(tcf.detail[key].reshape(tcf.tg.L, -1)) ** q
+        anti = tent._time_moment_antiderivative
+        prefix = np.concatenate([np.zeros((1, absq.shape[1])), np.cumsum(
+            absq * np.diff(anti(edges, qm))[:, None], axis=0)])
+        if log_s <= edges[0]:
+            return prefix[0]
+        if log_s >= edges[-1]:
+            return prefix[-1]
+        c = int(np.searchsorted(edges, log_s, side="right")) - 1
+        step = anti(np.array([log_s]), qm)[0] - anti(np.array([edges[c]]), qm)[0]
+        return prefix[c] + absq[c] * step
+
+    out = []
+    for mm, lower in ((tp.m, True), (tp.m_prime, False)):
+        w = {j: 2.0 ** (q * j * (s + 2 * mm * beta)) for j in tcf.levels}
+        best, cube = 0.0, None
+        for j0 in range(spec.j_min, spec.J):
+            fields = {}
+            for j in tcf.levels:
+                if lower and j <= j0:
+                    continue
+                hi = -2.0 * (j0 if lower else j) * beta * ln2
+                lo = -2.0 * j * beta * ln2 if lower else -np.inf
+                total = None
+                for eps in tent.detail_types(n):
+                    I = np.maximum(G((eps, j), q * mm, hi) - G((eps, j), q * mm, lo),
+                                   0.0)
+                    total = I if total is None else total + I
+                fields[j] = _upsample(total.reshape((1,) + (1 << j,) * n),
+                                      tcf.j_max, n)
+            if not fields:
+                continue
+            [(vals, flat)] = _morrey_cube_max(
+                tent._integrand(fields, w, list(fields), root), (j0,), sp, spec)
+            if vals[0] > best:
+                k = np.unravel_index(int(flat[0]), (1 << j0,) * n)
+                best, cube = float(vals[0]), DyadicCube(j0, tuple(map(int, k)))
+        out.append((best, cube))
+    return out
+
+
+def unpruned(monkeypatch):
+    """Make every admitted (row, cube level) pair reach the exact kernel:
+    the bounds of admitted pairs become +inf."""
+    bounds = norms._morrey_bounds
+
+    def infinite(*args):
+        return [np.where(b > 0, np.inf, 0.0) for b in bounds(*args)]
+
+    monkeypatch.setattr(norms, "_morrey_bounds", infinite)
+    monkeypatch.setattr(tent, "_morrey_bounds", infinite)
+
+
+def random_tcf(basis, tg, seed, complex_=False):
+    tcf = empty_tcf(basis, tg)
+    rng = np.random.default_rng(seed)
+    for arr in tcf.detail.values():
+        arr[:] = rng.standard_normal(arr.shape)
+        if complex_:
+            arr += 1j * rng.standard_normal(arr.shape)
+    return tcf
+
+
+def assert_same_parts(got, want):
+    for a, b in zip((got.part_i, got.part_ii, got.part_iii, got.part_iv),
+                    (want.part_i, want.part_ii, want.part_iii, want.part_iv)):
+        assert (a.value, a.argmax_cube, a.argmax_node) \
+            == (b.value, b.argmax_cube, b.argmax_node)
+        assert type(a.value) is type(b.value)
+
+
 class TestNodeBatchedParts:
     @pytest.mark.parametrize("n, J, L, rows", [(1, 8, 64, 4), (2, 5, 24, 2)])
     @pytest.mark.parametrize("p, q", [(2.0, 2.0), (3.0, np.inf)])
     def test_parts_i_ii_match_node_loop(self, monkeypatch, n, J, L, rows, p, q):
+        """The bound pass runs over chunks of `rows` nodes (CHUNK_BYTES set
+        to rows of the pass's width); a node boosted past the t^m weight
+        carries the sup of part I or (where part I admits no level) part II,
+        at every edge of a run of nodes with equal level sets and at the
+        edges of the first and the last chunk."""
         spec = GridSpec(n, J, 0)
         basis = build_basis("meyer", spec)
         tp = make_tp(p=p, q=q)
         tg = default_time_grid(spec, tp.beta, L=L)
-        tcf = empty_tcf(basis, tg)
-        rng = np.random.default_rng(J + n)
-        for arr in tcf.detail.values():
-            arr[:] = rng.standard_normal(arr.shape)
-        monkeypatch.setattr(wavelet, "CHUNK_BYTES", rows * 16 * spec.size)
-        # some run of nodes with equal level sets spans several chunks and
-        # ends in a partial one
+        tcf = random_tcf(basis, tg, J + n)
+        # the pass holds two float parts per node and band cell, the bytes
+        # of one complex band row
+        width = (1 << basis.j_max) ** n
+        monkeypatch.setattr(wavelet, "CHUNK_BYTES", rows * 16 * width)
+        assert wavelet.chunk_rows(width) == rows
+        chunks = []
+        bounds = tent._morrey_bounds
+
+        def recording(fields, parts, *args):
+            if len(parts) == 2:
+                chunks.append(len(parts[0][0]))
+            return bounds(fields, parts, *args)
+
+        monkeypatch.setattr(tent, "_morrey_bounds", recording)
         above = np.array([[j >= -np.log2(t) / (2 * tp.beta) for j in tcf.levels]
                           for t in tg.nodes()])
-        assert any(b - a > rows and (b - a) % rows for a, b in _runs(above))
-        # a node boosted past the t^m weight carries the sup of part I or
-        # (where part I admits no level) part II, so every chunk edge of
-        # those runs is evaluated on its own
-        edges = sorted({ell for a, b in _runs(above) if b - a > rows
-                        for ell in (a, a + rows - 1, a + rows, b - 1)})
+        runs = _runs(above)
+        assert len(runs) > 2
+        edges = sorted({ell for a, b in runs for ell in (a, b - 1)}
+                       | {rows - 1, rows, L - rows - 1, L - rows, L - 1})
         for ell in [None] + edges:
             boost = np.ones(L)
             if ell is not None:
                 boost[ell] = 1e3 / tg.nodes()[ell] ** tp.m
             field = tcf.map_detail(
                 lambda eps, j, arr: arr * boost.reshape((L,) + (1,) * n))
+            del chunks[:]
             rep = tent_norms(field, tp)
+            assert chunks == [rows] * (L // rows) + [L % rows] * (L % rows > 0)
             want = parts_i_ii_oracle(field, tp)
             for got, (value, cube, node) in zip((rep.part_i, rep.part_ii), want):
                 assert (got.value, got.argmax_cube, got.argmax_node) \
                     == (value, cube, node)
             assert ell in (None, rep.part_i.argmax_node, rep.part_ii.argmax_node)
-
-
-def sup_over_cubes_per_level(fields, rows, level_weights, admitted, root, sp,
-                             spec):
-    """`tent._sup_over_cubes` one cube level at a time: one `_cube_sup`
-    call, so one integrand and one p-th power, per cube level."""
-    best = np.zeros(rows)
-    best_j0 = np.full(rows, -1)
-    best_flat = np.zeros(rows, dtype=int)
-    for j0, levels in admitted.items():
-        if not levels:
-            continue
-        vals, flat = tent._cube_sup(fields, level_weights, levels, j0, root, sp,
-                                    spec)
-        better = vals > best
-        best[better] = vals[better]
-        best_j0[better] = j0
-        best_flat[better] = flat[better]
-    return best, best_j0, best_flat
 
 
 class TestOnePowerTable:
@@ -170,10 +260,8 @@ class TestOnePowerTable:
         spec = GridSpec(n, J, 0)
         basis = build_basis("meyer", spec)
         tp = make_tp(p=3.0, q=q)
-        tcf = empty_tcf(basis, default_time_grid(spec, tp.beta, L=L))
-        rng = np.random.default_rng(5 * J + n)
-        for arr in tcf.detail.values():
-            arr[:] = rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape)
+        tcf = random_tcf(basis, default_time_grid(spec, tp.beta, L=L), 5 * J + n,
+                         complex_=True)
         tables = []
         abs_power = tent._abs_power
 
@@ -185,16 +273,15 @@ class TestOnePowerTable:
         got = tent_norms(tcf, tp)
         assert tables == [q]
 
-        def base_fields(field, absq, nodes, q):
-            return {j: _upsample(_level_power_sum(field, j, q, nodes), field.j_max,
-                                 field.spec.n) for j in field.levels}
+        def level_fields(field, absq, nodes, q):
+            return {j: _level_power_sum(field, j, q, nodes) for j in field.levels}
 
         class OwnTable(tent._WindowIntegrals):
-            def __init__(self, field, absq, qm):
+            def __init__(self, field, absq, *args):
                 super().__init__(field, {key: np.abs(arr) ** q for key, arr
-                                         in field.detail.items()}, qm)
+                                         in field.detail.items()}, *args)
 
-        monkeypatch.setattr(tent, "_level_base_fields", base_fields)
+        monkeypatch.setattr(tent, "_level_fields", level_fields)
         monkeypatch.setattr(tent, "_WindowIntegrals", OwnTable)
         want = tent_norms(tcf, tp)
         assert got == want
@@ -206,50 +293,150 @@ class TestSharedIntegrand:
     @pytest.mark.parametrize("p, q", [(2.0, 2.0), (3.0, 1.5), (1.5, np.inf)])
     def test_parts_match_one_integrand_per_cube_level(self, monkeypatch, n, J,
                                                       L, p, q):
+        """The pruned parts against an evaluation of every admitted (node,
+        cube level) pair, and against the per-node and per-cube-level
+        oracles; the pruned call reaches the kernel for fewer cube levels."""
         spec = GridSpec(n, J, 0)
         basis = build_basis("meyer", spec)
         tp = make_tp(p=p, q=q)
-        tcf = empty_tcf(basis, default_time_grid(spec, tp.beta, L=L))
-        rng = np.random.default_rng(3 * J + n)
-        for arr in tcf.detail.values():
-            arr[:] = rng.standard_normal(arr.shape)
-        kernel = tent._morrey_cube_max
-        shared = []
+        tcf = random_tcf(basis, default_time_grid(spec, tp.beta, L=L), 3 * J + n)
+        kernel = norms._morrey_cube_max
+        levels_seen = []
 
         def counting_kernel(integrand, j0s, sp, spec):
-            shared.append(len(j0s))
+            levels_seen.extend(j0s)
             return kernel(integrand, j0s, sp, spec)
 
-        monkeypatch.setattr(tent, "_morrey_cube_max", counting_kernel)
+        monkeypatch.setattr(norms, "_morrey_cube_max", counting_kernel)
         got = tent_norms(tcf, tp)
-        # part I admits one level set for every j0 <= theta, part IV one
-        # for every j0: some integrand served several cube levels
-        assert max(shared) >= 2
-        monkeypatch.setattr(tent, "_sup_over_cubes", sup_over_cubes_per_level)
-        del shared[:]
+        pruned = len(levels_seen)
+        unpruned(monkeypatch)
+        del levels_seen[:]
         want = tent_norms(tcf, tp)
-        assert max(shared) == 1
-        assert got == want
-        # and parts I/II against the per-node oracle
+        assert pruned < len(levels_seen)
+        assert_same_parts(got, want)
         for part, (value, cube, node) in zip((got.part_i, got.part_ii),
                                              parts_i_ii_oracle(tcf, tp)):
             assert (part.value, part.argmax_cube, part.argmax_node) \
                 == (value, cube, node)
-
+        if q != np.inf:
+            for part, (value, cube) in zip((got.part_iii, got.part_iv),
+                                           parts_iii_iv_oracle(tcf, tp)):
+                assert (part.value, part.argmax_cube) == (value, cube)
 
     def test_a_tie_goes_to_the_first_cube_level(self):
         # a constant integrand at p = 1, gamma2 = 0 has Morrey value exactly
         # 1 on every cube of every level: the strict > keeps the first one
         spec = GridSpec(1, 6, 0)
         sp = SpaceParams(-0.2, 0.0, 1.0, 2.0)
-        fields = {j: np.ones((2, 16)) for j in (2, 3)}
-        weights = {2: 0.5, 3: 0.5}
-        admitted = {0: [2, 3], 1: [2, 3], 2: [2, 3], 3: [3], 4: [3], 5: []}
-        for sup in (tent._sup_over_cubes, sup_over_cubes_per_level):
-            vals, j0, flat = sup(fields, 2, weights, admitted, 1.0, sp, spec)
-            np.testing.assert_array_equal(vals, [1.0, 1.0])
-            np.testing.assert_array_equal(j0, [0, 0])
-            np.testing.assert_array_equal(flat, [0, 0])
+        fields = {j: np.ones((2,) + (1 << j,)) for j in (2, 3)}
+        w = np.full((2, 2), 0.5)
+        j0s = list(range(spec.J))
+        [bounds] = _morrey_bounds(fields, [(w, 0)], j0s, 1.0, sp, spec)
+        np.testing.assert_array_equal(bounds > 0, [[1, 1, 1, 1, 0, 0]] * 2)
+
+        def integrands(row, ks):
+            for k in ks:
+                levels = [j for j in (2, 3) if j >= j0s[k]]
+                band = {j: _upsample(fields[j][row:row + 1], 4, 1) for j in levels}
+                yield tent._integrand(band, {2: 0.5, 3: 0.5}, levels, 1.0), [k]
+
+        sup = _PrunedCubeMax(bounds, integrands, j0s, sp, spec)
+        # cube levels 0-2 admit both levels and tie with pass 1's value, so
+        # all are evaluated; level 3 admits level 3 alone (value 0.5) and is
+        # ruled out
+        assert sorted(sup.got) == [(row, k) for row in (0, 1) for k in (0, 1, 2)]
+        assert all(value == 1.0 for value, _ in sup.got.values())
+        assert sup.rows() == [0, 1]
+        assert sup.best(0) == sup.best(1) == (1.0, 0, 0)
+
+
+class TestPrunedMorreySups:
+    """Every tent part of the pruned evaluation, bit for bit against the
+    evaluation of every admitted pair."""
+
+    @pytest.mark.parametrize("n, J, L", [(1, 8, 40), (2, 5, 14)])
+    @pytest.mark.parametrize("p, q", [(2.0, 2.0), (3.0, 1.5), (1.5, np.inf),
+                                      (1.0, 2.0)])
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_parts_equal_the_unpruned_evaluation(self, monkeypatch, n, J, L, p,
+                                                 q, literal):
+        spec = GridSpec(n, J, 0)
+        basis = build_basis("daubechies" if n == 2 else "meyer", spec)
+        tp = make_tp(p=p, q=q)
+        tg = default_time_grid(spec, tp.beta, L=L)
+        for seed in range(2):
+            tcf = random_tcf(basis, tg, 11 * seed + J, complex_=bool(seed))
+            got = tent_norms(tcf, tp, literal_exponent=literal)
+            with monkeypatch.context() as m:
+                unpruned(m)
+                want = tent_norms(tcf, tp, literal_exponent=literal)
+            assert_same_parts(got, want)
+            assert got.seam_levels == want.seam_levels
+            if q != np.inf:
+                for part, (value, cube) in zip(
+                        (got.part_iii, got.part_iv),
+                        parts_iii_iv_oracle(tcf, tp, literal)):
+                    assert (part.value, part.argmax_cube) == (value, cube)
+
+    def test_a_tie_across_cube_levels_keeps_the_first(self, monkeypatch):
+        # one coefficient per level at every node, all equal: part IV's
+        # integrand (gamma2 = n/p weight 1, p = 1) ties across cube levels
+        spec = GridSpec(1, 6, 0)
+        basis = build_basis("meyer", spec)
+        tp = TentParams(SpaceParams(-0.5, 1.0, 1.0, 1.0), m=1.0, m_prime=1.0,
+                        beta=1.0)
+        tcf = empty_tcf(basis, default_time_grid(spec, tp.beta, L=16))
+        for arr in tcf.detail.values():
+            arr[:] = 1.0
+        got = tent_norms(tcf, tp)
+        with monkeypatch.context() as m:
+            unpruned(m)
+            want = tent_norms(tcf, tp)
+        assert_same_parts(got, want)
+
+
+class TestBoundProperty:
+    """The bound is at least the exact Morrey value, in every regime of
+    r = p root, for fields spread over many orders of magnitude."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2]), J=st.integers(3, 6),
+           drop=st.integers(1, 2), p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+           q=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, np.inf]),
+           literal=st.booleans(), gammas=st.tuples(st.floats(-1, 1),
+                                                    st.floats(-1, 1)),
+           scale=st.sampled_from([1.0, 1e-150, 1e150, 1e-300]),
+           seed=st.integers(0, 2**16))
+    def test_bound_is_at_least_the_value(self, n, J, drop, p, q, literal, gammas,
+                                         scale, seed):
+        J = min(J, 4) if n == 2 else J
+        spec = GridSpec(n, J, 0)
+        sp = SpaceParams(gammas[0], gammas[1], p, q)
+        root = None if q == np.inf else (1.0 if literal else 1.0 / q)
+        rng = np.random.default_rng(seed)
+        levels = list(range(0, J - drop + 1))
+        j_max, rows = levels[-1], 2
+        fields = {j: scale * rng.random((rows,) + (1 << j,) * n) ** 3
+                  * (rng.random((rows,) + (1 << j,) * n) < 0.7) for j in levels}
+        w = rng.random((rows, len(levels))) * (rng.random((rows, len(levels))) < 0.8)
+        j0s = list(range(J))
+        parts = [(w, 0), (w, 1), (w, None)]
+        with np.errstate(all="ignore"):
+            tables = _morrey_bounds(fields, parts, j0s, root, sp, spec)
+            for (_, skip), table in zip(parts, tables):
+                for row in range(rows):
+                    for c, j0 in enumerate(j0s):
+                        S = [j for j in levels if skip is None or j >= j0 + skip]
+                        if not S:
+                            assert table[row, c] == 0
+                            continue
+                        band = {j: _upsample(fields[j][row:row + 1], j_max, n)
+                                for j in S}
+                        weights = dict(zip(levels, w[row]))
+                        [(value, _)] = _morrey_cube_max(
+                            tent._integrand(band, weights, S, root), (j0,), sp, spec)
+                        assert table[row, c] >= value[0] or np.isnan(value[0])
 
 
 class TestNonFiniteTentInput:
