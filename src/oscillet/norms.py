@@ -31,8 +31,29 @@ with a right-hand side per (grid, sample, cube), in the order of its first
 cube in (grid, level, position) order, so the first ill-conditioned cube
 raises; all are solved before any cube is analyzed.
 
-Most (sample, cube) rows are never analyzed.  Both bases are orthonormal,
-so by Bessel the detail coefficients a of the residual
+Every sup here and in `tent` runs over a finite table of candidates.
+Where a sup has many rows, a ceiling per candidate prunes it (`_Pruner`)
+in two exact passes per group of candidates: a sample of the oscillation
+norm, or all of a tent part.  Pass 1 evaluates the group's candidate of
+largest ceiling; its compared value (the value times the candidate's scale,
+the tent's t^m, or the value itself) is the group's limit L.  Pass 2
+evaluates every other candidate whose ceiling is not below L.  A ceiling is
+at least its candidate's compared value, so a skipped candidate lies below
+L <= sup: it neither attains the sup nor ties with it, and the scan over the
+evaluated candidates in table order with a strict >, which keeps the first
+one attaining the max, gives the value and argmax of the complete table.
+One rule covers the two edges.  A zero ceiling marks a candidate of value
+exactly 0 (an all-zero residual, a pair admitting no level), which never
+beats a sup that starts at 0, so it is never evaluated, and a group of zero
+ceilings evaluates nothing.  Below 2^-800 a ceiling is not trusted: squares,
+powers and products of numbers that small may have underflowed, which the
+ceilings' relative slack (BOUND_SLACK = 1e-6, far above the rounding of
+either side of a larger value) does not cover.  So at a limit at or below
+2^-800 every candidate of nonzero ceiling is evaluated.  `table` evaluates
+a group's remaining candidates on demand.
+
+The oscillation norm bounds every (sample, cube) row.  Both bases are
+orthonormal, so by Bessel the detail coefficients a of the residual
 r = phi_Q (f - P_{Q,f}) satisfy sum |a|^2 <= cell sum |r|^2.  At a point
 the TL integrand is the l^q norm of m = |E_n| x (detail levels) terms
 2^{j(gamma1 + n/2)} |a_{j,k}|, and l^q <= max(1, m^{1/q - 1/2}) l^2 (Hoelder
@@ -44,65 +65,32 @@ level-j cell has volume 2^{-nj}.  So a row's value is at most
     B = w_{j0} C (cell sum |r|^2)^{1/2},
     C = max_{j in band} 2^{j gamma1} max(1, m^{1/q - 1/2}),
 
-with w_{j0} the Morrey weight of its level.  For p > 2 the L^p mean
-exceeds the L^2 mean; C is +inf there and every row is evaluated.  The
-samples of every chart are gathered once, in blocks of at most CHUNK_BYTES;
-each block gives the right-hand sides of its rows and, once its geometry
-is solved, their residuals and energies, with no transform.  An energy
-below 2^-800 may have lost its squares to underflow: its row is evaluated
-unless the residual is all zero, whose value is exactly 0.
+with w_{j0} the Morrey weight of its level; its ceiling is B (1 +
+BOUND_SLACK).  For p > 2 the L^p mean exceeds the L^2 mean; the ceiling is
++inf there and every row is evaluated.  The samples of every chart are
+gathered once, in blocks of at most CHUNK_BYTES; each block gives the
+right-hand sides of its rows and, once its geometry is solved, their
+residuals and energies, with no transform.  An energy below 2^-800 may have
+lost its squares to underflow: its ceiling is +inf unless the residual is
+all zero, whose value is exactly 0.
 
-Two exact passes follow, through one evaluator.  Pass 1 evaluates each
-sample's row of largest B; its value is L_s.  Pass 2 evaluates every row
-with B (1 + BOUND_SLACK) >= L_s; BOUND_SLACK = 1e-6 is far above the
-rounding of either side.  A skipped row has a value below L_s <= sup, so
-it neither attains the sup nor ties with it: `value` and `argmax_cube`,
-the first cube attaining the sup, are those of the complete table.  The
-evaluator scatters the residuals of a sorted set of rows into stacks of at
-most CHUNK_BYTES, which one batched wavelet analysis and one batched TL
+The evaluator scatters the residuals of a sorted set of rows into stacks of
+at most CHUNK_BYTES, which one batched wavelet analysis and one batched TL
 norm consume.  Every per-cube sum still runs along one contiguous last
 axis, each column of a multi-RHS lstsq has the bits of its own solve, and
 the final root stays a scalar pow, so each value is bit for bit the one a
 cube-by-cube, sample-by-sample evaluation gives, whichever rows share its
-stack.  A report's `per_cube` evaluates the skipped rows of its sample on
-first access, through the same evaluator.
+stack.  A report's `per_cube` is its sample's complete table.
 
 Cube sups are exact over the finite dyadic family; when gamma2 = n/p and the
 coarsest cube is the whole torus, the Morrey sup is attained there and the
 evaluator returns bit-for-bit the plain Triebel-Lizorkin norm.
 
-The Morrey cube sups of the TLM norm and the tent parts are pruned the same
-way, with a bound from per-level cube sums (`_morrey_bounds`).  Their
-integrand is G = (sum_{j in S} w_j F_j)^root over an admitted level set S,
-F_j >= 0 constant on the level-j cells (root None: G = max_{j in S} w_j F_j).
-With r = p root (r = p for root None) the cube sum of the kernel is
-cell sum_{x in Q} G^p = int_Q G^p, and
-
-  - for r <= 1, (sum a_j)^r <= sum a_j^r (a concave power vanishing at 0 is
-    subadditive), so int_Q G^p <= sum_{j in S} w_j^r int_Q F_j^r; the same
-    sum bounds max_j (w_j F_j)^p for root None;
-  - for r > 1, Minkowski in L^r(Q) gives
-    int_Q G^p <= (sum_{j in S} (w_j^r int_Q F_j^r)^{1/r})^r.
-
-For j at or above the cube level j0, int_Q F_j^r = 2^{-nj} sum_{k in Q}
-F_j[k]^r is a pairwise-sum pyramid of the level's own cells, with no
-upsampling; a level j < j0 is constant on Q and contributes at most
-2^{-n j0} max_k F_j[k]^r.  The max over cubes of the bound's cube sum bounds
-the max of the exact one, and w_{j0} times its 1/p power bounds the Morrey
-value.  Every admitted level's cube sum gets 2^-800 added before its
-weight (the sum form adds it for every level the row weighs), and the sum
-over S once more after, so powers and products that underflowed cannot push
-the bound below the value; the result is multiplied by 1 + BOUND_SLACK, far
-above the rounding of the reordered sums for any value above 2^-800.
-
-`_PrunedCubeMax` then runs the two exact passes over a (row, cube level)
-table: pass 1 evaluates the pair of largest bound through `_morrey_cube_max`
-(value L), pass 2 every other pair of nonzero bound that is not below L
-(every one when L <= 2^-800).  A skipped pair's value is below L, so the
-scan over the evaluated pairs, in (row, cube level) order with a strict >,
-finds the value and first attaining cube of the complete table.  A per-row
-factor (the tent's t^m) multiplies bound and value alike before they are
-compared.
+The TLM norm's sup has one row of at most J cube levels, so every cube
+level is evaluated (`_morrey_cube_max` on the suffix aggregate of the levels
+at or above it): on so few candidates a bound costs about as much as the
+kernel calls it could save.  Tent parts III/IV do the same; parts I/II, with
+a row per time node, are pruned with the Morrey bound of `tent`.
 """
 
 from __future__ import annotations
@@ -189,15 +177,10 @@ def _block_reduce_sum(arr: np.ndarray, j0: int, J: int,
 
 
 def _level_power_sum(c: CoeffField, j: int, q: float, rows=Ellipsis) -> np.ndarray:
-    """sum_eps |a^eps_{j,k}|^q at level resolution (the pointwise sup over
-    eps of |a| when q = inf), for the rows `rows` of c's leading axes."""
-    return _power_sum([c.detail[(eps, j)][rows] for eps in detail_types(c.spec.n)], q)
-
-
-def _power_sum(blocks, q: float) -> np.ndarray:
-    """sum over the blocks of |a|^q, added in order (sum()'s leading 0 adds
-    nothing), or the pointwise sup of |a| when q = inf."""
-    stack = [np.abs(a) for a in blocks]
+    """sum_eps |a^eps_{j,k}|^q at level resolution, added in order (sum()'s
+    leading 0 adds nothing), or the pointwise sup over eps of |a| when
+    q = inf, for the rows `rows` of c's leading axes."""
+    stack = [np.abs(c.detail[(eps, j)][rows]) for eps in detail_types(c.spec.n)]
     return np.maximum.reduce(stack) if q == np.inf else reduce(np.add, [a ** q for a in stack])
 
 
@@ -235,167 +218,79 @@ def _morrey_cube_max(integrand: np.ndarray, j0s: Sequence[int], sp: SpaceParams,
     return out
 
 
-def _morrey_bounds(fields: dict[int, np.ndarray], parts, j0s: Sequence[int],
-                   root: float | None, sp: SpaceParams,
-                   spec: GridSpec) -> list[np.ndarray]:
-    """Upper bounds of the Morrey values `_morrey_cube_max` gives for the
-    integrands (sum_{j in S} w_j F_j)^root (root None: max_{j in S} w_j F_j),
-    per row of the fields' leading axis and cube level j0 of j0s (module
-    docstring).  `fields` maps each level j to F_j >= 0 at its own
-    resolution, (rows,) + (2^j,)^n.  Each part (w, skip) has weights w
-    (rows, levels), 0 leaving a level out of a row, and admits the levels
-    j >= j0 + skip, skip 0 or 1 (every level for skip None).  One
-    (rows, len(j0s)) array per part; 0 where a part admits no level, +inf
-    where the bound overflowed."""
-    with np.errstate(all="ignore"):
-        out = _bound_table(fields, parts, j0s, root, sp, spec)
-    out[np.isnan(out)] = np.inf
-    return list(out)
+class _Pruner:
+    """The two exact passes of a pruned sup (module docstring) over a flat
+    table of candidates: their `ceilings`, a group id per candidate
+    (`groups`, an int array), `evaluate(sorted indices) -> values` and an
+    optional per-candidate `scale` that multiplies values (the ceilings
+    carry it already) before they are compared.  `values` and `done` hold
+    what has been evaluated."""
 
-
-def _bound_table(fields, parts, j0s, root, sp, spec) -> np.ndarray:
-    """`_morrey_bounds` as one (parts, rows, len(j0s)) array."""
-    n, levels = spec.n, sorted(fields)
-    rows, nl, P, K = len(fields[levels[0]]), len(levels), len(parts), len(j0s)
-    r = sp.p if root is None else sp.p * root
-    mink = root is not None and r > 1
-    W = np.array([w for w, _ in parts], dtype=float)
-    W = W if r == 1 else W ** r
-    Fr = [fields[j] if r == 1 else fields[j] ** r for j in levels]
-    grid = tuple(range(-n, 0))
-    # the level-j terms at their own resolution: 2^{-nj} F_j^r, weighted per
-    # part in the sum form, and summed along the way down to each cube
-    # level (the Minkowski form keeps one term per level)
-    coef = (W * [2.0 ** (-n * j) for j in levels]).reshape((P, rows, nl) + (1,) * n)
-    col = {j0: c for c, j0 in enumerate(j0s)}
-    own = {j: b for b, j in enumerate(levels)}
-    halves = [((Ellipsis, slice(h, None, 2)) + (slice(None),) * (-1 - axis))
-              for axis in grid for h in (0, 1)]
-    # the sum form keeps one running sum per part and leaves out the levels
-    # no row of a part weighs; the Minkowski form one stack of the levels
-    live = np.logical_or.reduce(W, axis=1).tolist()
-    accs, count = [None] * (1 if mink else P), 0
-    # per part the max over the cubes of each j0 of its high levels' terms:
-    # the levels > j0 (taken before level j0's terms join) for skip 1, the
-    # levels >= j0 (after) otherwise
-    highs = np.zeros((P, rows, K))
-    before = [p for p, (_, skip) in enumerate(parts) if skip == 1]
-    after = [p for p, (_, skip) in enumerate(parts) if skip != 1]
-
-    def high(p, c):
-        acc = accs[0 if mink else p]
-        if acc is None:
+    def __init__(self, ceilings, groups, evaluate, scale=None):
+        self.groups, self.evaluate, self.scale = groups, evaluate, scale
+        self.values = np.zeros(len(ceilings))
+        self.done = np.zeros(len(ceilings), dtype=bool)
+        if not len(ceilings):
             return
-        if mink:
-            w = W[p, :, nl - count:].reshape((rows, count) + (1,) * n)
-            acc = (((acc + _TRUSTED_ENERGY) * w) ** (1.0 / r)).sum(axis=1)
-        highs[p, :, c] = np.maximum.reduce(acc, axis=grid)
+        # pass 1: each group's candidate of largest ceiling (a NaN first);
+        # not np.unique, whose 1-d form imports numpy.ma
+        count, firsts = groups.max() + 1, []
+        for m in map(self.members, range(count)):
+            if len(m):
+                first = m[np.argmax(ceilings[m])]
+                if ceilings[first] != 0:
+                    firsts.append(first)
+        firsts = np.sort(np.array(firsts, dtype=int))
+        self.run(firsts)
+        limit = np.zeros(count)
+        limit[groups[firsts]] = self.compared(firsts)
+        limit = limit[groups]
+        self.run(np.flatnonzero(~self.done & (ceilings != 0) & (
+            (limit <= _TRUSTED_ENERGY) | ~(ceilings < limit))))
 
-    for i in range(max(levels[-1], max(j0s)), min(j0s) - 1, -1):
-        for a, acc in enumerate(accs):    # pairwise sums along every grid axis
-            if acc is not None:
-                for h in range(0, 2 * n, 2):
-                    acc = acc[halves[h]] + acc[halves[h + 1]]
-                accs[a] = acc
-        c = col.get(i)
-        for p in (before if c is not None else ()):
-            high(p, c)
-        b = own.get(i)
-        if b is not None and mink:
-            term = (2.0 ** (-n * i) * Fr[b])[:, None]
-            accs[0] = term if accs[0] is None else np.concatenate([term, accs[0]], axis=1)
-            count += 1
-        elif b is not None:
-            for p in range(P):
-                if live[p][b]:
-                    term = coef[p, :, b] * Fr[b]
-                    accs[p] = term if accs[p] is None else accs[p] + term
-        for p in (after if c is not None else ()):
-            high(p, c)
-    if not mink:
-        # 2^-800 for each per-level cube sum, before its weight
-        highs += _TRUSTED_ENERGY * np.add.reduce(W, axis=-1)[:, :, None]
-    for p, (_, skip) in enumerate(parts):
-        if skip is None:
-            # every level for every j0: a level j < j0 is constant on the
-            # cube and contributes 2^{-n j0} max_k F_j^r
-            lv, cube = np.array(levels), np.array(j0s)
-            low = lv[:, None] < cube[None, :]
-            peak = np.array([F.reshape(rows, -1).max(axis=1) for F in Fr]).T
-            t = W[p][:, :, None] * (2.0 ** (-n * cube) * peak[:, :, None]
-                                    + _TRUSTED_ENERGY)
-            highs[p] += ((t ** (1.0 / r) if mink else t) * low).sum(axis=1)
-    b = (highs ** r if mink else highs) + _TRUSTED_ENERGY
-    weight = [2.0 ** (-j0 * (sp.gamma2 - n / sp.p)) * (1.0 + BOUND_SLACK) for j0 in j0s]
-    out = b ** (1.0 / sp.p) * weight
-    # a part admits no level at the cube levels past its last level
-    for p, (_, skip) in enumerate(parts):
-        dead = [c for c, j0 in enumerate(j0s) if skip is not None and j0 + skip > levels[-1]]
-        if dead:
-            out[p][:, dead] = 0.0
-    return out
+    def members(self, g: int) -> np.ndarray:
+        """The candidates of group g, in table order."""
+        return np.flatnonzero(self.groups == g)
+
+    def run(self, idx: np.ndarray) -> None:
+        if len(idx):
+            self.values[idx] = self.evaluate(idx)
+            self.done[idx] = True
+
+    def compared(self, idx: np.ndarray) -> np.ndarray:
+        values = self.values[idx]
+        return values if self.scale is None else values * self.scale[idx]
+
+    def best(self, g: int) -> tuple[float, int | None]:
+        """Group g's largest compared value among the evaluated candidates
+        and the first candidate attaining it; (0.0, None) when none is
+        positive."""
+        m = self.members(g)
+        m = m[self.done[m]]
+        values = self.compared(m)
+        positive = np.flatnonzero(values > 0)
+        if not len(positive):
+            return 0.0, None
+        i = positive[np.argmax(values[positive])]
+        return float(values[i]), int(m[i])
+
+    def table(self, g: int) -> np.ndarray:
+        """Every value of group g in table order, the candidates not yet
+        evaluated evaluated now."""
+        m = self.members(g)
+        self.run(m[~self.done[m]])
+        return self.values[m]
 
 
-class _PrunedCubeMax:
-    """Exact `_morrey_cube_max` values of a (row, cube level) table of
-    integrands, evaluated only where the bounds (rows, len(j0s)) let them
-    matter (module docstring).  `integrands(row, ks)` yields (integrand of
-    leading axis 1, cube-level indices it serves) for the indices ks of one
-    row (a pair they skip is 0); `scale` (rows,) multiplies values and
-    bounds before they are compared.  `got` maps each evaluated (row,
-    index) to (value, flat position of the first cube attaining it)."""
-
-    def __init__(self, bounds, integrands, j0s, sp, spec, scale=None):
-        self.integrands, self.j0s, self.sp, self.spec = integrands, j0s, sp, spec
-        self.scale = scale
-        self.got: dict[tuple[int, int], tuple[float, int]] = {}
-        flat = bounds.reshape(-1)
-        if not flat.size:
-            return
-        first = int(flat.argmax())          # no bound is NaN
-        if flat[first] == 0:
-            return                      # nothing admitted anywhere
-        limit = self.evaluate([first])
-        rest = np.flatnonzero(flat >= limit if limit > _TRUSTED_ENERGY else flat != 0)
-        others = [i for i in rest.tolist() if i != first]
-        if others:
-            self.evaluate(others)
-
-    def evaluate(self, idx: list[int]) -> float:
-        """Evaluate the flat pairs idx (ascending); the compared value of
-        the last."""
-        K = len(self.j0s)
-        by_row: dict[int, list[int]] = {}
-        for i in idx:
-            by_row.setdefault(i // K, []).append(i % K)
-            # a pair the integrands do not serve admits no level: value 0
-            self.got[divmod(i, K)] = (0.0, 0)
-        for row, ks in by_row.items():
-            for integrand, group in self.integrands(row, ks):
-                cube_max = _morrey_cube_max(integrand, [self.j0s[k] for k in group],
-                                            self.sp, self.spec)
-                for k, (vals, flat) in zip(group, cube_max):
-                    self.got[row, k] = (vals[0], int(flat[0]))
-        if not idx:
-            return 0.0
-        row, k = divmod(idx[-1], K)
-        value = self.got[row, k][0]
-        return value if self.scale is None else value * self.scale[row]
-
-    def rows(self) -> list[int]:
-        """The rows with an evaluated pair, in order."""
-        return sorted({row for row, _ in self.got})
-
-    def best(self, row: int) -> tuple[float, int, int]:
-        """The row's largest evaluated value, its cube level and the flat
-        position of its cube, the first in cube-level order (strict >);
-        (0.0, -1, 0) when none is positive."""
-        best, j0, flat = 0.0, -1, 0
-        for k in sorted(k for r, k in self.got if r == row):
-            value, at = self.got[row, k]
-            if value > best:
-                best, j0, flat = value, self.j0s[k], at
-        return best, j0, flat
+def _first_cube(j0s, results, n: int) -> tuple[float, DyadicCube | None]:
+    """The largest of the single-row `_morrey_cube_max` results, one
+    (values, flat positions) per cube level of j0s, and the first cube
+    attaining it in cube-level order; (0.0, None) when none is positive."""
+    best, cube = 0.0, None
+    for j0, (vals, flat) in zip(j0s, results):
+        if vals[0] > best:
+            best, cube = float(vals[0]), _cube_at(j0, flat[0], n)
+    return best, cube
 
 
 def _suffix_combine(levels, q: float):
@@ -413,18 +308,12 @@ def _suffix_combine(levels, q: float):
 
 @dataclass
 class TlmReport:
-    """`value` is the Morrey sup and `argmax_cube` the first cube, in level
-    and position order, attaining it.  `per_level` maps every cube level to
-    its sup; the levels the bound ruled out are evaluated on first access."""
+    """`value` is the Morrey sup, `argmax_cube` the first cube, in level and
+    position order, attaining it, and `per_level` every cube level's sup."""
 
     value: float
     argmax_cube: DyadicCube | None
-    _table: Callable[[], dict[int, float]] | None = field(
-        default=None, repr=False, compare=False)
-
-    @cached_property
-    def per_level(self) -> dict[int, float]:
-        return {} if self._table is None else self._table()
+    per_level: dict[int, float] = field(default_factory=dict)
 
 
 def _all_finite(blocks) -> bool:
@@ -437,15 +326,6 @@ def _all_finite(blocks) -> bool:
 def _check_finite(blocks) -> None:
     if not _all_finite(blocks):
         raise ParameterError("coefficient field has non-finite detail coefficients")
-
-
-def _level_blocks(c: CoeffField) -> list[np.ndarray]:
-    """Per detail type, every level's coefficients end to end, coarsest
-    level first."""
-    if not c.levels:
-        return []
-    return [np.concatenate([c.detail[(eps, j)].reshape(-1) for j in c.levels])
-            for eps in detail_types(c.spec.n)]
 
 
 def tl_norm(c: CoeffField, gamma1: float, p: float, q: float):
@@ -476,10 +356,13 @@ def tlm_wavelet_norm(c: CoeffField, sp: SpaceParams) -> float:
 
 
 def tlm_wavelet_norm_report(c: CoeffField, sp: SpaceParams) -> TlmReport:
+    """The Morrey sup over every cube level j0 of the grid of the suffix
+    aggregate V[j0] of the levels j >= j0, each cube level evaluated (module
+    docstring).  ParameterError for a stacked field or a non-finite detail
+    coefficient."""
     if c.batch_shape:
         raise ParameterError("the TLM norm takes a single field, not a stack")
-    blocks = _level_blocks(c)
-    _check_finite(blocks)
+    _check_finite(c.detail.values())
     if sp.degenerate(c.spec.n):
         warnings.warn(
             f"gamma2={sp.gamma2} > n/p={c.spec.n / sp.p}: degenerate regime "
@@ -487,54 +370,21 @@ def tlm_wavelet_norm_report(c: CoeffField, sp: SpaceParams) -> TlmReport:
             DegenerateRegimeWarning,
             stacklevel=2,
         )
-    return _tlm_core(c, sp, None, blocks)
-
-
-def _tlm_core(c: CoeffField, sp: SpaceParams, cube_levels,
-              blocks: list[np.ndarray] | None = None) -> TlmReport:
-    """The Morrey sup over the cube levels (all of the grid's when None) of
-    the suffix aggregates V[j0] of the levels j >= j0, pruned by
-    `_morrey_bounds` (module docstring); `blocks` is `_level_blocks(c)`."""
-    n, q = c.spec.n, sp.q
     if not c.levels:
         return TlmReport(0.0, None)
-    j0s = list(range(c.spec.j_min, c.spec.J) if cube_levels is None
-               else cube_levels)
-    # the level aggregates of `_level_aggregates`, at level resolution: the
-    # same elementwise operations on every level's blocks laid end to end
-    sizes = [1 << (n * j) for j in c.levels]
-    w = [2.0 ** (j * (sp.gamma1 + n / 2.0)) for j in c.levels]
-    aggregates = np.repeat(w if q == np.inf else [x ** q for x in w], sizes) \
-        * _power_sum(_level_blocks(c) if blocks is None else blocks, q)
-    ends = np.cumsum(sizes).tolist()
-    fields = {j: aggregates[end - size:end].reshape((1,) + (1 << j,) * n)
-              for j, size, end in zip(c.levels, sizes, ends)}
-    [bounds] = _morrey_bounds(fields, [(np.ones((1, len(fields))), 0)], j0s,
-                              None if q == np.inf else 1.0 / q, sp, c.spec)
-    # the suffix aggregates V[j0] at band resolution, finest level first,
-    # built only as far down as an evaluated cube level needs
-    suffix = _suffix_combine(((j, _upsample(fields[j][0], c.j_max, n))
-                              for j in reversed(c.levels)), q)
-    V: dict[int, np.ndarray] = {}
-
-    def integrands(row, ks):
-        for k in ks:
-            j = max(j0s[k], c.j_min)
-            while j not in V:
-                V.update([next(suffix)])
-            yield (V[j] if q == np.inf else V[j] ** (1.0 / q))[None], [k]
-
-    sup = _PrunedCubeMax(bounds, integrands, j0s, sp, c.spec)
-    best, j0, flat = sup.best(0)
-
-    def table():
-        # levels above the finest detail level have nothing left: 0.0
-        sup.evaluate([k for k, j0 in enumerate(j0s)
-                      if j0 <= c.j_max and (0, k) not in sup.got])
-        return {j0: float(sup.got[0, k][0]) if (0, k) in sup.got else 0.0
-                for k, j0 in enumerate(j0s)}
-
-    return TlmReport(float(best), _cube_at(j0, flat, n), table)
+    q, j0s = sp.q, range(c.spec.j_min, c.spec.J)
+    V = dict(_suffix_combine(_level_aggregates(c, sp.gamma1, q), q))
+    # the cube levels above the finest detail level have nothing left: 0.0
+    live = [j0 for j0 in j0s if j0 <= c.j_max]
+    found = []
+    for j0 in live:
+        Vj = V[max(j0, c.j_min)]
+        found += _morrey_cube_max((Vj if q == np.inf else Vj ** (1.0 / q))[None],
+                                  [j0], sp, c.spec)
+    value, cube = _first_cube(live, found, c.spec.n)
+    per_level = dict.fromkeys(j0s, 0.0)
+    per_level.update((j0, float(vals[0])) for j0, (vals, _) in zip(live, found))
+    return TlmReport(value, cube, per_level)
 
 
 def _cube_at(j0: int, flat: int, n: int) -> DyadicCube | None:
@@ -689,17 +539,18 @@ class OscillationReport:
     """`value` is the sup over cubes and `argmax_cube` the first cube, in
     level and position order, that attains it (None when no cube is
     positive).  `per_cube` lists every cube with its value, level by
-    level; the cubes the bound ruled out are evaluated on first access."""
+    level; the cubes the ceilings ruled out are evaluated on first access."""
 
     value: float
     argmax_cube: DyadicCube | None
     refined_value: float | None = None
     _rows: _CubeRows | None = field(default=None, repr=False, compare=False)
+    _sup: _Pruner | None = field(default=None, repr=False, compare=False)
     _sample: int = field(default=0, repr=False, compare=False)
 
     @cached_property
     def per_cube(self) -> list[tuple[DyadicCube, float]]:
-        return self._rows.table(self._sample)
+        return list(zip(self._rows.cubes(), self._sup.table(self._sample).tolist()))
 
 
 def oscillation_norm(f: GridFunction, sp: SpaceParams, cutoff: CutoffFamily,
@@ -737,15 +588,18 @@ def oscillation_norm_report(f, sp: SpaceParams, cutoff: CutoffFamily, m0: int,
     out = []
     for fs, rows in zip(groups, tables):
         reports = []
-        if rows is not None:
-            rows.prune()
+        # the reports hold the pruner, which holds the rows: no cycle keeps
+        # the rows alive past the reports
+        sup = None if rows is None else _Pruner(rows.ceiling, rows.sample_of,
+                                                 rows.evaluate)
         for s, g in enumerate(fs):
-            best, best_cube = rows.best(s)
+            best, row = sup.best(s)
+            best_cube = None if row is None else rows.cube(row)
             refined = None
             if refine and best_cube is not None:
                 refined = _refine_cube(g, sp, cutoff, m0, rows.basis, best_cube,
                                        best)
-            reports.append(OscillationReport(best, best_cube, refined, rows, s))
+            reports.append(OscillationReport(best, best_cube, refined, rows, sup, s))
         out.append(reports)
     return out if sweep else out[0][0] if single else out[0]
 
@@ -868,8 +722,8 @@ class _CubeRows:
     sample (`sample_of`), its chart (`chart_of`), its row in that chart
     (`chart_row`), its Morrey weight, its ceiling (the bound times
     1 + BOUND_SLACK, which its computed value never exceeds; +inf where no
-    bound is used) and, once evaluated, its value.  `_build_charts` fills in
-    the charts and the ceilings."""
+    bound is used).  `_build_charts` fills in the charts and the ceilings;
+    a `_Pruner` over the rows, grouped by sample, evaluates them."""
 
     def __init__(self, fs, sp, basis, cube_levels):
         spec = fs[0].spec
@@ -899,25 +753,25 @@ class _CubeRows:
         self.chart_of = np.empty(start, int)
         self.chart_row = np.empty(start, int)
         self.ceiling = np.full(start, np.inf)
-        self.values = np.empty(start)
-        self.done = np.zeros(start, dtype=bool)
-
-    def rows_of(self, s: int) -> np.ndarray:
-        """The rows of sample s, in table order (ascending)."""
-        return np.flatnonzero(self.sample_of == s)
 
     def cube(self, row: int) -> DyadicCube:
         start, j0, ks = self.levels[bisect_right(self.levels, row,
                                                  key=lambda lv: lv[0]) - 1]
         return DyadicCube(j0, tuple(ks[(row - start) % len(ks)].tolist()))
 
-    def evaluate(self, rows: np.ndarray) -> None:
-        """Value the sorted rows `rows`: their residuals are scattered into
-        (chunk,) + grid stacks of at most CHUNK_BYTES, analyzed together and
-        normed together.  A row's bits do not depend on the rows that share
-        its stack."""
+    def cubes(self) -> list[DyadicCube]:
+        """The cubes of one sample's rows, in table order."""
+        return [DyadicCube(j0, tuple(k)) for _, j0, ks in self.levels
+                for k in ks.tolist()]
+
+    def evaluate(self, rows: np.ndarray) -> np.ndarray:
+        """The values of the sorted rows `rows`: their residuals are
+        scattered into (chunk,) + grid stacks of at most CHUNK_BYTES,
+        analyzed together and normed together.  A row's bits do not depend
+        on the rows that share its stack."""
         spec, sp = self.spec, self.sp
         size = chunk_rows(spec.size)
+        out = np.empty(len(rows))
         for start in range(0, len(rows), size):
             chunk = rows[start:start + size]
             stack = np.zeros((len(chunk), spec.size), dtype=complex)
@@ -929,43 +783,9 @@ class _CubeRows:
                 stack[at[:, None], idx] = chart.residuals(vals, rows_c)
             coeffs = self.basis.analyze_stack(
                 stack.reshape((len(chunk),) + spec.shape))
-            self.values[chunk] = self.weight[chunk] * tl_norm(
+            out[start:start + size] = self.weight[chunk] * tl_norm(
                 coeffs, sp.gamma1, sp.p, sp.q)
-        self.done[rows] = True
-
-    def prune(self) -> None:
-        """Pass 1 values each sample's row of largest ceiling, L_s; pass 2
-        every row whose ceiling reaches its sample's L_s.  A zero ceiling
-        is a zero residual, of value 0; a NaN ceiling is evaluated."""
-        if not len(self.done):
-            return
-        firsts = [rows[np.argmax(self.ceiling[rows])]
-                  for rows in map(self.rows_of, range(len(self.data)))]
-        self.evaluate(np.sort(firsts))
-        limit = self.values[firsts][self.sample_of]
-        self.evaluate(np.flatnonzero(
-            ~self.done & (self.ceiling != 0) & ~(self.ceiling < limit)))
-
-    def best(self, s: int) -> tuple[float, DyadicCube | None]:
-        """The largest value of sample s among the evaluated rows and the
-        cube of the first row attaining it; (0.0, None) when none is
-        positive."""
-        rows = self.rows_of(s)
-        rows = rows[self.done[rows]]
-        best, best_row = 0.0, None
-        for row, val in zip(rows.tolist(), self.values[rows].tolist()):
-            if val > best:
-                best, best_row = val, row
-        return best, None if best_row is None else self.cube(best_row)
-
-    def table(self, s: int) -> list[tuple[DyadicCube, float]]:
-        """Every (cube, value) of sample s in level and cube order, the
-        rows not yet evaluated evaluated now."""
-        rows = self.rows_of(s)
-        self.evaluate(rows[~self.done[rows]])
-        cubes = [DyadicCube(j0, tuple(k)) for _, j0, ks in self.levels
-                 for k in ks.tolist()]
-        return list(zip(cubes, self.values[rows].tolist()))
+        return out
 
 
 def _refine_cube(f, sp, cutoff, m0, basis, cube, moment_value) -> float:

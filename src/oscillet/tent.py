@@ -15,25 +15,47 @@ sampled at the cell midpoint), so constant-in-t profiles integrate to the
 closed form up to the window-edge cell resolution.
 
 Each part is a Morrey sup over (row, cube level) pairs of integrands
-(sum_{j in S} w_j F_j)^{1/q} (the max over S for q = inf): rows are the time
-nodes for parts I/II, one row for part IV and one per cube level for part
-III.  No pair is evaluated before `norms._morrey_bounds` bounds it from
-per-level cube sums at each level's own resolution (r = p/q: the sum over S
-of w_j^r int_Q F_j^r for r <= 1 or q = inf, Minkowski's
-(sum_j (w_j^r int_Q F_j^r)^{1/r})^r for r > 1; the proof is in the `norms`
-module docstring).  Parts I/II take one bound pass per chunk of nodes (at
-most CHUNK_BYTES of the pass's level arrays): part I admits the levels
-j >= max(j0, theta), part II the levels j0 < j < theta, so a per-node mask
-on each part's weights, with the suffixes j >= j0 (part I) and j > j0
-(part II) of the part's own pyramid, gives both level sets.  Part I's bound
-and value carry the node's t^m.  Then `norms._PrunedCubeMax`
-runs two exact passes through the unchanged upsampled kernel: the pair of
-largest bound, then every pair whose bound reaches that value.  The scan
-over the evaluated pairs keeps the (node, cube level, position) order with
-a strict >, so `value`, `argmax_cube` and `argmax_node` are those of the
-complete table, bit for bit.  Parts III/IV take every coefficient's window
-integrals from one in-order running sum over the log cells, read at the
-log edges -2 j beta ln 2 they use.
+G = (sum_{j in S} w_j F_j)^root over an admitted level set S, F_j >= 0
+constant on the level-j cells (root None, for q = inf:
+G = max_{j in S} w_j F_j).
+
+Parts I/II have a row per time node, and `norms._Pruner` runs them, one
+group per part, with the ceilings of `_morrey_bounds` (the two passes are
+described in the `norms` module docstring).  With r = p root (r = p for
+root None) the cube sum of the kernel is cell sum_{x in Q} G^p =
+int_Q G^p, and
+
+  - for r <= 1, (sum a_j)^r <= sum a_j^r (a concave power vanishing at 0 is
+    subadditive), so int_Q G^p <= sum_{j in S} w_j^r int_Q F_j^r; the same
+    sum bounds max_j (w_j F_j)^p for root None;
+  - for r > 1, Minkowski in L^r(Q) gives
+    int_Q G^p <= (sum_{j in S} (w_j^r int_Q F_j^r)^{1/r})^r.
+
+Every admitted level has j >= j0, the cube level, and int_Q F_j^r =
+2^{-nj} sum_{k in Q} F_j[k]^r is a pairwise-sum pyramid of the level's own
+cells, with no upsampling.  The max over cubes of the bound's cube sum
+bounds the max of the exact one, and w_{j0} times its 1/p power bounds the
+Morrey value.  Every admitted level's cube sum gets 2^-800 added before its
+weight (the sum form adds it for every level the row weighs), and the sum
+over S once more after, so powers and products that underflowed cannot
+push the bound below the value; the result is multiplied by
+1 + BOUND_SLACK, far above the rounding of the reordered sums for any value
+above 2^-800.  Part I admits the levels j >= max(j0, theta) and part II the
+levels j0 < j < theta, so a per-node mask on each part's weights, with the
+suffixes j >= j0 (part I) and j > j0 (part II) of the part's own pyramid,
+gives both level sets; one bound pass runs per chunk of nodes (at most
+CHUNK_BYTES of the pass's level arrays).  Part I's ceiling and value carry
+the node's t^m.  The exact kernel is the unchanged upsampled
+`_morrey_cube_max`, and the pruner's scan keeps the (node, cube level,
+position) order with a strict >, so `value`, `argmax_cube` and
+`argmax_node` are those of the complete table, bit for bit.
+
+Parts III/IV have one candidate per cube level (part IV one row of
+windows, part III one row per cube level), so every cube level is
+evaluated, as for the TLM norm: on so few candidates a bound costs about as
+much as the kernel calls it could save.  They take every coefficient's
+window integrals from one in-order running sum over the log cells, read at
+the log edges -2 j beta ln 2 they use.
 
 Every part reads |a|^q (|a| for q = inf) from one table built per call.
 
@@ -53,12 +75,16 @@ import numpy as np
 
 from .errors import ParameterError
 from .grid import DyadicCube, TimeGrid
+from .grid import GridSpec
 from .norms import (
+    BOUND_SLACK,
     SpaceParams,
+    _TRUSTED_ENERGY,
     _all_finite,
     _cube_at,
-    _morrey_bounds,
-    _PrunedCubeMax,
+    _first_cube,
+    _morrey_cube_max,
+    _Pruner,
     _upsample,
 )
 from .wavelet import CoeffField, chunk_rows, detail_types
@@ -154,6 +180,88 @@ def _integrand(fields: dict[int, np.ndarray], level_weights: dict[int, float],
     if root is None:
         return np.maximum.reduce([level_weights[j] * fields[j] for j in levels])
     return sum(level_weights[j] * fields[j] for j in levels) ** root
+
+
+@np.errstate(all="ignore")
+def _morrey_bounds(fields: dict[int, np.ndarray], parts, j0s: Sequence[int],
+                   root: float | None, sp: SpaceParams,
+                   spec: GridSpec) -> list[np.ndarray]:
+    """Upper bounds of the Morrey values `_morrey_cube_max` gives for the
+    integrands (sum_{j in S} w_j F_j)^root (root None: max_{j in S} w_j F_j),
+    per row of the fields' leading axis and cube level j0 of j0s (module
+    docstring).  `fields` maps each level j to F_j >= 0 at its own
+    resolution, (rows,) + (2^j,)^n.  Each part (w, skip) has weights w
+    (rows, levels), 0 leaving a level out of a row, and admits the levels
+    j >= j0 + skip, skip 0 or 1.  One (rows, len(j0s)) array per part; 0
+    where a part admits no level, +inf where the bound overflowed."""
+    n, levels = spec.n, sorted(fields)
+    rows, nl, P, K = len(fields[levels[0]]), len(levels), len(parts), len(j0s)
+    r = sp.p if root is None else sp.p * root
+    mink = root is not None and r > 1
+    W = np.array([w for w, _ in parts], dtype=float)
+    W = W if r == 1 else W ** r
+    Fr = [fields[j] if r == 1 else fields[j] ** r for j in levels]
+    grid = tuple(range(-n, 0))
+    # the level-j terms at their own resolution: 2^{-nj} F_j^r, weighted per
+    # part in the sum form, and summed along the way down to each cube
+    # level (the Minkowski form keeps one term per level)
+    coef = (W * [2.0 ** (-n * j) for j in levels]).reshape((P, rows, nl) + (1,) * n)
+    col = {j0: c for c, j0 in enumerate(j0s)}
+    own = {j: b for b, j in enumerate(levels)}
+    halves = [((Ellipsis, slice(h, None, 2)) + (slice(None),) * (-1 - axis))
+              for axis in grid for h in (0, 1)]
+    # the sum form keeps one running sum per part and leaves out the levels
+    # no row of a part weighs; the Minkowski form one stack of the levels
+    live = np.logical_or.reduce(W, axis=1).tolist()
+    accs, count = [None] * (1 if mink else P), 0
+    # per part the max over the cubes of each j0 of its levels' terms: the
+    # levels > j0 (taken before level j0's terms join) for skip 1, the
+    # levels >= j0 (after) for skip 0
+    highs = np.zeros((P, rows, K))
+    before = [p for p, (_, skip) in enumerate(parts) if skip == 1]
+    after = [p for p, (_, skip) in enumerate(parts) if skip == 0]
+
+    def high(p, c):
+        acc = accs[0 if mink else p]
+        if acc is None:
+            return
+        if mink:
+            w = W[p, :, nl - count:].reshape((rows, count) + (1,) * n)
+            acc = (((acc + _TRUSTED_ENERGY) * w) ** (1.0 / r)).sum(axis=1)
+        highs[p, :, c] = np.maximum.reduce(acc, axis=grid)
+
+    for i in range(max(levels[-1], max(j0s)), min(j0s) - 1, -1):
+        for a, acc in enumerate(accs):    # pairwise sums along every grid axis
+            if acc is not None:
+                for h in range(0, 2 * n, 2):
+                    acc = acc[halves[h]] + acc[halves[h + 1]]
+                accs[a] = acc
+        c = col.get(i)
+        for p in (before if c is not None else ()):
+            high(p, c)
+        b = own.get(i)
+        if b is not None and mink:
+            term = (2.0 ** (-n * i) * Fr[b])[:, None]
+            accs[0] = term if accs[0] is None else np.concatenate([term, accs[0]], axis=1)
+            count += 1
+        elif b is not None:
+            for p in range(P):
+                if live[p][b]:
+                    term = coef[p, :, b] * Fr[b]
+                    accs[p] = term if accs[p] is None else accs[p] + term
+        for p in (after if c is not None else ()):
+            high(p, c)
+    if not mink:
+        # 2^-800 for each per-level cube sum, before its weight
+        highs += _TRUSTED_ENERGY * np.add.reduce(W, axis=-1)[:, :, None]
+    b = (highs ** r if mink else highs) + _TRUSTED_ENERGY
+    weight = [2.0 ** (-j0 * (sp.gamma2 - n / sp.p)) * (1.0 + BOUND_SLACK) for j0 in j0s]
+    out = b ** (1.0 / sp.p) * weight
+    # a part admits no level at the cube levels past its last level
+    for p, (_, skip) in enumerate(parts):
+        out[p][:, [c for c, j0 in enumerate(j0s) if j0 + skip > levels[-1]]] = 0.0
+    out[np.isnan(out)] = np.inf
+    return list(out)
 
 
 def _time_moment_antiderivative(logt: np.ndarray, qm: float) -> np.ndarray:
@@ -269,10 +377,9 @@ def tent_norms(tcf: CoeffField, tp: TentParams,
     # the levels at or above theta weigh in part I, the others in part II
     above = np.array(levels)[None, :] >= thetas[:, None]
     absolute, absq = _abs_power(tcf, q)
-    # part I's bound carries t^m; its value takes t^m as a numpy-scalar pow
-    # per node below (an array pow can take a SIMD path with other bits,
-    # which the bound's slack covers)
-    t_m = nodes ** tp.m
+    # part I's ceiling and value carry t^m, a numpy-scalar pow per node (an
+    # array pow can take a SIMD path with other bits)
+    t_m = np.array([t ** tp.m for t in nodes])
     weights = [np.array([w[j] for j in levels]) * mask
                for w, mask in ((w_i, above), (w_ii, ~above))]
     bounds = [[], []]
@@ -285,40 +392,39 @@ def tent_norms(tcf: CoeffField, tp: TentParams,
                 [(weights[0][chunk], 0), (weights[1][chunk], 1)], cube_levels,
                 root, sp, spec)):
             out.append(b)
+    K = len(cube_levels)
 
-    def node_integrands(w, admit):
-        def integrands(ell, ks):
-            fields = _level_fields(tcf, absq, slice(ell, ell + 1), q)
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for k in ks:
-                S = tuple(j for j in levels if admit(j, cube_levels[k], thetas[ell]))
-                if S:
-                    groups.setdefault(S, []).append(k)
-            for S, group in groups.items():
-                yield _integrand(band({j: fields[j] for j in S}), w, S, root), group
-        return integrands
+    def pruned_part(ceilings, w, admit, scale=None) -> PartResult:
+        """Part I or II: its (node, cube level) pairs, flat, one group."""
+        flats = np.zeros(ceilings.size, dtype=int)
 
-    sup1 = _PrunedCubeMax(np.concatenate(bounds[0]) * t_m[:, None],
-                          node_integrands(w_i, lambda j, j0, th: j >= max(j0, th)),
-                          cube_levels, sp, spec, scale=t_m)
-    sup2 = _PrunedCubeMax(np.concatenate(bounds[1]),
-                          node_integrands(w_ii, lambda j, j0, th: j0 < j < th),
-                          cube_levels, sp, spec)
-    part1 = PartResult(0.0)
-    for ell in sup1.rows():
-        v, j0, flat = sup1.best(ell)
-        v1 = float(v)
-        v1 *= nodes[ell] ** tp.m
-        if v1 > part1.value:
-            part1 = PartResult(v1, _cube_at(j0, flat, n), ell)
-    part2 = PartResult(0.0)
-    for ell in sup2.rows():
-        v, j0, flat = sup2.best(ell)
-        if float(v) > part2.value:
-            part2 = PartResult(float(v), _cube_at(j0, flat, n), ell)
+        def evaluate(idx):
+            values = np.zeros(len(idx))
+            for at, i in enumerate(idx.tolist()):
+                ell, k = divmod(i, K)
+                S = [j for j in levels if admit(j, cube_levels[k], thetas[ell])]
+                if S:                       # no admitted level: value 0
+                    fields = _level_fields(tcf, absq, slice(ell, ell + 1), q)
+                    [(vals, flat)] = _morrey_cube_max(
+                        _integrand(band({j: fields[j] for j in S}), w, S, root),
+                        [cube_levels[k]], sp, spec)
+                    values[at], flats[i] = vals[0], flat[0]
+            return values
 
-    part3 = PartResult(0.0)
-    part4 = PartResult(0.0)
+        sup = _Pruner(ceilings.reshape(-1), np.zeros(ceilings.size, dtype=int),
+                      evaluate, scale)
+        value, i = sup.best(0)
+        if i is None:
+            return PartResult(0.0)
+        ell, k = divmod(i, K)
+        return PartResult(value, _cube_at(cube_levels[k], flats[i], n), ell)
+
+    part1 = pruned_part(np.concatenate(bounds[0]) * t_m[:, None], w_i,
+                        lambda j, j0, th: j >= max(j0, th), np.repeat(t_m, K))
+    part2 = pruned_part(np.concatenate(bounds[1]), w_ii,
+                        lambda j, j0, th: j0 < j < th)
+
+    part3 = part4 = PartResult(0.0)
     if q != np.inf:
         root = 1.0 if literal_exponent else 1.0 / q
 
@@ -327,37 +433,25 @@ def tent_norms(tcf: CoeffField, tp: TentParams,
 
         # part IV: the windows (0, 2^{-2 j beta}] of every level, one row;
         # it is cube-geometry independent in time.  Part III: per cube level
-        # j0 the windows (2^{-2 j beta}, r^{2 beta}] of the levels j > j0,
-        # one row per j0
+        # j0 the windows (2^{-2 j beta}, r^{2 beta}] of the levels j > j0
         j0s = [j0 for j0 in cube_levels if j0 < levels[-1]]
         win = _WindowIntegrals(tcf, absq, (q * tp.m, q * tp.m_prime),
                                sorted({edge(j) for j in levels + j0s}))
         w_iv = {j: 2.0 ** (q * j * (s + 2 * tp.m_prime * beta)) for j in levels}
         field_iv = win.level_fields(np.maximum(win.own_edges(1, edge), 0.0)[None])
-        [b4] = _morrey_bounds(field_iv, [([[w_iv[j] for j in levels]], None)],
-                              cube_levels, root, sp, spec)
-        sup4 = _PrunedCubeMax(
-            b4, lambda row, ks: [(_integrand(band(field_iv), w_iv, levels, root), ks)],
-            cube_levels, sp, spec)
-        v4, j4, flat4 = sup4.best(0)
-        part4 = PartResult(float(v4), _cube_at(j4, flat4, n))
-
+        part4 = PartResult(*_first_cube(cube_levels, _morrey_cube_max(
+            _integrand(band(field_iv), w_iv, levels, root), cube_levels, sp, spec), n))
         if j0s:
             fields3 = win.level_fields(np.maximum(
                 np.stack([win.G[0, edge(j0)] for j0 in j0s]) - win.own_edges(0, edge),
                 0.0))
-            w3 = [[w_i[j] if j > j0 else 0.0 for j in levels] for j0 in j0s]
-            [b3] = _morrey_bounds(fields3, [(np.array(w3), 1)], j0s, root, sp, spec)
-
-            def integrands3(row, ks):
-                for k in ks:
-                    field3 = {j: _upsample(F[k:k + 1], tcf.j_max, n)
-                              for j, F in fields3.items() if j > j0s[k]}
-                    yield _integrand(field3, w_i, list(field3), root), [k]
-
-            sup3 = _PrunedCubeMax(np.diagonal(b3)[None], integrands3, j0s, sp, spec)
-            v3, j3, flat3 = sup3.best(0)
-            part3 = PartResult(float(v3), _cube_at(j3, flat3, n))
+            found = []
+            for k, j0 in enumerate(j0s):
+                field3 = {j: _upsample(F[k:k + 1], tcf.j_max, n)
+                          for j, F in fields3.items() if j > j0}
+                found += _morrey_cube_max(_integrand(field3, w_i, list(field3), root),
+                                          [j0], sp, spec)
+            part3 = PartResult(*_first_cube(j0s, found, n))
 
     quad_est = _quadrature_refinement_estimate(tcf, tp, absolute)
     return TentNormReport(part1, part2, part3, part4, seam_levels, quad_est)

@@ -116,7 +116,8 @@ def test_tent_parts_match_full_grid(monkeypatch, family, n, J, L, p, q, literal)
     got = tent_norms(tcf, tp, literal_exponent=literal)
     # the reference: every level field of parts I-IV on the full grid, the
     # full-grid kernel once per cube level, and every admitted (node, cube
-    # level) pair evaluated (the bounds of admitted pairs set to +inf)
+    # level) pair evaluated (the parts I/II bounds of admitted pairs set to
+    # +inf; parts III/IV evaluate every cube level)
     reference_calls = []
 
     def full_grid_kernel(integrand, j0s, sp, spec):
@@ -128,7 +129,7 @@ def test_tent_parts_match_full_grid(monkeypatch, family, n, J, L, p, q, literal)
         np.where(b > 0, np.inf, 0.0) for b in bounds(*args)])
     monkeypatch.setattr(tent, "_upsample",
                         lambda arr, _J, n=None: norms._upsample(arr, J, n))
-    monkeypatch.setattr(norms, "_morrey_cube_max", full_grid_kernel)
+    monkeypatch.setattr(tent, "_morrey_cube_max", full_grid_kernel)
     want = tent_norms(tcf, tp, literal_exponent=literal)
     # the patched kernel ran, so the reference is not the code under test
     assert reference_calls

@@ -62,6 +62,30 @@ def brute_force_tlm(c, sp):
     return best
 
 
+def full_tlm_table(c, sp):
+    """The TLM norm from the definition's cube-level split: per cube level
+    j0, one kernel call on the suffix aggregate of the levels j >= j0 (the
+    coarsest one below the band, 0.0 above it).  Returns the value, the
+    first cube attaining it in level and position order, and the per-level
+    table."""
+    q, n = sp.q, c.spec.n
+    V = dict(norms._suffix_combine(norms._level_aggregates(c, sp.gamma1, q), q))
+    table, best, best_cube = {}, 0.0, None
+    for j0 in range(c.spec.j_min, c.spec.J):
+        avail = [j for j in V if j >= j0]
+        if not avail:
+            table[j0] = 0.0
+            continue
+        Vj = V[min(avail)]
+        integrand = Vj if q == np.inf else Vj ** (1.0 / q)
+        [(vals, flat)] = norms._morrey_cube_max(integrand[None], (j0,), sp, c.spec)
+        table[j0] = float(vals[0])
+        if table[j0] > best:
+            k = np.unravel_index(int(flat[0]), (1 << j0,) * n)
+            best, best_cube = table[j0], DyadicCube(j0, tuple(map(int, k)))
+    return best, best_cube, table
+
+
 class TestTlNorm:
     def test_zero(self, meyer1d):
         c = meyer1d.analyze(GridFunction.zeros(meyer1d.spec))
@@ -148,73 +172,50 @@ class TestTlmNorm:
     @pytest.mark.parametrize("p, q", [(2.0, 2.0), (3.0, 1.5), (1.5, np.inf),
                                       (1.0, 2.0)])
     def test_pruned_report_equals_the_full_table(self, family, n, J, p, q):
-        """`per_level` (evaluated on first access) is the table of every cube
-        level's kernel value, bit for bit, and value and argmax_cube are its
-        first maximum."""
-        from oscillet import norms
+        """`per_level` is the table of every cube level's kernel value, bit
+        for bit, and value and argmax_cube are its first maximum."""
         basis = build_basis(family, GridSpec(n, J, 0))
         sp = SpaceParams(0.1, 0.2, p, q)
         for seed in range(3):
             data = np.random.default_rng(seed).standard_normal(basis.spec.shape)
             c = basis.analyze_stack(data + 1j * (seed - 1) * data[::-1])
             rep = tlm_wavelet_norm_report(c, sp)
-            assert "per_level" not in vars(rep)          # not evaluated yet
-            V = dict(norms._suffix_combine(
-                norms._level_aggregates(c, sp.gamma1, q), q))
-            want = {}
-            for j0 in range(0, J):
-                avail = [j for j in V if j >= j0]
-                if not avail:
-                    want[j0] = 0.0
-                    continue
-                Vj = V[min(avail)]
-                integrand = Vj if q == np.inf else Vj ** (1.0 / q)
-                [(vals, flat)] = norms._morrey_cube_max(integrand[None], (j0,),
-                                                        sp, c.spec)
-                want[j0] = (float(vals[0]), int(flat[0]))
-            table = {j0: v if isinstance(v, float) else v[0]
-                     for j0, v in want.items()}
+            value, cube, table = full_tlm_table(c, sp)
             assert list(rep.per_level) == list(table)
             assert [x.hex() for x in rep.per_level.values()] \
                 == [x.hex() for x in table.values()]
-            j_best = max(table, key=lambda j0: (table[j0], -j0))
-            assert rep.value == table[j_best] and type(rep.value) is float
-            k = np.unravel_index(want[j_best][1], (1 << j_best,) * n)
-            assert rep.argmax_cube == DyadicCube(j_best, tuple(map(int, k)))
+            assert rep.value == value and type(rep.value) is float
+            assert rep.argmax_cube == cube
 
-    def test_cli_tlm_report_is_the_unpruned_one(self, tmp_path, monkeypatch,
-                                                capsys):
-        """`oscillet norm --kind tlm` prints the bytes of an evaluation that
-        values every cube level."""
-        from oscillet import norms
+    def test_cli_tlm_report_is_the_unpruned_one(self, tmp_path, capsys):
+        """`oscillet norm --kind tlm` prints the value, argmax cube and
+        per-level table of the full-table oracle, byte for byte."""
+        import json
         from oscillet.cli import main as cli_main
         from oscillet.cli import _save_coeffs
         basis = build_basis("meyer", GridSpec(1, 8, 0))
         data = np.random.default_rng(4).standard_normal(basis.spec.shape)
-        _save_coeffs(basis.analyze_stack(data), str(tmp_path / "c.bin"))
+        c = basis.analyze_stack(data)
+        _save_coeffs(c, str(tmp_path / "c.bin"))
         argv = ["norm", "--kind", "tlm", "--gamma1", "0", "--gamma2", "0.3",
                 "--p", "2", "--q", "2", "--in", str(tmp_path / "c.bin")]
-        outputs = []
-        for prune in (True, False):
-            with monkeypatch.context() as m:
-                if not prune:
-                    bounds = norms._morrey_bounds
-                    m.setattr(norms, "_morrey_bounds", lambda *args: [
-                        np.where(b > 0, np.inf, 0.0) for b in bounds(*args)])
-                out = tmp_path / f"tlm-{prune}.json"
-                assert cli_main(argv + ["--report", str(out)]) == 0
-                outputs.append(out.read_bytes())
+        out = tmp_path / "tlm.json"
+        assert cli_main(argv + ["--report", str(out)]) == 0
         capsys.readouterr()
-        assert outputs[0] == outputs[1]
-        assert b'"per_level"' in outputs[0]
+        value, cube, table = full_tlm_table(c, SpaceParams(0.0, 0.3, 2.0, 2.0))
+        want = {"kind": "tlm", "gamma1": 0.0, "gamma2": 0.3, "p": 2.0, "q": 2.0,
+                "value": value, "argmax_cube": {"j": cube.j, "k": list(cube.k)},
+                "per_level": {str(j0): v for j0, v in table.items()}}
+        assert out.read_bytes() \
+            == (json.dumps(want, sort_keys=True, indent=1) + "\n").encode()
+        assert len(table) == 8
 
     def test_monotone_in_cube_family(self, meyer1d, rng):
-        from oscillet.norms import _tlm_core
         c = meyer1d.analyze(band_limited(meyer1d, rng))
-        sp = SpaceParams(0.0, 0.3, 2.0, 2.0)
-        small = _tlm_core(c, sp, cube_levels=range(0, 4))
-        full = _tlm_core(c, sp, cube_levels=range(0, 8))
-        assert full.value >= small.value
+        rep = tlm_wavelet_norm_report(c, SpaceParams(0.0, 0.3, 2.0, 2.0))
+        assert sorted(rep.per_level) == list(range(0, 8))
+        small = max(rep.per_level[j0] for j0 in range(0, 4))
+        assert rep.value == max(rep.per_level.values()) >= small
 
     @settings(max_examples=30)
     @given(family=st.sampled_from(["meyer", "daubechies"]),
@@ -648,9 +649,9 @@ class TestBoundedOscillation:
             reps = oscillation_norm_report(fs, sp, cutoff, 1, basis)
             for rep in reps:
                 rep.per_cube                       # every row evaluated
-            rows = reps[0]._rows
-            assert rows.done.all()
-            assert np.all(rows.values <= rows.ceiling), (p, q, gamma1)
+            rows, sup = reps[0]._rows, reps[0]._sup
+            assert sup.done.all()
+            assert np.all(sup.values <= rows.ceiling), (p, q, gamma1)
             if p > 2:
                 # no bound: every row is evaluated, whatever its residual
                 assert not np.any(rows.ceiling < np.inf)
@@ -665,8 +666,7 @@ class TestBoundedOscillation:
         basis, fs = self.samples(family, n, J)
         sp = SpaceParams(gamma1, 0.3, p, q)
         reps = oscillation_norm_report(fs, sp, CutoffFamily(n=n), 1, basis)
-        rows = reps[0]._rows
-        skipped = int(np.sum(~rows.done))
+        skipped = int(np.sum(~reps[0]._sup.done))
         assert (skipped == 0) if p > 2 else (skipped > 0)
         for rep in reps:
             value, cube = full_sup(rep.per_cube)
@@ -687,10 +687,10 @@ class TestBoundedOscillation:
                             lambda c, *args: np.floor(tl(c, *args) * 8) / 8)
         sp = SpaceParams(0.0, 0.0, 1.0, 2.0)
         reps = oscillation_norm_report(fs, sp, CutoffFamily(n=2), 1, basis)
-        rows = reps[0]._rows
+        rows, sup = reps[0]._rows, reps[0]._sup
         pass_one = [rows.cube(r[np.argmax(rows.ceiling[r])])
-                    for r in map(rows.rows_of, range(len(fs)))]
-        assert not rows.done.all()
+                    for r in map(sup.members, range(len(fs)))]
+        assert not sup.done.all()
         for rep, first in zip(reps, pass_one):
             value, cube = full_sup(rep.per_cube)
             assert [c for c, v in rep.per_cube if v == value][1:]   # a tie

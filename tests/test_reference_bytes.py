@@ -8,7 +8,10 @@ pins the heat-1d workload's report and rows (1e-12 relative); it runs the
 1-d heat lift at J=11 and L=256, which the default suite does not.
 `perfbench/refs/osc-1d.json` pins the osc-1d workload the same way, at
 seeds 0-7 and 42; its oscillation norm at J 8-10 runs the largest cube
-families of any workload.  The tests read `perfbench/` and write nothing there.
+families of any workload.  `perfbench/refs/riesz-2d.json` pins the riesz-2d
+workload at seed 42: the only 2-d tent parts and Riesz path any reference
+covers.  Its seed 10 is a known mismatch, kept as a strict xfail.  The tests
+read `perfbench/` and write nothing there.
 """
 
 import importlib.util
@@ -87,3 +90,14 @@ def test_osc_1d_matches_the_references():
 def test_osc_1d_matches_the_references_at_more_seeds(seed):
     # every input draws another argmax cube, which the pruned sup must find
     _check_experiment("osc-1d", seed)
+
+
+def test_riesz_2d_matches_the_references():
+    _check_experiment("riesz-2d")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ratio_growth.I reads 2.4e-12 relative off its reference, above the "
+    "1e-12 gate, since the heat pipeline was batched over time nodes"))
+def test_riesz_2d_seed_10_matches_the_references():
+    _check_experiment("riesz-2d", 10)

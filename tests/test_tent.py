@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillet import norms, tent, wavelet
+from oscillet import tent, wavelet
 from oscillet.errors import ParameterError
 from oscillet.grid import DyadicCube, GridFunction, GridSpec, cube_contains
 from oscillet.norms import (
     SpaceParams,
     _level_power_sum,
-    _morrey_bounds,
     _morrey_cube_max,
-    _PrunedCubeMax,
+    _Pruner,
     _runs,
     _upsample,
 )
@@ -171,13 +170,13 @@ def parts_iii_iv_oracle(tcf, tp, literal=False):
 
 def unpruned(monkeypatch):
     """Make every admitted (row, cube level) pair reach the exact kernel:
-    the bounds of admitted pairs become +inf."""
-    bounds = norms._morrey_bounds
+    the parts I/II bounds of admitted pairs become +inf (parts III/IV
+    evaluate every cube level anyway)."""
+    bounds = tent._morrey_bounds
 
     def infinite(*args):
         return [np.where(b > 0, np.inf, 0.0) for b in bounds(*args)]
 
-    monkeypatch.setattr(norms, "_morrey_bounds", infinite)
     monkeypatch.setattr(tent, "_morrey_bounds", infinite)
 
 
@@ -300,14 +299,14 @@ class TestSharedIntegrand:
         basis = build_basis("meyer", spec)
         tp = make_tp(p=p, q=q)
         tcf = random_tcf(basis, default_time_grid(spec, tp.beta, L=L), 3 * J + n)
-        kernel = norms._morrey_cube_max
+        kernel = tent._morrey_cube_max
         levels_seen = []
 
         def counting_kernel(integrand, j0s, sp, spec):
             levels_seen.extend(j0s)
             return kernel(integrand, j0s, sp, spec)
 
-        monkeypatch.setattr(norms, "_morrey_cube_max", counting_kernel)
+        monkeypatch.setattr(tent, "_morrey_cube_max", counting_kernel)
         got = tent_norms(tcf, tp)
         pruned = len(levels_seen)
         unpruned(monkeypatch)
@@ -332,24 +331,71 @@ class TestSharedIntegrand:
         fields = {j: np.ones((2,) + (1 << j,)) for j in (2, 3)}
         w = np.full((2, 2), 0.5)
         j0s = list(range(spec.J))
-        [bounds] = _morrey_bounds(fields, [(w, 0)], j0s, 1.0, sp, spec)
+        K = len(j0s)
+        [bounds] = tent._morrey_bounds(fields, [(w, 0)], j0s, 1.0, sp, spec)
         np.testing.assert_array_equal(bounds > 0, [[1, 1, 1, 1, 0, 0]] * 2)
 
-        def integrands(row, ks):
-            for k in ks:
+        flats = {}
+
+        def evaluate(idx):
+            values = []
+            for i in idx.tolist():
+                row, k = divmod(i, K)
                 levels = [j for j in (2, 3) if j >= j0s[k]]
                 band = {j: _upsample(fields[j][row:row + 1], 4, 1) for j in levels}
-                yield tent._integrand(band, {2: 0.5, 3: 0.5}, levels, 1.0), [k]
+                [(vals, flat)] = _morrey_cube_max(
+                    tent._integrand(band, {2: 0.5, 3: 0.5}, levels, 1.0), [j0s[k]],
+                    sp, spec)
+                values.append(vals[0])
+                flats[i] = int(flat[0])
+            return np.array(values)
 
-        sup = _PrunedCubeMax(bounds, integrands, j0s, sp, spec)
-        # cube levels 0-2 admit both levels and tie with pass 1's value, so
-        # all are evaluated; level 3 admits level 3 alone (value 0.5) and is
+        # one group (a tent part) and one group per row: either way cube
+        # levels 0-2 admit both levels and tie with pass 1's value, so all
+        # are evaluated; level 3 admits level 3 alone (value 0.5) and is
         # ruled out
-        assert sorted(sup.got) == [(row, k) for row in (0, 1) for k in (0, 1, 2)]
-        assert all(value == 1.0 for value, _ in sup.got.values())
-        assert sup.rows() == [0, 1]
-        assert sup.best(0) == sup.best(1) == (1.0, 0, 0)
+        flat = bounds.reshape(-1)
+        for groups in (np.zeros(2 * K, int), np.repeat([0, 1], K)):
+            sup = _Pruner(flat, groups, evaluate)
+            assert np.flatnonzero(sup.done).tolist() \
+                == [row * K + k for row in (0, 1) for k in (0, 1, 2)]
+            assert np.all(sup.values[sup.done] == 1.0)
+            assert sorted({int(i) // K for i in np.flatnonzero(sup.done)}) == [0, 1]
+            assert sup.best(0) == (1.0, 0)
+        assert sup.best(1) == (1.0, K)
+        assert flats[0] == flats[K] == 0           # the first cube of level 0
 
+    def test_each_group_gets_its_own_sup(self):
+        # group 0's values lie far below group 1's: one group would rule
+        # all of group 0 out, its own pass 1 and 2 find its exact sup and
+        # first attaining candidate, with a tie inside each group
+        values = np.array([1e-3, 3e-3, 2e-3, 3e-3, 1e3, 4e3, 4e3, 2e3])
+        ceilings = np.array([1.5e-3, 4e-3, 2.5e-3, 3e-3, 4.5e3, 4e3, 5e3, 3e3])
+        groups = np.repeat([0, 1], 4)
+        asked = []
+
+        def evaluate(idx):
+            asked.append(idx.tolist())
+            return values[idx]
+
+        sup = _Pruner(ceilings, groups, evaluate)
+        assert asked == [[1, 6], [3, 4, 5]]     # each group's top ceiling first
+        assert sup.best(0) == (3e-3, 1) and sup.best(1) == (4e3, 5)
+        assert not sup.done[[0, 2, 7]].any()     # ruled out by the ceilings
+        one = _Pruner(ceilings, np.zeros(8, int), evaluate)
+        assert not one.done[:4].any() and one.best(0) == (4e3, 5)
+        np.testing.assert_array_equal(sup.table(0), values[:4])
+        assert sup.done[:4].all() and not sup.done[7]
+
+    def test_zero_ceilings_and_tiny_limits(self):
+        # a zero ceiling is never evaluated; at a limit of at most 2^-800
+        # every nonzero ceiling is, so the sup stays exact even where a
+        # ceiling lies below its value, as an underflowed one may (2)
+        values = np.array([0.0, 1e-250, 3e-250, 0.0, 2e-250, 0.0])
+        ceilings = np.array([0.0, 1e-240, 5e-251, 0.0, 2e-250, 0.0])
+        sup = _Pruner(ceilings, np.array([0, 0, 0, 1, 1, 2]), lambda i: values[i])
+        assert sup.done.tolist() == [False, True, True, False, True, False]
+        assert sup.best(0) == (3e-250, 2) and sup.best(2) == (0.0, None)
 
 class TestPrunedMorreySups:
     """Every tent part of the pruned evaluation, bit for bit against the
@@ -394,6 +440,7 @@ class TestPrunedMorreySups:
             unpruned(m)
             want = tent_norms(tcf, tp)
         assert_same_parts(got, want)
+        assert got.part_iv.argmax_cube == DyadicCube(0, (0,))
 
 
 class TestBoundProperty:
@@ -421,13 +468,13 @@ class TestBoundProperty:
                   * (rng.random((rows,) + (1 << j,) * n) < 0.7) for j in levels}
         w = rng.random((rows, len(levels))) * (rng.random((rows, len(levels))) < 0.8)
         j0s = list(range(J))
-        parts = [(w, 0), (w, 1), (w, None)]
+        parts = [(w, 0), (w, 1)]
         with np.errstate(all="ignore"):
-            tables = _morrey_bounds(fields, parts, j0s, root, sp, spec)
+            tables = tent._morrey_bounds(fields, parts, j0s, root, sp, spec)
             for (_, skip), table in zip(parts, tables):
                 for row in range(rows):
                     for c, j0 in enumerate(j0s):
-                        S = [j for j in levels if skip is None or j >= j0 + skip]
+                        S = [j for j in levels if j >= j0 + skip]
                         if not S:
                             assert table[row, c] == 0
                             continue
