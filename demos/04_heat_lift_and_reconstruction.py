@@ -20,7 +20,6 @@ from oscillet import (
     default_time_grid,
     evolve_coefficients,
     heat_apply,
-    heat_frames,
     pi_phi_report,
     rel_l2_error,
 )
@@ -47,7 +46,7 @@ for beta in (0.5, 1.0):
         GridFunction(spec, rng.standard_normal(spec.shape))))
     c.scaling[:] = 0.0
     f = basis.synthesize(c)
-    rec, rep = pi_phi_report(fam, heat_frames(sg, f, tg), tg, spec)
+    rec, rep = pi_phi_report(fam, basis, evolve_coefficients(sg, basis, f, tg))
     print(f"  reconstruction residual (L=256): {rel_l2_error(rec, f):.2e}")
     print(f"  annulus coverage: low {rep.coverage_low:.2f}, "
           f"high {rep.coverage_high:.2f}")

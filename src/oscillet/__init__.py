@@ -45,9 +45,7 @@ from .semigroup import (
     default_time_grid,
     evolve_coefficients,
     fit_ctilde,
-    frames_from_tcf,
     heat_apply,
-    heat_frames,
     pi_phi_report,
 )
 from .tent import (

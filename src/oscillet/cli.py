@@ -42,7 +42,6 @@ from .semigroup import (
     TimeGrid,
     calibrate_family,
     evolve_coefficients,
-    frames_from_tcf,
     pi_phi_report,
 )
 from .tent import TentParams, tent_norms
@@ -162,8 +161,7 @@ def cmd_reconstruct(args) -> int:
         raise SystemExit("not a time-coefficient file with a beta tag")
     basis = build_basis("meyer", tcf.spec, profile=args.profile)
     fam = calibrate_family(tcf.beta, profile=args.profile)
-    rec, rep = pi_phi_report(fam, frames_from_tcf(basis, tcf, fam), tcf.tg,
-                             tcf.spec)
+    rec, rep = pi_phi_report(fam, basis, tcf)
     write_grid_function(rec, args.outfile)
     _emit({"kind": "reconstruct", "beta": tcf.beta, "C_beta": fam.C_beta,
            "coverage_low": rep.coverage_low, "coverage_high": rep.coverage_high,

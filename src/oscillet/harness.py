@@ -57,7 +57,6 @@ from .semigroup import (
     default_time_grid,
     evolve_coefficients,
     fit_ctilde,
-    frames_from_tcf,
     pi_phi_report,
 )
 from .tent import TentParams, check_embeddings, tent_norms
@@ -338,8 +337,7 @@ def run_semigroup_characterization(cfg: ExperimentConfig) -> dict:
             f = _sample(cfg, basis, s)
             tcf = _lift(basis, f, tg, cfg.beta)
             rep = tent_norms(tcf, tp)
-            rec, _ = pi_phi_report(fam, frames_from_tcf(basis, tcf, fam), tg,
-                                   basis.spec)
+            rec, _ = pi_phi_report(fam, basis, tcf)
             rec_norm = tlm_wavelet_norm(basis.analyze(rec), cfg.sp)
             residual = rel_l2_error(rec, f)
             combined = rep.combined
@@ -389,8 +387,7 @@ def _miscalibrated_reconstruction_control(fam, basis, f, tcf) -> dict:
     reconstruction residual far beyond the identity tolerance; run on the
     sweep's first J and sample 0 (f and its lift tcf)."""
     bad_fam = replace(fam, C_beta=1.5 * fam.C_beta)
-    rec, _ = pi_phi_report(bad_fam, frames_from_tcf(basis, tcf, bad_fam), tcf.tg,
-                           basis.spec)
+    rec, _ = pi_phi_report(bad_fam, basis, tcf)
     residual = rel_l2_error(rec, f)
     return {"kind": "miscalibrated-reconstruction", "residual": residual,
             "detected": bool(residual > IDENTITY_TOL)}
@@ -409,7 +406,7 @@ def _surjectivity_probe(basis, fam, tg, tp, cfg) -> dict:
         profile = np.where(tau <= 1.0, tau**tp.m_prime, tau ** (-(tp.m + 1.0)))
         arr[:] = profile.reshape((-1,) + (1,) * spec.n) * c.detail[(eps, j)]
     rep = tent_norms(tcf, tp)
-    rec, _ = pi_phi_report(fam, frames_from_tcf(basis, tcf, fam), tg, spec)
+    rec, _ = pi_phi_report(fam, basis, tcf)
     image_norm = tlm_wavelet_norm(basis.analyze(rec), cfg.sp)
     combined = rep.combined
     return {"tent_norm": combined, "image_norm": image_norm,

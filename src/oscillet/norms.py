@@ -66,8 +66,12 @@ level-j cell has volume 2^{-nj}.  So a row's value is at most
     C = max_{j in band} 2^{j gamma1} max(1, m^{1/q - 1/2}),
 
 with w_{j0} the Morrey weight of its level; its ceiling is B (1 +
-BOUND_SLACK).  For p > 2 the L^p mean exceeds the L^2 mean; the ceiling is
-+inf there and every row is evaluated.  The samples of every chart are
+BOUND_SLACK).  For p > 2 the L^p mean may exceed the L^2 mean, but the
+integrand g is constant on the N = 2^{n j_max} cells of the finest detail
+level, so ||g||_inf^2 <= N ||g||_2^2 (one cell's share of the L^2 mean) and
+||g||_p <= ||g||_inf^{1 - 2/p} ||g||_2^{2/p} <= N^{1/2 - 1/p} ||g||_2.  So
+C carries the factor 2^{n j_max max(0, 1/2 - 1/p)}, exactly 1 at p <= 2,
+and every exponent has a finite ceiling.  The samples of every chart are
 gathered once, in blocks of at most CHUNK_BYTES; each block gives the
 right-hand sides of its rows and, once its geometry is solved, their
 residuals and energies, with no transform.  An energy below 2^-800 may have
@@ -604,13 +608,6 @@ def oscillation_norm_report(f, sp: SpaceParams, cutoff: CutoffFamily, m0: int,
     return out if sweep else out[0][0] if single else out[0]
 
 
-def _runs(keys: np.ndarray) -> list[tuple[int, int]]:
-    """[start, stop) of each run of equal consecutive rows of keys."""
-    change = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=-1)) + 1
-    edges = [0, *change.tolist(), len(keys)]
-    return list(zip(edges[:-1], edges[1:]))
-
-
 @dataclass
 class _ChartSystem:
     """The (sample, cube) rows s * count + i of the member cubes i of one
@@ -694,8 +691,6 @@ def _solve_geometry(spec: GridSpec, cube: DyadicCube, members: list,
                            coefficients=system.coefficients[at:at + len(c.rows)])
         at += len(c.rows)
     for (t, start, c, rows), v in zip(blocks, vals):
-        if t.factor == np.inf:
-            continue
         r, idx = c.residuals(v, rows), start + c.rows[rows]
         energy = np.sum(r.real ** 2 + r.imag ** 2, axis=-1)
         low = energy < _TRUSTED_ENERGY         # the squares may have underflowed
@@ -707,13 +702,12 @@ def _solve_geometry(spec: GridSpec, cube: DyadicCube, members: list,
 def _bound_factor(sp: SpaceParams, levels: range, n: int) -> float:
     """C with weighted TL norm <= C (cell sum |r|^2)^{1/2} for every residual
     r (module docstring): max over the detail levels of 2^{j gamma1}, times
-    max(1, m^{1/q - 1/2}) for the m = |E_n| (levels) terms at a point; +inf
-    for p > 2, where no bound is used."""
-    if sp.p > 2:
-        return np.inf
+    max(1, m^{1/q - 1/2}) for the m = |E_n| (levels) terms at a point, times
+    N^{max(0, 1/2 - 1/p)} for the N = 2^{n j_max} finest-level cells."""
     m = len(detail_types(n)) * len(levels)
     return max(2.0 ** (j * sp.gamma1) for j in levels) \
-        * max(1.0, m ** (1.0 / sp.q - 0.5))
+        * max(1.0, m ** (1.0 / sp.q - 0.5)) \
+        * 2.0 ** (n * max(levels) * max(0.0, 0.5 - 1.0 / sp.p))
 
 
 class _CubeRows:
@@ -721,9 +715,9 @@ class _CubeRows:
     call, level-major, then sample-major, then in cube order.  Per row: its
     sample (`sample_of`), its chart (`chart_of`), its row in that chart
     (`chart_row`), its Morrey weight, its ceiling (the bound times
-    1 + BOUND_SLACK, which its computed value never exceeds; +inf where no
-    bound is used).  `_build_charts` fills in the charts and the ceilings;
-    a `_Pruner` over the rows, grouped by sample, evaluates them."""
+    1 + BOUND_SLACK, which its computed value never exceeds).
+    `_build_charts` fills in the charts and the ceilings; a `_Pruner` over
+    the rows, grouped by sample, evaluates them."""
 
     def __init__(self, fs, sp, basis, cube_levels):
         spec = fs[0].spec

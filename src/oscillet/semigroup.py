@@ -21,28 +21,29 @@ basis's band support (the union of the window supports, 1,849 of 4,096
 frequencies at 2-d J=6) as one (chunk, band) stack, and every level block
 of the chunk reads its support from it and transforms at once.  A chunk
 holds at most CHUNK_BYTES of that stack, the bound shared with the
-oscillation norm and the tent parts.  `frames_from_tcf` synthesizes one
-chunk of at most CHUNK_BYTES of grid rows at a time and, given the family
-that reconstructs from them, skips the nodes whose multiplier is zero at
-every radius.  The reconstruction reads the calibrated multiplier from one
-table per time grid and grid, kept on the family (the last one only), and
-transforms its frames a chunk at a time, adding them in node order.  Every
-value is bit for bit the one a node-by-node evaluation gives; the
-reconstruction keeps its spatial round trip, since accumulating in Fourier
-space would change the bits.
+oscillation norm and the tent parts.
+
+The reconstruction `pi_phi_report(family, basis, tcf)` runs on a heat lift.
+It reads the calibrated multiplier from one table per time grid and grid,
+kept on the family (the last one only), and skips the nodes whose
+multiplier is zero at every lattice radius: they add nothing.  The other
+nodes are synthesized a chunk of at most CHUNK_BYTES of grid rows at a
+time, transformed, and added in node order, bit for bit a node-by-node
+sum.  It keeps that spatial round trip, since accumulating the synthesis
+spectra in Fourier space would change the bits.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError, QuadratureWarning
 from .grid import GridFunction, GridSpec, TimeGrid, flat_positions, min_image
-from .norms import _level_power_sum, _runs
+from .norms import _level_power_sum
 from .wavelet import CoeffField, MeyerWindow, TWO_PI, _fft_last, chunk_rows
 
 
@@ -146,12 +147,6 @@ class CalibratedFamily:
             self._tables[key] = table
         return self._tables[key]
 
-    def live_nodes(self, tg: TimeGrid, spec: GridSpec) -> np.ndarray:
-        """Per node of tg, whether its multiplier is nonzero at some lattice
-        radius of spec: the frames of the other nodes add nothing to the
-        reconstruction."""
-        return np.any(self.multiplier_table(tg, spec)[0], axis=1)
-
 
 def calibrate_family(beta: float, profile: str = "polynomial",
                      n_check: int = 5) -> CalibratedFamily:
@@ -233,20 +228,25 @@ class ReconstructionReport:
     warning: str | None = None
 
 
-def pi_phi_report(family: CalibratedFamily, frames: Iterable[GridFunction],
-                  tg: TimeGrid, spec: GridSpec):
-    """C_beta int (F(t, .) * phi^beta_t)(x) dt/t on the time grid.
+def pi_phi_report(family: CalibratedFamily, basis, tcf: CoeffField):
+    """C_beta int (F(t, .) * phi^beta_t)(x) dt/t of the heat lift tcf on its
+    time grid, F(t, .) the synthesis of its row at t by the Meyer basis
+    `basis`; ParameterError if tcf has no time grid.
 
-    `frames` yields one GridFunction per node, in node order.  The frames of
-    the nodes whose multiplier is not zero are transformed a chunk at a time
-    (at most CHUNK_BYTES of grid rows) and added in node order, bit for bit
-    a node-by-node sum."""
+    The nodes whose multiplier is not zero at some lattice radius are
+    synthesized and transformed a chunk at a time (at most CHUNK_BYTES of
+    grid rows) and added in node order, bit for bit a node-by-node sum."""
+    tg, spec = tcf.tg, tcf.spec
+    if tg is None:
+        raise ParameterError("need a coefficient field with a time grid")
     acc = np.zeros(spec.shape, dtype=complex)
     weights = tg.weights()
     table, where = family.multiplier_table(tg, spec)
-    live = family.live_nodes(tg, spec)
+    live = np.flatnonzero(np.any(table, axis=1))
     rows = chunk_rows(spec.size)
-    for ells, stack in _live_chunks(frames, spec, live, rows):
+    for start in range(0, live.size, rows):
+        ells = live[start:start + rows]
+        stack = basis.synthesize_stack(tcf[ells])
         for ell, F in zip(ells, _fft_last(stack, spec.n)):
             acc += weights[ell] * table[ell][where] * F
     out = GridFunction(spec, np.fft.ifftn(family.C_beta * acc))
@@ -267,60 +267,6 @@ def pi_phi_report(family: CalibratedFamily, frames: Iterable[GridFunction],
         warnings.warn(warning, UserWarning, stacklevel=2)
     report = ReconstructionReport(cov_low, cov_high, tg.step, warning)
     return out, report
-
-
-def _live_chunks(frames: Iterable[GridFunction], spec: GridSpec,
-                 live: np.ndarray, rows: int):
-    """(node indices, stacked data) of the frames at the nodes where `live`
-    is set, `rows` frames at a time, in node order; checks that there is
-    one frame on `spec` per node."""
-    ells, datas = [], []
-    count = 0
-    for ell, frame in enumerate(frames):
-        if frame.spec != spec:
-            raise GridMismatchError("frame grid does not match")
-        count += 1
-        if ell < len(live) and live[ell]:
-            ells.append(ell)
-            datas.append(frame.data)
-            if len(ells) == rows:
-                yield ells, np.stack(datas)
-                ells, datas = [], []
-    if count != len(live):
-        raise ParameterError(f"expected {len(live)} frames, got {count}")
-    if ells:
-        yield ells, np.stack(datas)
-
-
-def frames_from_tcf(basis, tcf: CoeffField,
-                    family: CalibratedFamily | None = None
-                    ) -> Iterable[GridFunction]:
-    """The synthesized slice of every node, in node order; one chunk of nodes
-    of at most CHUNK_BYTES is synthesized at a time.  With the family that
-    will reconstruct from them, only its live nodes (`live_nodes`) are
-    synthesized, and every other node yields one shared read-only zero
-    frame, which `pi_phi_report` skips."""
-    live = (np.ones(tcf.tg.L, dtype=bool) if family is None
-            else family.live_nodes(tcf.tg, tcf.spec))
-    rows = chunk_rows(tcf.spec.size)
-    dead = None
-    for a, b in _runs(live[:, None]):
-        if not live[a]:
-            if dead is None:
-                dead = GridFunction.zeros(tcf.spec)
-                dead.data.flags.writeable = False
-            yield from [dead] * (b - a)
-            continue
-        for start in range(a, b, rows):
-            for data in basis.synthesize_stack(tcf[start:min(start + rows, b)]):
-                yield GridFunction(tcf.spec, data)
-
-
-def heat_frames(sg: SemigroupSpec, f: GridFunction, tg: TimeGrid):
-    F = np.fft.fftn(f.data)
-    symbol = sg.symbol()
-    for t in tg.nodes():
-        yield GridFunction(sg.spec, np.fft.ifftn(F * np.exp(-t * symbol)))
 
 
 # -- decay-bound reports ---------------------------------------------------------

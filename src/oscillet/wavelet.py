@@ -151,8 +151,8 @@ class CoeffField:
     A field on a time grid `tg` (the heat lift a^eps_{j,k}(t) of one
     function) has exactly one, of length tg.L, and `beta` names the
     semigroup exponent that produced it (None when unknown).  `c[ell]` and
-    `c[start:stop]` are views of rows of the leading axis, without the time
-    grid."""
+    `c[start:stop]` are views of rows of the leading axis, and `c[ells]`
+    (an index array) copies of them, without the time grid."""
 
     def __init__(self, spec: GridSpec, family: str, j_min: int, j_max: int,
                  tg: TimeGrid | None = None, beta: float | None = None):
@@ -204,7 +204,7 @@ class CoeffField:
 
     def __getitem__(self, rows) -> "CoeffField":
         """Row ell (an int) or rows start:stop (a slice) of the leading axis,
-        as views."""
+        as views, or the rows of an index array, as copies."""
         if not self.batch_shape:
             raise ParameterError("a field without a leading axis has no rows")
         return self._derive(lambda eps, j, arr: arr[rows], self.scaling[rows], None)

@@ -25,7 +25,7 @@ from oscillet.semigroup import (
     SemigroupSpec,
     calibrate_family,
     default_time_grid,
-    heat_frames,
+    evolve_coefficients,
     pi_phi_report,
 )
 from oscillet.wavelet import TWO_PI, WaveletIndex, build_basis
@@ -168,7 +168,7 @@ def test_criterion_07_reconstruction_identity():
         GridFunction(spec, rng.standard_normal(spec.shape))))
     c.scaling[:] = 0.0
     f = basis.synthesize(c)
-    rec, _ = pi_phi_report(fam, heat_frames(sg, f, tg), tg, spec)
+    rec, _ = pi_phi_report(fam, basis, evolve_coefficients(sg, basis, f, tg))
     resid = rel_l2_error(rec, f)
     report(7, resid < 1e-3, f"reconstruction residual = {resid:.2e} (L=256)")
 

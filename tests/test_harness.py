@@ -549,7 +549,6 @@ def test_heat_controls_on_the_loop_lifts_match_their_own_lifts():
     from oscillet.semigroup import (
         calibrate_family,
         check_decay_bounds,
-        frames_from_tcf,
         pi_phi_report,
     )
 
@@ -568,7 +567,7 @@ def test_heat_controls_on_the_loop_lifts_match_their_own_lifts():
         tcf = harness._lift(basis, f, tg, semi.beta)
         fam = calibrate_family(semi.beta)
         bad = replace(fam, C_beta=1.5 * fam.C_beta, _tables={})
-        rec, _ = pi_phi_report(bad, frames_from_tcf(basis, tcf), tg, basis.spec)
+        rec, _ = pi_phi_report(bad, basis, tcf)
         # the misattributed decay with its own basis and lift
         J0, basis = next(harness._sweep(decay))
         j_star = max(0, (min(decay.J_sweep) - 2) // 2)

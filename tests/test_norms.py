@@ -616,8 +616,10 @@ def full_sup(table):
     return best, best_cube
 
 
-# the (p, q) of the bound's cases: each side of p = 2 and of q = 2
-BOUND_PQ = [(2.0, 2.0), (1.5, np.inf), (1.0, 1.5), (2.0, 1.0), (3.0, 2.0)]
+# the (p, q) of the bound's cases: each side of p = 2 and of q = 2, and
+# p = 3, 4, 6, where the bound carries its band-cell factor
+BOUND_PQ = [(2.0, 2.0), (1.5, np.inf), (1.0, 1.5), (2.0, 1.0), (3.0, 2.0),
+            (3.0, 1.0), (4.0, np.inf), (6.0, 2.0)]
 
 
 class TestBoundedOscillation:
@@ -652,22 +654,22 @@ class TestBoundedOscillation:
             rows, sup = reps[0]._rows, reps[0]._sup
             assert sup.done.all()
             assert np.all(sup.values <= rows.ceiling), (p, q, gamma1)
-            if p > 2:
-                # no bound: every row is evaluated, whatever its residual
-                assert not np.any(rows.ceiling < np.inf)
+            # every exponent has a bound, and these samples' residuals
+            # are far from underflow
+            assert np.all(np.isfinite(rows.ceiling)), (p, q, gamma1)
 
     @pytest.mark.parametrize("family, n, J", [
         ("meyer", 1, 7), ("daubechies", 1, 7), ("meyer", 2, 4),
         ("daubechies", 2, 4)])
     @pytest.mark.parametrize("p, q, gamma1", [
         (2.0, 2.0, 0.0), (1.5, np.inf, -0.2), (1.0, 1.5, 0.5), (2.0, 1.0, 0.0),
-        (3.0, 2.0, 0.5)])
+        (3.0, 2.0, 0.5), (4.0, np.inf, -0.2), (6.0, 2.0, 0.0)])
     def test_pruned_sup_is_the_full_tables(self, family, n, J, p, q, gamma1):
         basis, fs = self.samples(family, n, J)
         sp = SpaceParams(gamma1, 0.3, p, q)
         reps = oscillation_norm_report(fs, sp, CutoffFamily(n=n), 1, basis)
         skipped = int(np.sum(~reps[0]._sup.done))
-        assert (skipped == 0) if p > 2 else (skipped > 0)
+        assert skipped > 0
         for rep in reps:
             value, cube = full_sup(rep.per_cube)
             assert_array_equal(rep.value, value)

@@ -18,9 +18,7 @@ from oscillet.semigroup import (
     default_time_grid,
     evolve_coefficients,
     fit_ctilde,
-    frames_from_tcf,
     heat_apply,
-    heat_frames,
     pi_phi_report,
 )
 from oscillet.wavelet import (
@@ -174,11 +172,15 @@ class TestNodeBatchedHeat:
         finest = (detail_types(n)[0], basis.j_max)
         tcf.detail[finest][1] = 0.0
         tcf.detail[(detail_types(n)[-1], basis.j_min)][:6] = 0.0
-        frames = list(frames_from_tcf(basis, tcf))
-        assert len(frames) == L
-        for ell, frame in enumerate(frames):
-            want = basis.synthesize(tcf[ell])
-            assert frame.data.tobytes() == want.data.tobytes()
+        size = wavelet.chunk_rows(sg.spec.size)
+        count = 0
+        for start in range(0, L, size):
+            stack = basis.synthesize_stack(tcf[start:start + size])
+            for ell, data in enumerate(stack, start):
+                want = basis.synthesize(tcf[ell])
+                assert data.tobytes() == want.data.tobytes()
+                count += 1
+        assert count == L
 
 
 class TestNonFiniteHeatInput:
@@ -268,13 +270,23 @@ class TestCalibrationBits:
             calibrate_family(1.0)
 
 
+def zero_lift(basis, tg, beta):
+    return CoeffField(basis.spec, basis.family, basis.j_min, basis.j_max, tg=tg,
+                      beta=beta)
+
+
 class TestPiPhi:
     def test_zero(self, meyer1d):
         tg = default_time_grid(meyer1d.spec, 1.0, L=32)
         fam = calibrate_family(1.0)
-        frames = (GridFunction.zeros(meyer1d.spec) for _ in range(tg.L))
-        rec, _ = pi_phi_report(fam, frames, tg, meyer1d.spec)
+        rec, _ = pi_phi_report(fam, meyer1d, zero_lift(meyer1d, tg, 1.0))
         assert lp_norm(rec, 2) == 0.0
+
+    def test_needs_a_time_grid(self, meyer1d, rng):
+        fam = calibrate_family(1.0)
+        c = meyer1d.analyze(band_limited(meyer1d, rng))
+        with pytest.raises(ParameterError, match="time grid"):
+            pi_phi_report(fam, meyer1d, c)
 
     @pytest.mark.parametrize("beta", [0.5, 0.75, 1.0])
     def test_reconstruction_identity(self, beta, meyer1d, rng):
@@ -284,7 +296,8 @@ class TestPiPhi:
         c = meyer1d.analyze(band_limited(meyer1d, rng))
         c.scaling[:] = 0.0
         f = meyer1d.synthesize(c)
-        rec, rep = pi_phi_report(fam, heat_frames(sg, f, tg), tg, meyer1d.spec)
+        tcf = evolve_coefficients(sg, meyer1d, f, tg)
+        rec, rep = pi_phi_report(fam, meyer1d, tcf)
         assert rel_l2_error(rec, f) < 1e-3
         assert rep.warning is None
 
@@ -305,9 +318,8 @@ class TestPiPhi:
     def test_coarse_grid_warns(self, meyer1d):
         fam = calibrate_family(1.0)
         tg = TimeGrid(1e-2, 0.1, 8)   # misses both tails
-        frames = (GridFunction.zeros(meyer1d.spec) for _ in range(tg.L))
         with pytest.warns(UserWarning):
-            pi_phi_report(fam, frames, tg, meyer1d.spec)
+            pi_phi_report(fam, meyer1d, zero_lift(meyer1d, tg, 1.0))
 
 
 def pi_phi_oracle(fam, frames, tg, spec):
@@ -325,6 +337,38 @@ def pi_phi_oracle(fam, frames, tg, spec):
     return np.fft.ifftn(fam.C_beta * acc), dead
 
 
+def random_lift(basis, tg, beta, rng):
+    """A field on tg with complex normal coefficients in every block."""
+    tcf = zero_lift(basis, tg, beta)
+    for arr in [*tcf.detail.values(), tcf.scaling]:
+        arr[:] = rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape)
+    return tcf
+
+
+def reconstruct_counting(monkeypatch, fam, basis, tcf):
+    """pi_phi_report(fam, basis, tcf) and the row count of each
+    synthesize_stack call it made."""
+    counts = []
+    stack = basis.synthesize_stack
+
+    def counting_stack(c):
+        counts.append(int(np.prod(c.batch_shape)))
+        return stack(c)
+
+    with monkeypatch.context() as m:
+        m.setattr(basis, "synthesize_stack", counting_stack)
+        got, _ = pi_phi_report(fam, basis, tcf)
+    return got, counts
+
+
+def zero_some_nodes(tcf, live, rows):
+    """Zero a block of tcf at one live node inside a chunk of `rows` live
+    nodes, and another over the first two such chunks."""
+    keys = list(tcf.detail)
+    tcf.detail[keys[-1]][live[1]] = 0.0
+    tcf.detail[keys[0]][live[:2 * rows]] = 0.0
+
+
 class TestChunkedReconstruction:
     # the 2-d default grid leaves the corner modes short of the annulus
     @pytest.mark.filterwarnings("ignore:time grid does not cover")
@@ -333,24 +377,27 @@ class TestChunkedReconstruction:
     @pytest.mark.parametrize("chunked", [False, True])
     def test_matches_node_loop(self, monkeypatch, n, J, L, rows, chunked):
         spec = GridSpec(n, J, 0)
+        basis = build_basis("meyer", spec)
         fam = calibrate_family(0.75)
         tg = default_time_grid(spec, fam.beta, L=L)
-        rng = np.random.default_rng(J * L)
-        data = (rng.standard_normal((L,) + spec.shape)
-                + 1j * rng.standard_normal((L,) + spec.shape))
-        frames = [GridFunction(spec, row) for row in data]
+        tcf = random_lift(basis, tg, fam.beta, np.random.default_rng(J * L))
         if chunked:
             # chunk edges inside the run of live nodes, a partial last chunk
             monkeypatch.setattr(wavelet, "CHUNK_BYTES", rows * 16 * spec.size)
         table, _ = fam.multiplier_table(tg, spec)
         live = np.flatnonzero(np.any(table, axis=1))
         assert live.size > rows and live.size % rows
+        zero_some_nodes(tcf, live, rows)
+        frames = [basis.synthesize(tcf[ell]) for ell in range(L)]
         want, dead = pi_phi_oracle(fam, frames, tg, spec)
         assert dead == L - live.size > 0      # some node adds nothing
-        got, _ = pi_phi_report(fam, iter(frames), tg, spec)
+        got, counts = reconstruct_counting(monkeypatch, fam, basis, tcf)
         np.testing.assert_array_equal(got.data, want)
+        assert sum(counts) == live.size
+        if chunked:
+            assert counts == [rows] * (live.size // rows) + [live.size % rows]
         # the table is built once per time grid and grid
-        again, _ = pi_phi_report(fam, iter(frames), tg, spec)
+        again, _ = pi_phi_report(fam, basis, tcf)
         assert fam.multiplier_table(tg, spec)[0] is table
         np.testing.assert_array_equal(again.data, want)
 
@@ -369,53 +416,29 @@ class TestChunkedReconstruction:
         assert fam.multiplier_table(tg2, meyer1d.spec)[0].shape[0] == 16
         assert fam.multiplier_table(tg, meyer1d.spec)[0] is not table[0]
 
-    def test_frame_count_is_checked(self, meyer1d):
-        fam = calibrate_family(1.0)
-        tg = default_time_grid(meyer1d.spec, 1.0, L=16)
-        for count in (15, 17):
-            frames = (GridFunction.zeros(meyer1d.spec) for _ in range(count))
-            with pytest.raises(ParameterError, match=f"expected 16 frames, got {count}"):
-                pi_phi_report(fam, frames, tg, meyer1d.spec)
-            # frames that skip the family's dead nodes still count every node
-            basis, sg, f, tg_f = heat_case(1, 8, count)
-            tcf = evolve_coefficients(sg, basis, f, tg_f)
-            with pytest.raises(ParameterError, match=f"expected 16 frames, got {count}"):
-                pi_phi_report(fam, frames_from_tcf(basis, tcf, fam), tg, basis.spec)
-
 
 class TestDeadNodeFrames:
     @pytest.mark.parametrize("n, J, L", [(1, 9, 192), (1, 10, 192), (2, 5, 40)])
     def test_skipping_dead_nodes_keeps_the_reconstruction(self, monkeypatch, n,
                                                           J, L):
+        rows = 7 if n == 1 else 3
         basis, sg, f, tg = heat_case(n, J, L)
         fam = calibrate_family(1.0)
         tcf = evolve_coefficients(sg, basis, f, tg)
-        live = fam.live_nodes(tg, basis.spec)
-        assert 0 < live.sum() < L
-        synthesized = []
-        stack = basis.synthesize_stack
-
-        def counting_stack(c):
-            synthesized.append(int(np.prod(c.batch_shape)))
-            return stack(c)
-
-        monkeypatch.setattr(basis, "synthesize_stack", counting_stack)
+        live = np.flatnonzero(np.any(fam.multiplier_table(tg, basis.spec)[0],
+                                     axis=1))
+        assert 0 < live.size < L and live.size > 2 * rows
+        # chunk edges inside the run of live nodes
+        monkeypatch.setattr(wavelet, "CHUNK_BYTES", rows * 16 * basis.spec.size)
+        zero_some_nodes(tcf, live, rows)
+        frames = [basis.synthesize(tcf[ell]) for ell in range(L)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            want, _ = pi_phi_report(fam, frames_from_tcf(basis, tcf), tg, basis.spec)
-            assert sum(synthesized) == L
-            del synthesized[:]
-            got, _ = pi_phi_report(fam, frames_from_tcf(basis, tcf, fam), tg,
-                                   basis.spec)
-        assert sum(synthesized) == live.sum()
-        assert got.data.tobytes() == want.data.tobytes()
-        # node order: every live frame is the synthesized slice, every dead
-        # one the shared read-only zero frame
-        for ell, frame in enumerate(frames_from_tcf(basis, tcf, fam)):
-            if live[ell]:
-                assert frame.data.tobytes() == basis.synthesize(tcf[ell]).data.tobytes()
-            else:
-                assert not np.any(frame.data) and not frame.data.flags.writeable
+            want, dead = pi_phi_oracle(fam, frames, tg, basis.spec)
+            got, counts = reconstruct_counting(monkeypatch, fam, basis, tcf)
+        assert dead == L - live.size
+        assert sum(counts) == live.size
+        assert got.data.tobytes() == want.tobytes()
 
 
 def pairwise_max_r1(tcf, c0, N, ctilde_grid):
@@ -550,8 +573,7 @@ class TestDualBound:
         c0 = meyer1d.analyze(GridFunction.zeros(meyer1d.spec))
         c0.set(WaveletIndex((1,), 4, (7,)), 1.0)
         tcf = evolve_coefficients(sg, meyer1d, meyer1d.synthesize(c0), tg)
-        rec, _ = pi_phi_report(fam, frames_from_tcf(meyer1d, tcf), tg,
-                               meyer1d.spec)
+        rec, _ = pi_phi_report(fam, meyer1d, tcf)
         c_rec = meyer1d.analyze(rec)
         rep_lo = check_dual_bound(c_rec, tcf, N=2.0)
         rep_hi = check_dual_bound(c_rec, tcf, N=6.0)
@@ -585,6 +607,11 @@ class TestTimeField:
         assert np.shares_memory(row.scaling, tcf.scaling)
         assert all(np.shares_memory(rows.detail[key], arr)
                    for key, arr in tcf.detail.items())
+        picked = tcf[np.array([1, 2])]
+        assert picked.batch_shape == (2,)
+        assert not np.shares_memory(picked.scaling, tcf.scaling)
+        for key, arr in rows.detail.items():
+            assert picked.detail[key].tobytes() == arr.tobytes()
         for derived in (tcf.copy(), tcf.scaled(2.0), tcf.zeros_like(),
                         tcf.map_detail(lambda eps, j, arr: -arr), tcf + tcf):
             assert (derived.tg, derived.beta, derived.batch_shape) == (tg, 0.75, (4,))

@@ -13,7 +13,6 @@ from oscillet.norms import (
     _level_power_sum,
     _morrey_cube_max,
     _Pruner,
-    _runs,
     _upsample,
 )
 from oscillet.operators import _random_detail_field
@@ -36,6 +35,13 @@ from oscillet.wavelet import CoeffField, build_basis
 
 def make_tp(g1=-0.2, g2=0.1, p=2.0, q=2.0, m=3.0, mp=1.0, beta=1.0):
     return TentParams(SpaceParams(g1, g2, p, q), m=m, m_prime=mp, beta=beta)
+
+
+def _runs(keys: np.ndarray) -> list[tuple[int, int]]:
+    """[start, stop) of each run of equal consecutive rows of keys."""
+    change = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=-1)) + 1
+    edges = [0, *change.tolist(), len(keys)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def empty_tcf(basis, tg, beta=1.0):
