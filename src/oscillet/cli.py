@@ -117,6 +117,9 @@ def cmd_transform(args) -> int:
 
 def cmd_norm(args) -> int:
     c = _load_coeffs(args.infile)
+    if c.batch_shape:
+        # the norms evaluate a stack row by row; a report holds one value
+        raise ParameterError("a norm takes a single field, not a time field")
     sp = SpaceParams(args.gamma1, args.gamma2, args.p, args.q)
     report: dict = {"kind": args.kind, "gamma1": args.gamma1,
                     "gamma2": args.gamma2, "p": args.p, "q": args.q}

@@ -15,7 +15,8 @@ Every runner and negative control takes its bases, inputs and time grid
 from the same helpers (`_sweep`, `_sample`, `_time_grid`).  What does not
 depend on the sample is built once per sweep point: the Riesz matrix of
 each J, the reconstruction's multiplier table of each (J, time grid), the
-initial data of each decay-bounds (variant, J), shared by its betas.  The
+initial data of each decay-bounds (variant, J), shared by its betas, and
+each decay-bounds kernel matrix, shared by every check.  The
 heat-side negative controls run on the loop's own lifts and reports (the
 level boost on sample 0 at the sweep endpoints, the miscalibrated
 reconstruction and the misattributed decay on the first J), so they add no
@@ -228,7 +229,9 @@ def _one_coefficient(basis, j: int, k: tuple[int, ...]) -> CoeffField:
 def run_norm_equivalence(cfg: ExperimentConfig) -> dict:
     """Oscillation norm against the wavelet norm: per-sample ratios, per-J
     brackets, endpoint drift and cross-basis overlap.  One oscillation call
-    per family sweep; the Meyer sweep also holds the control's samples."""
+    per family sweep; the Meyer sweep also holds the control's samples.
+    Each J's samples are analyzed one by one and stacked for one TLM call,
+    and at the Meyer sweep's ends one more for the control's three."""
     rows = []
     # the moment order follows the smoothness index: low orders avoid
     # absorbing coarse periodic content into the per-cube polynomial, high
@@ -248,14 +251,13 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> dict:
             draws, cfg.sp, cutoff, m0, [basis for _, basis in sweep])]
         per_J = {}
         for (J, basis), fs, osc_J in zip(sweep, draws, oscs):
+            cs = CoeffField.stack([basis.analyze(f) for f in fs])
+            if family == "meyer" and J in ends:
+                wrong = tlm_wavelet_norm(cs[:3], sp_wrong).tolist()
+                control_in.update(((J, s), (osc_J[s], wrong[s])) for s in range(3))
             ratios = []
-            for s, (f, osc) in enumerate(zip(fs, osc_J)):
-                c = basis.analyze(f)
-                if family == "meyer" and J in ends and s < 3:
-                    control_in[(J, s)] = (osc, tlm_wavelet_norm(c, sp_wrong))
-                if s >= cfg.samples:
-                    continue
-                wav = tlm_wavelet_norm(c, cfg.sp)
+            wavs = tlm_wavelet_norm(cs[:cfg.samples], cfg.sp).tolist()
+            for s, (osc, wav) in enumerate(zip(osc_J, wavs)):
                 if wav <= 0:
                     continue
                 ratio = osc / wav
@@ -526,8 +528,8 @@ def run_decay_bounds(cfg: ExperimentConfig) -> dict:
     variants = [("single", j_star), ("single-fine", j_star + 2), ("random", None)]
     # the initial data of each (variant, J), its synthesis and the dict its
     # coupling denominators are built into by the first check, shared by the
-    # betas: (basis, c0, f, denominators)
-    inputs = {}
+    # betas: (basis, c0, f, denominators); and every check's kernel matrices
+    inputs, kernels = {}, {}
     for J, basis in _sweep(cfg):
         for variant, j_coeff in variants:
             if j_coeff is not None:
@@ -545,7 +547,8 @@ def run_decay_bounds(cfg: ExperimentConfig) -> dict:
             for J in cfg.J_sweep:
                 basis, c0, f, denoms = inputs[(variant, J)]
                 tcf = _lift(basis, f, tg, beta)
-                rep = check_decay_bounds(tcf, c0, N=4.0, denominators=denoms)
+                rep = check_decay_bounds(tcf, c0, N=4.0, denominators=denoms,
+                                         kernels=kernels)
                 reports.append((J, rep))
                 rows.append({"experiment": "decay-bounds", "beta": beta,
                              "variant": variant, "J": J, "max_r2": rep.max_r2,
@@ -553,7 +556,7 @@ def run_decay_bounds(cfg: ExperimentConfig) -> dict:
                              "violations": rep.violations})
                 if (beta, variant, J) == (cfg.beta, "single", cfg.J_sweep[0]):
                     control = _misattributed_decay_control(basis, tcf, rep,
-                                                           j_star, k_star)
+                                                           j_star, k_star, kernels)
             ctilde, _worst = fit_ctilde(reports, 0.05)
             idx = int(np.argmin(np.abs(reports[0][1].ctilde_grid - ctilde)))
             r1_by_J = {J: rep.max_r1[idx] for J, rep in reports}
@@ -588,14 +591,16 @@ def run_decay_bounds(cfg: ExperimentConfig) -> dict:
     return {"report": report, "rows": rows}
 
 
-def _misattributed_decay_control(basis, tcf, rep_true, j_star, k_true) -> dict:
+def _misattributed_decay_control(basis, tcf, rep_true, j_star, k_true,
+                                 kernels: dict) -> dict:
     """Checking the lift of one wavelet against initial data positioned on
     the opposite side of the torus must blow the measured constant up; run
     on the lift tcf of the unit coefficient at (j_star, k_true), whose
-    report against its own initial data is rep_true."""
+    report against its own initial data is rep_true.  `kernels` is handed
+    to `check_decay_bounds`."""
     k_wrong = tuple((k + (1 << j_star) // 2) % (1 << j_star) for k in k_true)
     rep_wrong = check_decay_bounds(tcf, _one_coefficient(basis, j_star, k_wrong),
-                                   N=4.0)
+                                   N=4.0, kernels=kernels)
     blowup = (rep_wrong.max_r2 / rep_true.max_r2
               if rep_true.max_r2 > 0 else np.inf)
     return {"kind": "misattributed-initial-data", "blowup": blowup,

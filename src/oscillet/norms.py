@@ -93,8 +93,12 @@ evaluator returns bit-for-bit the plain Triebel-Lizorkin norm.
 The TLM norm's sup has one row of at most J cube levels, so every cube
 level is evaluated (`_morrey_cube_max` on the suffix aggregate of the levels
 at or above it): on so few candidates a bound costs about as much as the
-kernel calls it could save.  Tent parts III/IV do the same; parts I/II, with
-a row per time node, are pruned with the Morrey bound of `tent`.
+kernel calls it could save.  A field with one leading axis is a stack of
+such rows, each cube level one kernel call for all of them; every step is
+elementwise or a per-row sum, so each row's report has the bits of its own
+field's, and a single field is the one-row stack.  Tent parts III/IV also
+evaluate every cube level; parts I/II, with a row per time node, are pruned
+with the Morrey bound of `tent`.
 """
 
 from __future__ import annotations
@@ -286,14 +290,14 @@ class _Pruner:
         return self.values[m]
 
 
-def _first_cube(j0s, results, n: int) -> tuple[float, DyadicCube | None]:
-    """The largest of the single-row `_morrey_cube_max` results, one
+def _first_cube(j0s, results, n: int, row: int = 0) -> tuple[float, DyadicCube | None]:
+    """The largest of row `row` of the `_morrey_cube_max` results, one
     (values, flat positions) per cube level of j0s, and the first cube
     attaining it in cube-level order; (0.0, None) when none is positive."""
     best, cube = 0.0, None
     for j0, (vals, flat) in zip(j0s, results):
-        if vals[0] > best:
-            best, cube = float(vals[0]), _cube_at(j0, flat[0], n)
+        if vals[row] > best:
+            best, cube = float(vals[row]), _cube_at(j0, flat[row], n)
     return best, cube
 
 
@@ -355,17 +359,23 @@ def tl_norm(c: CoeffField, gamma1: float, p: float, q: float):
     return np.array(vals).reshape(batch) if batch else vals[0]
 
 
-def tlm_wavelet_norm(c: CoeffField, sp: SpaceParams) -> float:
-    return tlm_wavelet_norm_report(c, sp).value
+def tlm_wavelet_norm(c: CoeffField, sp: SpaceParams):
+    """The TLM norm of c: a float, or for a field with one leading axis an
+    array with one norm per row (`tlm_wavelet_norm_report`)."""
+    reps = tlm_wavelet_norm_report(c, sp)
+    return np.array([rep.value for rep in reps]) if c.batch_shape else reps.value
 
 
-def tlm_wavelet_norm_report(c: CoeffField, sp: SpaceParams) -> TlmReport:
+def tlm_wavelet_norm_report(c: CoeffField, sp: SpaceParams):
     """The Morrey sup over every cube level j0 of the grid of the suffix
     aggregate V[j0] of the levels j >= j0, each cube level evaluated (module
-    docstring).  ParameterError for a stacked field or a non-finite detail
-    coefficient."""
-    if c.batch_shape:
-        raise ParameterError("the TLM norm takes a single field, not a stack")
+    docstring): a `TlmReport`, or for a field with one leading axis a list
+    with one report per row, each bit for bit the row's own.  A single
+    field is the one-row stack.  ParameterError for more than one leading
+    axis or a non-finite detail coefficient (in any row)."""
+    batch = c.batch_shape
+    if len(batch) > 1:
+        raise ParameterError(f"the TLM norm takes one leading axis, not a {batch} stack")
     _check_finite(c.detail.values())
     if sp.degenerate(c.spec.n):
         warnings.warn(
@@ -374,21 +384,23 @@ def tlm_wavelet_norm_report(c: CoeffField, sp: SpaceParams) -> TlmReport:
             DegenerateRegimeWarning,
             stacklevel=2,
         )
-    if not c.levels:
-        return TlmReport(0.0, None)
+    n, rows = c.spec.n, batch[0] if batch else 1
     q, j0s = sp.q, range(c.spec.j_min, c.spec.J)
     V = dict(_suffix_combine(_level_aggregates(c, sp.gamma1, q), q))
     # the cube levels above the finest detail level have nothing left: 0.0
-    live = [j0 for j0 in j0s if j0 <= c.j_max]
+    live = [j0 for j0 in j0s if j0 <= c.j_max] if c.levels else []
     found = []
     for j0 in live:
-        Vj = V[max(j0, c.j_min)]
-        found += _morrey_cube_max((Vj if q == np.inf else Vj ** (1.0 / q))[None],
+        Vj = V[max(j0, c.j_min)].reshape((rows,) + (1 << c.j_max,) * n)
+        found += _morrey_cube_max(Vj if q == np.inf else Vj ** (1.0 / q),
                                   [j0], sp, c.spec)
-    value, cube = _first_cube(live, found, c.spec.n)
-    per_level = dict.fromkeys(j0s, 0.0)
-    per_level.update((j0, float(vals[0])) for j0, (vals, _) in zip(live, found))
-    return TlmReport(value, cube, per_level)
+    reports = []
+    for row in range(rows):
+        value, cube = _first_cube(live, found, n, row)
+        per_level = dict.fromkeys(j0s, 0.0) if c.levels else {}
+        per_level.update((j0, float(vals[row])) for j0, (vals, _) in zip(live, found))
+        reports.append(TlmReport(value, cube, per_level))
+    return reports if batch else reports[0]
 
 
 def _cube_at(j0: int, flat: int, n: int) -> DyadicCube | None:

@@ -27,6 +27,18 @@ the flipped and rolled kernel) is kept on the matrix after its first apply.
 Every step is row-independent, and each destination receives its adds in
 source order, which is the order `riesz_matrix` stores them in, so the
 result has the bits of the block-by-block evaluation.
+
+The boundedness experiment runs each J of its sweep as one stack: the
+samples are the rows of one random field (`_random_detail_field` with a
+list of seeds, normalized by one stacked TLM call), applied by one
+`apply_matrix` and normed by one stacked TLM call per side; every row has
+the bits of its own sample's evaluation.  The random matrix is generated
+once, at the sweep's finest J.  Each block is drawn from (seed, j, j', type
+pair) alone, so a coarser J's matrix is the truncation to the blocks with
+j, j' <= J - 2, in the generator's insertion order: the matrix the
+generator gives at that J, bit for bit, with the same apply add order and
+the same order of decay violations.  The truncations share the finest
+matrix's arrays, which are read-only.
 """
 
 from __future__ import annotations
@@ -374,40 +386,62 @@ class BoundednessReport:
     notes: list = field(default_factory=list)
 
 
-def _random_detail_field(basis, sp: SpaceParams, seed: int,
+def _random_detail_field(basis, sp: SpaceParams, seed: int | Sequence[int],
                          top_margin: int = 1,
                          draws: dict | None = None) -> CoeffField:
     """Detail coefficients with per-level variance 2^{-j(2 gamma1 + n)},
-    rescaled to unit Morrey norm.  Levels draw from per-level seeds so the
-    same seed at a finer resolution extends the coarse field; `draws`, a
-    dict shared by the calls of one J sweep, keeps each level's standard
-    normal draws so that a finer J reuses them.
+    rescaled to unit Morrey norm: for a list of seeds one stacked field
+    with a row per seed, normalized by one stacked TLM call, and for one
+    seed (an int) the one-row stack's row.  Levels draw from per-level
+    seeds so the same seed at a finer resolution extends the coarse field;
+    `draws`, a dict shared by the calls of one J sweep, keeps each (seed,
+    level, type)'s standard normal draws so that a finer J reuses them.
 
     The finest `top_margin` levels stay empty: content then lives where the
     truncated ladder resolves exactly, so frequency multipliers (heat,
     Riesz) keep the field inside the basis span."""
-    n = basis.spec.n
+    single = isinstance(seed, (int, np.integer))
+    seeds = [seed] if single else list(seed)
+    n, rows = basis.spec.n, len(seeds)
     draws = {} if draws is None else draws
     blocks = {}
     for j in basis.detail_levels:
         sigma = 2.0 ** (-j * (2 * sp.gamma1 + n) / 2.0)
         for ei, eps in enumerate(basis.detail_type_list()):
             if j > basis.j_max - top_margin:
-                blocks[(eps, j)] = np.zeros((1 << j,) * n, dtype=complex)
+                blocks[(eps, j)] = np.zeros((rows,) + (1 << j,) * n, dtype=complex)
                 continue
-            normal = draws.get((seed, j, ei))
-            if normal is None:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(seed, spawn_key=(j, ei)))
-                normal = draws[(seed, j, ei)] = rng.standard_normal((1 << j,) * n)
+            for s in seeds:
+                if (s, j, ei) not in draws:
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence(s, spawn_key=(j, ei)))
+                    draws[(s, j, ei)] = rng.standard_normal((1 << j,) * n)
+            normal = np.array([draws[(s, j, ei)] for s in seeds])
             blocks[(eps, j)] = sigma * normal + 0j
-    scaling = np.zeros((1 << basis.j_min,) * n, dtype=complex)
+    scaling = np.zeros((rows,) + (1 << basis.j_min,) * n, dtype=complex)
     c = CoeffField._from_blocks(basis.spec, basis.family, basis.j_min, basis.j_max,
                                 blocks, scaling)
-    norm = tlm_wavelet_norm(c, sp)
-    if norm > 0:
-        c = c.scaled(1.0 / norm)
-    return c
+    norms = tlm_wavelet_norm(c, sp)
+    # a zero row stays as it is
+    factor = np.divide(1.0, norms, out=np.ones(rows), where=norms > 0)
+    c = c.scaled(factor.reshape((rows,) + (1,) * n))
+    return c[0] if single else c
+
+
+def _truncate(mat: AlmostDiagonalMatrix, spec: GridSpec,
+              j_max: int) -> AlmostDiagonalMatrix:
+    """The COO blocks of `mat` with j, j' <= j_max, in its insertion order,
+    as a matrix on `spec`; the blocks' arrays are shared, and marked
+    read-only.  For a `generate_random_czo` matrix this is the matrix the
+    generator gives on `spec` up to j_max, bit for bit: every block is
+    drawn from (seed, j, j', type pair) alone."""
+    out = AlmostDiagonalMatrix(spec, mat.j_min, j_max, mat.N0, mat.C, mat.band)
+    for key, arrays in mat.coo.items():
+        if key[1] <= j_max and key[3] <= j_max:
+            for arr in arrays:
+                arr.flags.writeable = False
+            out.coo[key] = arrays
+    return out
 
 
 def czo_boundedness_experiment(params: CzoGeneratorParams, sp: SpaceParams,
@@ -419,9 +453,12 @@ def czo_boundedness_experiment(params: CzoGeneratorParams, sp: SpaceParams,
                                profile: str = "polynomial",
                                draws: dict | None = None) -> BoundednessReport:
     """Morrey-norm ratios of random admissible matrices across the J sweep,
-    on the Meyer basis with transition profile `profile`.  `draws` keeps the
-    samples' standard normal draws (see `_random_detail_field`); sweeps over
-    the same seeds, n and levels may share one dict.
+    on the Meyer basis with transition profile `profile`.  The matrix is
+    generated once, at the sweep's finest J; each J's is its truncation to
+    that J's band.  Per J the samples are one stack, applied once and
+    normed by one TLM call on each side.  `draws` keeps the samples'
+    standard normal draws (see `_random_detail_field`); sweeps over the
+    same seeds, n and levels may share one dict.
 
     A matrix violating the declared envelope still runs but the report is
     tagged uncertified (negative control)."""
@@ -436,11 +473,13 @@ def czo_boundedness_experiment(params: CzoGeneratorParams, sp: SpaceParams,
     notes = []
     if sp.p <= 1 or sp.q <= 1:
         notes.append("quasi-Banach exponents (p or q <= 1): exploratory run")
-    for J in J_sweep:
-        spec = GridSpec(n=n, J=J, j_min=j_min)
-        basis = build_basis("meyer", spec, profile=profile)
-        mat = generate_random_czo(spec, basis.j_min, basis.j_max, params,
-                                  seed=seed)
+    bases = [(J, build_basis("meyer", GridSpec(n=n, J=J, j_min=j_min), profile=profile))
+             for J in J_sweep]
+    top = max(bases, key=lambda item: item[0])[1]
+    finest = generate_random_czo(top.spec, top.j_min, top.j_max, params, seed=seed)
+    seeds = [seed + 104729 * s for s in range(samples)]
+    for J, basis in bases:
+        mat = _truncate(finest, basis.spec, basis.j_max)
         check_N0 = params.N0 if declared_N0 is None else declared_N0
         val = validate_decay(mat, N0=check_N0, C=params.C)
         if not val.ok:
@@ -448,12 +487,11 @@ def czo_boundedness_experiment(params: CzoGeneratorParams, sp: SpaceParams,
             notes.append(
                 f"J={J}: {len(val.violations)} entries exceed the declared "
                 f"envelope at N0={check_N0} (C_min={val.C_min:.3g})")
+        g = _random_detail_field(basis, sp, seeds, draws=draws)
+        out = apply_matrix(mat, g)
         ratios = []
-        for s in range(samples):
-            g = _random_detail_field(basis, sp, seed + 104729 * s, draws=draws)
-            out = apply_matrix(mat, g)
-            in_norm = tlm_wavelet_norm(g, sp)
-            out_norm = tlm_wavelet_norm(out, sp)
+        for s, (in_norm, out_norm) in enumerate(zip(
+                tlm_wavelet_norm(g, sp).tolist(), tlm_wavelet_norm(out, sp).tolist())):
             ratio = out_norm / in_norm if in_norm > 0 else 0.0
             ratios.append(ratio)
             per_sample.append((J, s, in_norm, out_norm, ratio))

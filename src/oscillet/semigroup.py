@@ -291,9 +291,13 @@ def cross_level_kernel_matrix(spec: GridSpec, j: int, j_prime: int,
     return (1.0 + dist) ** (-N)
 
 
-def coupling_denominators(c0: CoeffField, N: float,
-                          band: int = 3) -> dict[int, np.ndarray]:
-    """D[j][k] = sum_{|j-j'|<=band} sum_{eps',k'} |a0| (1+|2^{j-j'}k'-k|)^{-N}."""
+def coupling_denominators(c0: CoeffField, N: float, band: int = 3,
+                          kernels: dict | None = None) -> dict[int, np.ndarray]:
+    """D[j][k] = sum_{|j-j'|<=band} sum_{eps',k'} |a0| (1+|2^{j-j'}k'-k|)^{-N}.
+    `kernels` keeps each `cross_level_kernel_matrix` under (n, j, j', N),
+    the only arguments it depends on; a caller hands one dict to every call
+    to build each matrix once."""
+    kernels = {} if kernels is None else kernels
     # per level, the sum over detail types of |a| as a flat position vector
     sums = {j: _level_power_sum(c0, j, 1.0).reshape(-1) for j in c0.levels}
     out = {}
@@ -302,7 +306,10 @@ def coupling_denominators(c0: CoeffField, N: float,
         for jp in c0.levels:
             if abs(j - jp) > band:
                 continue
-            K = cross_level_kernel_matrix(c0.spec, j, jp, N)
+            key = (c0.spec.n, j, jp, N)
+            K = kernels.get(key)
+            if K is None:
+                K = kernels[key] = cross_level_kernel_matrix(c0.spec, j, jp, N)
             acc += K @ sums[jp]
         out[j] = acc
     return out
@@ -322,20 +329,21 @@ class DecayReport:
 def check_decay_bounds(tcf: CoeffField, c0: CoeffField, N: float,
                        ctilde_grid: Sequence[float] | None = None,
                        band: int = 3,
-                       denominators: dict[int, np.ndarray] | None = None
-                       ) -> DecayReport:
+                       denominators: dict[int, np.ndarray] | None = None,
+                       kernels: dict | None = None) -> DecayReport:
     """Measured constants in the two-regime coefficient decay bound for
     heat-evolved data against the initial coefficients.  `denominators`
     holds coupling_denominators(c0, N, band); an empty dict is filled here,
     so a caller that checks several lifts of c0 hands the same dict to
-    each call and builds it once."""
+    each call and builds it once.  `kernels` is handed to
+    `coupling_denominators`."""
     beta = _heat_beta(tcf)
     if ctilde_grid is None:
         ctilde_grid = np.arange(0.05, 2.0001, 0.05)
     ctilde_grid = np.asarray(ctilde_grid, dtype=float)
     denoms = {} if denominators is None else denominators
     if not denoms:
-        denoms.update(coupling_denominators(c0, N, band=band))
+        denoms.update(coupling_denominators(c0, N, band=band, kernels=kernels))
     nodes = tcf.tg.nodes()
     scale = max(c0.max_abs(), 1e-300)
     atol = 1e-12 * scale
@@ -383,13 +391,14 @@ def check_decay_bounds(tcf: CoeffField, c0: CoeffField, N: float,
         if logR.size:
             # the pairs of one (block, node) share tau, and x -> x + c rounds
             # monotonically, so max(logR + ct tau) over a run of equal tau
-            # is max(logR) + ct tau: the same bits from one max per run
+            # is max(logR) + ct tau: the same bits from one max per run, and
+            # one max per row of the (ctilde, run) table; the exp stays a
+            # scalar call per value, since an array exp may round differently
             starts = np.flatnonzero(np.r_[True, Tp[1:] != Tp[:-1]])
             peak, tau = np.maximum.reduceat(logR, starts), Tp[starts]
-            max_r1 = np.array([
-                float(np.exp(np.clip(np.max(peak + ct * tau), -745, 709)))
-                for ct in ctilde_grid
-            ])
+            table = peak + ctilde_grid[:, None] * tau
+            max_r1 = np.array([float(np.exp(np.clip(top, -745, 709)))
+                               for top in np.max(table, axis=1)])
     return DecayReport(ctilde_grid, max_r1, max_r2, seam_residual, seam_gap,
                        violations, n_pairs)
 

@@ -35,7 +35,7 @@ import struct
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -193,6 +193,18 @@ class CoeffField:
                       for eps in detail_types(spec.n)}
         out.scaling = scaling
         return out
+
+    @classmethod
+    def stack(cls, fields: Sequence["CoeffField"]) -> "CoeffField":
+        """The fields, one band and no leading axes, as the rows of one
+        stacked field (copies)."""
+        first = fields[0]
+        for other in fields[1:]:
+            first._check(other)
+        return cls._from_blocks(
+            first.spec, first.family, first.j_min, first.j_max,
+            {key: np.array([f.detail[key] for f in fields]) for key in first.detail},
+            np.array([f.scaling for f in fields]))
 
     def _derive(self, fn, scaling: np.ndarray, tg: TimeGrid | None) -> "CoeffField":
         """A field with this one's band and beta, the detail blocks

@@ -89,25 +89,45 @@ def test_norm_equivalence_computes_each_oscillation_norm_once(
     # one oscillation call per family sweep evaluates every sample once; the
     # Meyer sweep also takes the negative control's samples the loop does
     # not run (its third at both endpoints, when samples < 3), and the
-    # control reads the loop's floats
+    # control reads the loop's floats; each (family, J) stacks its samples
+    # for one TLM call, and the Meyer endpoints the control's three for one
+    # more
     from oscillet import harness
     from oscillet.norms import CutoffFamily
 
     real = harness.oscillation_norm_report
-    calls = []
+    calls, tlm_rows = [], []
 
     def counting(fs_by_grid, *args, **kwargs):
         calls.append([g.spec.J for fs in fs_by_grid for g in fs])
         return real(fs_by_grid, *args, **kwargs)
 
+    def counting_tlm(c, sp):
+        tlm_rows.append((c.spec.J, c.batch_shape, sp.gamma1))
+        return tlm_wavelet_norm(c, sp)
+
     cfg = ExperimentConfig("norm-equivalence", J_sweep=(6, 7, 8),
                            samples=samples, seed=5, family=family)
     monkeypatch.setattr(harness, "oscillation_norm_report", counting)
+    monkeypatch.setattr(harness, "tlm_wavelet_norm", counting_tlm)
     out = harness.run_norm_equivalence(cfg)
     families = 1 if family == "meyer" else 2
     extra = 2 * (3 - samples)            # control samples at both endpoints
     assert len(calls) == families
     assert sum(map(len, calls)) == families * len(cfg.J_sweep) * samples + extra
+    g1, g1_wrong = cfg.sp.gamma1, cfg.sp.gamma1 + 0.75
+    assert tlm_rows == [(6, (3,), g1_wrong), (6, (samples,), g1),
+                        (7, (samples,), g1),
+                        (8, (3,), g1_wrong), (8, (samples,), g1)] \
+        + [(J, (samples,), g1) for J in cfg.J_sweep] * (families - 1)
+    # every row's wavelet norm is its sample's own, bit for bit
+    bases = {(fam, J): basis for fam in ("meyer", family)
+             for J, basis in harness._sweep(cfg, family=fam)}
+    for row in out["rows"]:
+        basis = bases[(row["family"], row["J"])]
+        one = tlm_wavelet_norm(basis.analyze(harness._sample(cfg, basis, row["sample"])),
+                               cfg.sp)
+        assert row["wavelet"].hex() == one.hex()
     # the control against its inputs drawn and evaluated on their own
     m0 = out["report"]["moment_order"]
     sp_wrong = SpaceParams(cfg.sp.gamma1 + 0.75, cfg.sp.gamma2, cfg.sp.p,
@@ -340,6 +360,24 @@ def test_cli_norm_rejects_a_file_with_a_bad_header(tmp_path, meyer1d):
                        match=r"^oscillet norm: unsupported header: .*\(expected "
                              r"\(2, 3\)\)"):
         cli_main(["norm", "--kind", "tlm", "--gamma1", "0.0", "--gamma2", "0.3",
+                  "--p", "2", "--q", "2", "--in", str(path)])
+
+
+@pytest.mark.parametrize("kind", ["tl", "tlm", "osc"])
+def test_cli_norm_rejects_a_time_field(tmp_path, meyer1d, kind):
+    # the one stack a coefficient file holds; one line on exit, not a
+    # traceback from a report built for one value
+    from oscillet.semigroup import SemigroupSpec, default_time_grid, evolve_coefficients
+    from oscillet.wavelet import write_coeff_field
+    f = GridFunction(meyer1d.spec, np.ones(meyer1d.spec.shape))
+    tcf = evolve_coefficients(SemigroupSpec(1.0, meyer1d.spec), meyer1d, f,
+                              default_time_grid(meyer1d.spec, 1.0, L=4))
+    path = tmp_path / "t.bin"
+    write_coeff_field(tcf, str(path))
+    with pytest.raises(SystemExit,
+                       match="^oscillet norm: a norm takes a single field, "
+                             "not a time field$"):
+        cli_main(["norm", "--kind", kind, "--gamma1", "0.0", "--gamma2", "0.3",
                   "--p", "2", "--q", "2", "--in", str(path)])
 
 
@@ -585,17 +623,23 @@ def test_heat_controls_on_the_loop_lifts_match_their_own_lifts():
 
 def test_decay_bounds_build_one_denominator_set_per_variant_and_J(monkeypatch):
     """The report with one coupling_denominators per (variant, J), shared by
-    the betas, equals the report that rebuilds them in every check."""
+    the betas, and one kernel matrix per level pair, shared by every check,
+    equals the report that rebuilds them in every check."""
     from oscillet import harness, semigroup
 
     cfg = ExperimentConfig("decay-bounds", J_sweep=(6, 7), time_nodes=32)
-    builds, checks = [], []
+    builds, checks, kernels = [], [], []
     build = semigroup.coupling_denominators
     check = harness.check_decay_bounds
+    kernel = semigroup.cross_level_kernel_matrix
 
     def counting_build(*args, **kwargs):
         builds.append(args)
         return build(*args, **kwargs)
+
+    def counting_kernel(spec, j, j_prime, N):
+        kernels.append((spec.n, j, j_prime, N))
+        return kernel(spec, j, j_prime, N)
 
     def counting_check(*args, **kwargs):
         checks.append(args)
@@ -603,6 +647,7 @@ def test_decay_bounds_build_one_denominator_set_per_variant_and_J(monkeypatch):
 
     monkeypatch.setattr(semigroup, "coupling_denominators", counting_build)
     monkeypatch.setattr(harness, "check_decay_bounds", counting_check)
+    monkeypatch.setattr(semigroup, "cross_level_kernel_matrix", counting_kernel)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got = run_experiment(cfg)
@@ -610,9 +655,12 @@ def test_decay_bounds_build_one_denominator_set_per_variant_and_J(monkeypatch):
         assert len(checks) == 13
         # 3 variants x 2 J, plus the control's own initial data
         assert len(builds) == 7
+        # each pair of levels 0..5 at most 3 apart, once
+        assert sorted(kernels) == [(1, j, jp, 4.0) for j in range(6)
+                                   for jp in range(6) if abs(j - jp) <= 3]
         monkeypatch.setattr(harness, "check_decay_bounds",
-                            lambda *args, denominators=None, **kwargs:
-                            check(*args, **kwargs))
+                            lambda *args, denominators=None, kernels=None,
+                            **kwargs: check(*args, **kwargs))
         want = run_experiment(cfg)
     assert len(builds) == 7 + 13
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)

@@ -253,6 +253,50 @@ class TestTlmNorm:
         assert tlm_wavelet_norm(u + v, sp) <= nu + nv + 1e-8
 
 
+class TestStackedTlm:
+    """A field with one leading axis gets one TLM value and report per row,
+    each bit for bit the single field's."""
+
+    @pytest.mark.parametrize("family, n, J", [("meyer", 1, 7), ("daubechies", 1, 6),
+                                              ("meyer", 2, 5), ("daubechies", 2, 4)])
+    @pytest.mark.parametrize("p, q", [(2.0, 2.0), (3.0, 1.0), (1.5, np.inf)])
+    @pytest.mark.parametrize("at_np", [False, True])
+    def test_rows_are_the_single_fields(self, family, n, J, p, q, at_np):
+        basis = build_basis(family, GridSpec(n, J, 0))
+        sp = SpaceParams(0.1, n / p if at_np else 0.5 * n / p, p, q)
+        data = np.random.default_rng(J).standard_normal((4,) + basis.spec.shape)
+        data[2] = 0.0                                  # one all-zero row
+        singles = [basis.analyze(GridFunction(basis.spec, d)) for d in data]
+        stack = wavelet.CoeffField.stack(singles)
+        reports = tlm_wavelet_norm_report(stack, sp)
+        values = tlm_wavelet_norm(stack, sp)
+        assert len(reports) == len(values) == 4
+        for c, rep, value in zip(singles, reports, values):
+            one = tlm_wavelet_norm_report(c, sp)
+            assert rep.value.hex() == one.value.hex() == float(value).hex()
+            assert type(rep.value) is float
+            assert rep.argmax_cube == one.argmax_cube
+            assert list(rep.per_level) == list(one.per_level)
+            assert [x.hex() for x in rep.per_level.values()] \
+                == [x.hex() for x in one.per_level.values()]
+        assert reports[2].value == 0.0 and reports[2].argmax_cube is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_one_nonfinite_row_raises(self, meyer1d, rng, bad):
+        stack = meyer1d.analyze_stack(np.stack([band_limited(meyer1d, rng).data] * 3))
+        stack.detail[((1,), 4)][1, 2] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            tlm_wavelet_norm(stack, SpaceParams(0.0, 0.3, 2.0, 2.0))
+        with pytest.raises(ParameterError, match="non-finite"):
+            tlm_wavelet_norm_report(stack, SpaceParams(0.0, 0.3, 2.0, 2.0))
+
+    def test_two_leading_axes_raise(self, meyer1d, rng):
+        data = np.stack([band_limited(meyer1d, rng).data] * 4).reshape(
+            (2, 2) + meyer1d.spec.shape)
+        with pytest.raises(ParameterError, match="one leading axis"):
+            tlm_wavelet_norm(meyer1d.analyze_stack(data), SpaceParams(0.0, 0.3, 2.0, 2.0))
+
+
 class TestOscillationNorm:
     def test_polynomial_is_zero(self, meyer1d):
         spec = meyer1d.spec

@@ -12,6 +12,7 @@ from oscillet.operators import (
     CzoGeneratorParams,
     _random_detail_field,
     _source_order,
+    _truncate,
     apply_matrix,
     apply_matrix_time,
     czo_boundedness_experiment,
@@ -90,6 +91,107 @@ class TestGenerator:
             return total
 
         assert offdiag_mass(4.0) < offdiag_mass(1.0)
+
+
+ADMISSIBLE = CzoGeneratorParams(N0=6.0, C=1.0)
+CONTROL = CzoGeneratorParams(N0=0.2, C=1.0, band=np.inf, window_cells=np.inf,
+                             saturation=3.0)
+
+
+@pytest.mark.parametrize("params", [ADMISSIBLE, CONTROL])
+@pytest.mark.parametrize("n, sweep", [(1, (6, 7, 8)), (2, (3, 4, 5))])
+def test_truncation_is_the_generator_at_each_J(params, n, sweep):
+    """Every block is drawn from (seed, j, j', type pair) alone, so the
+    finest matrix cut to a coarser band is that band's matrix: the same
+    keys in the same order and the same arrays, bit for bit, shared and
+    read-only."""
+    top = max(sweep)
+    finest = generate_random_czo(GridSpec(n, top, 0), 0, top - 2, params, seed=5)
+    for J in sweep:
+        spec = GridSpec(n, J, 0)
+        cut = _truncate(finest, spec, J - 2)
+        fresh = generate_random_czo(spec, 0, J - 2, params, seed=5)
+        assert (cut.spec, cut.j_min, cut.j_max, cut.N0, cut.C, cut.band) \
+            == (fresh.spec, fresh.j_min, fresh.j_max, fresh.N0, fresh.C, fresh.band)
+        assert list(cut.coo) == list(fresh.coo)
+        for key, arrays in cut.coo.items():
+            assert all(a is b for a, b in zip(arrays, finest.coo[key]))
+            for a, b in zip(arrays, fresh.coo[key]):
+                assert a.dtype == b.dtype and not a.flags.writeable
+                np.testing.assert_array_equal(a, b, strict=True)
+                assert a.tobytes() == b.tobytes()
+
+
+def test_stacked_random_field_rows_are_the_one_seed_fields(meyer1d):
+    sp = SpaceParams(0.1, 0.3, 2.0, 1.5)
+    seeds = [4, 17, 4 + 104729]
+    draws = {}
+    stack = _random_detail_field(meyer1d, sp, seeds, draws=draws)
+    assert stack.batch_shape == (3,)
+    assert {s for s, _, _ in draws} == set(seeds)
+    for row, seed in enumerate(seeds):
+        one = _random_detail_field(meyer1d, sp, seed)
+        assert one.batch_shape == ()
+        for key, block in one.detail.items():
+            assert stack.detail[key][row].tobytes() == block.tobytes()
+        assert stack.scaling[row].tobytes() == one.scaling.tobytes()
+        # the one-seed field from its definition: seeded normals per (level,
+        # type), scaled by 2^{-j(2 gamma1 + n)/2}, the finest level empty,
+        # divided by the field's TLM norm
+        raw = CoeffField(meyer1d.spec, "meyer", 0, meyer1d.j_max)
+        for (eps, j), block in raw.detail.items():
+            if j < meyer1d.j_max:
+                normal = np.random.default_rng(np.random.SeedSequence(
+                    seed, spawn_key=(j, 0))).standard_normal(1 << j)
+                block[:] = 2.0 ** (-j * (2 * sp.gamma1 + 1) / 2.0) * normal
+        from oscillet.norms import tlm_wavelet_norm
+        norm = tlm_wavelet_norm(raw, sp)
+        for key, block in raw.detail.items():
+            assert (block * (1.0 / norm)).tobytes() == one.detail[key].tobytes()
+
+
+def per_sample_czo(params, sp, samples, seed, J_sweep, declared_N0=None):
+    """The experiment evaluated sample by sample: per J a freshly generated
+    matrix, and per sample one field, one apply and two TLM calls."""
+    from oscillet.norms import tlm_wavelet_norm
+    per_sample, max_by_J, certified, notes = [], {}, True, []
+    for J in J_sweep:
+        spec = GridSpec(1, J, 0)
+        basis = build_basis("meyer", spec)
+        mat = generate_random_czo(spec, 0, basis.j_max, params, seed=seed)
+        check_N0 = params.N0 if declared_N0 is None else declared_N0
+        val = validate_decay(mat, N0=check_N0, C=params.C)
+        if not val.ok:
+            certified = False
+            notes.append(
+                f"J={J}: {len(val.violations)} entries exceed the declared "
+                f"envelope at N0={check_N0} (C_min={val.C_min:.3g})")
+        ratios = []
+        for s in range(samples):
+            g = _random_detail_field(basis, sp, seed + 104729 * s)
+            out = apply_matrix(mat, g)
+            in_norm, out_norm = tlm_wavelet_norm(g, sp), tlm_wavelet_norm(out, sp)
+            ratio = out_norm / in_norm if in_norm > 0 else 0.0
+            ratios.append(ratio)
+            per_sample.append((J, s, in_norm, out_norm, ratio))
+        max_by_J[J] = max(ratios)
+    growth = ratio_growth(max_by_J)
+    return per_sample, max_by_J, growth, certified, certified and growth < 0.10, notes
+
+
+@pytest.mark.parametrize("seed", [3, 42])
+@pytest.mark.parametrize("params, sp, declared_N0", [
+    (ADMISSIBLE, SpaceParams(0.0, 0.3, 2.0, 2.0), None),
+    (CONTROL, SpaceParams(1.5, 0.3, 2.0, 2.0), 6.0),
+])
+def test_stacked_czo_experiment_is_the_per_sample_one(seed, params, sp, declared_N0):
+    rep = czo_boundedness_experiment(params, sp, samples=5, seed=seed,
+                                     J_sweep=(6, 7, 8), declared_N0=declared_N0)
+    got = (rep.per_sample, rep.max_ratio_by_J, rep.growth_per_J, rep.certified,
+           rep.passed, rep.notes)
+    want = per_sample_czo(params, sp, 5, seed, (6, 7, 8), declared_N0)
+    assert repr(got) == repr(want)
+    assert all(type(x) is float for row in rep.per_sample for x in row[2:])
 
 
 class TestApply:
