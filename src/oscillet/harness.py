@@ -55,6 +55,7 @@ from .semigroup import (
     SemigroupSpec,
     calibrate_family,
     check_decay_bounds,
+    coupling_denominators,
     default_time_grid,
     evolve_coefficients,
     fit_ctilde,
@@ -526,9 +527,9 @@ def run_decay_bounds(cfg: ExperimentConfig) -> dict:
     # across the coefficient level.  The random field is informational:
     # its max ratio is an extreme over a sample set that grows with J.
     variants = [("single", j_star), ("single-fine", j_star + 2), ("random", None)]
-    # the initial data of each (variant, J), its synthesis and the dict its
-    # coupling denominators are built into by the first check, shared by the
-    # betas: (basis, c0, f, denominators); and every check's kernel matrices
+    # the initial data of each (variant, J), its synthesis and its coupling
+    # denominators, shared by the betas: (basis, c0, f, denominators); the
+    # kernel matrices are shared by every set of denominators
     inputs, kernels = {}, {}
     for J, basis in _sweep(cfg):
         for variant, j_coeff in variants:
@@ -536,7 +537,8 @@ def run_decay_bounds(cfg: ExperimentConfig) -> dict:
                 c0 = _one_coefficient(basis, j_coeff, (3 % (1 << j_coeff),) * cfg.n)
             else:
                 c0 = _random_detail_field(basis, cfg.sp, cfg.seed + 17)
-            inputs[(variant, J)] = (basis, c0, basis.synthesize(c0), {})
+            inputs[(variant, J)] = (basis, c0, basis.synthesize(c0),
+                                    coupling_denominators(c0, 4.0, kernels=kernels))
     control = None
     for beta in betas:
         tg = _time_grid(cfg, beta)
@@ -547,8 +549,7 @@ def run_decay_bounds(cfg: ExperimentConfig) -> dict:
             for J in cfg.J_sweep:
                 basis, c0, f, denoms = inputs[(variant, J)]
                 tcf = _lift(basis, f, tg, beta)
-                rep = check_decay_bounds(tcf, c0, N=4.0, denominators=denoms,
-                                         kernels=kernels)
+                rep = check_decay_bounds(tcf, c0, N=4.0, denominators=denoms)
                 reports.append((J, rep))
                 rows.append({"experiment": "decay-bounds", "beta": beta,
                              "variant": variant, "J": J, "max_r2": rep.max_r2,
@@ -597,10 +598,11 @@ def _misattributed_decay_control(basis, tcf, rep_true, j_star, k_true,
     the opposite side of the torus must blow the measured constant up; run
     on the lift tcf of the unit coefficient at (j_star, k_true), whose
     report against its own initial data is rep_true.  `kernels` is handed
-    to `check_decay_bounds`."""
+    to `coupling_denominators`."""
     k_wrong = tuple((k + (1 << j_star) // 2) % (1 << j_star) for k in k_true)
-    rep_wrong = check_decay_bounds(tcf, _one_coefficient(basis, j_star, k_wrong),
-                                   N=4.0, kernels=kernels)
+    c_wrong = _one_coefficient(basis, j_star, k_wrong)
+    rep_wrong = check_decay_bounds(tcf, c_wrong, N=4.0, denominators=(
+        coupling_denominators(c_wrong, 4.0, kernels=kernels)))
     blowup = (rep_wrong.max_r2 / rep_true.max_r2
               if rep_true.max_r2 > 0 else np.inf)
     return {"kind": "misattributed-initial-data", "blowup": blowup,

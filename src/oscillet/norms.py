@@ -34,11 +34,11 @@ raises; all are solved before any cube is analyzed.
 Every sup here and in `tent` runs over a finite table of candidates.
 Where a sup has many rows, a ceiling per candidate prunes it (`_Pruner`)
 in two exact passes per group of candidates: a sample of the oscillation
-norm, or all of a tent part.  Pass 1 evaluates the group's candidate of
-largest ceiling; its compared value (the value times the candidate's scale,
-the tent's t^m, or the value itself) is the group's limit L.  Pass 2
+norm, or all of a tent part.  The pruner compares plain values (part I's
+carry its t^m, as its ceilings do).  Pass 1 evaluates the group's
+candidate of largest ceiling; its value is the group's limit L.  Pass 2
 evaluates every other candidate whose ceiling is not below L.  A ceiling is
-at least its candidate's compared value, so a skipped candidate lies below
+at least its candidate's value, so a skipped candidate lies below
 L <= sup: it neither attains the sup nor ties with it, and the scan over the
 evaluated candidates in table order with a strict >, which keeps the first
 one attaining the max, gives the value and argmax of the complete table.
@@ -229,13 +229,11 @@ def _morrey_cube_max(integrand: np.ndarray, j0s: Sequence[int], sp: SpaceParams,
 class _Pruner:
     """The two exact passes of a pruned sup (module docstring) over a flat
     table of candidates: their `ceilings`, a group id per candidate
-    (`groups`, an int array), `evaluate(sorted indices) -> values` and an
-    optional per-candidate `scale` that multiplies values (the ceilings
-    carry it already) before they are compared.  `values` and `done` hold
-    what has been evaluated."""
+    (`groups`, an int array) and `evaluate(sorted indices) -> values`.
+    `values` and `done` hold what has been evaluated."""
 
-    def __init__(self, ceilings, groups, evaluate, scale=None):
-        self.groups, self.evaluate, self.scale = groups, evaluate, scale
+    def __init__(self, ceilings, groups, evaluate):
+        self.groups, self.evaluate = groups, evaluate
         self.values = np.zeros(len(ceilings))
         self.done = np.zeros(len(ceilings), dtype=bool)
         if not len(ceilings):
@@ -251,7 +249,7 @@ class _Pruner:
         firsts = np.sort(np.array(firsts, dtype=int))
         self.run(firsts)
         limit = np.zeros(count)
-        limit[groups[firsts]] = self.compared(firsts)
+        limit[groups[firsts]] = self.values[firsts]
         limit = limit[groups]
         self.run(np.flatnonzero(~self.done & (ceilings != 0) & (
             (limit <= _TRUSTED_ENERGY) | ~(ceilings < limit))))
@@ -265,17 +263,12 @@ class _Pruner:
             self.values[idx] = self.evaluate(idx)
             self.done[idx] = True
 
-    def compared(self, idx: np.ndarray) -> np.ndarray:
-        values = self.values[idx]
-        return values if self.scale is None else values * self.scale[idx]
-
     def best(self, g: int) -> tuple[float, int | None]:
-        """Group g's largest compared value among the evaluated candidates
-        and the first candidate attaining it; (0.0, None) when none is
-        positive."""
+        """Group g's largest value among the evaluated candidates and the
+        first candidate attaining it; (0.0, None) when none is positive."""
         m = self.members(g)
         m = m[self.done[m]]
-        values = self.compared(m)
+        values = self.values[m]
         positive = np.flatnonzero(values > 0)
         if not len(positive):
             return 0.0, None
@@ -362,7 +355,7 @@ def tl_norm(c: CoeffField, gamma1: float, p: float, q: float):
 def tlm_wavelet_norm(c: CoeffField, sp: SpaceParams):
     """The TLM norm of c: a float, or for a field with one leading axis an
     array with one norm per row (`tlm_wavelet_norm_report`)."""
-    reps = tlm_wavelet_norm_report(c, sp)
+    reps = _tlm_reports(c, sp)
     return np.array([rep.value for rep in reps]) if c.batch_shape else reps.value
 
 
@@ -373,17 +366,19 @@ def tlm_wavelet_norm_report(c: CoeffField, sp: SpaceParams):
     with one report per row, each bit for bit the row's own.  A single
     field is the one-row stack.  ParameterError for more than one leading
     axis or a non-finite detail coefficient (in any row)."""
+    return _tlm_reports(c, sp)
+
+
+def _tlm_reports(c: CoeffField, sp: SpaceParams):
+    """Both TLM entries' body: a degenerate regime warns at their caller."""
     batch = c.batch_shape
     if len(batch) > 1:
         raise ParameterError(f"the TLM norm takes one leading axis, not a {batch} stack")
     _check_finite(c.detail.values())
     if sp.degenerate(c.spec.n):
-        warnings.warn(
-            f"gamma2={sp.gamma2} > n/p={c.spec.n / sp.p}: degenerate regime "
-            "(continuum space contains only polynomials)",
-            DegenerateRegimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"gamma2={sp.gamma2} > n/p={c.spec.n / sp.p}: degenerate "
+                      "regime (continuum space contains only polynomials)",
+                      DegenerateRegimeWarning, stacklevel=3)
     n, rows = c.spec.n, batch[0] if batch else 1
     q, j0s = sp.q, range(c.spec.j_min, c.spec.J)
     V = dict(_suffix_combine(_level_aggregates(c, sp.gamma1, q), q))

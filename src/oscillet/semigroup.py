@@ -291,28 +291,34 @@ def cross_level_kernel_matrix(spec: GridSpec, j: int, j_prime: int,
     return (1.0 + dist) ** (-N)
 
 
+def _banded_kernel_sums(spec: GridSpec, levels, v: dict[int, np.ndarray],
+                        N: float, band: int, kernels: dict) -> dict[int, np.ndarray]:
+    """Per level j of `levels`: the sum over the levels j' of v within
+    `band` of j, added in j' order, of cross_level_kernel_matrix(spec, j,
+    j', N) @ v[j'].  `kernels` keeps each matrix under (n, j, j', N), the
+    only arguments it depends on."""
+    out = {}
+    for j in levels:
+        acc = np.zeros((1 << j) ** spec.n)
+        for jp, vec in v.items():
+            if abs(j - jp) <= band:
+                key = (spec.n, j, jp, N)
+                if key not in kernels:
+                    kernels[key] = cross_level_kernel_matrix(spec, j, jp, N)
+                acc += kernels[key] @ vec
+        out[j] = acc
+    return out
+
+
 def coupling_denominators(c0: CoeffField, N: float, band: int = 3,
                           kernels: dict | None = None) -> dict[int, np.ndarray]:
     """D[j][k] = sum_{|j-j'|<=band} sum_{eps',k'} |a0| (1+|2^{j-j'}k'-k|)^{-N}.
-    `kernels` keeps each `cross_level_kernel_matrix` under (n, j, j', N),
-    the only arguments it depends on; a caller hands one dict to every call
-    to build each matrix once."""
-    kernels = {} if kernels is None else kernels
+    A caller hands one `kernels` dict to every call to build each kernel
+    matrix once (`_banded_kernel_sums`)."""
     # per level, the sum over detail types of |a| as a flat position vector
     sums = {j: _level_power_sum(c0, j, 1.0).reshape(-1) for j in c0.levels}
-    out = {}
-    for j in c0.levels:
-        acc = np.zeros((1 << j) ** c0.spec.n)
-        for jp in c0.levels:
-            if abs(j - jp) > band:
-                continue
-            key = (c0.spec.n, j, jp, N)
-            K = kernels.get(key)
-            if K is None:
-                K = kernels[key] = cross_level_kernel_matrix(c0.spec, j, jp, N)
-            acc += K @ sums[jp]
-        out[j] = acc
-    return out
+    return _banded_kernel_sums(c0.spec, c0.levels, sums, N, band,
+                               {} if kernels is None else kernels)
 
 
 @dataclass
@@ -329,21 +335,19 @@ class DecayReport:
 def check_decay_bounds(tcf: CoeffField, c0: CoeffField, N: float,
                        ctilde_grid: Sequence[float] | None = None,
                        band: int = 3,
-                       denominators: dict[int, np.ndarray] | None = None,
-                       kernels: dict | None = None) -> DecayReport:
+                       denominators: dict[int, np.ndarray] | None = None
+                       ) -> DecayReport:
     """Measured constants in the two-regime coefficient decay bound for
     heat-evolved data against the initial coefficients.  `denominators`
-    holds coupling_denominators(c0, N, band); an empty dict is filled here,
-    so a caller that checks several lifts of c0 hands the same dict to
-    each call and builds it once.  `kernels` is handed to
-    `coupling_denominators`."""
+    holds coupling_denominators(c0, N, band), built here when None; a
+    caller that checks several lifts of c0 builds it once and hands it to
+    each call."""
     beta = _heat_beta(tcf)
     if ctilde_grid is None:
         ctilde_grid = np.arange(0.05, 2.0001, 0.05)
     ctilde_grid = np.asarray(ctilde_grid, dtype=float)
-    denoms = {} if denominators is None else denominators
-    if not denoms:
-        denoms.update(coupling_denominators(c0, N, band=band, kernels=kernels))
+    denoms = (coupling_denominators(c0, N, band=band) if denominators is None
+              else denominators)
     nodes = tcf.tg.nodes()
     scale = max(c0.max_abs(), 1e-300)
     atol = 1e-12 * scale
@@ -463,13 +467,9 @@ def check_dual_bound(c_rec: CoeffField, tcf: CoeffField, N: float,
     max_ratio, violations = 0.0, 0
     scale = max(c_rec.max_abs(), 1e-300)
     atol = 1e-12 * scale
+    rhs_of = _banded_kernel_sums(spec, c_rec.levels, T, N, band, {})
     for (eps, j), arr in c_rec.detail.items():
-        rhs = np.zeros((1 << j) ** spec.n)
-        for jp in tcf.levels:
-            if abs(j - jp) > band:
-                continue
-            K = cross_level_kernel_matrix(spec, j, jp, N)
-            rhs += K @ T[jp]
+        rhs = rhs_of[j]
         lhs = np.abs(arr.reshape(-1))
         ok = rhs > atol
         violations += int(np.sum(lhs[~ok] > atol))

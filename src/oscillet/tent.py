@@ -15,46 +15,47 @@ sampled at the cell midpoint), so constant-in-t profiles integrate to the
 closed form up to the window-edge cell resolution.
 
 Each part is a Morrey sup over (row, cube level) pairs of integrands
-G = (sum_{j in S} w_j F_j)^root over an admitted level set S, F_j >= 0
-constant on the level-j cells (root None, for q = inf:
-G = max_{j in S} w_j F_j).
+G = (sum_j W_j F_j)^root, F_j >= 0 constant on the level-j cells (root
+None, for q = inf: G = max_j W_j F_j), its level sets said once as weight
+rows W and a skip: a weight of 0 leaves a level out (it adds +0 to a sum,
+or a sup, of terms >= +0), and cube level j0 keeps the levels
+j >= j0 + skip.  Part I weighs a node's levels j >= theta (skip 0), part II
+its levels j < theta (skip 1), part III the levels j > j0, part IV all.
 
 Parts I/II have a row per time node, and `norms._Pruner` runs them, one
 group per part, with the ceilings of `_morrey_bounds` (the two passes are
 described in the `norms` module docstring).  With r = p root (r = p for
 root None) the cube sum of the kernel is cell sum_{x in Q} G^p =
-int_Q G^p, and
+int_Q G^p, and, S the levels a row weighs at j0,
 
   - for r <= 1, (sum a_j)^r <= sum a_j^r (a concave power vanishing at 0 is
-    subadditive), so int_Q G^p <= sum_{j in S} w_j^r int_Q F_j^r; the same
-    sum bounds max_j (w_j F_j)^p for root None;
+    subadditive), so int_Q G^p <= sum_{j in S} W_j^r int_Q F_j^r; the same
+    sum bounds max_j (W_j F_j)^p for root None;
   - for r > 1, Minkowski in L^r(Q) gives
-    int_Q G^p <= (sum_{j in S} (w_j^r int_Q F_j^r)^{1/r})^r.
+    int_Q G^p <= (sum_{j in S} (W_j^r int_Q F_j^r)^{1/r})^r.
 
-Every admitted level has j >= j0, the cube level, and int_Q F_j^r =
+Every level of S has j >= j0, the cube level, and int_Q F_j^r =
 2^{-nj} sum_{k in Q} F_j[k]^r is a pairwise-sum pyramid of the level's own
 cells, with no upsampling.  The max over cubes of the bound's cube sum
 bounds the max of the exact one, and w_{j0} times its 1/p power bounds the
-Morrey value.  Every admitted level's cube sum gets 2^-800 added before its
-weight (the sum form adds it for every level the row weighs), and the sum
-over S once more after, so powers and products that underflowed cannot
-push the bound below the value; the result is multiplied by
-1 + BOUND_SLACK, far above the rounding of the reordered sums for any value
-above 2^-800.  Part I admits the levels j >= max(j0, theta) and part II the
-levels j0 < j < theta, so a per-node mask on each part's weights, with the
-suffixes j >= j0 (part I) and j > j0 (part II) of the part's own pyramid,
-gives both level sets; one bound pass runs per chunk of nodes (at most
-CHUNK_BYTES of the pass's level arrays).  Part I's ceiling and value carry
-the node's t^m.  The exact kernel is the unchanged upsampled
-`_morrey_cube_max`, and the pruner's scan keeps the (node, cube level,
-position) order with a strict >, so `value`, `argmax_cube` and
+Morrey value.  Every level's cube sum gets 2^-800 added before its weight
+(the sum form adds it for every level the row weighs), and the sum over S
+once more after, so powers and products that underflowed cannot push the
+bound below the value; the result is multiplied by 1 + BOUND_SLACK, far
+above the rounding of the reordered sums for any value above 2^-800.  One
+bound pass runs per chunk of nodes (at most CHUNK_BYTES of its level
+arrays).  The exact pass reads the same (W, skip) pairs: a cube level's
+pairs together, on W[nodes] without the levels below j0 + skip, a chunk of
+nodes per row-independent `_morrey_cube_max` call.  Part I's ceiling and
+value carry the node's t^m, and the pruner's scan keeps the (node, cube
+level, position) order with a strict >, so `value`, `argmax_cube` and
 `argmax_node` are those of the complete table, bit for bit.
 
 Parts III/IV have one candidate per cube level (part IV one row of
 windows, part III one row per cube level), so every cube level is
 evaluated, as for the TLM norm: on so few candidates a bound costs about as
 much as the kernel calls it could save.  They take every coefficient's
-window integrals from one in-order running sum over the log cells, read at
+window integrals from in-order running sums over the log cells, read at
 the log edges -2 j beta ln 2 they use.
 
 Every part reads |a|^q (|a| for q = inf) from one table built per call.
@@ -159,11 +160,10 @@ def _abs_power(tcf: CoeffField, q: float) -> tuple[dict, dict]:
     return absolute, {key: a ** q for key, a in absolute.items()}
 
 
-def _level_fields(tcf: CoeffField, absq: dict, nodes: slice,
+def _level_fields(tcf: CoeffField, absq: dict, nodes,
                   q: float) -> dict[int, np.ndarray]:
-    """Per level j: sum_eps |a(t)|^q (sup for q=inf) of the nodes in
-    `nodes` at the level's own resolution (2^j,)^n, stacked along a leading
-    node axis; `absq` is the table `_abs_power(tcf, q)`."""
+    """Per level j: sum_eps |a(t)|^q (sup for q=inf) at the level's own
+    resolution, (nodes,) + (2^j,)^n; `absq` is `_abs_power(tcf, q)`."""
     n = tcf.spec.n
     out = {}
     for j in tcf.levels:
@@ -173,13 +173,15 @@ def _level_fields(tcf: CoeffField, absq: dict, nodes: slice,
     return out
 
 
-def _integrand(fields: dict[int, np.ndarray], level_weights: dict[int, float],
-               levels: Sequence[int], root: float | None) -> np.ndarray:
-    """(sum_{j in levels} w_j F_j)^root, or the pointwise sup over the
-    levels of w_j F_j when root is None (q = inf)."""
-    if root is None:
-        return np.maximum.reduce([level_weights[j] * fields[j] for j in levels])
-    return sum(level_weights[j] * fields[j] for j in levels) ** root
+def _integrand(fields: dict[int, np.ndarray], W: np.ndarray,
+               root: float | None) -> np.ndarray:
+    """(sum_j W[:, j] F_j)^root per row, or the pointwise sup over the
+    levels of W[:, j] F_j when root is None (q = inf): `fields` maps the
+    levels, in order, to F_j >= 0 with a leading row axis, and W (rows,
+    levels) holds one weight row per field row, 0 leaving a level out."""
+    terms = (w.reshape((-1,) + (1,) * (F.ndim - 1)) * F
+             for w, F in zip(W.T, fields.values()))
+    return np.maximum.reduce(list(terms)) if root is None else sum(terms) ** root
 
 
 @np.errstate(all="ignore")
@@ -187,13 +189,13 @@ def _morrey_bounds(fields: dict[int, np.ndarray], parts, j0s: Sequence[int],
                    root: float | None, sp: SpaceParams,
                    spec: GridSpec) -> list[np.ndarray]:
     """Upper bounds of the Morrey values `_morrey_cube_max` gives for the
-    integrands (sum_{j in S} w_j F_j)^root (root None: max_{j in S} w_j F_j),
-    per row of the fields' leading axis and cube level j0 of j0s (module
-    docstring).  `fields` maps each level j to F_j >= 0 at its own
-    resolution, (rows,) + (2^j,)^n.  Each part (w, skip) has weights w
-    (rows, levels), 0 leaving a level out of a row, and admits the levels
-    j >= j0 + skip, skip 0 or 1.  One (rows, len(j0s)) array per part; 0
-    where a part admits no level, +inf where the bound overflowed."""
+    integrands `_integrand(fields, W, root)`, per row of the fields' leading
+    axis and cube level j0 of j0s (module docstring).  `fields` maps each
+    level j to F_j >= 0 at its own resolution, (rows,) + (2^j,)^n.  Each
+    part (W, skip) has weight rows W (rows, levels), 0 leaving a level out
+    of a row, and keeps the levels j >= j0 + skip, skip 0 or 1.  One
+    (rows, len(j0s)) array per part; 0 where a part keeps no level, +inf
+    where the bound overflowed."""
     n, levels = spec.n, sorted(fields)
     rows, nl, P, K = len(fields[levels[0]]), len(levels), len(parts), len(j0s)
     r = sp.p if root is None else sp.p * root
@@ -276,9 +278,9 @@ class _WindowIntegrals:
     dt/t, for each moment qm of `qms` and each log time s of `log_points`,
     with the measure integrated exactly on each log cell and |a| held at the
     node; `absq` is the table `_abs_power(tcf, q)` of a finite q.  The
-    blocks sit side by side in one table, level by level, and the cells
-    below s are added in order, one row of every moment's cells at a time
-    (bit for bit a cumulative sum)."""
+    blocks sit side by side, level by level, and the sums of every
+    moment's cells below each cell are added in order, one row of cells at
+    a time (bit for bit a cumulative sum)."""
 
     def __init__(self, tcf: CoeffField, absq: dict, qms: Sequence[float],
                  log_points: Sequence[float]):
@@ -288,7 +290,6 @@ class _WindowIntegrals:
         blocks = [absq[(eps, j)].reshape(L, -1)
                   for j in tcf.levels for eps in detail_types(n)]
         starts = np.cumsum([0] + [block.shape[1] for block in blocks]).tolist()
-        width = starts[-1]
         per_level = len(detail_types(n))
         self.columns = {j: slice(starts[b * per_level], starts[(b + 1) * per_level])
                         for b, j in enumerate(tcf.levels)}
@@ -299,28 +300,28 @@ class _WindowIntegrals:
                 for s in log_points}
         below = {s: max(c, 0) for s, c in cell.items()}
         top = max(below.values(), default=0)
-        # every moment's cell integrals |a|^q * mass, side by side
-        cells = np.empty((top, len(qms) * width))
+        # row c + 1: cell c's integrals |a|^q * mass of every moment, then
+        # the sum of the cells 0..c, added row by row (np.cumsum along the
+        # rows runs column by column, several times slower here)
+        sums = np.zeros((top + 1, len(qms), starts[-1]))
         for i, qm in enumerate(qms):
             mass = np.diff(_time_moment_antiderivative(edges, qm))[:top, None]
             for block, a, b in zip(blocks, starts[:-1], starts[1:]):
-                np.multiply(block[:top], mass, out=cells[:, i * width + a:i * width + b])
-        running = np.zeros(len(qms) * width)
-        wanted, sums = set(below.values()), {}
-        for c in range(top + 1):
-            if c in wanted:
-                sums[c] = running.copy()
-            if c < top:
-                np.add(running, cells[c], out=running)
+                np.multiply(block[:top], mass, out=sums[1:, i, a:b])
+        by_row = list(sums)
+        for below_c, c_row in zip(by_row, by_row[1:]):
+            np.add(below_c, c_row, out=c_row)
+        # the rows of the cells holding a point, gathered once
+        inside = sorted({c for c in cell.values() if 0 <= c < L})
+        rows = dict(zip(inside, np.hstack([block[inside] for block in blocks])))
         self.G = {}
         for s, c in cell.items():
-            row = np.concatenate([block[c] for block in blocks]) if 0 <= c < L else None
             for i, qm in enumerate(qms):
-                G = sums[below[s]][i * width:(i + 1) * width]
-                if row is not None:
+                G = sums[below[s], i]
+                if c in rows:
                     anti_lo = _time_moment_antiderivative(np.array([edges[c]]), qm)[0]
                     anti_s = _time_moment_antiderivative(np.array([s]), qm)[0]
-                    G = G + row * (anti_s - anti_lo)
+                    G = G + rows[c] * (anti_s - anti_lo)
                 self.G[i, s] = G
 
     def own_edges(self, i: int, edge) -> np.ndarray:
@@ -367,62 +368,61 @@ def tent_norms(tcf: CoeffField, tp: TentParams,
     # level weights 2^{qj(gamma1 + n/2 + 2 m beta)} (part I, also III),
     # 2^{qj(gamma1 + n/2)} (part II), q read as 1 for the sup aggregate
     e, s = (1.0 if q == np.inf else q), sp.gamma1 + n / 2.0
-    w_i = {j: 2.0 ** (e * j * (s + 2 * tp.m * beta)) for j in levels}
-    w_ii = {j: 2.0 ** (e * j * s) for j in levels}
+    w_i = np.array([2.0 ** (e * j * (s + 2 * tp.m * beta)) for j in levels])
+    w_ii = np.array([2.0 ** (e * j * s) for j in levels])
     # one log2 over the nodes: numpy runs the inner loop a node-by-node
     # scalar call runs, so the seam levels keep their bits
     thetas = -np.log2(nodes) / (2.0 * beta)
     seam_levels = dict(enumerate(thetas))
-    # part I admits j >= max(j0, theta) and part II j0 < j < theta: per node
-    # the levels at or above theta weigh in part I, the others in part II
-    above = np.array(levels)[None, :] >= thetas[:, None]
+    # part I admits j >= max(j0, theta) and part II j0 < j < theta: a node's
+    # levels j >= theta weigh in part I (skip 0), the others in part II (1)
+    js = np.array(levels)
+    above = js[None, :] >= thetas[:, None]
+    parts = [(np.where(above, w_i, 0.0), 0), (np.where(above, 0.0, w_ii), 1)]
     absolute, absq = _abs_power(tcf, q)
-    # part I's ceiling and value carry t^m, a numpy-scalar pow per node (an
-    # array pow can take a SIMD path with other bits)
-    t_m = np.array([t ** tp.m for t in nodes])
-    weights = [np.array([w[j] for j in levels]) * mask
-               for w, mask in ((w_i, above), (w_ii, ~above))]
-    bounds = [[], []]
     # two float parts per node and cell: a complex grid row's bytes
     rows = chunk_rows((1 << tcf.j_max) ** n)
-    for start in range(0, tg.L, rows):
-        chunk = slice(start, start + rows)
-        for out, b in zip(bounds, _morrey_bounds(
-                _level_fields(tcf, absq, chunk, q),
-                [(weights[0][chunk], 0), (weights[1][chunk], 1)], cube_levels,
-                root, sp, spec)):
-            out.append(b)
+    bounds = [np.concatenate(b) for b in zip(*[
+        _morrey_bounds(_level_fields(tcf, absq, chunk, q),
+                       [(W[chunk], skip) for W, skip in parts], cube_levels, root, sp, spec)
+        for chunk in (slice(start, start + rows) for start in range(0, tg.L, rows))])]
     K = len(cube_levels)
+    # the kernel blows a chunk of rows up to the grid
+    exact_rows = chunk_rows(spec.size)
 
-    def pruned_part(ceilings, w, admit, scale=None) -> PartResult:
-        """Part I or II: its (node, cube level) pairs, flat, one group."""
+    def pruned_part(ceilings, W, skip, scale) -> PartResult:
+        """Part I or II: its (node, cube level) pairs, flat, one group; a
+        pair's value is its Morrey value times its node's `scale`."""
         flats = np.zeros(ceilings.size, dtype=int)
 
         def evaluate(idx):
             values = np.zeros(len(idx))
-            for at, i in enumerate(idx.tolist()):
-                ell, k = divmod(i, K)
-                S = [j for j in levels if admit(j, cube_levels[k], thetas[ell])]
-                if S:                       # no admitted level: value 0
-                    fields = _level_fields(tcf, absq, slice(ell, ell + 1), q)
-                    [(vals, flat)] = _morrey_cube_max(
-                        _integrand(band({j: fields[j] for j in S}), w, S, root),
-                        [cube_levels[k]], sp, spec)
-                    values[at], flats[i] = vals[0], flat[0]
-            return values
+            ells, ks = np.divmod(idx, K)
+            for k in sorted(set(ks.tolist())):      # one cube level's pairs
+                j0, of_k = cube_levels[k], np.flatnonzero(ks == k)
+                first = max(j0 + skip - levels[0], 0)   # the levels kept at j0
+                for start in range(0, len(of_k), exact_rows):
+                    at = of_k[start:start + exact_rows]
+                    fields = _level_fields(tcf, absq, ells[at], q)
+                    [(vals, flat)] = _morrey_cube_max(_integrand(
+                        band({j: fields[j] for j in levels[first:]}),
+                        W[ells[at], first:], root), [j0], sp, spec)
+                    values[at], flats[idx[at]] = vals, flat
+            return values * scale[ells]
 
         sup = _Pruner(ceilings.reshape(-1), np.zeros(ceilings.size, dtype=int),
-                      evaluate, scale)
+                      evaluate)
         value, i = sup.best(0)
         if i is None:
             return PartResult(0.0)
         ell, k = divmod(i, K)
         return PartResult(value, _cube_at(cube_levels[k], flats[i], n), ell)
 
-    part1 = pruned_part(np.concatenate(bounds[0]) * t_m[:, None], w_i,
-                        lambda j, j0, th: j >= max(j0, th), np.repeat(t_m, K))
-    part2 = pruned_part(np.concatenate(bounds[1]), w_ii,
-                        lambda j, j0, th: j0 < j < th)
+    # part I's ceilings and values carry t^m, a numpy-scalar pow per node
+    # (an array pow can take a SIMD path with other bits)
+    t_m = np.array([t ** tp.m for t in nodes])
+    part1 = pruned_part(bounds[0] * t_m[:, None], *parts[0], t_m)
+    part2 = pruned_part(bounds[1], *parts[1], np.ones(tg.L))
 
     part3 = part4 = PartResult(0.0)
     if q != np.inf:
@@ -433,25 +433,24 @@ def tent_norms(tcf: CoeffField, tp: TentParams,
 
         # part IV: the windows (0, 2^{-2 j beta}] of every level, one row;
         # it is cube-geometry independent in time.  Part III: per cube level
-        # j0 the windows (2^{-2 j beta}, r^{2 beta}] of the levels j > j0
+        # j0 one row, the windows (2^{-2 j beta}, r^{2 beta}] of the levels
+        # j > j0
         j0s = [j0 for j0 in cube_levels if j0 < levels[-1]]
         win = _WindowIntegrals(tcf, absq, (q * tp.m, q * tp.m_prime),
                                sorted({edge(j) for j in levels + j0s}))
-        w_iv = {j: 2.0 ** (q * j * (s + 2 * tp.m_prime * beta)) for j in levels}
+        w_iv = np.array([2.0 ** (q * j * (s + 2 * tp.m_prime * beta)) for j in levels])
         field_iv = win.level_fields(np.maximum(win.own_edges(1, edge), 0.0)[None])
         part4 = PartResult(*_first_cube(cube_levels, _morrey_cube_max(
-            _integrand(band(field_iv), w_iv, levels, root), cube_levels, sp, spec), n))
+            _integrand(band(field_iv), w_iv[None], root), cube_levels, sp, spec), n))
         if j0s:
             fields3 = win.level_fields(np.maximum(
                 np.stack([win.G[0, edge(j0)] for j0 in j0s]) - win.own_edges(0, edge),
                 0.0))
-            found = []
-            for k, j0 in enumerate(j0s):
-                field3 = {j: _upsample(F[k:k + 1], tcf.j_max, n)
-                          for j, F in fields3.items() if j > j0}
-                found += _morrey_cube_max(_integrand(field3, w_i, list(field3), root),
-                                          [j0], sp, spec)
-            part3 = PartResult(*_first_cube(j0s, found, n))
+            G3 = _integrand(band(fields3), np.where(
+                js[None, :] > np.array(j0s)[:, None], w_i, 0.0), root)
+            part3 = PartResult(*_first_cube(j0s, [
+                _morrey_cube_max(G3[k:k + 1], [j0], sp, spec)[0]
+                for k, j0 in enumerate(j0s)], n))
 
     quad_est = _quadrature_refinement_estimate(tcf, tp, absolute)
     return TentNormReport(part1, part2, part3, part4, seam_levels, quad_est)

@@ -35,7 +35,7 @@ import struct
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -264,16 +264,6 @@ class CoeffField:
 
     def set(self, idx: WaveletIndex, value: complex) -> None:
         self._block(idx)[idx.k] = value
-
-    def indices(self, include_scaling: bool = True) -> Iterator[WaveletIndex]:
-        if include_scaling:
-            for flat in range(self.scaling.size):
-                k = np.unravel_index(flat, self.scaling.shape)
-                yield WaveletIndex((0,) * self.spec.n, self.j_min, tuple(map(int, k)))
-        for (eps, j), arr in self.detail.items():
-            for flat in range(arr.size):
-                k = np.unravel_index(flat, arr.shape)
-                yield WaveletIndex(eps, j, tuple(map(int, k)))
 
     def energy(self) -> float:
         """sum |coeff|^2 over every stored index (Parseval partner of L^2)."""
@@ -841,14 +831,19 @@ def paraproduct(basis, u: GridFunction, v: GridFunction) -> ParaproductParts:
 # -- serialization --------------------------------------------------------------
 
 def coeff_field_to_json(c: CoeffField) -> str:
+    """One record per nonzero coefficient, block by block (scaling, then
+    the detail blocks in band order), each block in C order.
+    ParameterError for a field with leading axes."""
+    if c.batch_shape:
+        raise ParameterError("only a single field can be written as JSON")
     records = []
-    for idx in c.indices():
-        val = c.get(idx)
-        if val != 0:
-            records.append({
-                "eps": list(idx.eps), "j": idx.j, "k": list(idx.k),
-                "re": val.real, "im": val.imag,
-            })
+    for eps, j, block in [((0,) * c.spec.n, c.j_min, c.scaling)] + [
+            (eps, j, arr) for (eps, j), arr in c.detail.items()]:
+        flat = np.flatnonzero(block)
+        vals = block.reshape(-1)[flat]
+        for k, re, im in zip(np.transpose(np.unravel_index(flat, block.shape)).tolist(),
+                             vals.real.tolist(), vals.imag.tolist()):
+            records.append({"eps": list(eps), "j": j, "k": k, "re": re, "im": im})
     doc = {
         "family": c.family,
         "n": c.spec.n, "J": c.spec.J,

@@ -15,6 +15,7 @@ from oscillet.errors import ParameterError
 from oscillet.grid import GridSpec, TimeGrid, read_grid_function
 from oscillet.wavelet import (
     CoeffField,
+    WaveletIndex,
     build_basis,
     coeff_field_from_json,
     coeff_field_to_json,
@@ -194,3 +195,54 @@ def test_json_nonfinite_coefficient(meyer1d, re, im):
     assert bad != json.dumps(doc)
     with pytest.raises(ParameterError, match="non-finite coefficient"):
         coeff_field_from_json(bad)
+
+
+def json_per_index(c):
+    """coeff_field_to_json, index by index: every index of the band in
+    order (scaling, then the detail blocks), one `get` each, a record for
+    each nonzero value."""
+    n, records = c.spec.n, []
+    for eps, j, arr in [((0,) * n, c.j_min, c.scaling)] + [
+            (eps, j, arr) for (eps, j), arr in c.detail.items()]:
+        for flat in range(arr.size):
+            k = tuple(map(int, np.unravel_index(flat, arr.shape)))
+            val = c.get(WaveletIndex(eps, j, k))
+            if val != 0:
+                records.append({"eps": list(eps), "j": j, "k": list(k),
+                                "re": val.real, "im": val.imag})
+    return json.dumps({"family": c.family, "n": n, "J": c.spec.J,
+                       "j_min": c.j_min, "j_max": c.j_max,
+                       "coefficients": records}, sort_keys=True)
+
+
+@pytest.mark.parametrize("family", ["meyer", "daubechies"])
+@pytest.mark.parametrize("n, J", [(1, 6), (2, 4)])
+def test_json_text_equals_the_per_index_writer(family, n, J):
+    # complex values, exact zeros and signed zeros in either part: -0.0 is
+    # zero and gets no record; -0.0 beside a nonzero part is written as such
+    c = random_field(family, n, J, "plain", 3 * n + J)
+    rng = np.random.default_rng(J)
+    for arr in [c.scaling, *c.detail.values()]:
+        flat = arr.reshape(-1)
+        pick = rng.permutation(flat.size)
+        flat[pick[0::5]] = 0.0
+        flat[pick[1::5]] = complex(-0.0, -0.0)
+        for part, at in (("imag", pick[2::5]), ("real", pick[3::5])):
+            signed = flat[at].copy()
+            getattr(signed, part)[:] = -0.0
+            flat[at] = signed
+    c.detail[next(iter(c.detail))][...] = 0.0          # an all-zero block
+    text = coeff_field_to_json(c)
+    assert text == json_per_index(c)
+    assert "-0.0" in text
+    back = coeff_field_from_json(text)
+    for key, arr in c.detail.items():
+        np.testing.assert_array_equal(back.detail[key], arr)
+
+
+@pytest.mark.parametrize("kind", ["stacked", "time"])
+def test_json_of_a_field_with_leading_axes_raises(kind):
+    c = random_field("meyer", 1, 5, kind, 2)
+    with pytest.raises(Exception) as info:
+        coeff_field_to_json(c)
+    assert type(info.value).__module__ == "oscillet.errors"

@@ -622,19 +622,24 @@ def test_heat_controls_on_the_loop_lifts_match_their_own_lifts():
 
 
 def test_decay_bounds_build_one_denominator_set_per_variant_and_J(monkeypatch):
-    """The report with one coupling_denominators per (variant, J), shared by
-    the betas, and one kernel matrix per level pair, shared by every check,
-    equals the report that rebuilds them in every check."""
+    """The report with one coupling_denominators per (variant, J), built by
+    the harness and shared by the betas, and one kernel matrix per level
+    pair, shared by every set, equals the report whose every check builds
+    its own."""
     from oscillet import harness, semigroup
 
     cfg = ExperimentConfig("decay-bounds", J_sweep=(6, 7), time_nodes=32)
-    builds, checks, kernels = [], [], []
+    builds, own_builds, checks, kernels = [], [], [], []
     build = semigroup.coupling_denominators
     check = harness.check_decay_bounds
     kernel = semigroup.cross_level_kernel_matrix
 
     def counting_build(*args, **kwargs):
         builds.append(args)
+        return build(*args, **kwargs)
+
+    def counting_own_build(*args, **kwargs):
+        own_builds.append(args)
         return build(*args, **kwargs)
 
     def counting_kernel(spec, j, j_prime, N):
@@ -645,7 +650,8 @@ def test_decay_bounds_build_one_denominator_set_per_variant_and_J(monkeypatch):
         checks.append(args)
         return check(*args, **kwargs)
 
-    monkeypatch.setattr(semigroup, "coupling_denominators", counting_build)
+    monkeypatch.setattr(harness, "coupling_denominators", counting_build)
+    monkeypatch.setattr(semigroup, "coupling_denominators", counting_own_build)
     monkeypatch.setattr(harness, "check_decay_bounds", counting_check)
     monkeypatch.setattr(semigroup, "cross_level_kernel_matrix", counting_kernel)
     with warnings.catch_warnings():
@@ -654,15 +660,15 @@ def test_decay_bounds_build_one_denominator_set_per_variant_and_J(monkeypatch):
         # 2 betas x 3 variants x 2 J, plus the control
         assert len(checks) == 13
         # 3 variants x 2 J, plus the control's own initial data
-        assert len(builds) == 7
+        assert len(builds) == 7 and not own_builds
         # each pair of levels 0..5 at most 3 apart, once
         assert sorted(kernels) == [(1, j, jp, 4.0) for j in range(6)
                                    for jp in range(6) if abs(j - jp) <= 3]
         monkeypatch.setattr(harness, "check_decay_bounds",
-                            lambda *args, denominators=None, kernels=None,
-                            **kwargs: check(*args, **kwargs))
+                            lambda *args, denominators=None, **kwargs:
+                            check(*args, **kwargs))
         want = run_experiment(cfg)
-    assert len(builds) == 7 + 13
+    assert len(own_builds) == 13
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 

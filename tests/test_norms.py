@@ -167,6 +167,13 @@ class TestTlmNorm:
         with pytest.warns(DegenerateRegimeWarning):
             tlm_wavelet_norm(c, SpaceParams(0.0, 0.9, 2.0, 2.0))
 
+    @pytest.mark.parametrize("entry", [tlm_wavelet_norm, tlm_wavelet_norm_report])
+    def test_degenerate_regime_warns_at_the_caller(self, meyer1d, rng, entry):
+        c = meyer1d.analyze(band_limited(meyer1d, rng))
+        with pytest.warns(DegenerateRegimeWarning) as record:
+            entry(c, SpaceParams(0.0, 0.9, 2.0, 2.0))
+        assert [w.filename for w in record] == [__file__]
+
     @pytest.mark.parametrize("family, n, J", [("meyer", 1, 8), ("daubechies", 1, 7),
                                               ("meyer", 2, 5), ("daubechies", 2, 4)])
     @pytest.mark.parametrize("p, q", [(2.0, 2.0), (3.0, 1.5), (1.5, np.inf),

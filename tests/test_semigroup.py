@@ -301,6 +301,43 @@ class TestPiPhi:
         assert rel_l2_error(rec, f) < 1e-3
         assert rep.warning is None
 
+    # max |rec - closed form| / max |f| over seeds 0-63, rounded up at one
+    # significant digit: 3.71e-13, 3.50e-11, 2.15e-14 and 1.34e-12
+    @pytest.mark.parametrize("n, J, beta, tol", [
+        (1, 8, 0.5, 4e-13), (1, 8, 1.0, 4e-11),
+        (2, 5, 0.5, 3e-14), (2, 5, 1.0, 2e-12)])
+    def test_equals_the_closed_form_multiplier(self, n, J, beta, tol):
+        """For f in the Meyer span with its spectrum where the level
+        j_max + 1 scaling window is 1 (|m_i| <= 2^{j_max+1}/3), the heat flow
+        keeps f in the span, and the reconstruction of its lift is f-hat
+        times m = C_beta sum_l w_l phi-hat(t_l^{1/(2 beta)}|xi|)
+        e^{-t_l |xi|^{2 beta}}, up to rounding amplified by C_beta.  Past
+        that part of the span the heat flow leaves it: the frequencies m
+        and m -+ 2^{j_max+1} share one coefficient and decay at different
+        rates."""
+        spec = GridSpec(n, J, 0)
+        basis = build_basis("meyer", spec)
+        fam = calibrate_family(beta)
+        tg = TimeGrid(2.0 ** (-2 * beta * (J + 2)), 4.0, 64)
+        N = spec.samples_per_axis
+        inside = np.abs(np.fft.fftfreq(N, 1.0 / N)) <= (1 << (basis.j_max + 1)) / 3
+        flat = np.logical_and.reduce(np.meshgrid(*[inside] * n, indexing="ij"))
+        r = TWO_PI * np.sqrt(spec.lattice_norm2())
+        m = fam.C_beta * sum(
+            w * fam.radial(t ** (1 / (2 * beta)) * r) * np.exp(-t * r ** (2 * beta))
+            for t, w in zip(tg.nodes(), tg.weights()))
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            F = (rng.standard_normal(spec.shape)
+                 + 1j * rng.standard_normal(spec.shape)) * flat
+            f = GridFunction(spec, np.fft.ifftn(F))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rec, _ = pi_phi_report(fam, basis, evolve_coefficients(
+                    SemigroupSpec(beta, spec), basis, f, tg))
+            err = np.max(np.abs(rec.data - np.fft.ifftn(F * m)))
+            assert err <= tol * np.max(np.abs(f.data))
+
     def test_mode_scalar_matches_calibration(self):
         # per-mode reconstruction multiplier equals 1 (condition (iii) rescaled)
         beta = 1.0
@@ -516,14 +553,14 @@ class TestDecayBounds:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(semigroup, "coupling_denominators", counting)
-        shared = {}
+        shared = semigroup.coupling_denominators(c0, 4.0)
         for beta in (0.5, 1.0):
             tcf = evolve_coefficients(SemigroupSpec(beta, basis.spec), basis, f, tg)
             got = check_decay_bounds(tcf, c0, N=4.0, denominators=shared)
             want = check_decay_bounds(tcf, c0, N=4.0)
             for name, value in vars(want).items():
                 np.testing.assert_array_equal(getattr(got, name), value, err_msg=name)
-        # one build for the shared dict, one per unshared call
+        # one build for the shared set, one per unshared call
         assert len(built) == 3
         assert shared.keys() == set(c0.levels)
 
@@ -556,7 +593,54 @@ class TestDecayBounds:
         assert abs(r1[1] / r1[0] - 1) < 0.2
 
 
+def dual_bound_ratios(c_rec, tcf, N, band=3):
+    """check_dual_bound's max_ratio and violations, each detail block's
+    right side summed over its own kernel matrices."""
+    spec, beta = tcf.spec, tcf.beta
+    nodes, weights = tcf.tg.nodes(), tcf.tg.weights()
+    T = {}
+    for j in tcf.levels:
+        tau = nodes * 2.0 ** (2 * beta * j)
+        damp = np.maximum(tau, 1.0 / tau) ** (-N)
+        total = semigroup._level_power_sum(tcf, j, 1.0).reshape(tcf.tg.L, -1)
+        T[j] = (damp[:, None] * total * weights[:, None]).sum(axis=0)
+    atol = 1e-12 * max(c_rec.max_abs(), 1e-300)
+    max_ratio, violations = 0.0, 0
+    for (eps, j), arr in c_rec.detail.items():
+        rhs = np.zeros((1 << j) ** spec.n)
+        for jp in tcf.levels:
+            if abs(j - jp) <= band:
+                rhs += semigroup.cross_level_kernel_matrix(spec, j, jp, N) @ T[jp]
+        lhs = np.abs(arr.reshape(-1))
+        ok = rhs > atol
+        violations += int(np.sum(lhs[~ok] > atol))
+        if np.any(ok):
+            max_ratio = max(max_ratio, float(np.max(lhs[ok] / rhs[ok])))
+    return max_ratio, violations
+
+
 class TestDualBound:
+    @pytest.mark.parametrize("n, J", [(1, 8), (2, 5)])
+    def test_one_right_side_per_level(self, monkeypatch, n, J):
+        # each level's right side and kernel matrices are built once, shared
+        # by the level's detail types, with the bits of a per-block sum
+        basis, sg, f, tg = heat_case(n, J, 24)
+        tcf = evolve_coefficients(sg, basis, f, tg)
+        c_rec = basis.analyze(f)
+        want = dual_bound_ratios(c_rec, tcf, 4.0)
+        kernels = []
+        kernel = semigroup.cross_level_kernel_matrix
+
+        def counting(spec, j, j_prime, N):
+            kernels.append((j, j_prime))
+            return kernel(spec, j, j_prime, N)
+
+        monkeypatch.setattr(semigroup, "cross_level_kernel_matrix", counting)
+        rep = check_dual_bound(c_rec, tcf, N=4.0)
+        assert (rep.max_ratio, rep.violations) == want and rep.max_ratio > 0
+        assert kernels == [(j, jp) for j in tcf.levels for jp in tcf.levels
+                           if abs(j - jp) <= 3]
+
     def test_zero(self, meyer1d):
         sg = SemigroupSpec(1.0, meyer1d.spec)
         tg = TimeGrid(1e-5, 4.0, 16)

@@ -44,6 +44,16 @@ def _runs(keys: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
+def subset_integrand(fields, level_weights, levels, root):
+    """The oracles' integrand, from an admitted level list:
+    (sum_{j in levels} w_j F_j)^root, or the pointwise sup over the levels
+    of w_j F_j when root is None (q = inf).  `tent._integrand` reads the
+    same level set from weight rows, a weight of 0 leaving a level out."""
+    if root is None:
+        return np.maximum.reduce([level_weights[j] * fields[j] for j in levels])
+    return sum(level_weights[j] * fields[j] for j in levels) ** root
+
+
 def empty_tcf(basis, tg, beta=1.0):
     return CoeffField(basis.spec, basis.family, basis.j_min, basis.j_max, tg=tg,
                       beta=beta)
@@ -110,7 +120,7 @@ def parts_i_ii_oracle(tcf, tp):
                 levels = [j for j in tcf.levels if admit(j0, j)]
                 if levels:
                     [(vals, flat)] = _morrey_cube_max(
-                        tent._integrand(base, w, levels, root), (j0,), sp, spec)
+                        subset_integrand(base, w, levels, root), (j0,), sp, spec)
                     if vals[0] > v:
                         k = np.unravel_index(int(flat[0]), (1 << j0,) * spec.n)
                         v, cube = float(vals[0]), DyadicCube(j0, tuple(map(int, k)))
@@ -166,7 +176,7 @@ def parts_iii_iv_oracle(tcf, tp, literal=False):
             if not fields:
                 continue
             [(vals, flat)] = _morrey_cube_max(
-                tent._integrand(fields, w, list(fields), root), (j0,), sp, spec)
+                subset_integrand(fields, w, list(fields), root), (j0,), sp, spec)
             if vals[0] > best:
                 k = np.unravel_index(int(flat[0]), (1 << j0,) * n)
                 best, cube = float(vals[0]), DyadicCube(j0, tuple(map(int, k)))
@@ -294,6 +304,57 @@ class TestOnePowerTable:
 
 
 class TestSharedIntegrand:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("root", [None, 0.5, 1 / 1.5, 1.0, 1 / 3.0])
+    def test_weight_rows_equal_the_level_subsets(self, n, root):
+        # per row, the weight-row integrand with a weight of 0 on the levels
+        # a subset leaves out has the bits of the subset's own integrand
+        rng = np.random.default_rng(n)
+        levels, rows = [1, 2, 3, 4], 6
+        fields = {j: rng.random((rows,) + (1 << 4,) * n) ** 3
+                  * (rng.random((rows,) + (1 << 4,) * n) < 0.7) for j in levels}
+        w = 2.0 ** rng.uniform(-40, 40, len(levels))
+        keep = rng.random((rows, len(levels))) < 0.6
+        keep[0] = True
+        keep[1, :2] = False
+        got = tent._integrand(fields, np.where(keep, w, 0.0), root)
+        for row in range(rows):
+            S = [j for b, j in enumerate(levels) if keep[row, b]]
+            want = subset_integrand({j: F[row:row + 1] for j, F in fields.items()},
+                                    dict(zip(levels, w)), S, root)
+            assert got[row:row + 1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, J, L", [(1, 8, 40), (2, 5, 14)])
+    def test_one_kernel_call_per_cube_level_and_part(self, monkeypatch, n, J, L):
+        # every pair evaluated: parts I/II call the kernel for pass 1's pair
+        # and then once per cube level (the rows fit one chunk), part IV
+        # once, part III once per cube level below the finest detail level
+        spec = GridSpec(n, J, 0)
+        basis = build_basis("meyer", spec)
+        tp = make_tp(p=3.0, q=1.5)
+        tcf = random_tcf(basis, default_time_grid(spec, tp.beta, L=L), J)
+        unpruned(monkeypatch)
+        calls = []
+        kernel = tent._morrey_cube_max
+
+        def counting(integrand, j0s, sp, spec):
+            calls.append((len(integrand), tuple(j0s)))
+            return kernel(integrand, j0s, sp, spec)
+
+        monkeypatch.setattr(tent, "_morrey_cube_max", counting)
+        monkeypatch.setattr(wavelet, "CHUNK_BYTES", 16 * L * spec.size)
+        tent_norms(tcf, tp)
+        K, j_max = spec.J - spec.j_min, basis.j_max
+        # part I keeps a cube level while j0 <= j_max, part II while j0 < j_max
+        i_ii = [(0,)] + [(j0,) for j0 in range(j_max + 1)] \
+            + [(0,)] + [(j0,) for j0 in range(j_max)]
+        assert [j0s for _, j0s in calls[:len(i_ii)]] == i_ii
+        assert calls[0][0] == calls[j_max + 2][0] == 1
+        pass_2 = calls[1:j_max + 2] + calls[j_max + 3:len(i_ii)]
+        assert all(rows > 1 for rows, _ in pass_2)
+        assert calls[len(i_ii)] == (1, tuple(range(K)))
+        assert calls[len(i_ii) + 1:] == [(1, (j0,)) for j0 in range(j_max)]
+
     @pytest.mark.parametrize("n, J, L", [(1, 8, 48), (2, 5, 16)])
     @pytest.mark.parametrize("p, q", [(2.0, 2.0), (3.0, 1.5), (1.5, np.inf)])
     def test_parts_match_one_integrand_per_cube_level(self, monkeypatch, n, J,
@@ -350,7 +411,7 @@ class TestSharedIntegrand:
                 levels = [j for j in (2, 3) if j >= j0s[k]]
                 band = {j: _upsample(fields[j][row:row + 1], 4, 1) for j in levels}
                 [(vals, flat)] = _morrey_cube_max(
-                    tent._integrand(band, {2: 0.5, 3: 0.5}, levels, 1.0), [j0s[k]],
+                    subset_integrand(band, {2: 0.5, 3: 0.5}, levels, 1.0), [j0s[k]],
                     sp, spec)
                 values.append(vals[0])
                 flats[i] = int(flat[0])
@@ -488,7 +549,7 @@ class TestBoundProperty:
                                 for j in S}
                         weights = dict(zip(levels, w[row]))
                         [(value, _)] = _morrey_cube_max(
-                            tent._integrand(band, weights, S, root), (j0,), sp, spec)
+                            subset_integrand(band, weights, S, root), (j0,), sp, spec)
                         assert table[row, c] >= value[0] or np.isnan(value[0])
 
 

@@ -26,6 +26,19 @@ def test_every_trace_target_exists():
     _tracer().check_targets()
 
 
+def test_verify_default_fires_every_span(tmp_path):
+    # the benchmark's rule for its verify-default workload: a refactor that
+    # stops calling a traced entry point fails here
+    from oscillet.cli import main as cli_main
+
+    tracer = _tracer()
+    with tracer.installed(tracer.Tracer()) as t:
+        rc = cli_main(["verify", "--suite", "default", "--seed", "42",
+                       "--out", str(tmp_path / "verify")])
+    assert rc == 0
+    assert [s for s in tracer.SPANS if t.stats[s][0] == 0] == []
+
+
 def test_harness_inputs_go_through_generate_test_function():
     tracer = _tracer()
     cfg = ExperimentConfig("norm-equivalence", J_sweep=(5, 6), samples=1)
